@@ -90,12 +90,12 @@ def cmd_measure(args, config: ExperimentConfig) -> int:
         index = _parse_int_list(args.index) if args.dim == 2 else int(args.index)
         mu = measures.dirac(args.dim, args.N, index)
     elif kind == "uniform":
-        mu = measures.uniform(args.dim, args.N, max_atoms=config.budgets.max_atoms)
+        mu = measures.uniform(args.dim, args.N)
     elif kind == "cantor":
         mu = measures.cantor(args.base, _parse_int_list(args.digits), args.stage,
-                             confine=args.confine, max_atoms=config.budgets.max_atoms)
+                             confine=args.confine)
     elif kind == "random_flat":
-        mu = measures.random_flat(args.N, args.m, args.seed if args.seed is not None else config.seed,
+        mu = measures.random_flat(args.N, args.m, config.seed,
                                   flatness_c=args.flatness_c, max_retries=args.retries,
                                   confine=args.confine)
     elif kind == "circle":
@@ -169,9 +169,8 @@ def cmd_exponents(args, config: ExperimentConfig) -> int:
 
 def cmd_probe(args, config: ExperimentConfig) -> int:
     mu = load_measure(args.measure)
-    op = probe.assemble(mu, args.X, max_matrix_entries=config.budgets.max_matrix_entries)
-    options = probe.ProbeOptions(args.restarts, args.iters, args.tol,
-                                 args.seed if args.seed is not None else config.seed)
+    op = probe.assemble(mu, args.X)
+    options = probe.ProbeOptions(args.restarts, args.iters, args.tol, config.seed)
     result = probe.restriction_norm(op, args.p, args.q, options)
     _write_json(args.out, artifact_envelope(config, {"probe": result.as_dict(),
                                                      "options": options.as_dict()}))
@@ -180,8 +179,7 @@ def cmd_probe(args, config: ExperimentConfig) -> int:
 
 def cmd_sweep(args, config: ExperimentConfig) -> int:
     mu = load_measure(args.measure)
-    options = probe.ProbeOptions(args.restarts, args.iters, args.tol,
-                                 args.seed if args.seed is not None else config.seed)
+    options = probe.ProbeOptions(args.restarts, args.iters, args.tol, config.seed)
     total = len(args.p_grid) * len(args.q_grid)
     done = [0]
 
@@ -191,9 +189,7 @@ def cmd_sweep(args, config: ExperimentConfig) -> int:
               f"slope={cell.slope:.4f} {cell.classification}", file=sys.stderr)
 
     grid = probe.sweep(mu, args.p_grid, args.q_grid, args.X, n=args.n, r=args.r,
-                       options=options, tau_bounded=config.tolerances.slope_bounded_max,
-                       tau_growing=config.tolerances.slope_growing_min,
-                       threads=args.threads or config.threads, progress=progress)
+                       options=options, threads=config.threads, progress=progress)
     rows = grid.to_rows()
     fields = ["p", "q"] + [f"norm_X{X}" for X in grid.X_list] + [
         "slope", "residual", "class", "in_theorem_region", "in_knapp_region"]
@@ -252,7 +248,7 @@ def _default_flat_measure(seed: int):
 
 
 def _suite_hy(args, config: ExperimentConfig) -> tuple[list[dict], bool]:
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(config.seed)
     records = []
     for trial in range(args.trials):
         h = rng.standard_normal(64) + 1j * rng.standard_normal(64)
@@ -270,11 +266,11 @@ def _verify_nrp(args) -> tuple[int, object, object]:
 
 
 def _suite_chain(args, config: ExperimentConfig) -> tuple[list[dict], bool]:
-    mu = load_measure(args.measure) if args.measure else _default_flat_measure(args.seed)
+    mu = load_measure(args.measure) if args.measure else _default_flat_measure(config.seed)
     n, r, p = _verify_nrp(args)
     records = []
     for trial in range(args.trials):
-        g = verifiers.random_bounded_g(mu.N, mu.dim, args.seed + 1000 + trial)
+        g = verifiers.random_bounded_g(mu.N, mu.dim, config.seed + 1000 + trial)
         report = verifiers.check_dual_chain(mu, g, n, r, p, epsilon=args.eps)
         records.append({"trial": trial, **report.as_dict()})
     return records, all(r["all_hold"] for r in records)
@@ -287,7 +283,7 @@ def _suite_prop1(args, config: ExperimentConfig) -> tuple[list[dict], bool]:
         instances = [
             ("uniform", measures.uniform(1, 4096)),
             ("dirac", measures.dirac(1, 4096, 0)),
-            ("random_flat", measures.random_flat(4096, 185, args.seed)),
+            ("random_flat", measures.random_flat(4096, 185, config.seed)),
         ]
     n = args.n if args.n is not None else 2
     records = []
@@ -330,8 +326,8 @@ def _suite_knapp(args, config: ExperimentConfig) -> tuple[list[dict], bool]:
 
 
 def _suite_bilinear(args, config: ExperimentConfig) -> tuple[list[dict], bool]:
-    mu = load_measure(args.measure) if args.measure else _default_flat_measure(args.seed)
-    rng = np.random.default_rng(args.seed)
+    mu = load_measure(args.measure) if args.measure else _default_flat_measure(config.seed)
+    rng = np.random.default_rng(config.seed)
     records = []
     shape = (mu.N,) * mu.dim
     for trial in range(args.trials):
@@ -385,6 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="restrictlab",
         description="Numerical laboratory for restriction estimates of singular measures")
+    # subcommands repeat --seed/--threads with default=SUPPRESS, so they
+    # override these global values only when given
     parser.add_argument("--seed", type=int, default=0, help="global seed")
     parser.add_argument("--threads", type=int, default=1, help="parallelism cap")
     parser.add_argument("--output-dir", default=None, help="artifact directory")
@@ -401,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--digits", default="0,3")
     m.add_argument("--stage", type=int, default=6)
     m.add_argument("--m", type=int, default=185)
-    m.add_argument("--seed", type=int, default=None, dest="seed")
+    m.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     m.add_argument("--flatness-c", type=float, default=4.0)
     m.add_argument("--retries", type=int, default=200)
     m.add_argument("--radius", type=float, default=0.25)
@@ -444,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--restarts", type=int, default=8)
     pr.add_argument("--iters", type=int, default=500)
     pr.add_argument("--tol", type=float, default=1e-9)
-    pr.add_argument("--seed", type=int, default=None)
+    pr.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     pr.add_argument("--out", default=None)
     pr.set_defaults(func=cmd_probe)
 
@@ -458,15 +456,15 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--restarts", type=int, default=8)
     sw.add_argument("--iters", type=int, default=500)
     sw.add_argument("--tol", type=float, default=1e-9)
-    sw.add_argument("--seed", type=int, default=None)
-    sw.add_argument("--threads", type=int, default=None)
+    sw.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    sw.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     sw.add_argument("--out", default=None)
     sw.set_defaults(func=cmd_sweep)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True, choices=sorted(_SUITES))
     v.add_argument("--measure", default=None)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     v.add_argument("--trials", type=int, default=100)
     v.add_argument("--n", type=int, default=None)
     v.add_argument("--r", type=_exp, default=None)
@@ -492,11 +490,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
-    config = ExperimentConfig(
-        seed=getattr(args, "seed", 0) or 0,
-        threads=getattr(args, "threads", None) or 1,
-        output_dir=args.output_dir or default_output_dir(),
-    )
+    config = ExperimentConfig(seed=args.seed, threads=args.threads,
+                              output_dir=args.output_dir or default_output_dir())
     try:
         return args.func(args, config)
     except argparse.ArgumentTypeError as exc:

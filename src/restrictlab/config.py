@@ -1,7 +1,7 @@
-"""Experiment configuration: seeds, named tolerances, resource budgets.
+"""Experiment configuration: the settings that can change a result.
 
-Artifacts embed a hash of the full configuration so a persisted config plus
-the same inputs reproduce outputs byte-identically.
+Artifacts embed a hash of the configuration so a persisted config plus the
+same inputs reproduce outputs byte-identically.
 """
 
 from __future__ import annotations
@@ -9,38 +9,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
-
-from . import fitting, probe, spectral, verifiers
-from .measures import DENSITY_MASS_TOL, MAX_ATOMS_DEFAULT, WEIGHT_SUM_TOL
-from .probe import MAX_MATRIX_ENTRIES_DEFAULT
+from dataclasses import asdict, dataclass
 
 SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    weight_sum: float = WEIGHT_SUM_TOL
-    density_mass: float = DENSITY_MASS_TOL
-    fft_agreement: float = spectral.FFT_AGREEMENT_TOL
-    conv_clip: float = spectral.CONV_CLIP_TOL
-    conv_clip_error: float = spectral.CONV_CLIP_ERROR
-    slack_relative: float = verifiers.SLACK_REL_TOL
-    oracle_match: float = verifiers.ORACLE_MATCH_TOL
-    witness_eval: float = probe.WITNESS_EVAL_TOL
-    fit_residual_unreliable: float = fitting.RESIDUAL_UNRELIABLE
-    slope_bounded_max: float = probe.SLOPE_BOUNDED_MAX
-    slope_growing_min: float = probe.SLOPE_GROWING_MIN
-    knapp_violation_slope: float = verifiers.KNAPP_VIOLATION_SLOPE
-    prop1_margin: float = verifiers.PROP1_MARGIN
-    prop2_diverge_slope: float = verifiers.PROP2_DIVERGE_SLOPE
-    prop3_margin: float = verifiers.PROP3_MARGIN
-
-
-@dataclass(frozen=True)
-class Budgets:
-    max_atoms: int = MAX_ATOMS_DEFAULT
-    max_matrix_entries: int = MAX_MATRIX_ENTRIES_DEFAULT
 
 
 @dataclass(frozen=True)
@@ -48,11 +19,6 @@ class ExperimentConfig:
     seed: int = 0
     threads: int = 1
     output_dir: str = "."
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    budgets: Budgets = field(default_factory=Budgets)
-    probe_restarts: int = 8
-    probe_max_iters: int = 500
-    probe_tol: float = 1e-9
 
     def to_dict(self) -> dict:
         return {"schema_version": SCHEMA_VERSION, **asdict(self)}
@@ -61,17 +27,11 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
         data.pop("schema_version", None)
-        tol = Tolerances(**data.pop("tolerances", {}))
-        bud = Budgets(**data.pop("budgets", {}))
-        return cls(tolerances=tol, budgets=bud, **data)
+        return cls(**data)
 
     def hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-    def probe_options(self, seed: int | None = None) -> probe.ProbeOptions:
-        return probe.ProbeOptions(self.probe_restarts, self.probe_max_iters,
-                                  self.probe_tol, self.seed if seed is None else seed)
 
 
 def default_output_dir() -> str:

@@ -351,8 +351,9 @@ def rebuild(descriptor: dict, stage: int | None = None, resolution: int | None =
         N = resolution or d["N"]
         index = d["index"]
         if resolution and resolution != d["N"]:
+            # the grid is a torus: an index rounded up to N wraps to 0
             scale = resolution / d["N"]
-            index = [int(round(v * scale)) for v in index]
+            index = [int(round(v * scale)) % resolution for v in index]
         return dirac(d["dim"], N, index if d["dim"] == 2 else index[0])
     if kind == "uniform":
         return uniform(d["dim"], resolution or d["N"])

@@ -16,6 +16,7 @@ nonconvex and the result is a certified lower bound with a stored witness.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ import numpy as np
 from .fitting import FitResult, loglog_fit
 from .measures import DiscreteMeasure
 from .rationals import Exponent, conjugate, exp_float, exp_str, is_inf, validate_exponent
+from .spectral import lp_norm
 
 MAX_MATRIX_ENTRIES_DEFAULT = 8_388_608
 WITNESS_EVAL_TOL = 1e-10
@@ -53,8 +55,6 @@ class ExtensionOperator:
 
     dim: int
     X: int
-    lattice: np.ndarray
-    positions: np.ndarray
     weights: np.ndarray
     matrix: np.ndarray
 
@@ -88,45 +88,17 @@ def assemble(mu: DiscreteMeasure, X: int,
     axis = np.arange(-X, X + 1)
     pos = mu.positions()
     if mu.dim == 1:
-        lattice = axis.reshape(-1, 1)
         matrix = np.exp(2j * np.pi * np.outer(axis, pos[:, 0]))
     else:
         xx, yy = np.meshgrid(axis, axis, indexing="ij")
-        lattice = np.stack([xx.ravel(), yy.ravel()], axis=1)
-        phase = np.outer(lattice[:, 0], pos[:, 0]) + np.outer(lattice[:, 1], pos[:, 1])
+        phase = np.outer(xx.ravel(), pos[:, 0]) + np.outer(yy.ravel(), pos[:, 1])
         matrix = np.exp(2j * np.pi * phase)
-    return ExtensionOperator(mu.dim, X, lattice, pos, mu.weights.copy(), matrix)
+    return ExtensionOperator(mu.dim, X, mu.weights.copy(), matrix)
 
 
 # ---------------------------------------------------------------------------
 # Norm machinery
 # ---------------------------------------------------------------------------
-
-def lattice_norm(f: np.ndarray, p: Exponent) -> float:
-    """l^p norm with counting measure."""
-    a = np.abs(f)
-    if is_inf(p):
-        return float(a.max())
-    pf = exp_float(p)
-    if pf == 1.0:
-        return float(a.sum())
-    peak = float(a.max())
-    if peak == 0.0:
-        return 0.0
-    return float(peak * np.sum((a / peak) ** pf) ** (1.0 / pf))
-
-
-def measure_norm(u: np.ndarray, weights: np.ndarray, q: Exponent) -> float:
-    """L^q(mu) norm of values at the atoms."""
-    a = np.abs(u)
-    if is_inf(q):
-        return float(a[weights > 0].max())
-    qf = exp_float(q)
-    peak = float(a.max())
-    if peak == 0.0:
-        return 0.0
-    return float(peak * (weights @ (a / peak) ** qf) ** (1.0 / qf))
-
 
 def _phase(z: np.ndarray) -> np.ndarray:
     a = np.abs(z)
@@ -166,7 +138,7 @@ def _lattice_extremal(c: np.ndarray, p: Exponent) -> np.ndarray:
             raise ArithmeticError("pulled-back functional vanished")
         pprime = exp_float(conjugate(p))
         f = ph * (a / peak) ** (pprime - 1.0)
-    return f / lattice_norm(f, p)
+    return f / lp_norm(f, p)
 
 
 @dataclass(frozen=True)
@@ -192,10 +164,10 @@ class ProbeResult:
 
 
 def _rayleigh(op: ExtensionOperator, f: np.ndarray, p: Exponent, q: Exponent) -> float:
-    nf = lattice_norm(f, p)
+    nf = lp_norm(f, p)
     if nf == 0.0:
         return 0.0
-    return measure_norm(op.restrict(f), op.weights, q) / nf
+    return lp_norm(op.restrict(f), q, op.weights) / nf
 
 
 def _embed_witness(w: np.ndarray, dim: int, target_size: int) -> np.ndarray:
@@ -253,14 +225,14 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
     trace: list[float] = []
     for f in starts:
         f = f.astype(np.complex128)
-        nf = lattice_norm(f, p)
+        nf = lp_norm(f, p)
         if nf == 0.0:
             continue
         f = f / nf
         last = -1.0
         for _ in range(options.max_iters):
             u = op.restrict(f)
-            val = measure_norm(u, op.weights, q)
+            val = lp_norm(u, q, op.weights)
             if not np.isfinite(val):
                 raise ArithmeticError("non-finite value in norm iteration")
             if val > best_val:
@@ -279,7 +251,7 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
     if abs(certified - best_val) > WITNESS_EVAL_TOL * max(1.0, abs(best_val)):
         raise AssertionError(
             f"witness re-evaluation {certified} disagrees with tracked value {best_val}")
-    return ProbeResult(p, q, op.X, certified, best_f / lattice_norm(best_f, p),
+    return ProbeResult(p, q, op.X, certified, best_f / lp_norm(best_f, p),
                        trace=trace, restarts_used=len(starts))
 
 
@@ -392,6 +364,8 @@ def sweep(mu: DiscreteMeasure, p_grid, q_grid, X_list,
     are independent tasks with seeds fixed by (seed, p, q, X, restart), so
     the grid is reproducible under any scheduling.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     from .regularity import billingsley_gamma, theorem_range
 
     if r is None:
@@ -416,16 +390,9 @@ def sweep(mu: DiscreteMeasure, p_grid, q_grid, X_list,
                          region.contains(p, q), knapp_ok)
 
     results: list[SweepCell] = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_cell, cells_in))
-            if progress:
-                for cell in results:
-                    progress(cell)
-    else:
-        for pq in cells_in:
-            cell = run_cell(pq)
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        # consumed lazily, so progress fires as each cell finishes, in grid order
+        for cell in (pool.map if pool else map)(run_cell, cells_in):
             results.append(cell)
             if progress:
                 progress(cell)

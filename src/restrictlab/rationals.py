@@ -47,14 +47,6 @@ def reciprocal(x: Exponent) -> Fraction:
     return 1 / x
 
 
-def from_reciprocal(inv: Fraction) -> Exponent:
-    """Inverse of `reciprocal`: 0 maps back to inf."""
-    inv = Fraction(inv)
-    if inv == 0:
-        return INF
-    return 1 / inv
-
-
 def conjugate(x: Exponent) -> Exponent:
     """Holder conjugate x' with 1/x + 1/x' = 1; 1' = inf and inf' = 1."""
     if is_inf(x):

@@ -1,4 +1,4 @@
-"""Fourier data of grid measures: transforms, convolution powers, L^r norms.
+"""Fourier data of grid measures: transforms, convolution powers, L^p norms.
 
 The transform convention is mu_hat(k) = sum_j w_j exp(-2*pi*i <k, j/N>) on the
 truncated dual lattice k in [-K, K]^dim.  Because atoms live on the grid, the
@@ -16,8 +16,6 @@ from .measures import DiscreteMeasure, _finalize
 from .rationals import Exponent, exp_float, is_inf, validate_exponent
 
 SPECTRUM_MASS_TOL = 1e-10
-FFT_AGREEMENT_TOL = 1e-10
-CONV_CLIP_TOL = 1e-10
 CONV_CLIP_ERROR = 1e-8
 CONV_DROP_REL = 1e-14
 
@@ -90,43 +88,61 @@ def fourier(mu: DiscreteMeasure, K: int, method: str = "auto") -> Spectrum:
     return Spectrum(mu.dim, K, coeffs)
 
 
-def full_spectrum_grid(mu: DiscreteMeasure) -> np.ndarray:
-    """FFT of the dense weight grid: mu_hat at every residue class of Z^dim mod N."""
-    return np.fft.fftn(mu.dense_weights())
+def lp_norm(values: np.ndarray, s: Exponent, weights: np.ndarray | None = None,
+            volume: float = 1.0) -> float:
+    """L^s norm of |values| against atom weights (counting measure when None), over volume.
+
+    Computed as peak * (sum_j w_j (|v_j|/peak)^s / volume)^(1/s), so large
+    exponents neither overflow nor underflow.  With weights, the sup norm
+    runs over positive-weight atoms only.
+    """
+    a = np.abs(values)
+    if is_inf(s):
+        return float((a if weights is None else a[weights > 0]).max())
+    sf = exp_float(s)
+    peak = float(a.max())
+    if peak == 0.0:
+        return 0.0
+    scaled = (a / peak) ** sf
+    total = np.sum(scaled) if weights is None else weights.ravel() @ scaled.ravel()
+    return float(peak * (total / volume) ** (1.0 / sf))
+
+
+def _grid_measure(mu: DiscreteMeasure, spectral_map, constructor: dict) -> DiscreteMeasure:
+    """Measure on mu's grid whose weights are the inverse FFT of spectral_map(mu_hat).
+
+    Values below -CONV_CLIP_ERROR raise ArithmeticError; the rest of the
+    round-off is clipped and dropped as convolve_power describes.
+    """
+    axes = tuple(range(mu.dim))
+    spec = np.fft.rfftn(mu.dense_weights(), axes=axes)
+    grid = np.fft.irfftn(spectral_map(spec), s=(mu.N,) * mu.dim, axes=axes)
+    worst = float(grid.min())
+    if worst < -CONV_CLIP_ERROR:
+        raise ArithmeticError(
+            f"{constructor['kind']} produced negative weight {worst}; "
+            "resolution/precision failure")
+    grid = np.maximum(grid, 0.0)
+    grid[grid < CONV_DROP_REL * grid.max()] = 0.0
+    sites = np.argwhere(grid)
+    return _finalize(mu.dim, mu.N, sites, grid[tuple(sites.T)], constructor, seed=mu.seed)
 
 
 def convolve_power(mu: DiscreteMeasure, n: int) -> DiscreteMeasure:
     """Circular n-fold self-convolution via FFT of the dense weight grid.
 
-    Round-off is handled in two declared steps: negative values of magnitude
-    at most CONV_CLIP_TOL are clipped to zero (larger ones raise, signalling a
-    precision failure), and atoms below CONV_DROP_REL relative to the peak are
-    dropped before the final renormalization.
+    Round-off is handled in two declared steps: values below -CONV_CLIP_ERROR
+    (-1e-8) raise ArithmeticError, signalling a precision failure, and
+    smaller negative values are clipped to zero; then atoms below
+    CONV_DROP_REL relative to the peak are dropped before the final
+    renormalization.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return mu
-    grid = mu.dense_weights()
-    spec = np.fft.rfftn(grid) if mu.dim == 1 else np.fft.rfft2(grid)
-    conv = (np.fft.irfft(spec**n, mu.N) if mu.dim == 1
-            else np.fft.irfft2(spec**n, s=grid.shape))
-    worst = float(conv.min())
-    if worst < -CONV_CLIP_ERROR:
-        raise ArithmeticError(
-            f"convolution power produced negative weight {worst}; resolution/precision failure")
-    conv = np.maximum(conv, 0.0)
-    conv[conv < CONV_DROP_REL * conv.max()] = 0.0
-    if mu.dim == 1:
-        sites = np.nonzero(conv)[0].reshape(-1, 1)
-        w = conv[sites[:, 0]]
-    else:
-        ii, jj = np.nonzero(conv)
-        sites = np.stack([ii, jj], axis=1)
-        w = conv[ii, jj]
-    return _finalize(mu.dim, mu.N, sites, w,
-                     {"kind": "convolve_power", "n": n, "of": mu.constructor},
-                     seed=mu.seed)
+    return _grid_measure(mu, lambda spec: spec**n,
+                         {"kind": "convolve_power", "n": n, "of": mu.constructor})
 
 
 def density_norm(mu: DiscreteMeasure, r: Exponent) -> float:
@@ -136,37 +152,14 @@ def density_norm(mu: DiscreteMeasure, r: Exponent) -> float:
     W * N^dim.  Boundedness claims are only meaningful across resolutions,
     never from a single N.
     """
-    r = validate_exponent(r, "r")
     vol = float(mu.N) ** mu.dim
-    dens = mu.weights * vol
-    if is_inf(r):
-        return float(dens.max())
-    rf = exp_float(r)
-    if rf == 1.0:
-        return float(dens.sum() / vol)
-    peak = float(dens.max())
-    if peak == 0.0:
-        return 0.0
-    return float(peak * (np.sum((dens / peak) ** rf) / vol) ** (1.0 / rf))
+    return lp_norm(mu.weights * vol, validate_exponent(r, "r"), volume=vol)
 
 
 def self_correlation(mu: DiscreteMeasure) -> DiscreteMeasure:
     """mu * reflect(mu): the autocorrelation measure, peaked at lag zero."""
-    grid = mu.dense_weights()
-    spec = np.fft.rfftn(grid) if mu.dim == 1 else np.fft.rfft2(grid)
-    conv = (np.fft.irfft(np.abs(spec) ** 2, mu.N) if mu.dim == 1
-            else np.fft.irfft2(np.abs(spec) ** 2, s=grid.shape))
-    conv = np.maximum(conv, 0.0)
-    conv[conv < CONV_DROP_REL * conv.max()] = 0.0
-    if mu.dim == 1:
-        sites = np.nonzero(conv)[0].reshape(-1, 1)
-        w = conv[sites[:, 0]]
-    else:
-        ii, jj = np.nonzero(conv)
-        sites = np.stack([ii, jj], axis=1)
-        w = conv[ii, jj]
-    return _finalize(mu.dim, mu.N, sites, w,
-                     {"kind": "self_correlation", "of": mu.constructor}, seed=mu.seed)
+    return _grid_measure(mu, lambda spec: np.abs(spec) ** 2,
+                         {"kind": "self_correlation", "of": mu.constructor})
 
 
 def flatness(mu: DiscreteMeasure) -> dict:

@@ -35,7 +35,7 @@ from .rationals import (
     validate_exponent,
 )
 from .regularity import ExponentParams, ball_masses, billingsley_gamma, theorem_range
-from .spectral import convolve_power, density_norm, self_correlation
+from .spectral import convolve_power, density_norm, lp_norm, self_correlation
 
 SLACK_REL_TOL = 1e-8
 ORACLE_MATCH_TOL = 1e-10
@@ -73,30 +73,6 @@ def torus_convolve_power(a: np.ndarray, n: int) -> np.ndarray:
 
 def torus_integral(values: np.ndarray) -> complex:
     return complex(values.sum() / values.size)
-
-
-def torus_lp(values: np.ndarray, s: Exponent) -> float:
-    """L^s norm against normalized volume."""
-    a = np.abs(values)
-    if is_inf(s):
-        return float(a.max())
-    sf = exp_float(s)
-    peak = float(a.max())
-    if peak == 0.0:
-        return 0.0
-    return float(peak * (np.mean((a / peak) ** sf)) ** (1.0 / sf))
-
-
-def lattice_lp(coeffs: np.ndarray, s: Exponent) -> float:
-    """l^s norm with counting measure on the dual grid."""
-    a = np.abs(coeffs)
-    if is_inf(s):
-        return float(a.max())
-    sf = exp_float(s)
-    peak = float(a.max())
-    if peak == 0.0:
-        return 0.0
-    return float(peak * (np.sum((a / peak) ** sf)) ** (1.0 / sf))
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +121,11 @@ def check_hausdorff_young(values: np.ndarray, s: Exponent,
     sp = conjugate(s)
     values = np.asarray(values, dtype=np.complex128)
     if direction == "grid_density":
-        lhs = lattice_lp(grid_transform(values), s)
-        rhs = torus_lp(values, sp)
+        lhs = lp_norm(grid_transform(values), s)
+        rhs = lp_norm(values, sp, volume=values.size)
     elif direction == "lattice":
-        lhs = torus_lp(grid_inverse_transform(values), s)
-        rhs = lattice_lp(values, sp)
+        lhs = lp_norm(grid_inverse_transform(values), s, volume=values.size)
+        rhs = lp_norm(values, sp)
     else:
         raise ValueError(f"unknown direction {direction!r}")
     return SlackRecord(f"hausdorff_young(s={exp_str(s)})", lhs, rhs)
@@ -240,6 +216,7 @@ def check_dual_chain(mu: DiscreteMeasure, g: np.ndarray, n: int, r: Exponent,
         raise ValueError("g must be defined on the full grid")
 
     mu_eps = mollify(mu, epsilon).values
+    vol = mu_eps.size
     h = g * mu_eps
     h_hat = grid_transform(h)
     ns = n * Fraction(s)
@@ -247,14 +224,14 @@ def check_dual_chain(mu: DiscreteMeasure, g: np.ndarray, n: int, r: Exponent,
     steps: list[SlackRecord] = []
 
     # Power identity: ||h_hat||_{ns}^n = || (h_hat)^n ||_s.
-    lhs_a = lattice_lp(h_hat, ns) ** n
-    rhs_a = lattice_lp(h_hat**n, s)
+    lhs_a = lp_norm(h_hat, ns) ** n
+    rhs_a = lp_norm(h_hat**n, s)
     steps.append(SlackRecord("power_identity", lhs_a, rhs_a, kind="identity"))
 
     # Hausdorff-Young on the n-fold convolution.
     conv_h = torus_convolve_power(h, n)
-    lhs_b = lattice_lp(h_hat**n, s)
-    rhs_b = torus_lp(conv_h, sp)
+    lhs_b = rhs_a
+    rhs_b = lp_norm(conv_h, sp, volume=vol)
     steps.append(SlackRecord("hausdorff_young", lhs_b, rhs_b))
 
     # Inner Holder: |h^{*n}| <= (mu_eps^{*n})^{1/q} ((|g|^{q'} mu_eps)^{*n})^{1/q'}.
@@ -268,12 +245,12 @@ def check_dual_chain(mu: DiscreteMeasure, g: np.ndarray, n: int, r: Exponent,
         qpf = exp_float(qp)
         T_n = np.maximum(torus_convolve_power(np.abs(g) ** qpf * mu_eps, n).real, 0.0)
         pointwise_rhs = M_n ** (1.0 / exp_float(q)) * T_n ** (1.0 / qpf)
-    lhs_c = torus_lp(conv_h, sp)
-    rhs_c = torus_lp(pointwise_rhs, sp)
+    lhs_c = rhs_b
+    rhs_c = lp_norm(pointwise_rhs, sp, volume=vol)
     steps.append(SlackRecord("inner_holder", lhs_c, rhs_c))
 
     # Outer Holder: uses the exact identity 1/s' - 1/(qr) = 1/q'.
-    mu_eps_conv_norm = torus_lp(M_n, r)
+    mu_eps_conv_norm = lp_norm(M_n, r, volume=vol)
     if is_inf(qp):
         factor_g = g_sup**n
     else:
@@ -302,7 +279,7 @@ def check_dual_chain(mu: DiscreteMeasure, g: np.ndarray, n: int, r: Exponent,
 
     # End-to-end dual estimate with explicit constant ||mu^{*n}||_r^{1/(nq)}.
     constant = rhs_e ** float(reciprocal(exp_mul(n, q)))
-    end = SlackRecord("dual_estimate", lattice_lp(h_hat, ns), constant * g_norm_factor)
+    end = SlackRecord("dual_estimate", lp_norm(h_hat, ns), constant * g_norm_factor)
 
     oracle_gap = None
     if materialize_oracle is None:
@@ -510,8 +487,6 @@ def knapp_test(mu: DiscreteMeasure, p: Exponent, q: Exponent, r_list,
     ratio blows up as r -> 0 and the (p, q) pair fails the necessary
     condition.
     """
-    from .probe import lattice_norm, measure_norm
-
     p = validate_exponent(p, "p")
     q = validate_exponent(q, "q")
     gamma_report = billingsley_gamma(mu)
@@ -526,12 +501,11 @@ def knapp_test(mu: DiscreteMeasure, p: Exponent, q: Exponent, r_list,
         taps = 1.0 - np.abs(np.arange(-M, M + 1)) / (M + 1)
         if mu.dim == 1:
             fhat_at_atoms = _fejer(pos[:, 0] - x0[0], M)
-            f_norm = lattice_norm(taps.astype(np.complex128), p)
+            f_norm = lp_norm(taps, p)
         else:
             fhat_at_atoms = (_fejer(pos[:, 0] - x0[0], M) * _fejer(pos[:, 1] - x0[1], M))
-            f_norm = lattice_norm(np.outer(taps, taps).ravel().astype(np.complex128), p)
-        ratios.append(measure_norm(fhat_at_atoms.astype(np.complex128), mu.weights, q)
-                      / f_norm)
+            f_norm = lp_norm(np.outer(taps, taps).ravel(), p)
+        ratios.append(lp_norm(fhat_at_atoms, q, mu.weights) / f_norm)
     fit = loglog_fit(r_list, ratios)
     predicted = (gamma_report.estimate / exp_float(q)
                  - mu.dim * float(reciprocal(conjugate(p))))
@@ -554,18 +528,11 @@ def check_bilinear(mu: DiscreteMeasure, f: np.ndarray, g: np.ndarray,
     if f.shape != mu_eps.shape or g.shape != mu_eps.shape:
         raise ValueError("f and g must be defined on the full grid")
     conv = torus_convolve(f * mu_eps, g * mu_eps)
-    lhs = torus_lp(conv, p)
+    vol = mu_eps.size
+    lhs = lp_norm(conv, p, volume=vol)
     corr_sup = float(np.maximum(torus_convolve_power(mu_eps, 2).real, 0.0).max())
-    pp = conjugate(p)
-
-    def mu_norm(values):
-        if is_inf(p):
-            support = mu_eps > 0
-            return float(np.abs(values)[support].max()) if support.any() else 0.0
-        pf = exp_float(p)
-        return float((np.mean(np.abs(values) ** pf * mu_eps)) ** (1.0 / pf))
-
-    rhs = corr_sup ** float(reciprocal(pp)) * mu_norm(f) * mu_norm(g)
+    rhs = (corr_sup ** float(reciprocal(conjugate(p)))
+           * lp_norm(f, p, mu_eps, vol) * lp_norm(g, p, mu_eps, vol))
     return SlackRecord(f"bilinear(p={exp_str(p)})", lhs, rhs)
 
 

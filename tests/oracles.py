@@ -5,6 +5,8 @@ of FFTs, direct digit enumeration instead of self-similar recursions, dense
 scans instead of prefix sums.
 """
 
+import math
+
 import numpy as np
 
 
@@ -87,3 +89,17 @@ def dirichlet_interval_spectrum_sq(N, k):
     num = np.sin(np.pi * k / 2.0) ** 2
     den = (N / 2.0) ** 2 * np.sin(np.pi * k / N) ** 2
     return float(num / den)
+
+
+def weighted_lp_norm(values, s, weights=None, volume=1.0):
+    """(sum_j w_j |v_j|^s / volume)^(1/s) term by term, no peak scaling.
+
+    s = inf gives the max of |v_j| over atoms with w_j > 0.  Counting
+    measure when weights is None.
+    """
+    mags = [abs(complex(v)) for v in np.ravel(values)]
+    ws = [1.0] * len(mags) if weights is None else [float(w) for w in np.ravel(weights)]
+    if s == float("inf"):
+        return max(m for m, w in zip(mags, ws) if w > 0)
+    s = float(s)
+    return (math.fsum(w * m**s for m, w in zip(mags, ws)) / volume) ** (1.0 / s)

@@ -99,6 +99,45 @@ def test_sweep_csv_and_determinism(tmp_path, flat_measure):
                       "slope,residual,class,in_theorem_region,in_knapp_region")
 
 
+def test_global_seed_reaches_artifacts(tmp_path, flat_measure):
+    out = tmp_path / "probe.json"
+    assert main(["--seed", "7", "probe", "--measure", flat_measure, "-p", "2", "-q", "2",
+                 "-X", "4", "--restarts", "1", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["seed"] == 7 and data["options"]["seed"] == 7
+    out = tmp_path / "expid.json"
+    assert main(["--seed", "7", "verify", "--suite", "expid", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == 7
+
+
+def test_subcommand_seed_wins_over_global(tmp_path, flat_measure):
+    out = tmp_path / "probe.json"
+    assert main(["--seed", "7", "probe", "--measure", flat_measure, "-p", "2", "-q", "2",
+                 "-X", "4", "--restarts", "1", "--seed", "9", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["options"]["seed"] == 9
+    out = tmp_path / "expid.json"
+    assert main(["--seed", "7", "verify", "--suite", "expid", "--seed", "9",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == 9
+
+
+def test_global_seed_and_threads_reach_sweep(flat_measure, monkeypatch):
+    from restrictlab import probe
+
+    seen = {}
+    real_sweep = probe.sweep
+
+    def spy(*args, **kwargs):
+        seen["seed"], seen["threads"] = kwargs["options"].seed, kwargs["threads"]
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(probe, "sweep", spy)
+    assert main(["--seed", "7", "--threads", "2", "sweep", "--measure", flat_measure,
+                 "--p-grid", "2:2:1", "--q-grid", "2:2:1", "--X", "2,4,8,16",
+                 "--restarts", "1"]) == 0
+    assert seen == {"seed": 7, "threads": 2}
+
+
 def test_verify_expid(tmp_path):
     out = tmp_path / "expid.json"
     assert main(["verify", "--suite", "expid", "--out", str(out)]) == 0

@@ -238,6 +238,14 @@ def test_rebuild_from_descriptor():
     assert np.array_equal(again.indices, rf.indices)
 
 
+def test_rebuild_dirac_on_coarser_grid_wraps():
+    # 7/8 rounds to index 4 on a 4-point grid, which is index 0 on the torus
+    coarse = measures.rebuild(dirac(1, 8, 7).constructor, resolution=4)
+    assert coarse.N == 4 and coarse.indices.tolist() == [[0]]
+    coarse = measures.rebuild(dirac(2, 8, (7, 3)).constructor, resolution=4)
+    assert coarse.N == 4 and coarse.indices.tolist() == [[0, 2]]
+
+
 def test_similarity_dimension_recorded():
     mu = cantor(4, {0, 3}, 5)
     assert mu.info["similarity_dimension"] == pytest.approx(math.log(2) / math.log(4))

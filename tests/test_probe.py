@@ -1,19 +1,22 @@
+import threading
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
+from restrictlab import probe
 from restrictlab.measures import DiscreteMeasure, dirac, random_flat, uniform
 from restrictlab.probe import (
     ProbeOptions,
     assemble,
     classify_slope,
     growth_exponent,
-    lattice_norm,
-    measure_norm,
     restriction_norm,
     sweep,
 )
 from restrictlab.rationals import INF
+from restrictlab.spectral import lp_norm
 
 
 def random_measure(seed, N=1024, max_atoms=64):
@@ -109,7 +112,7 @@ def test_witness_certificate():
     mu = random_measure(3)
     op = assemble(mu, 16)
     res = restriction_norm(op, Fraction(4, 3), 2, ProbeOptions(seed=3))
-    ratio = measure_norm(op.restrict(res.witness), op.weights, 2) / lattice_norm(
+    ratio = lp_norm(op.restrict(res.witness), 2, op.weights) / lp_norm(
         res.witness, Fraction(4, 3))
     assert ratio == pytest.approx(res.norm_lower_bound, abs=1e-10)
 
@@ -186,6 +189,29 @@ def test_sweep_deterministic_across_threads():
     rows1 = sweep(mu, threads=1, **kwargs).to_rows()
     rows2 = sweep(mu, threads=4, **kwargs).to_rows()
     assert rows1 == rows2
+
+
+def test_threaded_sweep_reports_progress_per_cell(monkeypatch):
+    # the second cell finishes only after progress for the first has fired;
+    # the timeout makes a late report fail the test instead of hanging it
+    first_reported = threading.Event()
+    waited = []
+
+    def stub_growth(mu, p, q, X_list, options, operators=None):
+        if q == 3:
+            waited.append(first_reported.wait(timeout=5.0))
+        return SimpleNamespace(norms=[1.0] * len(X_list), slope=0.0,
+                               fit=SimpleNamespace(residual=0.0))
+
+    def progress(cell):
+        if cell.q == 2:
+            first_reported.set()
+
+    monkeypatch.setattr(probe, "growth_exponent", stub_growth)
+    grid = sweep(dirac(1, 64, 0), [2], [2, 3], [1, 2, 4, 8], gamma_hat=0.0,
+                 threads=2, progress=progress)
+    assert waited == [True]
+    assert [c.q for c in grid.cells] == [2, 3]
 
 
 def test_probe_seed_reproducibility():

@@ -12,7 +12,6 @@ from restrictlab.rationals import (
     exp_le,
     exp_mul,
     exp_str,
-    from_reciprocal,
     is_inf,
     reciprocal,
     validate_exponent,
@@ -37,8 +36,6 @@ def test_conjugate_identity(p):
 
 def test_reciprocal_of_inf_is_zero():
     assert reciprocal(INF) == 0
-    assert from_reciprocal(Fraction(0)) == INF
-    assert from_reciprocal(Fraction(1, 3)) == 3
 
 
 def test_parsing():

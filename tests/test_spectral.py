@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restrictlab.measures import DiscreteMeasure, cantor, circle, dirac, random_flat, reflect, uniform
 from restrictlab.rationals import INF
@@ -10,7 +12,7 @@ from restrictlab.spectral import (
     density_norm,
     flatness,
     fourier,
-    full_spectrum_grid,
+    lp_norm,
     self_correlation,
 )
 
@@ -20,6 +22,7 @@ from oracles import (
     direct_fourier_1d,
     pairwise_difference_counts,
     pairwise_sum_weights,
+    weighted_lp_norm,
 )
 
 
@@ -129,7 +132,7 @@ def test_fourier_convolution_duality():
 def test_parseval_on_grid():
     mu = random_flat(512, 31, seed=13)
     lhs = float(np.sum(np.abs(mu.weights * 512) ** 2) / 512)
-    full = full_spectrum_grid(mu)
+    full = np.fft.fftn(mu.dense_weights())
     rhs = float(np.sum(np.abs(full) ** 2))
     assert abs(lhs - rhs) <= 1e-8 * max(lhs, 1.0)
 
@@ -159,6 +162,37 @@ def test_density_norm_monotone_in_r():
     for mu in (cantor(4, {0, 3}, 4), random_flat(256, 12, seed=3), dirac(1, 64, 0)):
         values = [density_norm(mu, r) for r in (1, Fraction(3, 2), 2, 4, 16, INF)]
         assert all(values[i] <= values[i + 1] + 1e-12 for i in range(len(values) - 1))
+
+
+@st.composite
+def lp_instances(draw):
+    size = draw(st.integers(1, 24))
+    # magnitudes in [1e-3, 1e2] or exactly 0, so the unscaled oracle neither
+    # overflows nor underflows at s <= 16
+    mags = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e2)),
+                         min_size=size, max_size=size))
+    phases = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=size, max_size=size))
+    values = np.array(mags) * np.exp(1j * np.array(phases))
+    s = draw(st.one_of(st.just(Fraction(1)), st.just(INF),
+                       st.fractions(min_value=1, max_value=16)))
+    weights = draw(st.one_of(st.none(), st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=size, max_size=size)
+        .filter(lambda w: max(w) > 0).map(np.array)))
+    volume = draw(st.sampled_from([1.0, 3.0, 64.0, 0.25]))
+    return values, s, weights, volume
+
+
+@given(lp_instances())
+@settings(max_examples=300, deadline=None)
+def test_lp_norm_matches_unscaled_oracle(instance):
+    values, s, weights, volume = instance
+    expected = weighted_lp_norm(values, s, weights, volume)
+    assert lp_norm(values, s, weights, volume) == pytest.approx(expected, rel=1e-12, abs=0)
+    # a 2-D grid is read as its flattened atoms
+    values = np.stack([values, values[::-1]])
+    weights = None if weights is None else np.stack([weights, weights])
+    expected = weighted_lp_norm(values, s, weights, volume)
+    assert lp_norm(values, s, weights, volume) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_convolution_error_on_unnormalizable():

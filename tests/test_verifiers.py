@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restrictlab.measures import cantor, dirac, random_flat, uniform
-from restrictlab.probe import lattice_norm, measure_norm
 from restrictlab.rationals import INF
 from restrictlab.verifiers import (
     check_bilinear,
@@ -22,8 +21,8 @@ from restrictlab.verifiers import (
     materialized_pair_sum,
     random_bounded_g,
     torus_convolve_power,
-    torus_lp,
 )
+from restrictlab.spectral import lp_norm
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +297,8 @@ def test_knapp_ratio_scale_invariance():
     mu = cantor(4, {0, 3}, 6)
     taps = (1.0 - np.abs(np.arange(-16, 17)) / 17).astype(complex)
     fhat = np.ones(mu.num_atoms)  # any fixed transform values
-    base = measure_norm(fhat, mu.weights, 2) / lattice_norm(taps, Fraction(4, 3))
-    scaled = measure_norm(7.3 * fhat, mu.weights, 2) / lattice_norm(7.3 * taps,
-                                                                    Fraction(4, 3))
+    base = lp_norm(fhat, 2, mu.weights) / lp_norm(taps, Fraction(4, 3))
+    scaled = lp_norm(7.3 * fhat, 2, mu.weights) / lp_norm(7.3 * taps, Fraction(4, 3))
     assert scaled == pytest.approx(base, rel=1e-12)
 
 
@@ -351,4 +349,4 @@ def test_grid_transform_normalization():
     hat = grid_transform(h)
     assert hat[0] == pytest.approx(1.0)
     assert np.max(np.abs(hat[1:])) <= 1e-12
-    assert torus_lp(h, 2) == pytest.approx(1.0)
+    assert lp_norm(h, 2, volume=h.size) == pytest.approx(1.0)
