@@ -87,8 +87,7 @@ def cmd_measure(args, config: ExperimentConfig) -> int:
         raise argparse.ArgumentTypeError(f"unknown measure action {args.action!r}")
     kind = args.kind.replace("-", "_")
     if kind == "dirac":
-        index = _parse_int_list(args.index) if args.dim == 2 else int(args.index)
-        mu = measures.dirac(args.dim, args.N, index)
+        mu = measures.dirac(args.dim, args.N, _parse_int_list(args.index))
     elif kind == "uniform":
         mu = measures.uniform(args.dim, args.N)
     elif kind == "cantor":

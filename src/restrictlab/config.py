@@ -23,12 +23,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        data.pop("schema_version", None)
-        return cls(**data)
-
     def hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]

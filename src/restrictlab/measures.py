@@ -20,6 +20,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -49,6 +50,11 @@ class FlatnessError(RuntimeError):
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _flat_indices(indices: np.ndarray, N: int) -> np.ndarray:
+    """Row-major flat index of each (m, dim) index row on the (N,)*dim grid."""
+    return np.ravel_multi_index(tuple(indices.T), (N,) * indices.shape[1])
 
 
 @dataclass(frozen=True)
@@ -83,22 +89,17 @@ class DiscreteMeasure:
         if np.any(self.weights < 0):
             raise ValueError("negative atom weight")
         total = float(self.weights.sum())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # also rejects a NaN weight
             raise ValueError(f"weights sum to {total!r}, not 1")
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.N):
             raise ValueError("atom index outside [0, N)")
-        flat = self._flat_indices()
+        flat = _flat_indices(self.indices, self.N)
         if len(np.unique(flat)) != len(flat):
             raise ValueError("duplicate atom indices")
 
     @property
     def num_atoms(self) -> int:
         return int(self.weights.shape[0])
-
-    def _flat_indices(self) -> np.ndarray:
-        if self.dim == 1:
-            return self.indices[:, 0]
-        return self.indices[:, 0] * self.N + self.indices[:, 1]
 
     def positions(self) -> np.ndarray:
         """Atom positions in [0,1)^dim, shape (m, dim)."""
@@ -107,10 +108,7 @@ class DiscreteMeasure:
     def dense_weights(self) -> np.ndarray:
         """Dense weight grid of shape (N,)*dim."""
         grid = np.zeros((self.N,) * self.dim)
-        if self.dim == 1:
-            grid[self.indices[:, 0]] = self.weights
-        else:
-            grid[self.indices[:, 0], self.indices[:, 1]] = self.weights
+        grid[tuple(self.indices.T)] = self.weights
         return grid
 
 
@@ -142,7 +140,7 @@ def _finalize(dim, N, indices, weights, constructor, seed=None, info=None) -> Di
     """Sort atoms, merge duplicates, and renormalize to mass exactly 1."""
     idx = np.asarray(indices, dtype=np.int64).reshape(-1, dim)
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    flat = idx[:, 0] * (N if dim == 2 else 1) + (idx[:, 1] if dim == 2 else 0)
+    flat = _flat_indices(idx, N)
     order = np.argsort(flat, kind="stable")
     flat, idx, w = flat[order], idx[order], w[order]
     uniq, start = np.unique(flat, return_index=True)
@@ -158,7 +156,7 @@ def _finalize(dim, N, indices, weights, constructor, seed=None, info=None) -> Di
 # ---------------------------------------------------------------------------
 
 def dirac(dim: int, N: int, index) -> DiscreteMeasure:
-    """Point mass at grid index ``index`` (an int for dim 1, a pair for dim 2)."""
+    """Point mass at grid index ``index``: a length-dim sequence, or an int in dim 1."""
     idx = np.atleast_1d(np.asarray(index, dtype=np.int64))
     if idx.shape != (dim,):
         raise ValueError(f"index {index!r} does not match dim={dim}")
@@ -173,11 +171,7 @@ def uniform(dim: int, N: int, max_atoms: int = MAX_ATOMS_DEFAULT) -> DiscreteMea
     count = N**dim
     if count > max_atoms:
         raise AtomBudgetError(f"uniform measure needs {count} atoms > max_atoms budget {max_atoms}")
-    if dim == 1:
-        idx = np.arange(N, dtype=np.int64).reshape(-1, 1)
-    else:
-        ii, jj = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-        idx = np.stack([ii.ravel(), jj.ravel()], axis=1)
+    idx = np.indices((N,) * dim).reshape(dim, -1).T
     return _finalize(dim, N, idx, np.full(count, 1.0 / count),
                      {"kind": "uniform", "dim": dim, "N": N})
 
@@ -258,10 +252,7 @@ def random_flat(N: int, m: int, seed: int, flatness_c: float = 4.0,
     best = None
     for attempt in range(max_retries + 1):
         members = np.sort(rng.choice(N, size=m, replace=False))
-        if m == N or m == 1:
-            counts_off = np.zeros(1, dtype=np.int64) if m == 1 else np.full(N - 1, m, dtype=np.int64)
-        else:
-            counts_off = autocorrelation_counts(members, N)[1:]
+        counts_off = autocorrelation_counts(members, N)[1:]
         max_off = int(counts_off.max()) if counts_off.size else 0
         mean_off = float(counts_off.mean()) if counts_off.size else 0.0
         stats = {
@@ -324,11 +315,10 @@ def mollify(mu: DiscreteMeasure, epsilon: int) -> MollifiedDensity:
     offs = np.arange(-(epsilon - 1), epsilon) % mu.N
     k1 = np.zeros(mu.N)
     np.add.at(k1, offs, t)
-    if mu.dim == 1:
-        conv = np.fft.irfft(np.fft.rfft(grid) * np.fft.rfft(k1), mu.N)
-    else:
-        kernel = np.outer(k1, k1)
-        conv = np.fft.irfft2(np.fft.rfft2(grid) * np.fft.rfft2(kernel), s=grid.shape)
+    kernel = reduce(np.multiply.outer, [k1] * mu.dim)
+    axes = tuple(range(mu.dim))
+    conv = np.fft.irfftn(np.fft.rfftn(grid, axes=axes) * np.fft.rfftn(kernel, axes=axes),
+                         s=grid.shape, axes=axes)
     if conv.min() < -1e-12:
         raise ArithmeticError(f"mollified density went negative: {conv.min()}")
     conv = np.maximum(conv, 0.0)
@@ -343,30 +333,37 @@ def rebuild(descriptor: dict, stage: int | None = None, resolution: int | None =
     """Reconstruct a measure from its constructor descriptor.
 
     For stage-parameterized kinds (cantor) ``stage`` overrides the recorded
-    stage; ``resolution`` overrides N for kinds parameterized by resolution.
+    stage; ``resolution`` overrides the total grid size N, ``confine``
+    included.  A resolution the constructor cannot build (a cantor N that is
+    not base**stage * confine) raises ValueError instead of returning another N.
     """
     d = dict(descriptor)
     kind = d.get("kind")
+    confine = d.get("confine", 1)
     if kind == "dirac":
-        N = resolution or d["N"]
         index = d["index"]
         if resolution and resolution != d["N"]:
             # the grid is a torus: an index rounded up to N wraps to 0
             scale = resolution / d["N"]
             index = [int(round(v * scale)) % resolution for v in index]
-        return dirac(d["dim"], N, index if d["dim"] == 2 else index[0])
-    if kind == "uniform":
-        return uniform(d["dim"], resolution or d["N"])
-    if kind == "cantor":
+        mu = dirac(d["dim"], resolution or d["N"], index)
+    elif kind == "uniform":
+        mu = uniform(d["dim"], resolution or d["N"])
+    elif kind == "cantor":
         if stage is None and resolution is not None:
-            stage = round(math.log(resolution // d.get("confine", 1)) / math.log(d["base"]))
-        return cantor(d["base"], d["digits"], stage or d["stage"], confine=d.get("confine", 1))
-    if kind == "random_flat":
-        return random_flat(resolution or d["N"], d["m"], d["seed"], d["flatness_c"],
-                           d["max_retries"], confine=d.get("confine", 1))
-    if kind == "circle":
-        return circle(resolution or d["N"], d["radius"])
-    raise ValueError(f"cannot rebuild measure of kind {kind!r}")
+            stage = round(math.log(resolution // confine) / math.log(d["base"]))
+        mu = cantor(d["base"], d["digits"], stage or d["stage"], confine=confine)
+    elif kind == "random_flat":
+        mu = random_flat(resolution // confine if resolution else d["N"], d["m"], d["seed"],
+                         d["flatness_c"], d["max_retries"], confine=confine)
+    elif kind == "circle":
+        mu = circle(resolution or d["N"], d["radius"])
+    else:
+        raise ValueError(f"cannot rebuild measure of kind {kind!r}")
+    if resolution is not None and mu.N != resolution:
+        raise ValueError(f"cannot rebuild {kind} at resolution {resolution}; "
+                         f"the nearest it builds is N={mu.N}")
+    return mu
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -397,13 +394,26 @@ def measure_to_dict(mu: DiscreteMeasure) -> dict:
 
 
 def measure_from_dict(data: dict) -> DiscreteMeasure:
+    """Inverse of measure_to_dict; a malformed payload raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"measure payload is a {type(data).__name__}, not an object")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported measure schema {data.get('schema_version')!r}")
-    dim = data["dim"]
-    atoms = data["atoms"]
+    missing = [key for key in ("dim", "N", "atoms") if key not in data]
+    if missing:
+        raise ValueError(f"measure payload lacks {', '.join(missing)}")
+    dim, N, atoms = data["dim"], data["N"], data["atoms"]
+    if not isinstance(dim, int) or dim not in (1, 2):
+        raise ValueError(f"dim must be 1 or 2, got {dim!r}")
+    if not isinstance(N, int):
+        raise ValueError(f"N must be an integer, got {N!r}")
+    if not isinstance(atoms, list) or not all(
+            isinstance(a, list) and len(a) == dim + 1
+            and all(isinstance(v, (int, float)) for v in a) for a in atoms):
+        raise ValueError(f"every atom must be a list of dim + 1 = {dim + 1} numbers")
     idx = np.asarray([a[:dim] for a in atoms], dtype=np.int64).reshape(-1, dim)
     w = np.asarray([a[dim] for a in atoms], dtype=np.float64)
-    return DiscreteMeasure(dim, data["N"], idx, w,
+    return DiscreteMeasure(dim, N, idx, w,
                            constructor=data.get("constructor", {}),
                            seed=data.get("seed"), info=data.get("info", {}))
 

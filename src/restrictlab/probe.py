@@ -19,6 +19,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -85,14 +86,10 @@ def assemble(mu: DiscreteMeasure, X: int,
     if entries > max_matrix_entries:
         raise MemoryError(
             f"operator would need {entries} entries > max_matrix_entries budget {max_matrix_entries}")
-    axis = np.arange(-X, X + 1)
+    lattice = np.indices((side,) * mu.dim).reshape(mu.dim, -1) - X
     pos = mu.positions()
-    if mu.dim == 1:
-        matrix = np.exp(2j * np.pi * np.outer(axis, pos[:, 0]))
-    else:
-        xx, yy = np.meshgrid(axis, axis, indexing="ij")
-        phase = np.outer(xx.ravel(), pos[:, 0]) + np.outer(yy.ravel(), pos[:, 1])
-        matrix = np.exp(2j * np.pi * phase)
+    matrix = np.exp(2j * np.pi * reduce(
+        np.add, (np.outer(lattice[a], pos[:, a]) for a in range(mu.dim))))
     return ExtensionOperator(mu.dim, X, mu.weights.copy(), matrix)
 
 
@@ -174,18 +171,13 @@ def _embed_witness(w: np.ndarray, dim: int, target_size: int) -> np.ndarray:
     """Zero-pad a witness from a smaller centered lattice cube into a larger one."""
     if len(w) > target_size:
         raise ValueError("warm start longer than lattice")
-    if dim == 1:
-        f0 = np.zeros(target_size, dtype=np.complex128)
-        off = (target_size - len(w)) // 2
-        f0[off : off + len(w)] = w
-        return f0
-    side_from = int(round(len(w) ** 0.5))
-    side_to = int(round(target_size**0.5))
-    if side_from**2 != len(w) or side_to**2 != target_size:
-        raise ValueError("witness is not a flattened square lattice")
-    block = np.zeros((side_to, side_to), dtype=np.complex128)
+    side_from = round(len(w) ** (1 / dim))
+    side_to = round(target_size ** (1 / dim))
+    if side_from**dim != len(w) or side_to**dim != target_size:
+        raise ValueError("witness is not a flattened cube lattice")
+    block = np.zeros((side_to,) * dim, dtype=np.complex128)
     off = (side_to - side_from) // 2
-    block[off : off + side_from, off : off + side_from] = w.reshape(side_from, side_from)
+    block[(slice(off, off + side_from),) * dim] = w.reshape((side_from,) * dim)
     return block.ravel()
 
 

@@ -25,21 +25,22 @@ from .rationals import (
     exp_str,
     validate_exponent,
 )
-from .spectral import Spectrum
+from .spectral import Spectrum, frequency_radii
 
 
 # ---------------------------------------------------------------------------
 # Ball-mass scans (sliding-window prefix sums, wrap-around metric)
 # ---------------------------------------------------------------------------
 
-def _windowed_sums_1d(values: np.ndarray, halfwidth: int) -> np.ndarray:
-    """Circular sums over windows [x - h, x + h] for every center x."""
-    n = len(values)
+def _windowed_sums(values: np.ndarray, halfwidth: int, axis: int) -> np.ndarray:
+    """Circular sums over windows [x - h, x + h] along one axis, for every center x."""
+    v = np.moveaxis(values, axis, -1)
+    n = v.shape[-1]
     h = min(halfwidth, (n - 1) // 2)
-    ext = np.concatenate([values, values[: 2 * h]])
-    cs = np.concatenate([[0.0], np.cumsum(ext)])
-    sums = cs[2 * h + 1:] - cs[: n]
-    return np.roll(sums, h)
+    ext = np.concatenate([v, v[..., : 2 * h]], axis=-1)
+    cs = np.concatenate([np.zeros(v.shape[:-1] + (1,)), np.cumsum(ext, axis=-1)], axis=-1)
+    sums = cs[..., 2 * h + 1:] - cs[..., :n]
+    return np.moveaxis(np.roll(sums, h, axis=-1), -1, axis)
 
 
 def ball_masses(mu: DiscreteMeasure, radius: float) -> np.ndarray:
@@ -51,11 +52,10 @@ def ball_masses(mu: DiscreteMeasure, radius: float) -> np.ndarray:
     if not (0 < radius <= 0.5):
         raise ValueError(f"radius {radius} outside (0, 1/2]")
     h = int(np.floor(radius * mu.N))
-    grid = mu.dense_weights()
-    if mu.dim == 1:
-        return _windowed_sums_1d(grid, h)
-    rows = np.stack([_windowed_sums_1d(row, h) for row in grid])
-    return np.stack([_windowed_sums_1d(col, h) for col in rows.T]).T
+    masses = mu.dense_weights()
+    for axis in reversed(range(mu.dim)):
+        masses = _windowed_sums(masses, h, axis)
+    return masses
 
 
 def default_scales(N: int, count: int = 6) -> list[float]:
@@ -126,13 +126,9 @@ def billingsley_gamma(mu: DiscreteMeasure, scales=None) -> ScanReport:
     flat_masses = finest_masses.ravel()
     plateau = np.flatnonzero(flat_masses >= flat_masses.max() * (1 - 1e-12))
     cell_mass = mu.dense_weights().ravel()[plateau]
-    center_flat = int(plateau[np.argmax(cell_mass)])
-    if mu.dim == 1:
-        center = (center_flat,)
-    else:
-        center = (center_flat // mu.N, center_flat % mu.N)
-    values = [float(ball_masses(mu, r)[center if mu.dim == 2 else center_flat])
-              for r in scales]
+    center = tuple(int(c) for c in np.unravel_index(plateau[np.argmax(cell_mass)],
+                                                    finest_masses.shape))
+    values = [float(ball_masses(mu, r)[center]) for r in scales]
     fit = loglog_fit(scales, values)
     return ScanReport(fit.slope, scales, values, fit, (min(scales), max(scales)), center=center)
 
@@ -182,11 +178,7 @@ def fourier_beta(spec: Spectrum, annulus_base: float = 2.0,
         raise ValueError("need K >= 16 for a meaningful decay fit")
     if annulus_base <= 1:
         raise ValueError("annulus base must exceed 1")
-    ks = spec.frequencies().astype(float)
-    if spec.dim == 1:
-        radii = np.abs(ks)
-    else:
-        radii = np.hypot(*np.meshgrid(ks, ks, indexing="ij"))
+    radii = frequency_radii(spec.frequencies().astype(float), spec.dim)
     power = np.abs(spec.coefficients) ** 2
     annuli, sups, avgs, mids = [], [], [], []
     lo = float(k_min)

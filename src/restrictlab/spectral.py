@@ -9,6 +9,7 @@ trigonometric summation path is kept as an independent route for any K.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -24,8 +25,8 @@ CONV_DROP_REL = 1e-14
 class Spectrum:
     """Complex Fourier coefficients on the dual lattice [-K, K]^dim.
 
-    coefficients[k + K] (dim 1) or coefficients[k1 + K, k2 + K] (dim 2) holds
-    the value at frequency k.
+    coefficients[k + K], with k an integer vector of length dim (an int in
+    dim 1), holds the value at frequency k.
     """
 
     dim: int
@@ -39,19 +40,16 @@ class Spectrum:
         object.__setattr__(self, "coefficients", coeffs)
 
     def at(self, k) -> complex:
-        if self.dim == 1:
-            return complex(self.coefficients[int(k) + self.K])
-        k1, k2 = k
-        return complex(self.coefficients[int(k1) + self.K, int(k2) + self.K])
+        return complex(self.coefficients[tuple(int(v) + self.K for v in np.atleast_1d(k))])
 
     def frequencies(self) -> np.ndarray:
         return np.arange(-self.K, self.K + 1)
 
     def validate(self, mass: float = 1.0, real_source: bool = True) -> None:
-        if abs(self.at(0 if self.dim == 1 else (0, 0)) - mass) > SPECTRUM_MASS_TOL:
+        if abs(self.at((0,) * self.dim) - mass) > SPECTRUM_MASS_TOL:
             raise ValueError("coefficient at k=0 does not match total mass")
         if real_source:
-            flipped = self.coefficients[::-1] if self.dim == 1 else self.coefficients[::-1, ::-1]
+            flipped = np.flip(self.coefficients)
             if np.max(np.abs(np.conj(flipped) - self.coefficients)) > SPECTRUM_MASS_TOL:
                 raise ValueError("conjugate symmetry violated for a real source")
 
@@ -72,7 +70,7 @@ def fourier(mu: DiscreteMeasure, K: int, method: str = "auto") -> Spectrum:
             raise ValueError(f"FFT path requires K <= N/2 = {mu.N // 2}")
         full = np.fft.fftn(mu.dense_weights())
         ks = np.arange(-K, K + 1) % mu.N
-        coeffs = full[ks] if mu.dim == 1 else full[np.ix_(ks, ks)]
+        coeffs = full[np.ix_(*[ks] * mu.dim)]
     elif method == "direct":
         ks = np.arange(-K, K + 1)
         pos = mu.positions()
@@ -86,6 +84,12 @@ def fourier(mu: DiscreteMeasure, K: int, method: str = "auto") -> Spectrum:
     else:
         raise ValueError(f"unknown method {method!r}")
     return Spectrum(mu.dim, K, coeffs)
+
+
+def frequency_radii(freqs: np.ndarray, dim: int) -> np.ndarray:
+    """Euclidean norm |k| on the frequency grid freqs^dim, shape (len(freqs),)*dim."""
+    grids = np.meshgrid(*[freqs] * dim, indexing="ij")
+    return reduce(np.hypot, grids, np.zeros(grids[0].shape))
 
 
 def lp_norm(values: np.ndarray, s: Exponent, weights: np.ndarray | None = None,
@@ -169,11 +173,7 @@ def flatness(mu: DiscreteMeasure) -> dict:
     there is no off-zero mass), the diagnostic for bounded self-convolution.
     """
     corr = self_correlation(mu)
-    grid = corr.dense_weights()
-    if mu.dim == 1:
-        off = np.delete(grid, 0)
-    else:
-        off = np.delete(grid.ravel(), 0)
+    off = np.delete(corr.dense_weights().ravel(), 0)
     max_off = float(off.max()) if off.size else 0.0
     mean_off = float(off.mean()) if off.size else 0.0
     return {

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .rationals import (
     validate_exponent,
 )
 from .regularity import ExponentParams, ball_masses, billingsley_gamma, theorem_range
-from .spectral import convolve_power, density_norm, lp_norm, self_correlation
+from .spectral import convolve_power, density_norm, frequency_radii, lp_norm, self_correlation
 
 SLACK_REL_TOL = 1e-8
 ORACLE_MATCH_TOL = 1e-10
@@ -370,12 +371,7 @@ def check_prop2(mu: DiscreteMeasure, gamma, s: Exponent, K_list,
     if K_list[0] < 1 or K_list[-1] > mu.N // 2:
         raise ValueError("K values must lie in [1, N/2]")
     full = np.fft.fftn(mu.dense_weights())
-    if mu.dim == 1:
-        freqs = np.fft.fftfreq(mu.N, d=1.0 / mu.N)
-        radii = np.abs(freqs)
-    else:
-        freqs = np.fft.fftfreq(mu.N, d=1.0 / mu.N)
-        radii = np.hypot(*np.meshgrid(freqs, freqs, indexing="ij"))
+    radii = frequency_radii(np.fft.fftfreq(mu.N, d=1.0 / mu.N), mu.dim)
     power = np.abs(full) ** exp_float(s)
     sums = [float(power[radii <= K].sum()) for K in K_list]
     fit = loglog_fit(K_list, sums)
@@ -434,7 +430,7 @@ def check_prop3(mu: DiscreteMeasure, gamma, eps_list=None,
     masses, counts = [], []
     for eps in eps_list:
         window = ball_masses(corr, eps)
-        masses.append(float(window[(0,) * mu.dim] if mu.dim == 2 else window[0]))
+        masses.append(float(window[(0,) * mu.dim]))
         counts.append(greedy_disjoint_balls(mu, eps) if mu.dim == 1 else -1)
     fit = loglog_fit(eps_list, masses)
     return Prop3Report(gamma, eps_list, masses, counts, fit.slope, margin,
@@ -499,12 +495,9 @@ def knapp_test(mu: DiscreteMeasure, p: Exponent, q: Exponent, r_list,
     for r in r_list:
         M = max(1, int(round(1.0 / r)))
         taps = 1.0 - np.abs(np.arange(-M, M + 1)) / (M + 1)
-        if mu.dim == 1:
-            fhat_at_atoms = _fejer(pos[:, 0] - x0[0], M)
-            f_norm = lp_norm(taps, p)
-        else:
-            fhat_at_atoms = (_fejer(pos[:, 0] - x0[0], M) * _fejer(pos[:, 1] - x0[1], M))
-            f_norm = lp_norm(np.outer(taps, taps).ravel(), p)
+        fhat_at_atoms = reduce(np.multiply,
+                               (_fejer(pos[:, a] - x0[a], M) for a in range(mu.dim)))
+        f_norm = lp_norm(reduce(np.multiply.outer, [taps] * mu.dim).ravel(), p)
         ratios.append(lp_norm(fhat_at_atoms, q, mu.weights) / f_norm)
     fit = loglog_fit(r_list, ratios)
     predicted = (gamma_report.estimate / exp_float(q)

@@ -5,6 +5,7 @@ of FFTs, direct digit enumeration instead of self-similar recursions, dense
 scans instead of prefix sums.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -50,18 +51,30 @@ def digit_multiplicity_peak(stage):
 
 
 def dense_ball_masses(indices, weights, N, radius):
-    """Brute-force mu(B(x, r)) on the torus for every grid center x, dim 1."""
+    """Brute-force mu(B(x, r)) for every grid center x, torus sup metric.
+
+    indices has shape (m, dim); balls are intervals in dim 1, squares in dim 2.
+    """
+    indices = np.asarray(indices).reshape(len(weights), -1)
+    dim = indices.shape[1]
     h = int(np.floor(radius * N))
-    out = np.zeros(N)
-    for x in range(N):
+    out = np.zeros((N,) * dim)
+    for x in itertools.product(range(N), repeat=dim):
         total = 0.0
         for j, w in zip(indices, weights):
-            d = abs((j - x) % N)
-            d = min(d, N - d)
+            d = max(min((a - b) % N, (b - a) % N) for a, b in zip(j, x))
             if d <= h:
                 total += w
         out[x] = total
     return out
+
+
+def lattice_phase_matrix(indices, N, X):
+    """exp(2 pi i <x, j/N>) one entry at a time, rows x in [-X, X]^dim in row-major order."""
+    indices = np.asarray(indices)
+    rows = itertools.product(range(-X, X + 1), repeat=indices.shape[1])
+    return np.array([[np.exp(2j * np.pi * sum(a * b for a, b in zip(x, j)) / N)
+                      for j in indices] for x in rows])
 
 
 def direct_fourier_1d(indices, weights, N, ks):

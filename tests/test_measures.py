@@ -246,6 +246,16 @@ def test_rebuild_dirac_on_coarser_grid_wraps():
     assert coarse.N == 4 and coarse.indices.tolist() == [[0, 2]]
 
 
+def test_rebuild_returns_requested_resolution_or_raises():
+    # resolution is the total grid size, confine included
+    rf = random_flat(128, 8, seed=2, confine=2)
+    assert measures.rebuild(rf.constructor, resolution=512).N == 512
+    # a cantor grid is base**stage * confine; 128 lies between stages 3 and 4
+    with pytest.raises(ValueError, match="resolution 128"):
+        measures.rebuild(cantor(4, {0, 3}, 4).constructor, resolution=128)
+    assert measures.rebuild(cantor(4, {0, 3}, 4, confine=2).constructor, resolution=128).N == 128
+
+
 def test_similarity_dimension_recorded():
     mu = cantor(4, {0, 3}, 5)
     assert mu.info["similarity_dimension"] == pytest.approx(math.log(2) / math.log(4))

@@ -18,6 +18,8 @@ from restrictlab.probe import (
 from restrictlab.rationals import INF
 from restrictlab.spectral import lp_norm
 
+from oracles import lattice_phase_matrix
+
 
 def random_measure(seed, N=1024, max_atoms=64):
     rng = np.random.default_rng(seed)
@@ -54,6 +56,11 @@ def test_assemble_dim2():
     u = op.restrict(f)
     expected = np.exp(-2j * np.pi * (-4 * 3 / 64 + -4 * 4 / 64))
     assert abs(u[0] - expected) < 1e-12
+    rng = np.random.default_rng(3)
+    idx = np.stack(np.unravel_index(rng.choice(64 * 64, 7, replace=False), (64, 64)), axis=1)
+    mu = DiscreteMeasure(2, 64, idx, np.full(7, 1 / 7))
+    op = assemble(mu, 3)
+    assert np.max(np.abs(op.matrix - lattice_phase_matrix(mu.indices, 64, 3))) < 1e-12
 
 
 def test_restriction_is_fourier_at_atoms():

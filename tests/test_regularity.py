@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from restrictlab.measures import cantor, circle, dirac, random_flat, uniform
+from restrictlab.measures import DiscreteMeasure, cantor, circle, dirac, random_flat, uniform
 from restrictlab.rationals import INF, conjugate, exp_str, is_inf
 from restrictlab.regularity import (
     ExponentParams,
@@ -29,11 +29,17 @@ from oracles import dense_ball_masses, dirichlet_interval_spectrum_sq
 # ---------------------------------------------------------------------------
 
 def test_window_sums_match_dense_oracle():
-    mu = random_flat(128, 11, seed=21)
-    for r in (0.25, 0.1, 0.03):
-        fast = ball_masses(mu, r)
-        slow = dense_ball_masses(mu.indices.ravel(), mu.weights, 128, r)
-        assert np.max(np.abs(fast - slow)) <= 1e-12
+    rng = np.random.default_rng(21)
+    flat2 = rng.choice(32 * 32, size=19, replace=False)
+    w2 = rng.random(19)
+    mu2 = DiscreteMeasure(2, 32, np.stack(np.unravel_index(flat2, (32, 32)), axis=1),
+                          w2 / w2.sum())
+    for mu in (random_flat(128, 11, seed=21), mu2):
+        for r in (0.25, 0.1, 0.03):
+            fast = ball_masses(mu, r)
+            slow = dense_ball_masses(mu.indices, mu.weights, mu.N, r)
+            assert fast.shape == slow.shape
+            assert np.max(np.abs(fast - slow)) <= 1e-12
 
 
 def test_window_sums_dim2():
