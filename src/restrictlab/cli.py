@@ -483,6 +483,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the flag that sets each probe.SettingError name
+_SETTING_FLAGS = {"restarts": "--restarts", "max_iters": "--iters", "tol": "--tol",
+                  "threads": "--threads"}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -495,6 +500,9 @@ def main(argv=None) -> int:
         return args.func(args, config)
     except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except probe.SettingError as exc:
+        print(f"usage error: {_SETTING_FLAGS[exc.name]}: {exc}", file=sys.stderr)
         return 2
     except (AtomBudgetError, MemoryError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ nonconvex and the result is a certified lower bound with a stored witness.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +26,7 @@ import numpy as np
 
 from .fitting import FitResult, loglog_fit
 from .measures import DiscreteMeasure
-from .rationals import Exponent, conjugate, exp_float, exp_str, is_inf, validate_exponent
+from .rationals import INF, Exponent, conjugate, exp_float, exp_str, is_inf, validate_exponent
 from .spectral import lp_norm
 
 MAX_MATRIX_ENTRIES_DEFAULT = 8_388_608
@@ -34,12 +35,28 @@ SLOPE_BOUNDED_MAX = 0.05
 SLOPE_GROWING_MIN = 0.10
 
 
+class SettingError(ValueError):
+    """A probe or sweep setting out of its range; ``name`` is the parameter's name."""
+
+    def __init__(self, name: str, value, rule: str):
+        super().__init__(f"{name} must be {rule}, got {value!r}")
+        self.name = name
+
+
 @dataclass(frozen=True)
 class ProbeOptions:
     restarts: int = 8
     max_iters: int = 500
     tol: float = 1e-9
     seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise SettingError("restarts", self.restarts, ">= 1")
+        if self.max_iters < 1:
+            raise SettingError("max_iters", self.max_iters, ">= 1")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise SettingError("tol", self.tol, "finite and >= 0")
 
     def as_dict(self) -> dict:
         return {"restarts": self.restarts, "max_iters": self.max_iters,
@@ -68,8 +85,12 @@ class ExtensionOperator:
         return self.matrix.shape[1]
 
     def restrict(self, f: np.ndarray) -> np.ndarray:
-        """f on the lattice -> f_hat at the atoms."""
-        return self.matrix.conj().T @ f
+        """f on the lattice -> f_hat at the atoms.
+
+        The adjoint product conj(matrix).T @ f, taken as conj(conj(f) @ matrix)
+        so that no conjugated L x m copy of the operator is made.
+        """
+        return np.conj(np.conj(f) @ self.matrix)
 
     def extend(self, g: np.ndarray) -> np.ndarray:
         """g at the atoms -> weighted exponential sum on the lattice."""
@@ -97,45 +118,42 @@ def assemble(mu: DiscreteMeasure, X: int,
 # Norm machinery
 # ---------------------------------------------------------------------------
 
-def _phase(z: np.ndarray) -> np.ndarray:
-    a = np.abs(z)
+def _phase(z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """z / |z| where a = |z| > 0, else 1."""
     return np.where(a > 0, z / np.where(a > 0, a, 1.0), 1.0)
 
 
-def _measure_dual(u: np.ndarray, weights: np.ndarray, q: Exponent) -> np.ndarray:
-    """Holder-extremal element for the L^q(mu) norm of u (scale-free)."""
-    if is_inf(q):
-        g = np.zeros_like(u)
-        masked = np.where(weights > 0, np.abs(u), -1.0)
-        j = int(np.argmax(masked))
-        g[j] = _phase(u[j : j + 1])[0] / weights[j]
-        return g
-    qf = exp_float(q)
+def _measure_dual(u: np.ndarray, weights: np.ndarray, qf: float) -> np.ndarray:
+    """Holder-extremal element for the L^q(mu) norm of u (scale-free); qf = float(q)."""
     a = np.abs(u)
+    if qf == INF:
+        g = np.zeros_like(u)
+        j = int(np.argmax(np.where(weights > 0, a, -1.0)))
+        g[j] = _phase(u[j : j + 1], a[j : j + 1])[0] / weights[j]
+        return g
     peak = a.max()
     if peak == 0.0:
         return np.ones_like(u)
-    return _phase(u) * (a / peak) ** (qf - 1.0)
+    return _phase(u, a) * (a / peak) ** (qf - 1.0)
 
 
-def _lattice_extremal(c: np.ndarray, p: Exponent) -> np.ndarray:
-    """Unit-l^p vector f maximizing Re sum_x f(x) c(x)."""
-    ph = np.conj(_phase(c))
+def _lattice_extremal(c: np.ndarray, pf: float, pprimef: float) -> np.ndarray:
+    """Unit-l^p vector f maximizing Re sum_x f(x) c(x); pf, pprimef = float(p), float(p')."""
     a = np.abs(c)
-    if exp_float(p) == 1.0:
+    ph = np.conj(_phase(c, a))
+    if pf == 1.0:
         f = np.zeros_like(c)
         j = int(np.argmax(a))
         f[j] = ph[j]
         return f
-    if is_inf(p):
+    if pf == INF:
         f = ph.astype(np.complex128)
     else:
         peak = a.max()
         if peak == 0.0:
             raise ArithmeticError("pulled-back functional vanished")
-        pprime = exp_float(conjugate(p))
-        f = ph * (a / peak) ** (pprime - 1.0)
-    return f / lp_norm(f, p)
+        f = ph * (a / peak) ** (pprimef - 1.0)
+    return f / lp_norm(f, pf)
 
 
 @dataclass(frozen=True)
@@ -147,6 +165,10 @@ class ProbeResult:
     witness: np.ndarray
     trace: list[float] = field(default_factory=list)
     restarts_used: int = 0
+    # per start, random starts first and warm starts after them
+    iterations: list[int] = field(default_factory=list)
+    converged: list[bool] = field(default_factory=list)
+    best_start: int = -1
 
     def as_dict(self) -> dict:
         return {
@@ -155,6 +177,9 @@ class ProbeResult:
             "X": self.X,
             "norm_lower_bound": self.norm_lower_bound,
             "restarts_used": self.restarts_used,
+            "iterations": list(self.iterations),
+            "converged": list(self.converged),
+            "best_start": self.best_start,
             "trace": list(self.trace),
             "witness": [[float(z.real), float(z.imag)] for z in self.witness],
         }
@@ -205,6 +230,8 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
     """
     p = validate_exponent(p, "p")
     q = validate_exponent(q, "q")
+    # floats only inside the iteration; p and q stay exact everywhere else
+    pf, qf, pprimef = exp_float(p), exp_float(q), exp_float(conjugate(p))
     L = op.lattice_size
     starts: list[np.ndarray] = []
     for i in range(options.restarts):
@@ -213,29 +240,35 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
     for w in warm_starts or []:
         starts.append(_embed_witness(np.asarray(w, dtype=np.complex128), op.dim, L))
 
-    best_val, best_f = -1.0, None
+    best_val, best_f, best_start = -1.0, None, -1
     trace: list[float] = []
-    for f in starts:
+    iterations: list[int] = []
+    converged: list[bool] = []
+    for start, f in enumerate(starts):
+        iterations.append(0)
+        converged.append(False)
         f = f.astype(np.complex128)
-        nf = lp_norm(f, p)
+        nf = lp_norm(f, pf)
         if nf == 0.0:
             continue
         f = f / nf
         last = -1.0
         for _ in range(options.max_iters):
             u = op.restrict(f)
-            val = lp_norm(u, q, op.weights)
+            iterations[-1] += 1
+            val = lp_norm(u, qf, op.weights)
             if not np.isfinite(val):
                 raise ArithmeticError("non-finite value in norm iteration")
             if val > best_val:
-                best_val, best_f = val, f.copy()
+                best_val, best_f, best_start = val, f.copy(), start
                 trace.append(val)
             if last > 0.0 and val - last < options.tol * abs(last):
+                converged[-1] = True
                 break
             last = val
-            g = _measure_dual(u, op.weights, q)
+            g = _measure_dual(u, op.weights, qf)
             c = np.conj(op.extend(g))
-            f = _lattice_extremal(c, p)
+            f = _lattice_extremal(c, pf, pprimef)
 
     if best_f is None:
         raise ArithmeticError("all starts degenerate")
@@ -244,7 +277,8 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
         raise AssertionError(
             f"witness re-evaluation {certified} disagrees with tracked value {best_val}")
     return ProbeResult(p, q, op.X, certified, best_f / lp_norm(best_f, p),
-                       trace=trace, restarts_used=len(starts))
+                       trace=trace, restarts_used=len(starts), iterations=iterations,
+                       converged=converged, best_start=best_start)
 
 
 @dataclass(frozen=True)
@@ -360,6 +394,8 @@ def sweep(mu: DiscreteMeasure, p_grid, q_grid, X_list,
 
     from .regularity import billingsley_gamma, theorem_range
 
+    if threads < 1:
+        raise SettingError("threads", threads, ">= 1")
     if r is None:
         r = float("inf")
     region = theorem_range(n, r)

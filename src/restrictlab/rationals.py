@@ -86,7 +86,8 @@ def exp_le(a: Exponent, b: Exponent) -> bool:
 
 
 def exp_float(x: Exponent) -> float:
-    return float("inf") if is_inf(x) else float(Fraction(x))
+    """The float nearest x; equal to float(Fraction(x)) without building a Fraction."""
+    return float(x)
 
 
 def exp_str(x: Exponent) -> str:

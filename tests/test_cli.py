@@ -309,3 +309,26 @@ def test_chain_reports_constant_trend_in_epsilon():
                  for eps in (16, 8, 4, 2, 1)]
     assert all(c > 0 for c in constants)
     assert len(set(constants)) == 1  # measure-side constant independent of eps
+
+
+@pytest.mark.parametrize("flags", [["--tol", "-1"], ["--tol", "nan"], ["--iters", "0"],
+                                   ["--restarts", "0"], ["--restarts", "-3"]])
+def test_out_of_range_probe_flags_are_usage_errors(flat_measure, capsys, flags):
+    assert main(["probe", "--measure", flat_measure, "-p", "2", "-q", "2", "-X", "4",
+                 *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and flags[0] in err, err
+
+
+@pytest.mark.parametrize("flags", [["--tol", "nan"], ["--iters", "0"], ["--restarts", "-3"],
+                                   ["--threads", "0"], ["--threads", "-2"]])
+def test_out_of_range_sweep_flags_are_usage_errors(flat_measure, capsys, flags):
+    sweep = ["sweep", "--measure", flat_measure, "--p-grid", "2:2:1", "--q-grid", "2:2:1",
+             "--X", "2,4,8,16", "--restarts", "1"]
+    runs = [sweep + flags]
+    if flags[0] == "--threads":
+        runs.append(flags + sweep)  # the global flag
+    for argv in runs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and flags[0] in err, err

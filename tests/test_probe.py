@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from restrictlab import probe
-from restrictlab.measures import DiscreteMeasure, dirac, random_flat, uniform
+from restrictlab.measures import DiscreteMeasure, circle, dirac, random_flat, uniform
 from restrictlab.probe import (
     ProbeOptions,
     assemble,
@@ -228,3 +229,64 @@ def test_probe_seed_reproducibility():
     b = restriction_norm(op, Fraction(4, 3), 2, ProbeOptions(seed=42))
     assert a.norm_lower_bound == b.norm_lower_bound
     assert np.array_equal(a.witness, b.witness)
+
+
+def test_restrict_is_the_adjoint_without_copying_the_operator():
+    # 1-D 129 x 32 and 2-D 289 x 56; a conjugated copy of the operator
+    # would make the peak about matrix.nbytes
+    for mu, X in ((random_flat(512, 32, seed=4), 64), (circle(64, 0.25), 8)):
+        op = assemble(mu, X)
+        rng = np.random.default_rng(X)
+        f = rng.standard_normal(op.lattice_size) + 1j * rng.standard_normal(op.lattice_size)
+        assert np.array_equal(op.restrict(f), op.matrix.conj().T @ f)
+        tracemalloc.start()
+        try:
+            op.restrict(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < op.matrix.nbytes / 4, (peak, op.matrix.nbytes)
+
+
+@pytest.mark.parametrize("kwargs", [dict(restarts=0), dict(restarts=-3), dict(max_iters=0),
+                                    dict(tol=-1.0), dict(tol=float("nan")),
+                                    dict(tol=float("inf"))])
+def test_probe_options_reject_out_of_range(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        ProbeOptions(**kwargs)
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_sweep_rejects_threads_below_one(threads):
+    with pytest.raises(ValueError, match="threads"):
+        sweep(dirac(1, 64, 0), [2], [2], [1, 2, 4, 8], gamma_hat=0.0, threads=threads)
+
+
+def test_per_start_diagnostics():
+    mu = random_measure(11)
+    op = assemble(mu, 16)
+    res = restriction_norm(op, 2, 2)
+    assert len(res.iterations) == len(res.converged) == res.restarts_used == 8
+    assert all(res.converged)
+    assert all(1 <= n <= ProbeOptions().max_iters for n in res.iterations)
+    assert 0 <= res.best_start < res.restarts_used
+    d = res.as_dict()
+    assert (d["iterations"], d["converged"], d["best_start"]) == (
+        res.iterations, res.converged, res.best_start)
+
+    warm = restriction_norm(op, Fraction(4, 3), 2, ProbeOptions(restarts=2, max_iters=1),
+                            warm_starts=[res.witness])
+    assert warm.restarts_used == 3  # two random starts, then the warm one
+    assert warm.iterations == [1, 1, 1]
+    assert not any(warm.converged)
+
+
+def test_best_start_is_the_start_that_reached_the_bound():
+    mu = random_measure(12)
+    op = assemble(mu, 16)
+    options = ProbeOptions(restarts=4, seed=12)
+    res = restriction_norm(op, Fraction(4, 3), 4, options)
+    alone = restriction_norm(op, Fraction(4, 3), 4, ProbeOptions(
+        restarts=res.best_start + 1, seed=12))
+    assert alone.norm_lower_bound == res.norm_lower_bound
+    assert alone.best_start == res.best_start

@@ -9,6 +9,7 @@ from restrictlab.rationals import (
     as_exponent,
     conjugate,
     exp_div,
+    exp_float,
     exp_le,
     exp_mul,
     exp_str,
@@ -73,3 +74,11 @@ def test_validate_range():
     with pytest.raises(ValueError):
         validate_exponent(Fraction(1, 2), "p")
     assert validate_exponent(INF) == INF
+
+
+@given(st.one_of(st.fractions(min_value=1, max_value=10**6),
+                 st.integers(min_value=1, max_value=10**6),
+                 st.floats(min_value=1, max_value=1e6)))
+def test_exp_float_is_float_of_the_fraction(x):
+    assert exp_float(x) == float(Fraction(x))
+    assert exp_float(INF) == float("inf")
