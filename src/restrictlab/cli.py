@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import measures, probe, regularity, spectral, verifiers
-from .config import ExperimentConfig, artifact_envelope, default_output_dir
+from .config import artifact_envelope, default_output_dir
 from .measures import AtomBudgetError, atomic_write_text, load_measure, save_measure
 from .rationals import INF, as_exponent, conjugate, exp_mul, exp_str, is_inf
 
@@ -82,7 +82,7 @@ def _exp(text: str):
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-def cmd_measure(args, config: ExperimentConfig) -> int:
+def cmd_measure(args) -> int:
     if args.action != "new":
         raise argparse.ArgumentTypeError(f"unknown measure action {args.action!r}")
     kind = args.kind.replace("-", "_")
@@ -94,20 +94,20 @@ def cmd_measure(args, config: ExperimentConfig) -> int:
         mu = measures.cantor(args.base, _parse_int_list(args.digits), args.stage,
                              confine=args.confine)
     elif kind == "random_flat":
-        mu = measures.random_flat(args.N, args.m, config.seed,
+        mu = measures.random_flat(args.N, args.m, args.seed,
                                   flatness_c=args.flatness_c, max_retries=args.retries,
                                   confine=args.confine)
     elif kind == "circle":
         mu = measures.circle(args.N, args.radius)
     else:
         raise argparse.ArgumentTypeError(f"unknown measure kind {args.kind!r}")
-    out = args.out or os.path.join(config.output_dir, f"{kind}.json")
+    out = args.out or os.path.join(args.output_dir or default_output_dir(), f"{kind}.json")
     save_measure(mu, out)
     print(f"wrote {out}: {kind} measure, dim {mu.dim}, N {mu.N}, {mu.num_atoms} atoms")
     return 0
 
 
-def cmd_analyze(args, config: ExperimentConfig) -> int:
+def cmd_analyze(args) -> int:
     mu = load_measure(args.measure)
     run_all = not (args.alpha or args.beta or args.gamma)
     payload: dict = {"measure": mu.constructor, "N": mu.N, "dim": mu.dim}
@@ -119,13 +119,13 @@ def cmd_analyze(args, config: ExperimentConfig) -> int:
         payload["beta"] = regularity.fourier_beta(spectral.fourier(mu, K)).as_dict()
     if args.gamma or run_all:
         payload["gamma"] = regularity.billingsley_gamma(mu, scales).as_dict()
-    _write_json(args.out, artifact_envelope(config, payload))
+    _write_json(args.out, artifact_envelope(args.seed, payload))
     if args.out:
         print(f"wrote {args.out}")
     return 0
 
 
-def cmd_conv(args, config: ExperimentConfig) -> int:
+def cmd_conv(args) -> int:
     mu = load_measure(args.measure)
     resolutions = args.resolutions or [mu.N]
     rows = []
@@ -138,7 +138,7 @@ def cmd_conv(args, config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_exponents(args, config: ExperimentConfig) -> int:
+def cmd_exponents(args) -> int:
     printed = False
     if args.n is not None:
         if args.r is None:
@@ -166,19 +166,19 @@ def cmd_exponents(args, config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_probe(args, config: ExperimentConfig) -> int:
+def cmd_probe(args) -> int:
     mu = load_measure(args.measure)
     op = probe.assemble(mu, args.X)
-    options = probe.ProbeOptions(args.restarts, args.iters, args.tol, config.seed)
+    options = probe.ProbeOptions(args.restarts, args.iters, args.tol, args.seed)
     result = probe.restriction_norm(op, args.p, args.q, options)
-    _write_json(args.out, artifact_envelope(config, {"probe": result.as_dict(),
+    _write_json(args.out, artifact_envelope(args.seed, {"probe": result.as_dict(),
                                                      "options": options.as_dict()}))
     return 0
 
 
-def cmd_sweep(args, config: ExperimentConfig) -> int:
+def cmd_sweep(args) -> int:
     mu = load_measure(args.measure)
-    options = probe.ProbeOptions(args.restarts, args.iters, args.tol, config.seed)
+    options = probe.ProbeOptions(args.restarts, args.iters, args.tol, args.seed)
     total = len(args.p_grid) * len(args.q_grid)
     done = [0]
 
@@ -188,7 +188,7 @@ def cmd_sweep(args, config: ExperimentConfig) -> int:
               f"slope={cell.slope:.4f} {cell.classification}", file=sys.stderr)
 
     grid = probe.sweep(mu, args.p_grid, args.q_grid, args.X, n=args.n, r=args.r,
-                       options=options, threads=config.threads, progress=progress)
+                       options=options, threads=args.threads, progress=progress)
     rows = grid.to_rows()
     fields = ["p", "q"] + [f"norm_X{X}" for X in grid.X_list] + [
         "slope", "residual", "class", "in_theorem_region", "in_knapp_region"]
@@ -196,7 +196,7 @@ def cmd_sweep(args, config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_report(args, config: ExperimentConfig) -> int:
+def cmd_report(args) -> int:
     lines = ["# Restriction probe report", ""]
     try:
         with open(args.sweep) as fh:
@@ -246,8 +246,8 @@ def _default_flat_measure(seed: int):
     return measures.random_flat(256, 32, seed, flatness_c=4.0, max_retries=200)
 
 
-def _suite_hy(args, config: ExperimentConfig) -> tuple[list[dict], bool]:
-    rng = np.random.default_rng(config.seed)
+def _suite_hy(args) -> tuple[list[dict], bool]:
+    rng = np.random.default_rng(args.seed)
     records = []
     for trial in range(args.trials):
         h = rng.standard_normal(64) + 1j * rng.standard_normal(64)
@@ -264,25 +264,25 @@ def _verify_nrp(args) -> tuple[int, object, object]:
     return n, r, p
 
 
-def _suite_chain(args, config: ExperimentConfig) -> tuple[list[dict], bool]:
-    mu = load_measure(args.measure) if args.measure else _default_flat_measure(config.seed)
+def _suite_chain(args) -> tuple[list[dict], bool]:
+    mu = load_measure(args.measure) if args.measure else _default_flat_measure(args.seed)
     n, r, p = _verify_nrp(args)
     records = []
     for trial in range(args.trials):
-        g = verifiers.random_bounded_g(mu.N, mu.dim, config.seed + 1000 + trial)
+        g = verifiers.random_bounded_g(mu.N, mu.dim, args.seed + 1000 + trial)
         report = verifiers.check_dual_chain(mu, g, n, r, p, epsilon=args.eps)
         records.append({"trial": trial, **report.as_dict()})
     return records, all(r["all_hold"] for r in records)
 
 
-def _suite_prop1(args, config: ExperimentConfig) -> tuple[list[dict], bool]:
+def _suite_prop1(args) -> tuple[list[dict], bool]:
     if args.measure:
         instances = [("file", load_measure(args.measure))]
     else:
         instances = [
             ("uniform", measures.uniform(1, 4096)),
             ("dirac", measures.dirac(1, 4096, 0)),
-            ("random_flat", measures.random_flat(4096, 185, config.seed)),
+            ("random_flat", measures.random_flat(4096, 185, args.seed)),
         ]
     n = args.n if args.n is not None else 2
     records = []
@@ -292,7 +292,7 @@ def _suite_prop1(args, config: ExperimentConfig) -> tuple[list[dict], bool]:
     return records, all(r["passed"] for r in records)
 
 
-def _suite_prop2(args, config: ExperimentConfig) -> tuple[list[dict], bool]:
+def _suite_prop2(args) -> tuple[list[dict], bool]:
     mu = load_measure(args.measure) if args.measure else measures.cantor(4, (0, 3), 8)
     gamma = Fraction(args.gamma) if args.gamma else Fraction(1, 2)
     K_list = args.K or [2**j for j in range(4, 13)]
@@ -303,14 +303,14 @@ def _suite_prop2(args, config: ExperimentConfig) -> tuple[list[dict], bool]:
     return records, all(r["agrees"] for r in records)
 
 
-def _suite_prop3(args, config: ExperimentConfig) -> tuple[list[dict], bool]:
+def _suite_prop3(args) -> tuple[list[dict], bool]:
     mu = load_measure(args.measure) if args.measure else measures.cantor(4, (0, 3), 8)
     gamma = Fraction(args.gamma) if args.gamma else Fraction(1, 2)
     rep = verifiers.check_prop3(mu, gamma)
     return [rep.as_dict()], rep.passed
 
 
-def _suite_knapp(args, config: ExperimentConfig) -> tuple[list[dict], bool]:
+def _suite_knapp(args) -> tuple[list[dict], bool]:
     mu = load_measure(args.measure) if args.measure else measures.cantor(4, (0, 3), 8)
     r_list = [4.0**-i for i in range(1, 6)]
     cases = [(Fraction(4, 3), Fraction(2), False), (Fraction(4, 3), Fraction(4), True)]
@@ -324,9 +324,9 @@ def _suite_knapp(args, config: ExperimentConfig) -> tuple[list[dict], bool]:
     return records, ok
 
 
-def _suite_bilinear(args, config: ExperimentConfig) -> tuple[list[dict], bool]:
-    mu = load_measure(args.measure) if args.measure else _default_flat_measure(config.seed)
-    rng = np.random.default_rng(config.seed)
+def _suite_bilinear(args) -> tuple[list[dict], bool]:
+    mu = load_measure(args.measure) if args.measure else _default_flat_measure(args.seed)
+    rng = np.random.default_rng(args.seed)
     records = []
     shape = (mu.N,) * mu.dim
     for trial in range(args.trials):
@@ -338,7 +338,7 @@ def _suite_bilinear(args, config: ExperimentConfig) -> tuple[list[dict], bool]:
     return records, all(r["holds"] for r in records)
 
 
-def _suite_expid(args, config: ExperimentConfig) -> tuple[list[dict], bool]:
+def _suite_expid(args) -> tuple[list[dict], bool]:
     records = []
     if args.n is not None and args.r is not None and args.p is not None:
         records.append(verifiers.exponent_identity(args.n, args.r, args.p))
@@ -360,9 +360,9 @@ _SUITES = {
 }
 
 
-def cmd_verify(args, config: ExperimentConfig) -> int:
-    records, passed = _SUITES[args.suite](args, config)
-    payload = artifact_envelope(config, {
+def cmd_verify(args) -> int:
+    records, passed = _SUITES[args.suite](args)
+    payload = artifact_envelope(args.seed, {
         "suite": args.suite, "trials": args.trials, "passed": passed,
         "instances": records,
     })
@@ -485,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # the flag that sets each probe.SettingError name
 _SETTING_FLAGS = {"restarts": "--restarts", "max_iters": "--iters", "tol": "--tol",
-                  "threads": "--threads"}
+                  "threads": "--threads", "seed": "--seed"}
 
 
 def main(argv=None) -> int:
@@ -494,10 +494,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
-    config = ExperimentConfig(seed=args.seed, threads=args.threads,
-                              output_dir=args.output_dir or default_output_dir())
     try:
-        return args.func(args, config)
+        # checked here, not where they are read, so every subcommand rejects them
+        if args.seed < 0:
+            raise probe.SettingError("seed", args.seed, ">= 0")
+        if args.threads < 1:
+            raise probe.SettingError("threads", args.threads, ">= 1")
+        return args.func(args)
     except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

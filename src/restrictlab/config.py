@@ -1,7 +1,8 @@
-"""Experiment configuration: the settings that can change a result.
+"""Artifact envelope: the seed is the one setting that can change a result.
 
-Artifacts embed a hash of the configuration so a persisted config plus the
-same inputs reproduce outputs byte-identically.
+Artifacts embed a hash of the schema version and the seed, so the same seed
+plus the same inputs reproduce outputs byte-identically.  Thread count and
+output directory change no result and are not hashed.
 """
 
 from __future__ import annotations
@@ -9,30 +10,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass
 
 SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    seed: int = 0
-    threads: int = 1
-    output_dir: str = "."
-
-    def to_dict(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
-
-    def hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 def default_output_dir() -> str:
     return os.environ.get("RESTRICTLAB_OUT", ".")
 
 
-def artifact_envelope(config: ExperimentConfig, payload: dict) -> dict:
+def artifact_envelope(seed: int, payload: dict) -> dict:
     """Wrap a payload with schema version, config hash, and seed."""
-    return {"schema_version": SCHEMA_VERSION, "config_hash": config.hash(),
-            "seed": config.seed, **payload}
+    canon = json.dumps({"schema_version": SCHEMA_VERSION, "seed": seed}, sort_keys=True)
+    return {"schema_version": SCHEMA_VERSION,
+            "config_hash": hashlib.sha256(canon.encode()).hexdigest()[:16],
+            "seed": seed, **payload}

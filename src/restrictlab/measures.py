@@ -3,8 +3,7 @@
 A measure is a sparse list of atoms on a uniform dyadic grid: atom with index
 vector j sits at the point j/N of [0,1)^dim.  All constructors renormalize
 weights to total mass 1 and record a descriptor (kind + parameters + seed)
-from which the measure can be rebuilt, possibly at a different stage or
-resolution.
+from which the measure can be rebuilt, possibly at a different resolution.
 
 Convolution on the grid is circular.  Constructors that are meant to emulate
 compactly supported measures on R^d accept a ``confine`` factor which embeds
@@ -28,7 +27,7 @@ SCHEMA_VERSION = 1
 
 WEIGHT_SUM_TOL = 1e-12
 DENSITY_MASS_TOL = 1e-10
-MAX_ATOMS_DEFAULT = 4_194_304
+MAX_ATOMS = 4_194_304
 
 
 class AtomBudgetError(ValueError):
@@ -166,18 +165,17 @@ def dirac(dim: int, N: int, index) -> DiscreteMeasure:
                      {"kind": "dirac", "dim": dim, "N": N, "index": [int(v) for v in idx]})
 
 
-def uniform(dim: int, N: int, max_atoms: int = MAX_ATOMS_DEFAULT) -> DiscreteMeasure:
+def uniform(dim: int, N: int) -> DiscreteMeasure:
     """Uniform probability on the full grid (N^dim atoms)."""
     count = N**dim
-    if count > max_atoms:
-        raise AtomBudgetError(f"uniform measure needs {count} atoms > max_atoms budget {max_atoms}")
+    if count > MAX_ATOMS:
+        raise AtomBudgetError(f"uniform measure needs {count} atoms > MAX_ATOMS budget {MAX_ATOMS}")
     idx = np.indices((N,) * dim).reshape(dim, -1).T
     return _finalize(dim, N, idx, np.full(count, 1.0 / count),
                      {"kind": "uniform", "dim": dim, "N": N})
 
 
-def cantor(base: int, digits, stage: int, confine: int = 1,
-           max_atoms: int = MAX_ATOMS_DEFAULT) -> DiscreteMeasure:
+def cantor(base: int, digits, stage: int, confine: int = 1) -> DiscreteMeasure:
     """Self-similar measure on base-``base`` expansions with restricted digits.
 
     Uniform weights on the |digits|^stage points whose first ``stage`` base-b
@@ -197,9 +195,9 @@ def cantor(base: int, digits, stage: int, confine: int = 1,
     if not _is_power_of_two(confine):
         raise ValueError(f"confine factor {confine} must be a power of two")
     count = len(digits) ** stage
-    if count > max_atoms:
+    if count > MAX_ATOMS:
         raise AtomBudgetError(
-            f"cantor({base},{digits},{stage}) needs {count} atoms > max_atoms budget {max_atoms}")
+            f"cantor({base},{digits},{stage}) needs {count} atoms > MAX_ATOMS budget {MAX_ATOMS}")
     N = base**stage * confine
     idx = np.zeros(1, dtype=np.int64)
     for _ in range(stage):
@@ -329,13 +327,13 @@ def mollify(mu: DiscreteMeasure, epsilon: int) -> MollifiedDensity:
 # Rebuild and serialization
 # ---------------------------------------------------------------------------
 
-def rebuild(descriptor: dict, stage: int | None = None, resolution: int | None = None) -> DiscreteMeasure:
+def rebuild(descriptor: dict, resolution: int | None = None) -> DiscreteMeasure:
     """Reconstruct a measure from its constructor descriptor.
 
-    For stage-parameterized kinds (cantor) ``stage`` overrides the recorded
-    stage; ``resolution`` overrides the total grid size N, ``confine``
-    included.  A resolution the constructor cannot build (a cantor N that is
-    not base**stage * confine) raises ValueError instead of returning another N.
+    ``resolution`` overrides the total grid size N, ``confine`` included; a
+    cantor measure is rebuilt at the stage that gives that N.  A resolution
+    the constructor cannot build (a cantor N that is not base**stage *
+    confine) raises ValueError instead of returning another N.
     """
     d = dict(descriptor)
     kind = d.get("kind")
@@ -350,9 +348,9 @@ def rebuild(descriptor: dict, stage: int | None = None, resolution: int | None =
     elif kind == "uniform":
         mu = uniform(d["dim"], resolution or d["N"])
     elif kind == "cantor":
-        if stage is None and resolution is not None:
-            stage = round(math.log(resolution // confine) / math.log(d["base"]))
-        mu = cantor(d["base"], d["digits"], stage or d["stage"], confine=confine)
+        stage = (round(math.log(resolution // confine) / math.log(d["base"]))
+                 if resolution else d["stage"])
+        mu = cantor(d["base"], d["digits"], stage, confine=confine)
     elif kind == "random_flat":
         mu = random_flat(resolution // confine if resolution else d["N"], d["m"], d["seed"],
                          d["flatness_c"], d["max_retries"], confine=confine)
@@ -409,8 +407,9 @@ def measure_from_dict(data: dict) -> DiscreteMeasure:
         raise ValueError(f"N must be an integer, got {N!r}")
     if not isinstance(atoms, list) or not all(
             isinstance(a, list) and len(a) == dim + 1
-            and all(isinstance(v, (int, float)) for v in a) for a in atoms):
-        raise ValueError(f"every atom must be a list of dim + 1 = {dim + 1} numbers")
+            and all(type(v) is int for v in a[:dim])  # not float, not bool
+            and type(a[dim]) in (int, float) for a in atoms):
+        raise ValueError(f"every atom must be a list of {dim} integer indices and a weight")
     idx = np.asarray([a[:dim] for a in atoms], dtype=np.int64).reshape(-1, dim)
     w = np.asarray([a[dim] for a in atoms], dtype=np.float64)
     return DiscreteMeasure(dim, N, idx, w,

@@ -29,7 +29,7 @@ from .measures import DiscreteMeasure
 from .rationals import INF, Exponent, conjugate, exp_float, exp_str, is_inf, validate_exponent
 from .spectral import lp_norm
 
-MAX_MATRIX_ENTRIES_DEFAULT = 8_388_608
+MAX_MATRIX_ENTRIES = 8_388_608
 WITNESS_EVAL_TOL = 1e-10
 SLOPE_BOUNDED_MAX = 0.05
 SLOPE_GROWING_MIN = 0.10
@@ -51,6 +51,8 @@ class ProbeOptions:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise SettingError("seed", self.seed, ">= 0")
         if self.restarts < 1:
             raise SettingError("restarts", self.restarts, ">= 1")
         if self.max_iters < 1:
@@ -97,16 +99,15 @@ class ExtensionOperator:
         return self.matrix @ (self.weights * g)
 
 
-def assemble(mu: DiscreteMeasure, X: int,
-             max_matrix_entries: int = MAX_MATRIX_ENTRIES_DEFAULT) -> ExtensionOperator:
+def assemble(mu: DiscreteMeasure, X: int) -> ExtensionOperator:
     if X < 1:
         raise ValueError("X must be >= 1")
     side = 2 * X + 1
     rows = side**mu.dim
     entries = rows * mu.num_atoms
-    if entries > max_matrix_entries:
+    if entries > MAX_MATRIX_ENTRIES:
         raise MemoryError(
-            f"operator would need {entries} entries > max_matrix_entries budget {max_matrix_entries}")
+            f"operator would need {entries} entries > MAX_MATRIX_ENTRIES budget {MAX_MATRIX_ENTRIES}")
     lattice = np.indices((side,) * mu.dim).reshape(mu.dim, -1) - X
     pos = mu.positions()
     matrix = np.exp(2j * np.pi * reduce(
@@ -164,11 +165,14 @@ class ProbeResult:
     norm_lower_bound: float
     witness: np.ndarray
     trace: list[float] = field(default_factory=list)
-    restarts_used: int = 0
     # per start, random starts first and warm starts after them
     iterations: list[int] = field(default_factory=list)
     converged: list[bool] = field(default_factory=list)
     best_start: int = -1
+
+    @property
+    def restarts_used(self) -> int:
+        return len(self.iterations)
 
     def as_dict(self) -> dict:
         return {
@@ -214,7 +218,7 @@ def probe_seed(seed: int, p: Exponent, q: Exponent, X: int, restart: int) -> np.
         fr = Fraction(x)
         return (fr.numerator, fr.denominator)
 
-    entropy = [abs(int(seed)), *enc(p), *enc(q), int(X), int(restart)]
+    entropy = [int(seed), *enc(p), *enc(q), int(X), int(restart)]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -277,7 +281,7 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
         raise AssertionError(
             f"witness re-evaluation {certified} disagrees with tracked value {best_val}")
     return ProbeResult(p, q, op.X, certified, best_f / lp_norm(best_f, p),
-                       trace=trace, restarts_used=len(starts), iterations=iterations,
+                       trace=trace, iterations=iterations,
                        converged=converged, best_start=best_start)
 
 
@@ -292,10 +296,6 @@ class GrowthResult:
     @property
     def slope(self) -> float:
         return self.fit.slope
-
-    def as_dict(self) -> dict:
-        return {"p": exp_str(self.p), "q": exp_str(self.q), "X_list": list(self.X_list),
-                "norms": list(self.norms), **self.fit.as_dict()}
 
 
 def growth_exponent(mu: DiscreteMeasure, p: Exponent, q: Exponent, X_list,
@@ -347,11 +347,6 @@ class SweepCell:
 class SweepGrid:
     X_list: list[int]
     cells: list[SweepCell]
-    n: int
-    r: Exponent
-    gamma_hat: float
-    tau_bounded: float
-    tau_growing: float
 
     def to_rows(self) -> list[dict]:
         rows = []
@@ -366,27 +361,22 @@ class SweepGrid:
         return rows
 
 
-def classify_slope(slope: float, tau_bounded: float = SLOPE_BOUNDED_MAX,
-                   tau_growing: float = SLOPE_GROWING_MIN) -> str:
-    if tau_bounded >= tau_growing:
-        raise ValueError("bounded threshold must be below growing threshold")
-    if slope < tau_bounded:
+def classify_slope(slope: float) -> str:
+    if slope < SLOPE_BOUNDED_MAX:
         return "bounded"
-    if slope > tau_growing:
+    if slope > SLOPE_GROWING_MIN:
         return "growing"
     return "inconclusive"
 
 
 def sweep(mu: DiscreteMeasure, p_grid, q_grid, X_list,
-          n: int = 2, r: Exponent = None, gamma_hat: float | None = None,
-          options: ProbeOptions = ProbeOptions(),
-          tau_bounded: float = SLOPE_BOUNDED_MAX,
-          tau_growing: float = SLOPE_GROWING_MIN,
+          n: int = 2, r: Exponent = None, options: ProbeOptions = ProbeOptions(),
           threads: int = 1, progress=None) -> SweepGrid:
     """Classify every (p, q) cell as bounded / growing / inconclusive.
 
     Overlay columns mark membership in the closed admissible region for the
-    given (n, r) and in the necessary region q <= (gamma_hat/dim) p'.  Cells
+    given (n, r) and in the necessary region q <= (gamma_hat/dim) p', with
+    gamma_hat the Billingsley estimate of mu.  Cells
     are independent tasks with seeds fixed by (seed, p, q, X, restart), so
     the grid is reproducible under any scheduling.
     """
@@ -399,8 +389,7 @@ def sweep(mu: DiscreteMeasure, p_grid, q_grid, X_list,
     if r is None:
         r = float("inf")
     region = theorem_range(n, r)
-    if gamma_hat is None:
-        gamma_hat = billingsley_gamma(mu).estimate
+    gamma_hat = billingsley_gamma(mu).estimate
     X_list = [int(x) for x in X_list]
     operators = {X: assemble(mu, X) for X in X_list}
     p_grid = [validate_exponent(p, "p") for p in p_grid]
@@ -414,7 +403,7 @@ def sweep(mu: DiscreteMeasure, p_grid, q_grid, X_list,
         knapp_ok = True if is_inf(pprime) else (
             exp_float(q) <= gamma_hat / mu.dim * exp_float(pprime) + 1e-12)
         return SweepCell(p, q, g.norms, g.slope, g.fit.residual,
-                         classify_slope(g.slope, tau_bounded, tau_growing),
+                         classify_slope(g.slope),
                          region.contains(p, q), knapp_ok)
 
     results: list[SweepCell] = []
@@ -424,4 +413,4 @@ def sweep(mu: DiscreteMeasure, p_grid, q_grid, X_list,
             results.append(cell)
             if progress:
                 progress(cell)
-    return SweepGrid(X_list, results, n, r, gamma_hat, tau_bounded, tau_growing)
+    return SweepGrid(X_list, results)

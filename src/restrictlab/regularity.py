@@ -22,10 +22,14 @@ from .rationals import (
     exp_div,
     exp_le,
     exp_mul,
-    exp_str,
     validate_exponent,
 )
 from .spectral import Spectrum, frequency_radii
+
+DEFAULT_SCALE_COUNT = 6
+# fourier_beta: ratio of consecutive annulus radii, and the first radius
+ANNULUS_BASE = 2.0
+ANNULUS_K_MIN = 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -58,11 +62,11 @@ def ball_masses(mu: DiscreteMeasure, radius: float) -> np.ndarray:
     return masses
 
 
-def default_scales(N: int, count: int = 6) -> list[float]:
-    """Dyadic radii in (1/N, 1/4], coarsest first."""
+def default_scales(N: int) -> list[float]:
+    """Up to DEFAULT_SCALE_COUNT dyadic radii in (1/N, 1/4], coarsest first."""
     scales = []
     r = 0.25
-    while len(scales) < count and r > 1.0 / N:
+    while len(scales) < DEFAULT_SCALE_COUNT and r > 1.0 / N:
         scales.append(r)
         r /= 2
     return scales
@@ -165,25 +169,22 @@ class DecayReport:
         }
 
 
-def fourier_beta(spec: Spectrum, annulus_base: float = 2.0,
-                 k_min: float = 4.0) -> DecayReport:
+def fourier_beta(spec: Spectrum) -> DecayReport:
     """Decay exponent of |mu_hat|^2: negative slope over dyadic annuli.
 
     The sup variant fits sup_{|k| in annulus} |mu_hat(k)|^2; the average
     variant fits the annulus mean, the quantity controlling averaged-decay
-    arguments.  Annuli start at k_min: the first couple of octaves say
-    nothing about asymptotic decay and would bias the fit.
+    arguments.  Annuli start at ANNULUS_K_MIN: the first couple of octaves
+    say nothing about asymptotic decay and would bias the fit.
     """
     if spec.K < 16:
         raise ValueError("need K >= 16 for a meaningful decay fit")
-    if annulus_base <= 1:
-        raise ValueError("annulus base must exceed 1")
     radii = frequency_radii(spec.frequencies().astype(float), spec.dim)
     power = np.abs(spec.coefficients) ** 2
     annuli, sups, avgs, mids = [], [], [], []
-    lo = float(k_min)
-    while lo * annulus_base <= spec.K + 0.5:
-        hi = lo * annulus_base
+    lo = ANNULUS_K_MIN
+    while lo * ANNULUS_BASE <= spec.K + 0.5:
+        hi = lo * ANNULUS_BASE
         mask = (radii >= lo) & (radii < hi)
         if mask.any():
             vals = power[mask]
@@ -209,23 +210,25 @@ def fourier_beta(spec: Spectrum, annulus_base: float = 2.0,
 class ExponentParams:
     """Exact exponent bookkeeping for one instance of the main estimate.
 
-    q defaults to the endpoint p'/(n r') and s is always p'/n; all derived
-    values are exact rationals (or inf).
+    q is the endpoint p'/(n r') and s is p'/n; all derived values are exact
+    rationals (or inf).  An endpoint q below 1 is rejected.
     """
 
     d: int
     n: int
     p: Exponent
     r: Exponent
-    q: Exponent = None
 
     def __post_init__(self):
         object.__setattr__(self, "p", validate_exponent(self.p, "p"))
         object.__setattr__(self, "r", validate_exponent(self.r, "r"))
-        q = self.q if self.q is not None else endpoint_q(self.n, self.r, self.p)
-        object.__setattr__(self, "q", validate_exponent(q, "q"))
+        validate_exponent(self.q, "q")
         if self.n < 1 or self.d < 1:
             raise ValueError("need n >= 1 and d >= 1")
+
+    @property
+    def q(self) -> Exponent:
+        return endpoint_q(self.n, self.r, self.p)
 
     @property
     def p_prime(self) -> Exponent:
@@ -236,23 +239,12 @@ class ExponentParams:
         return conjugate(self.q)
 
     @property
-    def r_prime(self) -> Exponent:
-        return conjugate(self.r)
-
-    @property
     def s(self) -> Exponent:
         return exp_div(self.p_prime, self.n)
 
     @property
     def s_prime(self) -> Exponent:
         return conjugate(validate_exponent(self.s, "s"))
-
-    def as_dict(self) -> dict:
-        return {k: exp_str(v) for k, v in [
-            ("p", self.p), ("q", self.q), ("r", self.r), ("s", self.s),
-            ("p_prime", self.p_prime), ("q_prime", self.q_prime),
-            ("r_prime", self.r_prime), ("s_prime", self.s_prime),
-        ]} | {"n": self.n, "d": self.d}
 
 
 def endpoint_q(n: int, r: Exponent, p: Exponent) -> Exponent:
@@ -281,10 +273,6 @@ class ExponentRange:
         p = validate_exponent(p, "p")
         q = validate_exponent(q, "q")
         return exp_le(p, self.p_max) and exp_le(q, self.q_max(p))
-
-    def as_dict(self) -> dict:
-        return {"n": self.n, "r": exp_str(self.r), "p_max": exp_str(self.p_max),
-                "q_max_at_p_max": exp_str(self.q_max(self.p_max)), "feasible": self.feasible}
 
 
 def theorem_range(n: int, r: Exponent) -> ExponentRange:

@@ -45,13 +45,13 @@ class Spectrum:
     def frequencies(self) -> np.ndarray:
         return np.arange(-self.K, self.K + 1)
 
-    def validate(self, mass: float = 1.0, real_source: bool = True) -> None:
-        if abs(self.at((0,) * self.dim) - mass) > SPECTRUM_MASS_TOL:
+    def validate(self) -> None:
+        """Test oracle: raise unless this is the spectrum of a real probability measure."""
+        if abs(self.at((0,) * self.dim) - 1.0) > SPECTRUM_MASS_TOL:
             raise ValueError("coefficient at k=0 does not match total mass")
-        if real_source:
-            flipped = np.flip(self.coefficients)
-            if np.max(np.abs(np.conj(flipped) - self.coefficients)) > SPECTRUM_MASS_TOL:
-                raise ValueError("conjugate symmetry violated for a real source")
+        flipped = np.flip(self.coefficients)
+        if np.max(np.abs(np.conj(flipped) - self.coefficients)) > SPECTRUM_MASS_TOL:
+            raise ValueError("conjugate symmetry violated for a real source")
 
 
 def fourier(mu: DiscreteMeasure, K: int, method: str = "auto") -> Spectrum:

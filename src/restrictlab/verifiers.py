@@ -35,7 +35,14 @@ from .rationals import (
     reciprocal,
     validate_exponent,
 )
-from .regularity import ExponentParams, ball_masses, billingsley_gamma, theorem_range
+from .regularity import (
+    ExponentParams,
+    ahlfors_alpha,
+    ball_masses,
+    billingsley_gamma,
+    default_scales,
+    theorem_range,
+)
 from .spectral import convolve_power, density_norm, frequency_radii, lp_norm, self_correlation
 
 SLACK_REL_TOL = 1e-8
@@ -45,6 +52,10 @@ PROP1_MARGIN = 0.1
 PROP2_DIVERGE_SLOPE = 0.1
 PROP3_MARGIN = 0.1
 G_CLIP = 10.0
+# the (n, r) pairs of feasible_triples and the number of p per pair
+FEASIBLE_N = (1, 2, 3)
+FEASIBLE_R = (Fraction(3, 2), 2, 3, INF)
+FEASIBLE_P_PER_PAIR = 5
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +65,6 @@ G_CLIP = 10.0
 def grid_transform(values: np.ndarray) -> np.ndarray:
     """Transform of a grid density onto the full dual grid (counting measure)."""
     return np.fft.fftn(values) / values.size
-
-
-def grid_inverse_transform(coeffs: np.ndarray) -> np.ndarray:
-    """Adjoint direction: lattice coefficients -> function values on the grid."""
-    return np.fft.ifftn(coeffs) * coeffs.size
 
 
 def torus_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -108,27 +114,19 @@ class SlackRecord:
                 "holds": self.holds()}
 
 
-def check_hausdorff_young(values: np.ndarray, s: Exponent,
-                          direction: str = "grid_density") -> SlackRecord:
-    """||transform||_s <= ||source||_{s'} for s >= 2 under the fixed normalization.
+def check_hausdorff_young(values: np.ndarray, s: Exponent) -> SlackRecord:
+    """||h_hat||_s <= ||h||_{s'} for s >= 2 under the fixed normalization.
 
-    direction "grid_density" transforms a density on the torus grid to the
-    dual lattice; "lattice" goes the other way (coefficients to a grid
-    function).  Equality at s = 2 is Parseval.
+    h is a density on the torus grid and h_hat its transform on the dual
+    lattice.  Equality at s = 2 is Parseval.
     """
     s = validate_exponent(s, "s")
     if not is_inf(s) and Fraction(s) < 2:
         raise ValueError("Hausdorff-Young direction requires s >= 2")
     sp = conjugate(s)
     values = np.asarray(values, dtype=np.complex128)
-    if direction == "grid_density":
-        lhs = lp_norm(grid_transform(values), s)
-        rhs = lp_norm(values, sp, volume=values.size)
-    elif direction == "lattice":
-        lhs = lp_norm(grid_inverse_transform(values), s, volume=values.size)
-        rhs = lp_norm(values, sp)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
+    lhs = lp_norm(grid_transform(values), s)
+    rhs = lp_norm(values, sp, volume=values.size)
     return SlackRecord(f"hausdorff_young(s={exp_str(s)})", lhs, rhs)
 
 
@@ -159,14 +157,14 @@ class ChainReport:
         }
 
 
-def random_bounded_g(N: int, dim: int, seed: int, clip: float = G_CLIP) -> np.ndarray:
-    """Complex Gaussian surrogate for a bounded Borel function, |g| <= clip."""
+def random_bounded_g(N: int, dim: int, seed: int) -> np.ndarray:
+    """Complex Gaussian surrogate for a bounded Borel function, |g| <= G_CLIP."""
     rng = np.random.default_rng(seed)
     shape = (N,) * dim
     g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
     mod = np.abs(g)
-    over = mod > clip
-    g[over] *= clip / mod[over]
+    over = mod > G_CLIP
+    g[over] *= G_CLIP / mod[over]
     return g
 
 
@@ -189,8 +187,7 @@ def materialized_pair_sum(h: np.ndarray) -> np.ndarray:
 
 
 def check_dual_chain(mu: DiscreteMeasure, g: np.ndarray, n: int, r: Exponent,
-                     p: Exponent, epsilon: int = 2,
-                     materialize_oracle: bool | None = None) -> ChainReport:
+                     p: Exponent, epsilon: int = 2) -> ChainReport:
     """Evaluate every step of the dual estimate on a concrete instance.
 
     q is pinned to the endpoint p'/(n r') and s = p'/n; the instance must be
@@ -209,8 +206,6 @@ def check_dual_chain(mu: DiscreteMeasure, g: np.ndarray, n: int, r: Exponent,
     q, s = params.q, params.s
     if is_inf(s) or Fraction(s) < 2:
         raise ValueError(f"infeasible exponents: s = p'/n = {exp_str(s)} must be finite and >= 2")
-    if Fraction(q) < 1:
-        raise ValueError(f"infeasible exponents: q = {exp_str(q)} < 1")
     qp, sp = params.q_prime, params.s_prime
     g = np.asarray(g, dtype=np.complex128)
     if g.shape != (mu.N,) * mu.dim:
@@ -283,11 +278,7 @@ def check_dual_chain(mu: DiscreteMeasure, g: np.ndarray, n: int, r: Exponent,
     end = SlackRecord("dual_estimate", lp_norm(h_hat, ns), constant * g_norm_factor)
 
     oracle_gap = None
-    if materialize_oracle is None:
-        materialize_oracle = n == 2 and mu.dim == 1 and mu.N <= 64
-    if materialize_oracle:
-        if n != 2 or mu.dim != 1:
-            raise ValueError("materialized oracle supports n=2, dim=1 only")
+    if n == 2 and mu.dim == 1 and mu.N <= 64:
         oracle_gap = float(np.abs(materialized_pair_sum(h) - conv_h).max())
 
     instance = {
@@ -320,19 +311,17 @@ class Prop1Report:
                 "n": self.n, "margin": self.margin, "passed": self.passed}
 
 
-def check_prop1(mu: DiscreteMeasure, n: int, scales=None,
-                margin: float = PROP1_MARGIN) -> Prop1Report:
+def check_prop1(mu: DiscreteMeasure, n: int) -> Prop1Report:
     """Regularity transfer: if mu^{*n} is alpha-regular then mu is alpha/n-regular.
 
-    Degenerate measures fit slope 0 on constant ball masses, so the dirac
-    case passes with both estimates at 0.
+    Both exponents are fitted over the default scales; the check passes
+    within PROP1_MARGIN.  Degenerate measures fit slope 0 on constant ball
+    masses, so the dirac case passes with both estimates at 0.
     """
-    from .regularity import ahlfors_alpha
-
     conv = convolve_power(mu, n)
-    a_conv = ahlfors_alpha(conv, scales).estimate
-    a_mu = ahlfors_alpha(mu, scales).estimate
-    return Prop1Report(a_conv, a_mu, n, margin, a_mu >= a_conv / n - margin)
+    a_conv = ahlfors_alpha(conv).estimate
+    a_mu = ahlfors_alpha(mu).estimate
+    return Prop1Report(a_conv, a_mu, n, PROP1_MARGIN, a_mu >= a_conv / n - PROP1_MARGIN)
 
 
 @dataclass(frozen=True)
@@ -355,13 +344,12 @@ class Prop2Report:
                 "agrees": self.agrees}
 
 
-def check_prop2(mu: DiscreteMeasure, gamma, s: Exponent, K_list,
-                diverge_slope: float = PROP2_DIVERGE_SLOPE) -> Prop2Report:
+def check_prop2(mu: DiscreteMeasure, gamma, s: Exponent, K_list) -> Prop2Report:
     """Partial sums of |mu_hat|^s across truncations K, with trend classification.
 
     A gamma-dimensional measure should have divergent lattice sums for every
     s < 2 dim / gamma; the checker fits the log-log growth of the partial
-    sums and calls slopes above ``diverge_slope`` divergent.
+    sums and calls slopes above PROP2_DIVERGE_SLOPE divergent.
     """
     gamma = Fraction(gamma)
     if not (0 < gamma <= mu.dim):
@@ -375,7 +363,7 @@ def check_prop2(mu: DiscreteMeasure, gamma, s: Exponent, K_list,
     power = np.abs(full) ** exp_float(s)
     sums = [float(power[radii <= K].sum()) for K in K_list]
     fit = loglog_fit(K_list, sums)
-    classification = "diverging" if fit.slope > diverge_slope else "leveling"
+    classification = "diverging" if fit.slope > PROP2_DIVERGE_SLOPE else "leveling"
     critical = 2 * Fraction(mu.dim) / gamma
     expected = "diverging" if (not is_inf(s) and Fraction(s) < critical) else "leveling"
     return Prop2Report(s, gamma, critical, K_list, sums, fit.slope,
@@ -412,29 +400,25 @@ def greedy_disjoint_balls(mu: DiscreteMeasure, eps: float) -> int:
     return count
 
 
-def check_prop3(mu: DiscreteMeasure, gamma, eps_list=None,
-                margin: float = PROP3_MARGIN) -> Prop3Report:
+def check_prop3(mu: DiscreteMeasure, gamma) -> Prop3Report:
     """Autocorrelation mass near the origin scales no faster than eps^gamma.
 
-    Computes (mu * reflected mu)(B(0, eps)) across eps, fits the exponent,
-    and passes when the fit does not exceed gamma + margin; the greedy
-    disjoint-ball counts underlying the lower-bound argument are reported
-    alongside.
+    Computes (mu * reflected mu)(B(0, eps)) across the default scales eps,
+    fits the exponent, and passes when the fit does not exceed
+    gamma + PROP3_MARGIN; the greedy disjoint-ball counts underlying the
+    lower-bound argument are reported alongside.
     """
     gamma = Fraction(gamma)
     corr = self_correlation(mu)
-    if eps_list is None:
-        from .regularity import default_scales
-        eps_list = default_scales(mu.N)
-    eps_list = sorted(float(e) for e in eps_list)
+    eps_list = sorted(default_scales(mu.N))
     masses, counts = [], []
     for eps in eps_list:
         window = ball_masses(corr, eps)
         masses.append(float(window[(0,) * mu.dim]))
         counts.append(greedy_disjoint_balls(mu, eps) if mu.dim == 1 else -1)
     fit = loglog_fit(eps_list, masses)
-    return Prop3Report(gamma, eps_list, masses, counts, fit.slope, margin,
-                       fit.slope <= float(gamma) + margin)
+    return Prop3Report(gamma, eps_list, masses, counts, fit.slope, PROP3_MARGIN,
+                       fit.slope <= float(gamma) + PROP3_MARGIN)
 
 
 # ---------------------------------------------------------------------------
@@ -471,23 +455,20 @@ def _fejer(t: np.ndarray, M: int) -> np.ndarray:
     return out
 
 
-def knapp_test(mu: DiscreteMeasure, p: Exponent, q: Exponent, r_list,
-               center: tuple[int, ...] | None = None,
-               violation_slope: float = KNAPP_VIOLATION_SLOPE) -> KnappReport:
+def knapp_test(mu: DiscreteMeasure, p: Exponent, q: Exponent, r_list) -> KnappReport:
     """Concentrated-bump necessity probe at the heaviest point of the measure.
 
     For each width r the lattice function whose transform is a Fejer bump of
     width ~r at the Billingsley center is fed through the restriction ratio
     ||f_hat||_{L^q(mu)} / ||f||_{l^p}.  The fitted exponent of ratio against
-    r should match gamma_hat/q - dim/p'; a clearly negative fit means the
-    ratio blows up as r -> 0 and the (p, q) pair fails the necessary
-    condition.
+    r should match gamma_hat/q - dim/p'; a fit below KNAPP_VIOLATION_SLOPE
+    means the ratio blows up as r -> 0 and the (p, q) pair fails the
+    necessary condition.
     """
     p = validate_exponent(p, "p")
     q = validate_exponent(q, "q")
     gamma_report = billingsley_gamma(mu)
-    if center is None:
-        center = gamma_report.center
+    center = gamma_report.center
     x0 = np.asarray(center, dtype=float) / mu.N
     r_list = sorted(float(r) for r in r_list)
     pos = mu.positions()
@@ -504,7 +485,7 @@ def knapp_test(mu: DiscreteMeasure, p: Exponent, q: Exponent, r_list,
                  - mu.dim * float(reciprocal(conjugate(p))))
     return KnappReport(p, q, tuple(int(c) for c in center), gamma_report.estimate,
                        r_list, ratios, fit.slope, predicted,
-                       fit.slope < violation_slope)
+                       fit.slope < KNAPP_VIOLATION_SLOPE)
 
 
 # ---------------------------------------------------------------------------
@@ -545,17 +526,16 @@ def exponent_identity(n: int, r: Exponent, p: Exponent) -> dict:
     }
 
 
-def feasible_triples(n_values=(1, 2, 3), r_values=(Fraction(3, 2), 2, 3, INF),
-                     p_per_pair: int = 5) -> list[tuple[int, Exponent, Fraction]]:
+def feasible_triples() -> list[tuple[int, Exponent, Fraction]]:
     """Feasible (n, r, p) triples with p spread over (1, p_max], exact rationals."""
     triples = []
-    for n in n_values:
-        for r in r_values:
+    for n in FEASIBLE_N:
+        for r in FEASIBLE_R:
             rng = theorem_range(n, r)
             if not rng.feasible:
                 continue
             p_max = Fraction(rng.p_max)
-            for i in range(1, p_per_pair + 1):
-                pi = 1 + (p_max - 1) * Fraction(i, p_per_pair)
+            for i in range(1, FEASIBLE_P_PER_PAIR + 1):
+                pi = 1 + (p_max - 1) * Fraction(i, FEASIBLE_P_PER_PAIR)
                 triples.append((n, r, pi))
     return triples

@@ -82,7 +82,10 @@ def test_malformed_measure_file_exits_1(tmp_path, capsys):
                     {"schema_version": 1, "dim": 1, "N": 4, "atoms": [[0, "w"]]},
                     {"schema_version": 1, "dim": 1, "N": "4", "atoms": [[0, 1.0]]},
                     {"schema_version": 1, "dim": 1, "N": 64, "atoms": [[0, float("nan")]]},
-                    {"schema_version": 1, "dim": 1, "N": 4, "atoms": 5}):
+                    {"schema_version": 1, "dim": 1, "N": 4, "atoms": 5},
+                    {"schema_version": 1, "dim": 1, "N": 64, "atoms": [[1.5, 0.5], [3.9, 0.5]]},
+                    {"schema_version": 1, "dim": 1, "N": 64, "atoms": [[True, 1.0]]},
+                    {"schema_version": 1, "dim": 1, "N": 64, "atoms": [[0, True]]}):
         path.write_text(json.dumps(payload))
         assert main(["analyze", "--measure", str(path)]) == 1, payload
         assert capsys.readouterr().err.startswith("error: "), payload
@@ -281,15 +284,23 @@ def test_default_output_dir_env(tmp_path, monkeypatch):
     assert (tmp_path / "dirac.json").exists()
 
 
-def test_config_hash_and_envelope():
-    from restrictlab.config import ExperimentConfig, artifact_envelope
+def test_config_hash_and_envelope(tmp_path, flat_measure):
+    from restrictlab.config import artifact_envelope
 
-    cfg = ExperimentConfig(seed=7, threads=2)
-    assert cfg.hash() == ExperimentConfig(seed=7, threads=2).hash()
-    assert cfg.hash() != ExperimentConfig(seed=8).hash()
-    env = artifact_envelope(cfg, {"x": 1})
-    assert env["seed"] == 7 and env["config_hash"] == cfg.hash()
-    assert env["schema_version"] == 1
+    env = artifact_envelope(7, {"x": 1})
+    assert env == artifact_envelope(7, {"x": 1})
+    assert env["config_hash"] != artifact_envelope(8, {"x": 1})["config_hash"]
+    assert env["seed"] == 7 and env["x"] == 1 and env["schema_version"] == 1
+    # neither the thread count nor the output directory can change a result,
+    # so neither may change an artifact's bytes
+    probe = ["probe", "--measure", flat_measure, "-p", "4/3", "-q", "2", "-X", "8",
+             "--restarts", "2"]
+    artifacts = []
+    for i, extra in enumerate(([], ["--threads", "2"], ["--output-dir", str(tmp_path)])):
+        out = tmp_path / f"probe{i}.json"
+        assert main([*extra, *probe, "--out", str(out)]) == 0
+        artifacts.append(out.read_bytes())
+    assert artifacts[0] == artifacts[1] == artifacts[2]
 
 
 def test_chain_reports_constant_trend_in_epsilon():
@@ -312,7 +323,8 @@ def test_chain_reports_constant_trend_in_epsilon():
 
 
 @pytest.mark.parametrize("flags", [["--tol", "-1"], ["--tol", "nan"], ["--iters", "0"],
-                                   ["--restarts", "0"], ["--restarts", "-3"]])
+                                   ["--restarts", "0"], ["--restarts", "-3"],
+                                   ["--seed", "-7"]])
 def test_out_of_range_probe_flags_are_usage_errors(flat_measure, capsys, flags):
     assert main(["probe", "--measure", flat_measure, "-p", "2", "-q", "2", "-X", "4",
                  *flags]) == 2
@@ -321,13 +333,18 @@ def test_out_of_range_probe_flags_are_usage_errors(flat_measure, capsys, flags):
 
 
 @pytest.mark.parametrize("flags", [["--tol", "nan"], ["--iters", "0"], ["--restarts", "-3"],
-                                   ["--threads", "0"], ["--threads", "-2"]])
-def test_out_of_range_sweep_flags_are_usage_errors(flat_measure, capsys, flags):
+                                   ["--threads", "0"], ["--threads", "-2"], ["--seed", "-7"]])
+def test_out_of_range_sweep_flags_are_usage_errors(flat_measure, tmp_path, capsys, flags):
     sweep = ["sweep", "--measure", flat_measure, "--p-grid", "2:2:1", "--q-grid", "2:2:1",
              "--X", "2,4,8,16", "--restarts", "1"]
     runs = [sweep + flags]
-    if flags[0] == "--threads":
-        runs.append(flags + sweep)  # the global flag
+    if flags[0] in ("--threads", "--seed"):
+        # the global flag, checked for every subcommand
+        probe = ["probe", "--measure", flat_measure, "-p", "2", "-q", "2", "-X", "4"]
+        runs += [flags + sweep, flags + probe, flags + ["verify", "--suite", "expid"]]
+    if flags[0] == "--seed":
+        runs.append(["measure", "new", "--kind", "random-flat", "--N", "64", "--m", "8",
+                     "--out", str(tmp_path / "m.json"), *flags])
     for argv in runs:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

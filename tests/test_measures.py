@@ -62,12 +62,13 @@ def test_cantor_full_grid_is_uniform():
     assert np.allclose(full.weights, mu.weights)
 
 
-def test_uniform_dim2():
+def test_uniform_dim2(monkeypatch):
     mu = uniform(2, 8)
     assert mu.num_atoms == 64
     assert np.allclose(mu.weights, 1 / 64)
+    monkeypatch.setattr(measures, "MAX_ATOMS", 1000)
     with pytest.raises(AtomBudgetError):
-        uniform(2, 64, max_atoms=1000)
+        uniform(2, 64)
 
 
 @pytest.mark.parametrize("stage", [1, 3, 5])
@@ -75,9 +76,10 @@ def test_cantor_atom_count(stage):
     assert cantor(4, {0, 3}, stage).num_atoms == 2**stage
 
 
-def test_cantor_budget():
+def test_cantor_budget(monkeypatch):
+    monkeypatch.setattr(measures, "MAX_ATOMS", 100)
     with pytest.raises(AtomBudgetError):
-        cantor(4, {0, 3}, 8, max_atoms=100)
+        cantor(4, {0, 3}, 8)
 
 
 def test_cantor_rejects_non_dyadic_base():
@@ -231,7 +233,7 @@ def test_rebuild_from_descriptor():
     mu = cantor(4, {0, 3}, 3)
     again = measures.rebuild(mu.constructor)
     assert np.array_equal(again.indices, mu.indices)
-    finer = measures.rebuild(mu.constructor, stage=4)
+    finer = measures.rebuild(mu.constructor, resolution=256)
     assert finer.N == 256
     rf = random_flat(256, 16, seed=2)
     again = measures.rebuild(rf.constructor)

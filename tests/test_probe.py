@@ -42,10 +42,11 @@ def test_assemble_shape_and_modulus():
     assert np.allclose(np.abs(op.matrix), 1.0, atol=1e-14)
 
 
-def test_assemble_budget():
+def test_assemble_budget(monkeypatch):
+    monkeypatch.setattr(probe, "MAX_MATRIX_ENTRIES", 10_000)
     mu = uniform(1, 1024)
-    with pytest.raises(MemoryError):
-        assemble(mu, 512, max_matrix_entries=10_000)
+    with pytest.raises(MemoryError, match="MAX_MATRIX_ENTRIES"):
+        assemble(mu, 512)
 
 
 def test_assemble_dim2():
@@ -173,8 +174,6 @@ def test_classify_slope_thresholds():
     assert classify_slope(0.01) == "bounded"
     assert classify_slope(0.2) == "growing"
     assert classify_slope(0.07) == "inconclusive"
-    with pytest.raises(ValueError):
-        classify_slope(0.0, tau_bounded=0.2, tau_growing=0.1)
 
 
 def test_sweep_p1_column_bounded_and_overlays():
@@ -216,8 +215,7 @@ def test_threaded_sweep_reports_progress_per_cell(monkeypatch):
             first_reported.set()
 
     monkeypatch.setattr(probe, "growth_exponent", stub_growth)
-    grid = sweep(dirac(1, 64, 0), [2], [2, 3], [1, 2, 4, 8], gamma_hat=0.0,
-                 threads=2, progress=progress)
+    grid = sweep(dirac(1, 64, 0), [2], [2, 3], [1, 2, 4, 8], threads=2, progress=progress)
     assert waited == [True]
     assert [c.q for c in grid.cells] == [2, 3]
 
@@ -250,7 +248,7 @@ def test_restrict_is_the_adjoint_without_copying_the_operator():
 
 @pytest.mark.parametrize("kwargs", [dict(restarts=0), dict(restarts=-3), dict(max_iters=0),
                                     dict(tol=-1.0), dict(tol=float("nan")),
-                                    dict(tol=float("inf"))])
+                                    dict(tol=float("inf")), dict(seed=-7)])
 def test_probe_options_reject_out_of_range(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         ProbeOptions(**kwargs)
@@ -259,7 +257,7 @@ def test_probe_options_reject_out_of_range(kwargs):
 @pytest.mark.parametrize("threads", [0, -2])
 def test_sweep_rejects_threads_below_one(threads):
     with pytest.raises(ValueError, match="threads"):
-        sweep(dirac(1, 64, 0), [2], [2], [1, 2, 4, 8], gamma_hat=0.0, threads=threads)
+        sweep(dirac(1, 64, 0), [2], [2], [1, 2, 4, 8], threads=threads)
 
 
 def test_per_start_diagnostics():

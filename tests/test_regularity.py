@@ -248,8 +248,7 @@ def test_exponent_params_derived_values():
     assert params.s_prime == 2
     assert params.q_prime == 2
     assert exp_str(params.p_prime) == "4"
-    d = params.as_dict()
-    assert d["p"] == "4/3" and d["r"] == "inf"
+    assert exp_str(params.p) == "4/3" and exp_str(params.r) == "inf"
 
 
 def test_endpoint_q_edge_cases():

@@ -34,8 +34,6 @@ def test_hy_parseval_equality():
     h = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     rec = check_hausdorff_young(h, 2)
     assert abs(rec.slack) <= 1e-10 * max(rec.lhs, 1.0)
-    rec = check_hausdorff_young(h, 2, direction="lattice")
-    assert abs(rec.slack) <= 1e-10 * max(rec.lhs, 1.0)
 
 
 def test_hy_sup_equality_for_nonnegative():
@@ -67,7 +65,6 @@ def test_hy_property(values):
     h[: len(values)] = values
     for s in (2, 4, INF):
         assert check_hausdorff_young(h, s).holds(1e-9)
-        assert check_hausdorff_young(h, s, direction="lattice").holds(1e-9)
 
 
 # ---------------------------------------------------------------------------
