@@ -8,7 +8,6 @@ and checkable on concrete instances.
 
 from .measures import (
     DiscreteMeasure,
-    MollifiedDensity,
     cantor,
     circle,
     dirac,
@@ -34,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DiscreteMeasure",
-    "MollifiedDensity",
     "Spectrum",
     "INF",
     "ahlfors_alpha",

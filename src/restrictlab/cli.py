@@ -188,11 +188,9 @@ def cmd_sweep(args) -> int:
               f"slope={cell.slope:.4f} {cell.classification}", file=sys.stderr)
 
     grid = probe.sweep(mu, args.p_grid, args.q_grid, args.X, n=args.n, r=args.r,
-                       options=options, threads=args.threads, progress=progress)
+                       options=options, progress=progress)
     rows = grid.to_rows()
-    fields = ["p", "q"] + [f"norm_X{X}" for X in grid.X_list] + [
-        "slope", "residual", "class", "in_theorem_region", "in_knapp_region"]
-    _write_csv(args.out, fields, rows)
+    _write_csv(args.out, list(rows[0]), rows)
     return 0
 
 
@@ -361,6 +359,9 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    # a suite that ran no instance would pass vacuously
+    if args.trials < 1:
+        raise probe.SettingError("trials", args.trials, ">= 1")
     records, passed = _SUITES[args.suite](args)
     payload = artifact_envelope(args.seed, {
         "suite": args.suite, "trials": args.trials, "passed": passed,
@@ -380,10 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="restrictlab",
         description="Numerical laboratory for restriction estimates of singular measures")
-    # subcommands repeat --seed/--threads with default=SUPPRESS, so they
-    # override these global values only when given
+    # subcommands repeat --seed with default=SUPPRESS, so it overrides this
+    # global value only when given
     parser.add_argument("--seed", type=int, default=0, help="global seed")
-    parser.add_argument("--threads", type=int, default=1, help="parallelism cap")
     parser.add_argument("--output-dir", default=None, help="artifact directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -456,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--iters", type=int, default=500)
     sw.add_argument("--tol", type=float, default=1e-9)
     sw.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    sw.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     sw.add_argument("--out", default=None)
     sw.set_defaults(func=cmd_sweep)
 
@@ -485,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # the flag that sets each probe.SettingError name
 _SETTING_FLAGS = {"restarts": "--restarts", "max_iters": "--iters", "tol": "--tol",
-                  "threads": "--threads", "seed": "--seed"}
+                  "seed": "--seed", "trials": "--trials"}
 
 
 def main(argv=None) -> int:
@@ -495,11 +494,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        # checked here, not where they are read, so every subcommand rejects them
+        # checked here, not where it is read, so every subcommand rejects it
         if args.seed < 0:
             raise probe.SettingError("seed", args.seed, ">= 0")
-        if args.threads < 1:
-            raise probe.SettingError("threads", args.threads, ">= 1")
         return args.func(args)
     except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -111,30 +111,6 @@ class DiscreteMeasure:
         return grid
 
 
-@dataclass(frozen=True)
-class MollifiedDensity:
-    """Dense nonnegative density with respect to normalized grid volume 1/N^dim."""
-
-    dim: int
-    N: int
-    values: np.ndarray
-    epsilon: int
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.N,) * self.dim:
-            raise ValueError(f"values shape {vals.shape} does not match N={self.N}, dim={self.dim}")
-        if vals.min() < 0:
-            raise ValueError("negative density value")
-        object.__setattr__(self, "values", vals)
-        mass = self.mass()
-        if abs(mass - 1.0) > DENSITY_MASS_TOL:
-            raise ValueError(f"density mass {mass!r} is not 1")
-
-    def mass(self) -> float:
-        return float(self.values.sum()) / self.N**self.dim
-
-
 def _finalize(dim, N, indices, weights, constructor, seed=None, info=None) -> DiscreteMeasure:
     """Sort atoms, merge duplicates, and renormalize to mass exactly 1."""
     idx = np.asarray(indices, dtype=np.int64).reshape(-1, dim)
@@ -306,8 +282,12 @@ def triangular_kernel(epsilon: int) -> np.ndarray:
     return t / t.sum()
 
 
-def mollify(mu: DiscreteMeasure, epsilon: int) -> MollifiedDensity:
-    """Circularly convolve atom weights with the triangular kernel; density view."""
+def mollify(mu: DiscreteMeasure, epsilon: int) -> np.ndarray:
+    """Circularly convolve atom weights with the triangular kernel.
+
+    Returns the nonnegative density of shape (N,)*dim with respect to the
+    normalized grid volume 1/N^dim, so its mean is the mass 1.
+    """
     t = triangular_kernel(epsilon)
     grid = mu.dense_weights()
     offs = np.arange(-(epsilon - 1), epsilon) % mu.N
@@ -319,8 +299,11 @@ def mollify(mu: DiscreteMeasure, epsilon: int) -> MollifiedDensity:
                          s=grid.shape, axes=axes)
     if conv.min() < -1e-12:
         raise ArithmeticError(f"mollified density went negative: {conv.min()}")
-    conv = np.maximum(conv, 0.0)
-    return MollifiedDensity(mu.dim, mu.N, conv * mu.N**mu.dim, epsilon)
+    density = np.maximum(conv, 0.0) * mu.N**mu.dim
+    mass = float(density.sum()) / mu.N**mu.dim
+    if abs(mass - 1.0) > DENSITY_MASS_TOL:
+        raise ValueError(f"density mass {mass!r} is not 1")
+    return density
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import reduce
 
@@ -36,7 +36,7 @@ SLOPE_GROWING_MIN = 0.10
 
 
 class SettingError(ValueError):
-    """A probe or sweep setting out of its range; ``name`` is the parameter's name."""
+    """A setting out of its range; ``name`` is the parameter's name."""
 
     def __init__(self, name: str, value, rule: str):
         super().__init__(f"{name} must be {rule}, got {value!r}")
@@ -61,8 +61,7 @@ class ProbeOptions:
             raise SettingError("tol", self.tol, "finite and >= 0")
 
     def as_dict(self) -> dict:
-        return {"restarts": self.restarts, "max_iters": self.max_iters,
-                "tol": self.tol, "seed": self.seed}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -206,49 +206,10 @@ def fourier_beta(spec: Spectrum) -> DecayReport:
 # Exact exponent calculators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExponentParams:
-    """Exact exponent bookkeeping for one instance of the main estimate.
-
-    q is the endpoint p'/(n r') and s is p'/n; all derived values are exact
-    rationals (or inf).  An endpoint q below 1 is rejected.
-    """
-
-    d: int
-    n: int
-    p: Exponent
-    r: Exponent
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", validate_exponent(self.p, "p"))
-        object.__setattr__(self, "r", validate_exponent(self.r, "r"))
-        validate_exponent(self.q, "q")
-        if self.n < 1 or self.d < 1:
-            raise ValueError("need n >= 1 and d >= 1")
-
-    @property
-    def q(self) -> Exponent:
-        return endpoint_q(self.n, self.r, self.p)
-
-    @property
-    def p_prime(self) -> Exponent:
-        return conjugate(self.p)
-
-    @property
-    def q_prime(self) -> Exponent:
-        return conjugate(self.q)
-
-    @property
-    def s(self) -> Exponent:
-        return exp_div(self.p_prime, self.n)
-
-    @property
-    def s_prime(self) -> Exponent:
-        return conjugate(validate_exponent(self.s, "s"))
-
-
 def endpoint_q(n: int, r: Exponent, p: Exponent) -> Exponent:
     """q = p'/(n r'), the largest q the convolution-power estimate allows."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     r = validate_exponent(r, "r")
     p = validate_exponent(p, "p")
     if r == 1:

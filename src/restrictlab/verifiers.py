@@ -28,6 +28,7 @@ from .rationals import (
     INF,
     Exponent,
     conjugate,
+    exp_div,
     exp_float,
     exp_mul,
     exp_str,
@@ -36,11 +37,11 @@ from .rationals import (
     validate_exponent,
 )
 from .regularity import (
-    ExponentParams,
     ahlfors_alpha,
     ball_masses,
     billingsley_gamma,
     default_scales,
+    endpoint_q,
     theorem_range,
 )
 from .spectral import convolve_power, density_norm, frequency_radii, lp_norm, self_correlation
@@ -202,16 +203,16 @@ def check_dual_chain(mu: DiscreteMeasure, g: np.ndarray, n: int, r: Exponent,
     """
     r = validate_exponent(r, "r")
     p = validate_exponent(p, "p")
-    params = ExponentParams(d=mu.dim, n=n, p=p, r=r)
-    q, s = params.q, params.s
+    q = validate_exponent(endpoint_q(n, r, p), "q")
+    s = exp_div(conjugate(p), n)
     if is_inf(s) or Fraction(s) < 2:
         raise ValueError(f"infeasible exponents: s = p'/n = {exp_str(s)} must be finite and >= 2")
-    qp, sp = params.q_prime, params.s_prime
+    qp, sp = conjugate(q), conjugate(validate_exponent(s, "s"))
     g = np.asarray(g, dtype=np.complex128)
     if g.shape != (mu.N,) * mu.dim:
         raise ValueError("g must be defined on the full grid")
 
-    mu_eps = mollify(mu, epsilon).values
+    mu_eps = mollify(mu, epsilon)
     vol = mu_eps.size
     h = g * mu_eps
     h_hat = grid_transform(h)
@@ -496,7 +497,7 @@ def check_bilinear(mu: DiscreteMeasure, f: np.ndarray, g: np.ndarray,
                    p: Exponent, epsilon: int = 2) -> SlackRecord:
     """||f mu_eps * g mu_eps||_p <= ||mu_eps * mu_eps||_inf^{1/p'} ||f||_{L^p(mu_eps)} ||g||_{L^p(mu_eps)}."""
     p = validate_exponent(p, "p")
-    mu_eps = mollify(mu, epsilon).values
+    mu_eps = mollify(mu, epsilon)
     f = np.asarray(f, dtype=np.complex128)
     g = np.asarray(g, dtype=np.complex128)
     if f.shape != mu_eps.shape or g.shape != mu_eps.shape:
@@ -516,12 +517,13 @@ def check_bilinear(mu: DiscreteMeasure, f: np.ndarray, g: np.ndarray,
 
 def exponent_identity(n: int, r: Exponent, p: Exponent) -> dict:
     """Exact check of 1/s' - 1/(qr) = 1/q' at q = p'/(n r'), s = p'/n."""
-    params = ExponentParams(d=1, n=n, p=p, r=r)
-    lhs = reciprocal(params.s_prime) - reciprocal(exp_mul(params.q, params.r))
-    rhs = reciprocal(params.q_prime)
+    q = validate_exponent(endpoint_q(n, r, p), "q")
+    s = validate_exponent(exp_div(conjugate(p), n), "s")
+    lhs = reciprocal(conjugate(s)) - reciprocal(exp_mul(q, r))
+    rhs = reciprocal(conjugate(q))
     return {
-        "n": n, "r": exp_str(r), "p": exp_str(p), "q": exp_str(params.q),
-        "s": exp_str(params.s), "lhs": exp_str(lhs), "rhs": exp_str(rhs),
+        "n": n, "r": exp_str(r), "p": exp_str(p), "q": exp_str(q),
+        "s": exp_str(s), "lhs": exp_str(lhs), "rhs": exp_str(rhs),
         "holds": lhs == rhs,
     }
 

@@ -39,6 +39,11 @@ def test_exponents_requires_arguments():
 
 def test_unknown_flag_exits_2(capsys):
     assert main(["exponents", "--nope"]) == 2
+    # no thread-count flag, globally or on sweep: the CLI sweep runs serially
+    assert main(["--threads", "2", "exponents", "--n", "2", "--r", "inf"]) == 2
+    assert main(["sweep", "--measure", "m.json", "--p-grid", "2:2:1", "--q-grid", "2:2:1",
+                 "--threads", "2"]) == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_measure_then_analyze_dirac(tmp_path, capsys):
@@ -146,21 +151,21 @@ def test_subcommand_seed_wins_over_global(tmp_path, flat_measure):
     assert json.loads(out.read_text())["seed"] == 9
 
 
-def test_global_seed_and_threads_reach_sweep(flat_measure, monkeypatch):
+def test_global_seed_reaches_sweep(flat_measure, monkeypatch):
     from restrictlab import probe
 
     seen = {}
     real_sweep = probe.sweep
 
     def spy(*args, **kwargs):
-        seen["seed"], seen["threads"] = kwargs["options"].seed, kwargs["threads"]
+        seen["seed"] = kwargs["options"].seed
         return real_sweep(*args, **kwargs)
 
     monkeypatch.setattr(probe, "sweep", spy)
-    assert main(["--seed", "7", "--threads", "2", "sweep", "--measure", flat_measure,
+    assert main(["--seed", "7", "sweep", "--measure", flat_measure,
                  "--p-grid", "2:2:1", "--q-grid", "2:2:1", "--X", "2,4,8,16",
                  "--restarts", "1"]) == 0
-    assert seen == {"seed": 7, "threads": 2}
+    assert seen == {"seed": 7}
 
 
 def test_verify_expid(tmp_path):
@@ -291,16 +296,16 @@ def test_config_hash_and_envelope(tmp_path, flat_measure):
     assert env == artifact_envelope(7, {"x": 1})
     assert env["config_hash"] != artifact_envelope(8, {"x": 1})["config_hash"]
     assert env["seed"] == 7 and env["x"] == 1 and env["schema_version"] == 1
-    # neither the thread count nor the output directory can change a result,
-    # so neither may change an artifact's bytes
+    # the output directory cannot change a result, so it may not change an
+    # artifact's bytes
     probe = ["probe", "--measure", flat_measure, "-p", "4/3", "-q", "2", "-X", "8",
              "--restarts", "2"]
     artifacts = []
-    for i, extra in enumerate(([], ["--threads", "2"], ["--output-dir", str(tmp_path)])):
+    for i, extra in enumerate(([], ["--output-dir", str(tmp_path)])):
         out = tmp_path / f"probe{i}.json"
         assert main([*extra, *probe, "--out", str(out)]) == 0
         artifacts.append(out.read_bytes())
-    assert artifacts[0] == artifacts[1] == artifacts[2]
+    assert artifacts[0] == artifacts[1]
 
 
 def test_chain_reports_constant_trend_in_epsilon():
@@ -333,19 +338,29 @@ def test_out_of_range_probe_flags_are_usage_errors(flat_measure, capsys, flags):
 
 
 @pytest.mark.parametrize("flags", [["--tol", "nan"], ["--iters", "0"], ["--restarts", "-3"],
-                                   ["--threads", "0"], ["--threads", "-2"], ["--seed", "-7"]])
+                                   ["--tol", "-1"], ["--restarts", "0"], ["--seed", "-7"]])
 def test_out_of_range_sweep_flags_are_usage_errors(flat_measure, tmp_path, capsys, flags):
     sweep = ["sweep", "--measure", flat_measure, "--p-grid", "2:2:1", "--q-grid", "2:2:1",
              "--X", "2,4,8,16", "--restarts", "1"]
     runs = [sweep + flags]
-    if flags[0] in ("--threads", "--seed"):
+    if flags[0] == "--seed":
         # the global flag, checked for every subcommand
         probe = ["probe", "--measure", flat_measure, "-p", "2", "-q", "2", "-X", "4"]
-        runs += [flags + sweep, flags + probe, flags + ["verify", "--suite", "expid"]]
-    if flags[0] == "--seed":
-        runs.append(["measure", "new", "--kind", "random-flat", "--N", "64", "--m", "8",
-                     "--out", str(tmp_path / "m.json"), *flags])
+        runs += [flags + sweep, flags + probe, flags + ["verify", "--suite", "expid"],
+                 ["measure", "new", "--kind", "random-flat", "--N", "64", "--m", "8",
+                  "--out", str(tmp_path / "m.json"), *flags]]
     for argv in runs:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and flags[0] in err, err
+
+
+@pytest.mark.parametrize("suite", ["chain", "hy", "expid"])
+def test_trials_below_one_are_usage_errors(tmp_path, capsys, suite):
+    # a suite that ran no instance must not report a pass
+    out = tmp_path / "v.json"
+    for trials in ("0", "-5"):
+        assert main(["verify", "--suite", suite, "--trials", trials, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --trials: "), err
+        assert not out.exists()

@@ -155,21 +155,21 @@ def test_mollify_dirac_is_kernel():
     kernel = measures.triangular_kernel(4)
     expected = np.zeros(64)
     expected[10 - 3 : 10 + 4] = kernel * 64
-    assert np.allclose(dens.values, expected, atol=1e-12)
+    assert np.allclose(dens, expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("eps", [1, 2, 8, 32])
 def test_mollify_mass_invariance(eps):
     mu = random_flat(512, 40, seed=9)
     dens = mollify(mu, eps)
-    assert abs(dens.values.sum() / 512 - 1.0) <= 1e-10
-    assert dens.values.min() >= 0
+    assert abs(dens.sum() / 512 - 1.0) <= 1e-10
+    assert dens.min() >= 0
 
 
 def test_mollify_epsilon_one_is_identity():
     mu = cantor(4, {0, 3}, 3)
     dens = mollify(mu, 1)
-    assert np.allclose(dens.values, mu.dense_weights() * mu.N, atol=1e-12)
+    assert np.allclose(dens, mu.dense_weights() * mu.N, atol=1e-12)
 
 
 def test_mollified_integral_converges_to_atomic():
@@ -182,7 +182,7 @@ def test_mollified_integral_converges_to_atomic():
     errors = []
     for eps in (16, 8, 4, 2, 1):
         dens = mollify(mu, eps)
-        approx = float(np.mean(np.abs(f_hat) ** q * dens.values))
+        approx = float(np.mean(np.abs(f_hat) ** q * dens))
         errors.append(abs(approx - target))
         assert errors[-1] <= 1e-3
     assert all(errors[i + 1] <= errors[i] + 1e-15 for i in range(len(errors) - 1))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from restrictlab.measures import DiscreteMeasure, cantor, circle, dirac, random_flat, uniform
 from restrictlab.rationals import INF, conjugate, exp_str, is_inf
 from restrictlab.regularity import (
-    ExponentParams,
     ahlfors_alpha,
     ball_masses,
     billingsley_gamma,
@@ -20,6 +19,7 @@ from restrictlab.regularity import (
     theorem_range,
 )
 from restrictlab.spectral import fourier
+from restrictlab.verifiers import exponent_identity
 
 from oracles import dense_ball_masses, dirichlet_interval_spectrum_sq
 
@@ -242,21 +242,26 @@ def test_theorem_and_knapp_boundaries_coincide_at_half_dimension():
 
 
 def test_exponent_params_derived_values():
-    params = ExponentParams(d=1, n=2, p=Fraction(4, 3), r=INF)
-    assert params.q == 2
-    assert params.s == 2
-    assert params.s_prime == 2
-    assert params.q_prime == 2
-    assert exp_str(params.p_prime) == "4"
-    assert exp_str(params.p) == "4/3" and exp_str(params.r) == "inf"
+    q = endpoint_q(2, INF, Fraction(4, 3))
+    assert q == 2 and conjugate(q) == 2
+    rec = exponent_identity(2, INF, Fraction(4, 3))
+    assert rec["q"] == "2" and rec["s"] == "2"
+    assert rec["p"] == "4/3" and rec["r"] == "inf"
+    # 1/s' = 1/2 with s = p'/n = 4/2, so s' = 2
+    assert rec["lhs"] == "1/2" and rec["holds"]
+    assert exp_str(conjugate(Fraction(4, 3))) == "4"
 
 
 def test_endpoint_q_edge_cases():
     assert endpoint_q(2, INF, Fraction(4, 3)) == 2
     assert endpoint_q(2, 2, Fraction(4, 3)) == 1
     assert endpoint_q(2, 1, Fraction(4, 3)) == 0
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            endpoint_q(n, INF, Fraction(4, 3))
 
 
 def test_exponent_params_rejects_infeasible():
-    with pytest.raises(ValueError):
-        ExponentParams(d=1, n=2, p=Fraction(4, 3), r=1)
+    # r = 1 puts the endpoint q at 0, below 1
+    with pytest.raises(ValueError, match="q = 0 is outside"):
+        exponent_identity(2, 1, Fraction(4, 3))
