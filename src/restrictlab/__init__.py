@@ -27,13 +27,12 @@ from .regularity import (
     mockenhaupt_p0,
     theorem_range,
 )
-from .spectral import Spectrum, convolve_power, density_norm, flatness, fourier
+from .spectral import convolve_power, density_norm, fourier
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DiscreteMeasure",
-    "Spectrum",
     "INF",
     "ahlfors_alpha",
     "billingsley_gamma",
@@ -42,7 +41,6 @@ __all__ = [
     "convolve_power",
     "density_norm",
     "dirac",
-    "flatness",
     "fourier",
     "fourier_beta",
     "knapp_bound",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -71,6 +72,19 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t]
 
 
+def _int_at_least(low: int):
+    """argparse type: an int >= low, else a usage error that names the flag."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _exp(text: str):
     try:
         return as_exponent(text)
@@ -83,24 +97,14 @@ def _exp(text: str):
 # ---------------------------------------------------------------------------
 
 def cmd_measure(args) -> int:
-    if args.action != "new":
-        raise argparse.ArgumentTypeError(f"unknown measure action {args.action!r}")
     kind = args.kind.replace("-", "_")
-    if kind == "dirac":
-        mu = measures.dirac(args.dim, args.N, _parse_int_list(args.index))
-    elif kind == "uniform":
-        mu = measures.uniform(args.dim, args.N)
-    elif kind == "cantor":
-        mu = measures.cantor(args.base, _parse_int_list(args.digits), args.stage,
-                             confine=args.confine)
-    elif kind == "random_flat":
-        mu = measures.random_flat(args.N, args.m, args.seed,
-                                  flatness_c=args.flatness_c, max_retries=args.retries,
-                                  confine=args.confine)
-    elif kind == "circle":
-        mu = measures.circle(args.N, args.radius)
-    else:
-        raise argparse.ArgumentTypeError(f"unknown measure kind {args.kind!r}")
+    # rebuild reads the fields of this kind and ignores the rest
+    mu = measures.rebuild({
+        "kind": kind, "dim": args.dim, "N": args.N, "index": _parse_int_list(args.index),
+        "base": args.base, "digits": _parse_int_list(args.digits), "stage": args.stage,
+        "m": args.m, "seed": args.seed, "flatness_c": args.flatness_c,
+        "max_retries": args.retries, "radius": args.radius, "confine": args.confine,
+    })
     out = args.out or os.path.join(args.output_dir or default_output_dir(), f"{kind}.json")
     save_measure(mu, out)
     print(f"wrote {out}: {kind} measure, dim {mu.dim}, N {mu.N}, {mu.num_atoms} atoms")
@@ -172,7 +176,7 @@ def cmd_probe(args) -> int:
     options = probe.ProbeOptions(args.restarts, args.iters, args.tol, args.seed)
     result = probe.restriction_norm(op, args.p, args.q, options)
     _write_json(args.out, artifact_envelope(args.seed, {"probe": result.as_dict(),
-                                                     "options": options.as_dict()}))
+                                                     "options": dataclasses.asdict(options)}))
     return 0
 
 
@@ -400,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--m", type=int, default=185)
     m.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     m.add_argument("--flatness-c", type=float, default=4.0)
-    m.add_argument("--retries", type=int, default=200)
+    m.add_argument("--retries", type=_int_at_least(0), default=200)
     m.add_argument("--radius", type=float, default=0.25)
     m.add_argument("--confine", type=int, default=1)
     m.add_argument("--out", default=None)
@@ -409,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="regularity estimates")
     a.add_argument("--measure", required=True)
     a.add_argument("--alpha", action="store_true")
-    a.add_argument("--beta", type=int, default=0, metavar="K")
+    a.add_argument("--beta", type=_int_at_least(0), default=0, metavar="K")
     a.add_argument("--gamma", action="store_true")
     a.add_argument("--scales", default=None)
     a.add_argument("--out", default=None)
@@ -417,14 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("conv", help="convolution power density norms")
     c.add_argument("--measure", required=True)
-    c.add_argument("-n", type=int, required=True)
+    c.add_argument("-n", type=_int_at_least(1), required=True)
     c.add_argument("-r", type=_exp, required=True)
     c.add_argument("--resolutions", type=_parse_int_list, default=None)
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_conv)
 
     e = sub.add_parser("exponents", help="exact exponent calculators")
-    e.add_argument("--n", type=int, default=None)
+    e.add_argument("--n", type=_int_at_least(1), default=None)
     e.add_argument("--r", type=_exp, default=None)
     e.add_argument("--d", type=int, default=None)
     e.add_argument("--alpha", default=None)
@@ -437,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--measure", required=True)
     pr.add_argument("-p", type=_exp, required=True)
     pr.add_argument("-q", type=_exp, required=True)
-    pr.add_argument("-X", type=int, required=True)
+    pr.add_argument("-X", type=_int_at_least(1), required=True)
     pr.add_argument("--restarts", type=int, default=8)
     pr.add_argument("--iters", type=int, default=500)
     pr.add_argument("--tol", type=float, default=1e-9)
@@ -450,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--p-grid", type=_parse_grid, required=True)
     sw.add_argument("--q-grid", type=_parse_grid, required=True)
     sw.add_argument("--X", type=_parse_int_list, default=[64, 128, 256, 512])
-    sw.add_argument("--n", type=int, default=2)
+    sw.add_argument("--n", type=_int_at_least(1), default=2)
     sw.add_argument("--r", type=_exp, default=INF)
     sw.add_argument("--restarts", type=int, default=8)
     sw.add_argument("--iters", type=int, default=500)
@@ -464,10 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--measure", default=None)
     v.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     v.add_argument("--trials", type=int, default=100)
-    v.add_argument("--n", type=int, default=None)
+    v.add_argument("--n", type=_int_at_least(1), default=None)
     v.add_argument("--r", type=_exp, default=None)
     v.add_argument("--p", type=_exp, default=None)
-    v.add_argument("--eps", type=int, default=2)
+    v.add_argument("--eps", type=_int_at_least(1), default=2)
     v.add_argument("--gamma", default=None)
     v.add_argument("--K", type=_parse_int_list, default=None)
     v.add_argument("--out", default=None)

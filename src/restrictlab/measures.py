@@ -34,19 +34,6 @@ class AtomBudgetError(ValueError):
     """Raised when a constructor would emit more atoms than allowed."""
 
 
-class FlatnessError(RuntimeError):
-    """Raised when random_flat exhausts its retries.
-
-    Carries the best candidate seen and its flatness statistics so callers
-    can inspect how far from the acceptance bound the search ended.
-    """
-
-    def __init__(self, message: str, best_measure: "DiscreteMeasure", best_stats: dict):
-        super().__init__(message)
-        self.best_measure = best_measure
-        self.best_stats = best_stats
-
-
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -211,39 +198,32 @@ def random_flat(N: int, m: int, seed: int, flatness_c: float = 4.0,
         raise ValueError(f"need 1 <= m <= N, got m={m}, N={N}")
     if not _is_power_of_two(confine):
         raise ValueError(f"confine factor {confine} must be a power of two")
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     rng = np.random.default_rng(seed)
     bound = flatness_acceptance_bound(N, m, flatness_c)
-    N_total = N * confine
-
-    def build(members, stats, retries):
-        info = {"flatness": dict(stats), "retries": retries}
-        return _finalize(
-            1, N_total, np.asarray(members).reshape(-1, 1), np.full(m, 1.0 / m),
-            {"kind": "random_flat", "N": N, "m": m, "seed": seed,
-             "flatness_c": flatness_c, "max_retries": max_retries, "confine": confine},
-            seed=seed, info=info)
-
     best = None
     for attempt in range(max_retries + 1):
         members = np.sort(rng.choice(N, size=m, replace=False))
         counts_off = autocorrelation_counts(members, N)[1:]
         max_off = int(counts_off.max()) if counts_off.size else 0
         mean_off = float(counts_off.mean()) if counts_off.size else 0.0
-        stats = {
-            "max_offzero_count": max_off,
-            "mean_offzero_count": mean_off,
-            "ratio": (max_off / mean_off) if mean_off > 0 else 0.0,
-            "bound": bound,
-        }
-        if best is None or max_off < best[1]["max_offzero_count"]:
-            best = (members, stats, attempt)
         if max_off <= bound:
-            return build(members, stats, attempt)
-    measure = build(*best)
-    raise FlatnessError(
+            stats = {
+                "max_offzero_count": max_off,
+                "mean_offzero_count": mean_off,
+                "ratio": (max_off / mean_off) if mean_off > 0 else 0.0,
+                "bound": bound,
+            }
+            return _finalize(
+                1, N * confine, members.reshape(-1, 1), np.full(m, 1.0 / m),
+                {"kind": "random_flat", "N": N, "m": m, "seed": seed,
+                 "flatness_c": flatness_c, "max_retries": max_retries, "confine": confine},
+                seed=seed, info={"flatness": stats, "retries": attempt})
+        best = max_off if best is None else min(best, max_off)
+    raise ValueError(
         f"random_flat({N},{m}) exhausted {max_retries} retries; "
-        f"best max off-zero count {best[1]['max_offzero_count']} vs bound {bound:.3f}",
-        measure, best[1])
+        f"best max off-zero count {best} vs bound {bound:.3f}")
 
 
 def circle(N: int, radius: float) -> DiscreteMeasure:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
@@ -59,9 +59,6 @@ class ProbeOptions:
             raise SettingError("max_iters", self.max_iters, ">= 1")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise SettingError("tol", self.tol, "finite and >= 0")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

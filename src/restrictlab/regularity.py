@@ -24,7 +24,7 @@ from .rationals import (
     exp_mul,
     validate_exponent,
 )
-from .spectral import Spectrum, frequency_radii
+from .spectral import frequency_radii
 
 DEFAULT_SCALE_COUNT = 6
 # fourier_beta: ratio of consecutive annulus radii, and the first radius
@@ -153,10 +153,6 @@ class DecayReport:
     fit_sup: FitResult
     fit_avg: FitResult
 
-    @property
-    def estimate(self) -> float:
-        return self.beta_sup
-
     def as_dict(self) -> dict:
         return {
             "beta_sup": self.beta_sup,
@@ -169,21 +165,28 @@ class DecayReport:
         }
 
 
-def fourier_beta(spec: Spectrum) -> DecayReport:
+def fourier_beta(coefficients: np.ndarray) -> DecayReport:
     """Decay exponent of |mu_hat|^2: negative slope over dyadic annuli.
 
-    The sup variant fits sup_{|k| in annulus} |mu_hat(k)|^2; the average
-    variant fits the annulus mean, the quantity controlling averaged-decay
-    arguments.  Annuli start at ANNULUS_K_MIN: the first couple of octaves
-    say nothing about asymptotic decay and would bias the fit.
+    coefficients is the (2K+1,)*dim array that spectral.fourier returns; K
+    and dim are read from its shape.  The sup variant fits
+    sup_{|k| in annulus} |mu_hat(k)|^2; the average variant fits the annulus
+    mean, the quantity controlling averaged-decay arguments.  Annuli start at
+    ANNULUS_K_MIN: the first couple of octaves say nothing about asymptotic
+    decay and would bias the fit.
     """
-    if spec.K < 16:
+    coefficients = np.asarray(coefficients)
+    dim = coefficients.ndim
+    K = (coefficients.shape[0] - 1) // 2 if dim else 0
+    if dim == 0 or coefficients.shape != (2 * K + 1,) * dim:
+        raise ValueError(f"coefficient shape {coefficients.shape} is not (2K+1,)*dim")
+    if K < 16:
         raise ValueError("need K >= 16 for a meaningful decay fit")
-    radii = frequency_radii(spec.frequencies().astype(float), spec.dim)
-    power = np.abs(spec.coefficients) ** 2
+    radii = frequency_radii(np.arange(-K, K + 1, dtype=float), dim)
+    power = np.abs(coefficients) ** 2
     annuli, sups, avgs, mids = [], [], [], []
     lo = ANNULUS_K_MIN
-    while lo * ANNULUS_BASE <= spec.K + 0.5:
+    while lo * ANNULUS_BASE <= K + 0.5:
         hi = lo * ANNULUS_BASE
         mask = (radii >= lo) & (radii < hi)
         if mask.any():

@@ -8,7 +8,6 @@ trigonometric summation path is kept as an independent route for any K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -16,46 +15,14 @@ import numpy as np
 from .measures import DiscreteMeasure, _finalize
 from .rationals import Exponent, exp_float, is_inf, validate_exponent
 
-SPECTRUM_MASS_TOL = 1e-10
 CONV_CLIP_ERROR = 1e-8
 CONV_DROP_REL = 1e-14
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Complex Fourier coefficients on the dual lattice [-K, K]^dim.
+def fourier(mu: DiscreteMeasure, K: int, method: str = "auto") -> np.ndarray:
+    """Fourier coefficients of a measure on [-K, K]^dim, shape (2K+1,)*dim.
 
-    coefficients[k + K], with k an integer vector of length dim (an int in
-    dim 1), holds the value at frequency k.
-    """
-
-    dim: int
-    K: int
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=np.complex128)
-        if coeffs.shape != (2 * self.K + 1,) * self.dim:
-            raise ValueError(f"coefficient shape {coeffs.shape} does not match K={self.K}")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    def at(self, k) -> complex:
-        return complex(self.coefficients[tuple(int(v) + self.K for v in np.atleast_1d(k))])
-
-    def frequencies(self) -> np.ndarray:
-        return np.arange(-self.K, self.K + 1)
-
-    def validate(self) -> None:
-        """Test oracle: raise unless this is the spectrum of a real probability measure."""
-        if abs(self.at((0,) * self.dim) - 1.0) > SPECTRUM_MASS_TOL:
-            raise ValueError("coefficient at k=0 does not match total mass")
-        flipped = np.flip(self.coefficients)
-        if np.max(np.abs(np.conj(flipped) - self.coefficients)) > SPECTRUM_MASS_TOL:
-            raise ValueError("conjugate symmetry violated for a real source")
-
-
-def fourier(mu: DiscreteMeasure, K: int, method: str = "auto") -> Spectrum:
-    """Fourier coefficients of a measure on [-K, K]^dim.
+    Entry [k + K], with k an integer vector of length dim, holds mu_hat(k).
 
     method "fft" requires K <= N/2 and reads an FFT of the dense grid;
     "direct" performs the exact trigonometric sum over atoms and accepts any
@@ -83,7 +50,7 @@ def fourier(mu: DiscreteMeasure, K: int, method: str = "auto") -> Spectrum:
             coeffs = np.einsum("kj,lj,j->kl", ph1, ph2, mu.weights)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return Spectrum(mu.dim, K, coeffs)
+    return coeffs
 
 
 def frequency_radii(freqs: np.ndarray, dim: int) -> np.ndarray:
@@ -165,19 +132,3 @@ def self_correlation(mu: DiscreteMeasure) -> DiscreteMeasure:
     return _grid_measure(mu, lambda spec: np.abs(spec) ** 2,
                          {"kind": "self_correlation", "of": mu.constructor})
 
-
-def flatness(mu: DiscreteMeasure) -> dict:
-    """Statistics of mu * reflect(mu) off the zero lag.
-
-    ratio is max/mean of the off-zero weights over all N^dim - 1 lags (0 when
-    there is no off-zero mass), the diagnostic for bounded self-convolution.
-    """
-    corr = self_correlation(mu)
-    off = np.delete(corr.dense_weights().ravel(), 0)
-    max_off = float(off.max()) if off.size else 0.0
-    mean_off = float(off.mean()) if off.size else 0.0
-    return {
-        "max_offzero": max_off,
-        "mean_offzero": mean_off,
-        "ratio": (max_off / mean_off) if mean_off > 0 else 0.0,
-    }

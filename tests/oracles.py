@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+SPECTRUM_MASS_TOL = 1e-10
+
 
 def pairwise_difference_counts(members, N):
     """O(m^2) count of ordered pairs (a, b) with a - b = t mod N, for all t."""
@@ -83,6 +85,20 @@ def direct_fourier_1d(indices, weights, N, ks):
         sum(w * np.exp(-2j * np.pi * k * j / N) for j, w in zip(indices, weights))
         for k in ks
     ])
+
+
+def validate_spectrum(coefficients):
+    """Raise unless a centered (2K+1,)*dim array is the spectrum of a real probability measure.
+
+    Checks the mass 1 at k = 0 and the conjugate symmetry mu_hat(-k) = conj(mu_hat(k)).
+    """
+    coefficients = np.asarray(coefficients)
+    zero = tuple(n // 2 for n in coefficients.shape)
+    if abs(coefficients[zero] - 1.0) > SPECTRUM_MASS_TOL:
+        raise ValueError("coefficient at k=0 does not match total mass")
+    flipped = np.flip(coefficients)
+    if np.max(np.abs(np.conj(flipped) - coefficients)) > SPECTRUM_MASS_TOL:
+        raise ValueError("conjugate symmetry violated for a real source")
 
 
 def cantor_product_spectrum(base, digits, stage, ks):

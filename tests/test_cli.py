@@ -3,7 +3,16 @@ import json
 import pytest
 
 from restrictlab.cli import main
-from restrictlab.measures import cantor, load_measure, save_measure
+from restrictlab.measures import (
+    cantor,
+    circle,
+    dirac,
+    load_measure,
+    measure_to_dict,
+    random_flat,
+    save_measure,
+    uniform,
+)
 
 
 @pytest.fixture
@@ -272,6 +281,33 @@ def test_measure_roundtrip_through_cli(tmp_path):
     assert mu.constructor["kind"] == "cantor"
 
 
+@pytest.mark.parametrize("flags, build", [
+    (["--kind", "dirac", "--dim", "2", "--N", "64", "--index", "3,5"],
+     lambda: dirac(2, 64, [3, 5])),
+    (["--kind", "uniform", "--dim", "2", "--N", "16"], lambda: uniform(2, 16)),
+    (["--kind", "cantor", "--base", "4", "--digits", "3,0", "--stage", "3", "--confine", "4"],
+     lambda: cantor(4, [0, 3], 3, confine=4)),
+    (["--kind", "random-flat", "--N", "256", "--m", "16", "--seed", "3",
+      "--flatness-c", "2.5", "--retries", "50", "--confine", "2"],
+     lambda: random_flat(256, 16, 3, flatness_c=2.5, max_retries=50, confine=2)),
+    (["--kind", "circle", "--N", "64", "--radius", "0.2"], lambda: circle(64, 0.2)),
+], ids=["dirac", "uniform", "cantor", "random_flat", "circle"])
+def test_measure_new_writes_constructor_payload(tmp_path, flags, build):
+    out = tmp_path / "m.json"
+    assert main(["measure", "new", *flags, "--out", str(out)]) == 0
+    assert out.read_text() == json.dumps(measure_to_dict(build()), indent=2, sort_keys=True) + "\n"
+
+
+def test_exhausted_random_flat_exits_1(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    assert main(["measure", "new", "--kind", "random-flat", "--N", "4096", "--m", "2048",
+                 "--seed", "5", "--flatness-c", "0.01", "--retries", "3",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: random_flat(4096,2048) exhausted 3 retries"), err
+    assert not out.exists()
+
+
 def test_analyze_with_explicit_scales(tmp_path):
     mpath = tmp_path / "c8.json"
     save_measure(cantor(4, (0, 3), 8), str(mpath))
@@ -364,3 +400,32 @@ def test_trials_below_one_are_usage_errors(tmp_path, capsys, suite):
         err = capsys.readouterr().err
         assert err.startswith("usage error: --trials: "), err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--suite", "chain", "--trials", "1", "--n", "0"], "--n: must be >= 1, got 0"),
+    (["verify", "--suite", "chain", "--trials", "1", "--eps", "0"],
+     "--eps: must be >= 1, got 0"),
+    (["verify", "--suite", "bilinear", "--trials", "1", "--eps", "0"],
+     "--eps: must be >= 1, got 0"),
+    (["conv", "-n", "0", "-r", "inf"], "-n: must be >= 1, got 0"),
+    (["sweep", "--p-grid", "2:2:1", "--q-grid", "2:2:1", "--X", "2,4", "--n", "0"],
+     "--n: must be >= 1, got 0"),
+    (["exponents", "--n", "0", "--r", "inf"], "--n: must be >= 1, got 0"),
+    (["exponents", "--n", "two", "--r", "inf"], "--n: invalid int value: 'two'"),
+    (["probe", "-p", "2", "-q", "2", "-X", "0"], "-X: must be >= 1, got 0"),
+    (["analyze", "--beta", "-3"], "--beta: must be >= 0, got -3"),
+    (["measure", "new", "--kind", "random-flat", "--N", "64", "--m", "8", "--retries", "-1"],
+     "--retries: must be >= 0, got -1"),
+], ids=["verify-n", "chain-eps", "bilinear-eps", "conv-n", "sweep-n", "exponents-n",
+        "exponents-n-not-int", "probe-X", "analyze-beta", "measure-retries"])
+def test_out_of_range_counts_are_usage_errors(flat_measure, tmp_path, capsys, argv, message):
+    if argv[0] in ("conv", "sweep", "probe", "analyze"):
+        argv = [*argv, "--measure", flat_measure]
+    out = tmp_path / "out.json"
+    if argv[0] != "exponents":
+        argv = [*argv, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {message}\n" in err, err
+    assert not out.exists()

@@ -8,7 +8,6 @@ from restrictlab import measures
 from restrictlab.measures import (
     AtomBudgetError,
     DiscreteMeasure,
-    FlatnessError,
     cantor,
     circle,
     dirac,
@@ -115,11 +114,14 @@ def test_random_flat_full_and_single():
 
 
 def test_random_flat_retries_exhausted():
-    with pytest.raises(FlatnessError) as exc:
+    with pytest.raises(ValueError, match="exhausted 3 retries"):
         random_flat(4096, 2048, seed=5, flatness_c=0.01, max_retries=3)
-    err = exc.value
-    assert err.best_measure.num_atoms == 2048
-    assert err.best_stats["max_offzero_count"] > err.best_stats["bound"]
+
+
+@pytest.mark.parametrize("max_retries", [-1, -5])
+def test_random_flat_rejects_negative_retries(max_retries):
+    with pytest.raises(ValueError, match="max_retries must be >= 0"):
+        random_flat(64, 8, seed=1, max_retries=max_retries)
 
 
 def test_circle_mass_and_geometry():

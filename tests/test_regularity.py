@@ -133,7 +133,7 @@ def test_beta_half_interval():
     spec = fourier(half, 512)
     # closed-form Dirichlet oracle at a few frequencies
     for k in (3, 17, 101):
-        assert abs(spec.at(k)) ** 2 == pytest.approx(
+        assert abs(spec[k + 512]) ** 2 == pytest.approx(
             dirichlet_interval_spectrum_sq(N, k), rel=1e-9)
     rep = fourier_beta(spec)
     assert rep.beta_sup == pytest.approx(2.0, abs=0.1)

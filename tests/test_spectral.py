@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 
 from restrictlab.measures import DiscreteMeasure, cantor, circle, dirac, random_flat, reflect, uniform
 from restrictlab.rationals import INF
+from restrictlab.regularity import fourier_beta
 from restrictlab.spectral import (
-    Spectrum,
     convolve_power,
     density_norm,
-    flatness,
     fourier,
     lp_norm,
     self_correlation,
@@ -22,14 +21,15 @@ from oracles import (
     direct_fourier_1d,
     pairwise_difference_counts,
     pairwise_sum_weights,
+    validate_spectrum,
     weighted_lp_norm,
 )
 
 
 def test_fourier_of_dirac_is_one():
     spec = fourier(dirac(1, 128, 0), 16)
-    assert np.allclose(spec.coefficients, 1.0, atol=1e-12)
-    spec.validate()
+    assert np.allclose(spec, 1.0, atol=1e-12)
+    validate_spectrum(spec)
 
 
 def test_fourier_two_atoms_closed_form():
@@ -37,15 +37,15 @@ def test_fourier_two_atoms_closed_form():
     mu = dirac(1, N, 0)
     two = type(mu)(1, N, np.array([[0], [N // 2]]), np.array([0.5, 0.5]))
     spec = fourier(two, 16)
-    ks = spec.frequencies()
+    ks = np.arange(-16, 17)
     expected = (1 + (-1.0) ** ks) / 2
-    assert np.allclose(spec.coefficients, expected, atol=1e-12)
+    assert np.allclose(spec, expected, atol=1e-12)
 
 
 def test_fft_and_direct_paths_agree():
     mu = random_flat(256, 24, seed=4)
-    a = fourier(mu, 100, method="fft").coefficients
-    b = fourier(mu, 100, method="direct").coefficients
+    a = fourier(mu, 100, method="fft")
+    b = fourier(mu, 100, method="direct")
     assert np.max(np.abs(a - b)) <= 1e-10
 
 
@@ -55,13 +55,13 @@ def test_fft_path_requires_small_K():
         fourier(mu, 20, method="fft")
     # direct path accepts any K
     spec = fourier(mu, 40, method="direct")
-    assert spec.K == 40
+    assert spec.shape == (81,)
 
 
 def test_fourier_dim2_agreement():
     mu = circle(64, 0.25)
-    a = fourier(mu, 8, method="fft").coefficients
-    b = fourier(mu, 8, method="direct").coefficients
+    a = fourier(mu, 8, method="fft")
+    b = fourier(mu, 8, method="direct")
     assert np.max(np.abs(a - b)) <= 1e-10
 
 
@@ -71,16 +71,19 @@ def test_cantor_self_similarity_product():
     spec = fourier(mu, 64)
     prod = cantor_product_spectrum(4, (0, 3), 5, ks)
     direct = direct_fourier_1d(mu.indices[:, 0], mu.weights, mu.N, ks)
-    assert np.max(np.abs(spec.coefficients - prod)) <= 1e-10
-    assert np.max(np.abs(spec.coefficients - direct)) <= 1e-10
+    assert np.max(np.abs(spec - prod)) <= 1e-10
+    assert np.max(np.abs(spec - direct)) <= 1e-10
 
 
 def test_spectrum_validation():
-    with pytest.raises(ValueError):
-        Spectrum(1, 4, np.ones(7))
-    bad = Spectrum(1, 1, np.array([0.5, 0.7, 0.5]))
-    with pytest.raises(ValueError):
-        bad.validate()
+    # fourier_beta reads K and dim from the shape, so it takes only (2K+1,)*dim
+    for shape in [(), (64,), (65, 63)]:
+        with pytest.raises(ValueError, match="is not"):
+            fourier_beta(np.ones(shape))
+    with pytest.raises(ValueError, match="total mass"):
+        validate_spectrum(np.array([0.5, 0.7, 0.5]))
+    with pytest.raises(ValueError, match="conjugate symmetry"):
+        validate_spectrum(np.array([0.5, 1.0, 0.7]))
 
 
 def test_convolve_bernoulli_three_sites():
@@ -124,8 +127,8 @@ def test_fourier_convolution_duality():
         mu = random_flat(256, 20, seed=seed)
         for n in (2, 3):
             nu = convolve_power(mu, n)
-            lhs = fourier(nu, 32).coefficients
-            rhs = fourier(mu, 32).coefficients ** n
+            lhs = fourier(nu, 32)
+            rhs = fourier(mu, 32) ** n
             assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
 
@@ -198,15 +201,6 @@ def test_lp_norm_matches_unscaled_oracle(instance):
 def test_convolution_error_on_unnormalizable():
     with pytest.raises(ValueError):
         convolve_power(dirac(1, 64, 0), 0)
-
-
-def test_flatness_examples():
-    assert flatness(uniform(1, 128))["ratio"] == pytest.approx(1.0)
-    assert flatness(dirac(1, 128, 5))["ratio"] == 0.0
-    mu = random_flat(4096, 185, seed=20240613)
-    stats = flatness(mu)
-    assert stats["ratio"] <= 4.0
-    assert stats["ratio"] == pytest.approx(mu.info["flatness"]["ratio"], rel=1e-9)
 
 
 def test_reflect_and_correlation_consistency():
