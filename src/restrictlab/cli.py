@@ -68,8 +68,9 @@ def _parse_grid(text: str) -> list[Fraction]:
     return vals
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t]
+def _parse_int_list(text: str, item=int) -> list[int]:
+    """Comma-separated ints, each parsed by item."""
+    return [item(t) for t in text.split(",") if t]
 
 
 def _int_at_least(low: int):
@@ -83,6 +84,12 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
     return parse
+
+
+def _int_list_at_least(low: int):
+    """argparse type: comma-separated ints, each >= low."""
+    item = _int_at_least(low)
+    return lambda text: _parse_int_list(text, item)
 
 
 def _exp(text: str):
@@ -395,18 +402,18 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("action", choices=["new"])
     m.add_argument("--kind", required=True,
                    choices=["dirac", "uniform", "cantor", "random-flat", "random_flat", "circle"])
-    m.add_argument("--dim", type=int, default=1)
-    m.add_argument("--N", type=int, default=4096)
+    m.add_argument("--dim", type=int, choices=(1, 2), default=1)
+    m.add_argument("--N", type=_int_at_least(1), default=4096)
     m.add_argument("--index", default="0")
-    m.add_argument("--base", type=int, default=4)
+    m.add_argument("--base", type=_int_at_least(2), default=4)
     m.add_argument("--digits", default="0,3")
-    m.add_argument("--stage", type=int, default=6)
-    m.add_argument("--m", type=int, default=185)
+    m.add_argument("--stage", type=_int_at_least(1), default=6)
+    m.add_argument("--m", type=_int_at_least(1), default=185)
     m.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     m.add_argument("--flatness-c", type=float, default=4.0)
     m.add_argument("--retries", type=_int_at_least(0), default=200)
     m.add_argument("--radius", type=float, default=0.25)
-    m.add_argument("--confine", type=int, default=1)
+    m.add_argument("--confine", type=_int_at_least(1), default=1)
     m.add_argument("--out", default=None)
     m.set_defaults(func=cmd_measure)
 
@@ -453,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--measure", required=True)
     sw.add_argument("--p-grid", type=_parse_grid, required=True)
     sw.add_argument("--q-grid", type=_parse_grid, required=True)
-    sw.add_argument("--X", type=_parse_int_list, default=[64, 128, 256, 512])
+    sw.add_argument("--X", type=_int_list_at_least(1), default=[64, 128, 256, 512])
     sw.add_argument("--n", type=_int_at_least(1), default=2)
     sw.add_argument("--r", type=_exp, default=INF)
     sw.add_argument("--restarts", type=int, default=8)
@@ -473,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--p", type=_exp, default=None)
     v.add_argument("--eps", type=_int_at_least(1), default=2)
     v.add_argument("--gamma", default=None)
-    v.add_argument("--K", type=_parse_int_list, default=None)
+    v.add_argument("--K", type=_int_list_at_least(1), default=None)
     v.add_argument("--out", default=None)
     v.set_defaults(func=cmd_verify)
 

@@ -6,12 +6,18 @@ evaluated at the atoms of a measure.  The restriction norm
 
     sup { ||f_hat||_{L^q(mu)} : ||f||_{l^p} = 1 }
 
-is estimated from below by alternating Holder-extremal alignment: push a
-witness forward, take the L^q(mu) dual element of its image, pull that back
-through the adjoint, and replace the witness by the l^p extremal vector of
-the pulled-back functional.  For p = q = 2 the loop is exactly power
-iteration and converges to the top singular value; elsewhere the problem is
-nonconvex and the result is a certified lower bound with a stored witness.
+is estimated from below by alternating Holder-extremal alignment (Boyd's
+power method for p -> q norms): push a witness forward, take the L^q(mu)
+dual element of its image, pull that back through the adjoint, and replace
+the witness by the l^p extremal vector of the pulled-back functional.  For
+p = q = 2 the loop is exactly power iteration and converges to the top
+singular value; elsewhere the problem is nonconvex and the result is a
+certified lower bound with a stored witness.
+
+All starts of one estimate run together as one block, one start per
+column, so each operator application is one matrix-matrix product.  At one
+BLAS thread a start's iterates do not depend on which starts share its
+block.
 """
 
 from __future__ import annotations
@@ -83,16 +89,40 @@ class ExtensionOperator:
         return self.matrix.shape[1]
 
     def restrict(self, f: np.ndarray) -> np.ndarray:
-        """f on the lattice -> f_hat at the atoms.
+        """f on the lattice -> f_hat at the atoms; f is one vector (L,) or a block (L, k).
 
         The adjoint product conj(matrix).T @ f, taken as conj(conj(f) @ matrix)
-        so that no conjugated L x m copy of the operator is made.
+        so that no conjugated L x m copy of the operator is made.  A block is
+        multiplied by rows, (k, L) @ (L, m), and comes back as (m, k).
         """
-        return np.conj(np.conj(f) @ self.matrix)
+        if f.ndim == 1:
+            return np.conj(np.conj(f) @ self.matrix)
+        rows = _gemm_rows(f.T)
+        out = np.conj(rows, out=rows) @ self.matrix
+        return np.conj(out, out=out)[:f.shape[1]].T
 
     def extend(self, g: np.ndarray) -> np.ndarray:
-        """g at the atoms -> weighted exponential sum on the lattice."""
-        return self.matrix @ (self.weights * g)
+        """g at the atoms -> weighted exponential sums on the lattice; g is (m,) or (m, k).
+
+        Multiplied by rows, (k, m) @ (m, L); a vector is taken as one row.
+        """
+        block = np.atleast_2d(g.T)
+        rows = _gemm_rows(block)
+        rows *= self.weights
+        out = (rows @ self.matrix.T)[:len(block)]
+        return out[0] if g.ndim == 1 else out.T
+
+
+def _gemm_rows(block: np.ndarray) -> np.ndarray:
+    """C-ordered complex copy of a (k, n) block, padded with a zero row when k = 1.
+
+    numpy hands a one-row product to GEMV, whose last bits differ from a GEMM
+    row.  The padding keeps every row on the GEMM arithmetic, which at one
+    BLAS thread gives each row the same result in any block.
+    """
+    rows = np.zeros((max(len(block), 2), block.shape[1]), dtype=np.complex128)
+    rows[:len(block)] = block
+    return rows
 
 
 def assemble(mu: DiscreteMeasure, X: int) -> ExtensionOperator:
@@ -120,37 +150,40 @@ def _phase(z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.where(a > 0, z / np.where(a > 0, a, 1.0), 1.0)
 
 
-def _measure_dual(u: np.ndarray, weights: np.ndarray, qf: float) -> np.ndarray:
-    """Holder-extremal element for the L^q(mu) norm of u (scale-free); qf = float(q)."""
-    a = np.abs(u)
+def _measure_dual(u: np.ndarray, a: np.ndarray, weights: np.ndarray, qf: float) -> np.ndarray:
+    """Holder-extremal elements for the L^q(mu) norms of the rows of u (scale-free).
+
+    a = |u|, shared with the norm; qf = float(q).
+    """
     if qf == INF:
         g = np.zeros_like(u)
-        j = int(np.argmax(np.where(weights > 0, a, -1.0)))
-        g[j] = _phase(u[j : j + 1], a[j : j + 1])[0] / weights[j]
+        rows = np.arange(len(u))
+        j = np.argmax(np.where(weights > 0, a, -1.0), axis=1)
+        g[rows, j] = _phase(u[rows, j], a[rows, j]) / weights[j]
         return g
-    peak = a.max()
-    if peak == 0.0:
-        return np.ones_like(u)
-    return _phase(u, a) * (a / peak) ** (qf - 1.0)
+    peak = a.max(axis=1, keepdims=True)
+    live = peak > 0.0
+    return np.where(live, _phase(u, a) * (a / np.where(live, peak, 1.0)) ** (qf - 1.0), 1.0)
 
 
 def _lattice_extremal(c: np.ndarray, pf: float, pprimef: float) -> np.ndarray:
-    """Unit-l^p vector f maximizing Re sum_x f(x) c(x); pf, pprimef = float(p), float(p')."""
+    """Unit-l^p rows f maximizing Re sum_x f[r, x] c[r, x], one per row of c.
+
+    pf, pprimef = float(p), float(p').
+    """
     a = np.abs(c)
-    ph = np.conj(_phase(c, a))
     if pf == 1.0:
-        f = np.zeros_like(c)
-        j = int(np.argmax(a))
-        f[j] = ph[j]
-        return f
-    if pf == INF:
-        f = ph.astype(np.complex128)
+        t = np.zeros_like(a)
+        t[np.arange(len(a)), np.argmax(a, axis=1)] = 1.0
+    elif pf == INF:
+        t = np.ones_like(a)
     else:
-        peak = a.max()
-        if peak == 0.0:
+        peak = a.max(axis=1, keepdims=True)
+        if not peak.all():
             raise ArithmeticError("pulled-back functional vanished")
-        f = ph * (a / peak) ** (pprimef - 1.0)
-    return f / lp_norm(f, pf)
+        t = (a / peak) ** (pprimef - 1.0)
+        t /= lp_norm(t, pf, rows=True)[:, None]
+    return np.conj(_phase(c, a)) * t
 
 
 @dataclass(frozen=True)
@@ -161,9 +194,12 @@ class ProbeResult:
     norm_lower_bound: float
     witness: np.ndarray
     trace: list[float] = field(default_factory=list)
-    # per start, random starts first and warm starts after them
+    # per start, random starts first and warm starts after them;
+    # final_change is (v_last - v_prev) / |v_prev| of its last two values,
+    # None when it ran fewer than 2 iterations or v_prev is 0
     iterations: list[int] = field(default_factory=list)
     converged: list[bool] = field(default_factory=list)
+    final_change: list[float | None] = field(default_factory=list)
     best_start: int = -1
 
     @property
@@ -179,6 +215,7 @@ class ProbeResult:
             "restarts_used": self.restarts_used,
             "iterations": list(self.iterations),
             "converged": list(self.converged),
+            "final_change": list(self.final_change),
             "best_start": self.best_start,
             "trace": list(self.trace),
             "witness": [[float(z.real), float(z.imag)] for z in self.witness],
@@ -227,6 +264,10 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
     trusted from the iteration itself.  Random restarts use complex Gaussian
     starts with seeds derived from (options.seed, p, q, X, restart); callers
     may add warm starts, e.g. zero-padded witnesses from a smaller lattice.
+
+    All starts run as one (L, k) block, one start per column, and a start
+    leaves the block when its own stopping test fires.  The trace is the
+    running best in start order, as if the starts had run one after another.
     """
     p = validate_exponent(p, "p")
     q = validate_exponent(q, "q")
@@ -239,46 +280,61 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
         starts.append(rng.standard_normal(L) + 1j * rng.standard_normal(L))
     for w in warm_starts or []:
         starts.append(_embed_witness(np.asarray(w, dtype=np.complex128), op.dim, L))
+    f = np.array(starts, dtype=np.complex128)
 
-    best_val, best_f, best_start = -1.0, None, -1
-    trace: list[float] = []
-    iterations: list[int] = []
-    converged: list[bool] = []
-    for start, f in enumerate(starts):
-        iterations.append(0)
-        converged.append(False)
-        f = f.astype(np.complex128)
-        nf = lp_norm(f, pf)
-        if nf == 0.0:
-            continue
-        f = f / nf
-        last = -1.0
-        for _ in range(options.max_iters):
-            u = op.restrict(f)
-            iterations[-1] += 1
-            val = lp_norm(u, qf, op.weights)
-            if not np.isfinite(val):
-                raise ArithmeticError("non-finite value in norm iteration")
-            if val > best_val:
-                best_val, best_f, best_start = val, f.copy(), start
-                trace.append(val)
-            if last > 0.0 and val - last < options.tol * abs(last):
-                converged[-1] = True
-                break
-            last = val
-            g = _measure_dual(u, op.weights, qf)
-            c = np.conj(op.extend(g))
-            f = _lattice_extremal(c, pf, pprimef)
-
-    if best_f is None:
+    n = len(starts)
+    iterations = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    history: list[list[float]] = [[] for _ in range(n)]  # each start's values
+    best_val = np.full(n, -1.0)
+    best_f = np.zeros_like(f)
+    nf = lp_norm(f, pf, rows=True)
+    live = np.flatnonzero(nf > 0.0)  # a start that normalizes to zero is skipped
+    if not len(live):
         raise ArithmeticError("all starts degenerate")
-    certified = _rayleigh(op, best_f, p, q)
-    if abs(certified - best_val) > WITNESS_EVAL_TOL * max(1.0, abs(best_val)):
+    f = f[live] / nf[live, None]
+    last = np.full(len(live), -1.0)
+    for it in range(options.max_iters):
+        u = op.restrict(f.T).T
+        a = np.abs(u)
+        val = lp_norm(a, qf, op.weights, rows=True)
+        if not np.isfinite(val).all():
+            raise ArithmeticError("non-finite value in norm iteration")
+        iterations[live] += 1
+        for start, v in zip(live.tolist(), val.tolist()):
+            history[start].append(v)
+        up = val > best_val[live]
+        best_val[live[up]] = val[up]
+        best_f[live[up]] = f[up]
+        done = (last > 0.0) & (val - last < options.tol * np.abs(last))
+        converged[live[done]] = True
+        if done.all() or it + 1 == options.max_iters:
+            break
+        if done.any():
+            keep = ~done
+            live, u, a, val = live[keep], u[keep], a[keep], val[keep]
+        last = val
+        g = _measure_dual(u, a, op.weights, qf)
+        f = _lattice_extremal(np.conj(op.extend(g.T)).T, pf, pprimef)
+
+    trace: list[float] = []
+    top, best_start = -1.0, -1
+    for start, vals in enumerate(history):
+        for v in vals:
+            if v > top:
+                top, best_start = v, start
+                trace.append(v)
+    final_change = [(v[-1] - v[-2]) / abs(v[-2]) if len(v) >= 2 and v[-2] != 0.0 else None
+                    for v in history]
+    witness = best_f[best_start]
+    certified = _rayleigh(op, witness, p, q)
+    if abs(certified - top) > WITNESS_EVAL_TOL * max(1.0, abs(top)):
         raise AssertionError(
-            f"witness re-evaluation {certified} disagrees with tracked value {best_val}")
-    return ProbeResult(p, q, op.X, certified, best_f / lp_norm(best_f, p),
-                       trace=trace, iterations=iterations,
-                       converged=converged, best_start=best_start)
+            f"witness re-evaluation {certified} disagrees with tracked value {top}")
+    return ProbeResult(p, q, op.X, certified, witness / lp_norm(witness, p),
+                       trace=trace, iterations=iterations.tolist(),
+                       converged=converged.tolist(), final_change=final_change,
+                       best_start=best_start)
 
 
 @dataclass(frozen=True)

@@ -60,17 +60,28 @@ def frequency_radii(freqs: np.ndarray, dim: int) -> np.ndarray:
 
 
 def lp_norm(values: np.ndarray, s: Exponent, weights: np.ndarray | None = None,
-            volume: float = 1.0) -> float:
+            volume: float = 1.0, rows: bool = False) -> float | np.ndarray:
     """L^s norm of |values| against atom weights (counting measure when None), over volume.
 
     Computed as peak * (sum_j w_j (|v_j|/peak)^s / volume)^(1/s), so large
     exponents neither overflow nor underflow.  With weights, the sup norm
     runs over positive-weight atoms only.
+
+    rows=True is the row-wise form for a (k, n) block, one vector per row
+    and weights of shape (n,): it returns the k row norms as an array.  Each
+    row is reduced by a contiguous sum of its own, never by a product with
+    the weights, so a row's norm does not depend on the other rows.
     """
     a = np.abs(values)
     if is_inf(s):
-        return float((a if weights is None else a[weights > 0]).max())
+        top = (a if weights is None else a[..., weights > 0]).max(axis=-1 if rows else None)
+        return top if rows else float(top)
     sf = exp_float(s)
+    if rows:
+        peak = a.max(axis=-1, keepdims=True)
+        scaled = np.power(a / np.where(peak > 0.0, peak, 1.0), sf, order="C")
+        total = np.sum(scaled if weights is None else scaled * weights, axis=-1)
+        return peak[:, 0] * (total / volume) ** (1.0 / sf)
     peak = float(a.max())
     if peak == 0.0:
         return 0.0

@@ -132,3 +132,86 @@ def weighted_lp_norm(values, s, weights=None, volume=1.0):
         return max(m for m, w in zip(mags, ws) if w > 0)
     s = float(s)
     return (math.fsum(w * m**s for m, w in zip(mags, ws)) / volume) ** (1.0 / s)
+
+
+def _scaled_lp(values, s, weights=None):
+    """Peak-scaled L^s norm of |values|, one vector, sup over positive weights at s = inf."""
+    a = np.abs(values)
+    if s == math.inf:
+        return float((a if weights is None else a[weights > 0]).max())
+    peak = float(a.max())
+    if peak == 0.0:
+        return 0.0
+    scaled = (a / peak) ** s
+    total = np.sum(scaled) if weights is None else weights @ scaled
+    return float(peak * total ** (1.0 / s))
+
+
+def serial_restriction_norm(matrix, weights, p, q, starts, max_iters, tol):
+    """Boyd's p -> q power method on one start after another, by matrix-vector products.
+
+    The reference for the block engine: the starts (lattice vectors) run in
+    order, each until max_iters or its own stopping test, and the running
+    best, its start and the trace are kept as they arise.  p and q are
+    floats (math.inf allowed).  Returns the witness re-evaluated norm with
+    the per-start diagnostics; start_best is each start's largest value
+    (-1 for a start skipped as zero).
+    """
+    pprime = math.inf if p == 1.0 else (1.0 if p == math.inf else p / (p - 1.0))
+
+    def phase(z, a):
+        return np.where(a > 0, z / np.where(a > 0, a, 1.0), 1.0)
+
+    def restrict(f):
+        return np.conj(np.conj(f) @ matrix)
+
+    best_val, best_f, best_start = -1.0, None, -1
+    trace, iterations, converged, start_best = [], [], [], []
+    for start, f in enumerate(starts):
+        iterations.append(0)
+        converged.append(False)
+        start_best.append(-1.0)
+        f = np.asarray(f, dtype=np.complex128)
+        nf = _scaled_lp(f, p)
+        if nf == 0.0:
+            continue
+        f = f / nf
+        last = -1.0
+        for _ in range(max_iters):
+            u = restrict(f)
+            iterations[-1] += 1
+            val = _scaled_lp(u, q, weights)
+            start_best[-1] = max(start_best[-1], val)
+            if val > best_val:
+                best_val, best_f, best_start = val, f.copy(), start
+                trace.append(val)
+            if last > 0.0 and val - last < tol * abs(last):
+                converged[-1] = True
+                break
+            last = val
+            # L^q(mu) dual element of u
+            a = np.abs(u)
+            if q == math.inf:
+                g = np.zeros_like(u)
+                j = int(np.argmax(np.where(weights > 0, a, -1.0)))
+                g[j] = phase(u[j], a[j]) / weights[j]
+            elif a.max() == 0.0:
+                g = np.ones_like(u)
+            else:
+                g = phase(u, a) * (a / a.max()) ** (q - 1.0)
+            # l^p extremal vector of the pulled-back functional
+            c = np.conj(matrix @ (weights * g))
+            a = np.abs(c)
+            ph = np.conj(phase(c, a))
+            if p == 1.0:
+                f = np.zeros_like(c)
+                j = int(np.argmax(a))
+                f[j] = ph[j]
+            elif p == math.inf:
+                f = ph.astype(np.complex128)
+            else:
+                f = ph * (a / a.max()) ** (pprime - 1.0)
+            f = f / _scaled_lp(f, p)
+    norm = _scaled_lp(restrict(best_f), q, weights) / _scaled_lp(best_f, p)
+    return {"norm": norm, "trace": trace, "iterations": iterations,
+            "converged": converged, "best_start": best_start, "start_best": start_best}

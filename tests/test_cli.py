@@ -417,8 +417,27 @@ def test_trials_below_one_are_usage_errors(tmp_path, capsys, suite):
     (["analyze", "--beta", "-3"], "--beta: must be >= 0, got -3"),
     (["measure", "new", "--kind", "random-flat", "--N", "64", "--m", "8", "--retries", "-1"],
      "--retries: must be >= 0, got -1"),
+    (["measure", "new", "--kind", "dirac", "--dim", "0"],
+     "--dim: invalid choice: 0 (choose from 1, 2)"),
+    (["measure", "new", "--kind", "dirac", "--dim", "-1"],
+     "--dim: invalid choice: -1 (choose from 1, 2)"),
+    (["measure", "new", "--kind", "uniform", "--N", "0"], "--N: must be >= 1, got 0"),
+    (["measure", "new", "--kind", "circle", "--N", "0"], "--N: must be >= 1, got 0"),
+    (["measure", "new", "--kind", "uniform", "--N", "-4"], "--N: must be >= 1, got -4"),
+    (["measure", "new", "--kind", "cantor", "--stage", "0"], "--stage: must be >= 1, got 0"),
+    (["measure", "new", "--kind", "random-flat", "--N", "64", "--m", "0"],
+     "--m: must be >= 1, got 0"),
+    (["measure", "new", "--kind", "cantor", "--base", "1"], "--base: must be >= 2, got 1"),
+    (["measure", "new", "--kind", "uniform", "--N", "64", "--confine", "0"],
+     "--confine: must be >= 1, got 0"),
+    (["sweep", "--p-grid", "2:2:1", "--q-grid", "2:2:1", "--X", "0,4,8,16"],
+     "--X: must be >= 1, got 0"),
+    (["verify", "--suite", "prop2", "--K", "0,4"], "--K: must be >= 1, got 0"),
 ], ids=["verify-n", "chain-eps", "bilinear-eps", "conv-n", "sweep-n", "exponents-n",
-        "exponents-n-not-int", "probe-X", "analyze-beta", "measure-retries"])
+        "exponents-n-not-int", "probe-X", "analyze-beta", "measure-retries",
+        "measure-dim-0", "measure-dim-negative", "uniform-N", "circle-N", "measure-N-negative",
+        "cantor-stage", "random-flat-m", "cantor-base", "measure-confine", "sweep-X",
+        "verify-K"])
 def test_out_of_range_counts_are_usage_errors(flat_measure, tmp_path, capsys, argv, message):
     if argv[0] in ("conv", "sweep", "probe", "analyze"):
         argv = [*argv, "--measure", flat_measure]

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -6,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import restrictlab
 from restrictlab import probe
 from restrictlab.measures import DiscreteMeasure, circle, dirac, random_flat, uniform
 from restrictlab.probe import (
@@ -19,7 +24,7 @@ from restrictlab.probe import (
 from restrictlab.rationals import INF
 from restrictlab.spectral import lp_norm
 
-from oracles import lattice_phase_matrix
+from oracles import lattice_phase_matrix, serial_restriction_norm
 
 
 def random_measure(seed, N=1024, max_atoms=64):
@@ -234,16 +239,35 @@ def test_restrict_is_the_adjoint_without_copying_the_operator():
     # would make the peak about matrix.nbytes
     for mu, X in ((random_flat(512, 32, seed=4), 64), (circle(64, 0.25), 8)):
         op = assemble(mu, X)
+        L = op.lattice_size
         rng = np.random.default_rng(X)
-        f = rng.standard_normal(op.lattice_size) + 1j * rng.standard_normal(op.lattice_size)
+        f = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+        block = rng.standard_normal((L, 5)) + 1j * rng.standard_normal((L, 5))
         assert np.array_equal(op.restrict(f), op.matrix.conj().T @ f)
-        tracemalloc.start()
-        try:
-            op.restrict(f)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < op.matrix.nbytes / 4, (peak, op.matrix.nbytes)
+        for F in (block[:, :1], block):
+            # a block is a GEMM by rows, so its bits differ from this
+            # product's; bound the difference by the dot-product round-off
+            # of L terms against unit-modulus entries
+            tol = L * np.finfo(float).eps * np.abs(F).sum(axis=0)
+            assert (np.abs(op.restrict(F) - op.matrix.conj().T @ F) <= tol).all()
+        for arg in (f, block[:, :1], block):
+            tracemalloc.start()
+            try:
+                op.restrict(arg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < op.matrix.nbytes / 4, (arg.shape, peak, op.matrix.nbytes)
+
+
+def test_extend_takes_a_vector_as_one_column():
+    op = assemble(random_measure(13), 16)
+    rng = np.random.default_rng(13)
+    g = rng.standard_normal(op.num_atoms) + 1j * rng.standard_normal(op.num_atoms)
+    out = op.extend(g)
+    assert out.shape == (op.lattice_size,)
+    assert np.array_equal(out, op.extend(g[:, None])[:, 0])
+    assert np.allclose(out, op.matrix @ (op.weights * g), rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize("kwargs", [dict(restarts=0), dict(restarts=-3), dict(max_iters=0),
@@ -279,12 +303,121 @@ def test_per_start_diagnostics():
     assert not any(warm.converged)
 
 
+def _at_one_blas_thread(code):
+    """Run code in a child process pinned to one OpenBLAS thread.
+
+    At two OpenBLAS threads a GEMM column of a 129 x 185 operator can depend
+    on the block width, so checks that need a start's bits to be the same in
+    any block run here, whatever thread count the suite itself runs with.
+    """
+    src = os.path.dirname(os.path.dirname(restrictlab.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_best_start_is_the_start_that_reached_the_bound():
-    mu = random_measure(12)
+    # restarts=k reproduces the first k starts of a larger run bit for bit,
+    # so the best start alone reaches the same bound
+    _at_one_blas_thread("""
+        from fractions import Fraction
+        import numpy as np
+        from restrictlab.measures import DiscreteMeasure
+        from restrictlab.probe import ProbeOptions, assemble, restriction_norm
+        rng = np.random.default_rng(12)  # random_measure(12)
+        m = int(rng.integers(8, 65))
+        idx = rng.choice(1024, size=m, replace=False).reshape(-1, 1)
+        w = rng.random(m)
+        op = assemble(DiscreteMeasure(1, 1024, np.sort(idx, axis=0), w / w.sum()), 16)
+        p, q = Fraction(4, 3), 4
+        full = restriction_norm(op, p, q, ProbeOptions(restarts=8, seed=12))
+        for k in range(1, 9):
+            res = restriction_norm(op, p, q, ProbeOptions(restarts=k, seed=12))
+            assert res.iterations == full.iterations[:k], k
+            assert res.converged == full.converged[:k], k
+            assert res.final_change == full.final_change[:k], k
+            assert res.trace == full.trace[:len(res.trace)], k
+            if k == full.best_start + 1:
+                assert res.norm_lower_bound == full.norm_lower_bound
+                assert res.best_start == full.best_start
+        """)
+
+
+def test_per_start_final_change():
+    mu = random_measure(11)
     op = assemble(mu, 16)
-    options = ProbeOptions(restarts=4, seed=12)
-    res = restriction_norm(op, Fraction(4, 3), 4, options)
-    alone = restriction_norm(op, Fraction(4, 3), 4, ProbeOptions(
-        restarts=res.best_start + 1, seed=12))
-    assert alone.norm_lower_bound == res.norm_lower_bound
-    assert alone.best_start == res.best_start
+    res = restriction_norm(op, Fraction(4, 3), 2, ProbeOptions(seed=11))
+    assert len(res.final_change) == res.restarts_used
+    tol = ProbeOptions().tol
+    for n, ok, change in zip(res.iterations, res.converged, res.final_change):
+        assert n >= 2 and change is not None
+        # the stopping test fires exactly when the last change is below tol
+        assert ok == (change < tol)
+    assert res.as_dict()["final_change"] == res.final_change
+    one = restriction_norm(op, 2, 2, ProbeOptions(restarts=2, max_iters=1))
+    assert one.final_change == [None, None]
+
+
+def _without_roundoff_steps(trace):
+    """The trace without the values that the next one passes only by round-off."""
+    return [v for v, nxt in zip(trace, trace[1:] + [np.inf]) if nxt > v * (1 + 1e-12)]
+
+
+def _oracle_starts(op, p, q, options, warm):
+    starts = []
+    for i in range(options.restarts):
+        rng = probe.probe_seed(options.seed, p, q, op.X, i)
+        starts.append(rng.standard_normal(op.lattice_size)
+                      + 1j * rng.standard_normal(op.lattice_size))
+    return starts + warm
+
+
+@pytest.mark.parametrize("mu, X", [(random_measure(21, max_atoms=24), 16),
+                                   (circle(64, 0.25), 4)], ids=["1d", "2d"])
+def test_block_engine_matches_serial_oracle(mu, X):
+    op = assemble(mu, X)
+    rng = np.random.default_rng(21)
+    warm = [rng.standard_normal(op.lattice_size), np.zeros(op.lattice_size)]
+    options = ProbeOptions(restarts=3, seed=21)
+    for p in (1, Fraction(4, 3), 2, INF):
+        for q in (Fraction(4, 3), 2, 4, INF):
+            res = restriction_norm(op, p, q, options, warm_starts=warm)
+            ref = serial_restriction_norm(op.matrix, op.weights, float(p), float(q),
+                                          _oracle_starts(op, p, q, options, warm),
+                                          options.max_iters, options.tol)
+            case = (p, q)
+            assert res.norm_lower_bound == pytest.approx(ref["norm"], rel=1e-12, abs=0), case
+            assert res.iterations == ref["iterations"], case
+            assert res.converged == ref["converged"], case
+            assert res.iterations[-1] == 0 and not res.converged[-1]  # the zero start
+            assert _without_roundoff_steps(res.trace) == pytest.approx(
+                _without_roundoff_steps(ref["trace"]), rel=1e-12, abs=0), case
+            if res.best_start != ref["best_start"]:
+                # starts whose best values tie to round-off (at p = 1 every
+                # start reaches the norm 1 at once); the chosen one must be
+                # such a tie in the reference run
+                top = ref["start_best"][ref["best_start"]]
+                assert ref["start_best"][res.best_start] == pytest.approx(
+                    top, rel=1e-12, abs=0), case
+
+
+def test_block_columns_do_not_depend_on_the_block_at_one_blas_thread():
+    _at_one_blas_thread("""
+        import numpy as np
+        from restrictlab.measures import DiscreteMeasure
+        from restrictlab.probe import assemble
+        rng = np.random.default_rng(5)
+        idx = np.sort(rng.choice(4096, size=185, replace=False)).reshape(-1, 1)
+        op = assemble(DiscreteMeasure(1, 4096, idx, np.full(185, 1 / 185)), 64)
+        F = rng.standard_normal((op.lattice_size, 9)) + 1j * rng.standard_normal((op.lattice_size, 9))
+        G = rng.standard_normal((185, 9)) + 1j * rng.standard_normal((185, 9))
+        for apply, block in ((op.restrict, F), (op.extend, G)):
+            alone = [apply(block[:, j:j + 1]) for j in range(9)]
+            for lo in range(9):
+                for hi in range(lo + 1, 10):
+                    out = apply(block[:, lo:hi])
+                    for j in range(lo, hi):
+                        assert np.array_equal(out[:, j - lo:j - lo + 1], alone[j]), (lo, hi, j)
+        """)
