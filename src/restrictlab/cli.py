@@ -68,8 +68,8 @@ def _parse_grid(text: str) -> list[Fraction]:
     return vals
 
 
-def _parse_int_list(text: str, item=int) -> list[int]:
-    """Comma-separated ints, each parsed by item."""
+def _parse_list(text: str, item=int) -> list:
+    """Comma-separated entries, each parsed by item (ints by default)."""
     return [item(t) for t in text.split(",") if t]
 
 
@@ -89,7 +89,18 @@ def _int_at_least(low: int):
 def _int_list_at_least(low: int):
     """argparse type: comma-separated ints, each >= low."""
     item = _int_at_least(low)
-    return lambda text: _parse_int_list(text, item)
+    return lambda text: _parse_list(text, item)
+
+
+def _positive_fraction(text: str) -> Fraction:
+    """argparse type: a rational number > 0, such as 1/8 or 0.125."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
 
 
 def _exp(text: str):
@@ -107,8 +118,8 @@ def cmd_measure(args) -> int:
     kind = args.kind.replace("-", "_")
     # rebuild reads the fields of this kind and ignores the rest
     mu = measures.rebuild({
-        "kind": kind, "dim": args.dim, "N": args.N, "index": _parse_int_list(args.index),
-        "base": args.base, "digits": _parse_int_list(args.digits), "stage": args.stage,
+        "kind": kind, "dim": args.dim, "N": args.N, "index": _parse_list(args.index),
+        "base": args.base, "digits": _parse_list(args.digits), "stage": args.stage,
         "m": args.m, "seed": args.seed, "flatness_c": args.flatness_c,
         "max_retries": args.retries, "radius": args.radius, "confine": args.confine,
     })
@@ -122,7 +133,7 @@ def cmd_analyze(args) -> int:
     mu = load_measure(args.measure)
     run_all = not (args.alpha or args.beta or args.gamma)
     payload: dict = {"measure": mu.constructor, "N": mu.N, "dim": mu.dim}
-    scales = [float(Fraction(s)) for s in args.scales.split(",")] if args.scales else None
+    scales = [float(s) for s in args.scales] if args.scales else None
     if args.alpha or run_all:
         payload["alpha"] = regularity.ahlfors_alpha(mu, scales).as_dict()
     if args.beta or run_all:
@@ -276,10 +287,11 @@ def _verify_nrp(args) -> tuple[int, object, object]:
 def _suite_chain(args) -> tuple[list[dict], bool]:
     mu = load_measure(args.measure) if args.measure else _default_flat_measure(args.seed)
     n, r, p = _verify_nrp(args)
+    chain = verifiers.prepare_chain(mu, n, r, p, epsilon=args.eps)
     records = []
     for trial in range(args.trials):
         g = verifiers.random_bounded_g(mu.N, mu.dim, args.seed + 1000 + trial)
-        report = verifiers.check_dual_chain(mu, g, n, r, p, epsilon=args.eps)
+        report = verifiers.check_dual_chain(chain, g)
         records.append({"trial": trial, **report.as_dict()})
     return records, all(r["all_hold"] for r in records)
 
@@ -422,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--alpha", action="store_true")
     a.add_argument("--beta", type=_int_at_least(0), default=0, metavar="K")
     a.add_argument("--gamma", action="store_true")
-    a.add_argument("--scales", default=None)
+    a.add_argument("--scales", type=lambda text: _parse_list(text, _positive_fraction),
+                   default=None)
     a.add_argument("--out", default=None)
     a.set_defaults(func=cmd_analyze)
 
@@ -430,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--measure", required=True)
     c.add_argument("-n", type=_int_at_least(1), required=True)
     c.add_argument("-r", type=_exp, required=True)
-    c.add_argument("--resolutions", type=_parse_int_list, default=None)
+    c.add_argument("--resolutions", type=_parse_list, default=None)
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_conv)
 

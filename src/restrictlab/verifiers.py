@@ -38,7 +38,7 @@ from .rationals import (
 )
 from .regularity import (
     ahlfors_alpha,
-    ball_masses,
+    ball_masses_at,
     billingsley_gamma,
     default_scales,
     endpoint_q,
@@ -187,19 +187,36 @@ def materialized_pair_sum(h: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_dual_chain(mu: DiscreteMeasure, g: np.ndarray, n: int, r: Exponent,
-                     p: Exponent, epsilon: int = 2) -> ChainReport:
-    """Evaluate every step of the dual estimate on a concrete instance.
+@dataclass(frozen=True)
+class PreparedChain:
+    """The per-instance side of the dual chain: everything that does not depend on g.
+
+    mu_eps and M_n are read-only, so trials on one prepared chain cannot
+    affect each other.  constant is ||mu^{*n}||_r^{1/(nq)}.
+    """
+
+    mu: DiscreteMeasure
+    n: int
+    r: Exponent
+    p: Exponent
+    q: Exponent
+    s: Exponent
+    epsilon: int
+    mu_eps: np.ndarray
+    M_n: np.ndarray
+    mu_eps_conv_norm: float
+    atomic_conv_norm: float
+    constant: float
+
+
+def prepare_chain(mu: DiscreteMeasure, n: int, r: Exponent, p: Exponent,
+                  epsilon: int = 2) -> PreparedChain:
+    """Validate the exponents and compute the g-independent data of one chain instance.
 
     q is pinned to the endpoint p'/(n r') and s = p'/n; the instance must be
-    feasible (s >= 2, q >= 1).  Steps: the power identity, Hausdorff-Young,
-    the inner Holder bound through the convolution representation
-    (|g|^{q'} mu_eps)^{*n}, the outer Holder with the L^r norm, Young's
-    inequality against the unmollified convolution power, and the assembled
-    end-to-end dual estimate.
-
-    For n = 2 on tiny grids the inner object is additionally materialized as
-    a brute-force eta-sum and compared exactly to the convolution form.
+    feasible (s >= 2, q >= 1).  The mollified power M_n = mu_eps^{*n}, its
+    L^r norm, and the atomic norm ||mu^{*n}||_r behind the constant are
+    computed here once, whatever the number of g checked against them.
     """
     r = validate_exponent(r, "r")
     p = validate_exponent(p, "p")
@@ -207,12 +224,34 @@ def check_dual_chain(mu: DiscreteMeasure, g: np.ndarray, n: int, r: Exponent,
     s = exp_div(conjugate(p), n)
     if is_inf(s) or Fraction(s) < 2:
         raise ValueError(f"infeasible exponents: s = p'/n = {exp_str(s)} must be finite and >= 2")
-    qp, sp = conjugate(q), conjugate(validate_exponent(s, "s"))
+    mu_eps = mollify(mu, epsilon)
+    M_n = np.maximum(torus_convolve_power(mu_eps, n).real, 0.0)
+    mu_eps.setflags(write=False)
+    M_n.setflags(write=False)
+    atomic_conv_norm = density_norm(convolve_power(mu, n), r)
+    return PreparedChain(mu, n, r, p, q, s, epsilon, mu_eps, M_n,
+                         lp_norm(M_n, r, volume=mu_eps.size), atomic_conv_norm,
+                         atomic_conv_norm ** float(reciprocal(exp_mul(n, q))))
+
+
+def check_dual_chain(chain: PreparedChain, g: np.ndarray) -> ChainReport:
+    """Evaluate every step of the dual estimate on a prepared instance and one g.
+
+    Steps: the power identity, Hausdorff-Young, the inner Holder bound
+    through the convolution representation (|g|^{q'} mu_eps)^{*n}, the outer
+    Holder with the L^r norm, Young's inequality against the unmollified
+    convolution power, and the assembled end-to-end dual estimate.
+
+    For n = 2 on tiny grids the inner object is additionally materialized as
+    a brute-force eta-sum and compared exactly to the convolution form.
+    """
+    mu, n, r, q, s = chain.mu, chain.n, chain.r, chain.q, chain.s
+    qp, sp = conjugate(q), conjugate(s)
     g = np.asarray(g, dtype=np.complex128)
     if g.shape != (mu.N,) * mu.dim:
         raise ValueError("g must be defined on the full grid")
 
-    mu_eps = mollify(mu, epsilon)
+    mu_eps, M_n = chain.mu_eps, chain.M_n
     vol = mu_eps.size
     h = g * mu_eps
     h_hat = grid_transform(h)
@@ -232,7 +271,6 @@ def check_dual_chain(mu: DiscreteMeasure, g: np.ndarray, n: int, r: Exponent,
     steps.append(SlackRecord("hausdorff_young", lhs_b, rhs_b))
 
     # Inner Holder: |h^{*n}| <= (mu_eps^{*n})^{1/q} ((|g|^{q'} mu_eps)^{*n})^{1/q'}.
-    M_n = np.maximum(torus_convolve_power(mu_eps, n).real, 0.0)
     support = mu_eps > 0
     if is_inf(qp):
         g_sup = float(np.abs(g)[support].max()) if support.any() else 0.0
@@ -247,7 +285,7 @@ def check_dual_chain(mu: DiscreteMeasure, g: np.ndarray, n: int, r: Exponent,
     steps.append(SlackRecord("inner_holder", lhs_c, rhs_c))
 
     # Outer Holder: uses the exact identity 1/s' - 1/(qr) = 1/q'.
-    mu_eps_conv_norm = lp_norm(M_n, r, volume=vol)
+    mu_eps_conv_norm = chain.mu_eps_conv_norm
     if is_inf(qp):
         factor_g = g_sup**n
     else:
@@ -269,27 +307,23 @@ def check_dual_chain(mu: DiscreteMeasure, g: np.ndarray, n: int, r: Exponent,
         g_norm_factor = g_sup
 
     # Young: mollified convolution power never beats the atomic one in L^r.
-    mu_conv = convolve_power(mu, n)
-    lhs_e = mu_eps_conv_norm
-    rhs_e = density_norm(mu_conv, r)
-    steps.append(SlackRecord("young_mollifier", lhs_e, rhs_e))
+    steps.append(SlackRecord("young_mollifier", mu_eps_conv_norm, chain.atomic_conv_norm))
 
     # End-to-end dual estimate with explicit constant ||mu^{*n}||_r^{1/(nq)}.
-    constant = rhs_e ** float(reciprocal(exp_mul(n, q)))
-    end = SlackRecord("dual_estimate", lp_norm(h_hat, ns), constant * g_norm_factor)
+    end = SlackRecord("dual_estimate", lp_norm(h_hat, ns), chain.constant * g_norm_factor)
 
     oracle_gap = None
     if n == 2 and mu.dim == 1 and mu.N <= 64:
         oracle_gap = float(np.abs(materialized_pair_sum(h) - conv_h).max())
 
     instance = {
-        "N": mu.N, "dim": mu.dim, "n": n, "epsilon": epsilon,
-        "p": exp_str(p), "q": exp_str(q), "r": exp_str(r), "s": exp_str(s),
+        "N": mu.N, "dim": mu.dim, "n": n, "epsilon": chain.epsilon,
+        "p": exp_str(chain.p), "q": exp_str(q), "r": exp_str(r), "s": exp_str(s),
         "measure": mu.constructor.get("kind", "custom"), "seed": mu.seed,
         # the dual-estimate constant and the ratio it actually achieved on
         # this instance; tracking these across epsilon exposes the
         # (non-certified) uniformity trend
-        "constant": constant,
+        "constant": chain.constant,
         "achieved_ratio": (end.lhs / g_norm_factor) if g_norm_factor > 0 else 0.0,
     }
     return ChainReport(steps, instance, end, oracle_gap)
@@ -412,11 +446,8 @@ def check_prop3(mu: DiscreteMeasure, gamma) -> Prop3Report:
     gamma = Fraction(gamma)
     corr = self_correlation(mu)
     eps_list = sorted(default_scales(mu.N))
-    masses, counts = [], []
-    for eps in eps_list:
-        window = ball_masses(corr, eps)
-        masses.append(float(window[(0,) * mu.dim]))
-        counts.append(greedy_disjoint_balls(mu, eps) if mu.dim == 1 else -1)
+    masses = ball_masses_at(corr, (0,) * mu.dim, eps_list)
+    counts = [greedy_disjoint_balls(mu, eps) if mu.dim == 1 else -1 for eps in eps_list]
     fit = loglog_fit(eps_list, masses)
     return Prop3Report(gamma, eps_list, masses, counts, fit.slope, PROP3_MARGIN,
                        fit.slope <= float(gamma) + PROP3_MARGIN)

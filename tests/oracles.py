@@ -71,6 +71,22 @@ def dense_ball_masses(indices, weights, N, radius):
     return out
 
 
+def concat_roll_windowed_sums(values, halfwidth, axis):
+    """Circular window sums as the preallocated regularity._windowed_sums replaced them.
+
+    Concatenates the first 2h entries onto a copy, prepends a zero column to
+    a cumsum copy, and rolls the differences into place; the routine it
+    checks must agree bit for bit.
+    """
+    v = np.moveaxis(values, axis, -1)
+    n = v.shape[-1]
+    h = min(halfwidth, (n - 1) // 2)
+    ext = np.concatenate([v, v[..., : 2 * h]], axis=-1)
+    cs = np.concatenate([np.zeros(v.shape[:-1] + (1,)), np.cumsum(ext, axis=-1)], axis=-1)
+    sums = cs[..., 2 * h + 1:] - cs[..., :n]
+    return np.moveaxis(np.roll(sums, h, axis=-1), -1, axis)
+
+
 def lattice_phase_matrix(indices, N, X):
     """exp(2 pi i <x, j/N>) one entry at a time, rows x in [-X, X]^dim in row-major order."""
     indices = np.asarray(indices)

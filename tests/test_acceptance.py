@@ -28,6 +28,7 @@ from restrictlab.verifiers import (
     exponent_identity,
     feasible_triples,
     knapp_test,
+    prepare_chain,
     random_bounded_g,
 )
 
@@ -203,9 +204,10 @@ def _chain_artifact() -> str:
     mu = random_flat(256, 32, seed=SEED, flatness_c=4.0)
     records = []
     for(n, r, p) in ((2, INF, Fraction(4, 3)), (2, 2, Fraction(4, 3))):
+        chain = prepare_chain(mu, n, r, p, epsilon=2)
         for trial in range(100):
             g = random_bounded_g(256, 1, seed=SEED + trial)
-            rep = check_dual_chain(mu, g, n, r, p, epsilon=2)
+            rep = check_dual_chain(chain, g)
             records.append(rep.as_dict())
     return json.dumps(records, sort_keys=True)
 
@@ -223,10 +225,10 @@ def test_criterion_6_proof_chain():
                     assert step["relative_slack"] >= -1e-8, step
 
         # materialized eta-sum oracle against the convolution form, N <= 64
-        small = random_flat(64, 12, seed=SEED)
+        small = prepare_chain(random_flat(64, 12, seed=SEED), 2, INF, Fraction(4, 3))
         for trial in range(20):
             g = random_bounded_g(64, 1, seed=SEED + 500 + trial)
-            rep = check_dual_chain(small, g, 2, INF, Fraction(4, 3))
+            rep = check_dual_chain(small, g)
             assert rep.oracle_match is not None and rep.oracle_match <= 1e-10
 
         # 1000 Hausdorff-Young trials, zero violations

@@ -319,6 +319,31 @@ def test_analyze_with_explicit_scales(tmp_path):
     assert abs(report["alpha"]["estimate"] - 0.5) <= 0.05
 
 
+def test_scale_above_a_quarter_is_a_library_error(flat_measure, tmp_path, capsys):
+    # the (1/N, 1/4] window depends on the measure, so the library checks it
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--measure", flat_measure, "--scales", "1/2,1/4,1/8",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: scale 0.5 outside (1/N, 1/4]\n"
+    assert not out.exists()
+
+
+def test_verify_chain_prepares_the_instance_once(tmp_path, monkeypatch):
+    from collections import Counter
+
+    from restrictlab import verifiers
+
+    calls = Counter()
+    for name in ("convolve_power", "mollify"):
+        def counting(*args, _name=name, _real=getattr(verifiers, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(verifiers, name, counting)
+    assert main(["verify", "--suite", "chain", "--trials", "5",
+                 "--out", str(tmp_path / "chain.json")]) == 0
+    assert calls == {"convolve_power": 1, "mollify": 1}
+
+
 def test_default_output_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("RESTRICTLAB_OUT", str(tmp_path))
     assert main(["measure", "new", "--kind", "dirac", "--N", "64"]) == 0
@@ -350,14 +375,14 @@ def test_chain_reports_constant_trend_in_epsilon():
     import numpy as np
 
     from restrictlab.measures import random_flat
-    from restrictlab.verifiers import check_dual_chain
+    from restrictlab.verifiers import check_dual_chain, prepare_chain
 
     mu = random_flat(256, 24, seed=31)
     g = np.ones(256, dtype=complex)
     from fractions import Fraction
 
-    constants = [check_dual_chain(mu, g, 2, float("inf"), Fraction(4, 3),
-                                  epsilon=eps).instance["constant"]
+    constants = [check_dual_chain(prepare_chain(mu, 2, float("inf"), Fraction(4, 3),
+                                                epsilon=eps), g).instance["constant"]
                  for eps in (16, 8, 4, 2, 1)]
     assert all(c > 0 for c in constants)
     assert len(set(constants)) == 1  # measure-side constant independent of eps
@@ -433,11 +458,17 @@ def test_trials_below_one_are_usage_errors(tmp_path, capsys, suite):
     (["sweep", "--p-grid", "2:2:1", "--q-grid", "2:2:1", "--X", "0,4,8,16"],
      "--X: must be >= 1, got 0"),
     (["verify", "--suite", "prop2", "--K", "0,4"], "--K: must be >= 1, got 0"),
+    (["analyze", "--scales", "0,1/8,1/4"], "--scales: must be > 0, got 0"),
+    (["analyze", "--scales=-1/8,1/8,1/4"], "--scales: must be > 0, got -1/8"),
+    (["analyze", "--scales", "-1/8,1/8,1/4"], "--scales: expected one argument"),
+    (["analyze", "--scales", "1/0,1/8,1/4"], "--scales: invalid rational value: '1/0'"),
+    (["analyze", "--scales", "abc"], "--scales: invalid rational value: 'abc'"),
 ], ids=["verify-n", "chain-eps", "bilinear-eps", "conv-n", "sweep-n", "exponents-n",
         "exponents-n-not-int", "probe-X", "analyze-beta", "measure-retries",
         "measure-dim-0", "measure-dim-negative", "uniform-N", "circle-N", "measure-N-negative",
         "cantor-stage", "random-flat-m", "cantor-base", "measure-confine", "sweep-X",
-        "verify-K"])
+        "verify-K", "scales-zero", "scales-negative", "scales-negative-as-flag",
+        "scales-zero-denominator", "scales-not-a-number"])
 def test_out_of_range_counts_are_usage_errors(flat_measure, tmp_path, capsys, argv, message):
     if argv[0] in ("conv", "sweep", "probe", "analyze"):
         argv = [*argv, "--measure", flat_measure]

@@ -4,11 +4,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from restrictlab import regularity
 from restrictlab.measures import DiscreteMeasure, cantor, circle, dirac, random_flat, uniform
 from restrictlab.rationals import INF, conjugate, exp_str, is_inf
 from restrictlab.regularity import (
+    _windowed_sums,
     ahlfors_alpha,
     ball_masses,
+    ball_masses_at,
     billingsley_gamma,
     default_scales,
     endpoint_q,
@@ -21,7 +24,7 @@ from restrictlab.regularity import (
 from restrictlab.spectral import fourier
 from restrictlab.verifiers import exponent_identity
 
-from oracles import dense_ball_masses, dirichlet_interval_spectrum_sq
+from oracles import concat_roll_windowed_sums, dense_ball_masses, dirichlet_interval_spectrum_sq
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +52,64 @@ def test_window_sums_dim2():
     assert masses[5, 10] == pytest.approx(1.0)   # still within sup-ball (h=3)
     assert masses[5, 11] == pytest.approx(0.0)
     assert masses[2, 4] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("shape", [(1 << 16,), (256, 256)])
+@pytest.mark.parametrize("halfwidth", [0, 2, 64, 1 << 20])
+def test_window_sums_bit_identical_to_concat_roll(shape, halfwidth):
+    # the largest half-width is capped at (n - 1) // 2
+    values = np.random.default_rng(len(shape) * 1000 + halfwidth % 997).random(shape)
+    for axis in range(len(shape)):
+        sums = values.copy()
+        _windowed_sums(sums, halfwidth, axis)
+        assert np.array_equal(sums, concat_roll_windowed_sums(values, halfwidth, axis))
+
+
+@st.composite
+def _measure_and_halfwidths(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    N = 2 ** draw(st.integers(1, 6 if dim == 1 else 4))
+    m = draw(st.integers(1, min(N**dim, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flat = rng.choice(N**dim, size=m, replace=False)
+    idx = np.stack(np.unravel_index(flat, (N,) * dim), axis=1)
+    w = rng.random(m) + 0.01
+    # half-widths up to N/2: (N - 1) // 2 is the cap, N/2 is over it
+    halfwidths = draw(st.lists(st.integers(0, N // 2), min_size=1, max_size=4))
+    return DiscreteMeasure(dim, N, idx, w / w.sum()), halfwidths
+
+
+@given(_measure_and_halfwidths())
+@settings(max_examples=60, deadline=None)
+def test_ball_masses_at_matches_dense_oracle_at_every_center(case):
+    mu, halfwidths = case
+    N = mu.N
+    # radius (k + 1/2)/N has half-width k; 1/2 is the largest radius allowed
+    for r in (min((k + 0.5) / N, 0.5) for k in halfwidths):
+        grid = ball_masses(mu, r)
+        dense = dense_ball_masses(mu.indices, mu.weights, N, r)
+        for center in np.ndindex(grid.shape):
+            (value,) = ball_masses_at(mu, center, [r])
+            assert abs(value - grid[center]) <= 1e-13
+            # at radius 1/2 the window stops at the (N - 1) // 2 cap, as in
+            # ball_masses, so the antipodal cells the closed ball holds are left out
+            if int(r * N) <= (N - 1) // 2:
+                assert abs(value - dense[center]) <= 1e-13
+
+
+def test_billingsley_builds_one_grid(monkeypatch):
+    radii = []
+    real = regularity.ball_masses
+
+    def counting(mu, radius):
+        radii.append(radius)
+        return real(mu, radius)
+
+    monkeypatch.setattr(regularity, "ball_masses", counting)
+    mu = circle(64, 0.25)
+    rep = billingsley_gamma(mu, [0.25, 0.125, 0.0625, 0.03125])
+    assert radii == [0.03125]
+    assert rep.values == ball_masses_at(mu, rep.center, rep.scales)
 
 
 def test_alpha_uniform_is_one():

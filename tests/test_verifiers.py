@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from restrictlab import regularity, verifiers
 from restrictlab.measures import cantor, dirac, random_flat, uniform
 from restrictlab.rationals import INF
 from restrictlab.verifiers import (
@@ -19,6 +22,7 @@ from restrictlab.verifiers import (
     greedy_disjoint_balls,
     knapp_test,
     materialized_pair_sum,
+    prepare_chain,
     random_bounded_g,
     torus_convolve_power,
 )
@@ -74,7 +78,7 @@ def test_hy_property(values):
 def test_chain_uniform_constant_g():
     mu = uniform(1, 128)
     g = np.ones(128, dtype=complex)
-    report = check_dual_chain(mu, g, 2, INF, Fraction(4, 3))
+    report = check_dual_chain(prepare_chain(mu, 2, INF, Fraction(4, 3)), g)
     assert report.all_hold()
     assert report.end_to_end.slack >= -1e-10
     names = [s.name for s in report.steps]
@@ -85,7 +89,7 @@ def test_chain_uniform_constant_g():
 def test_chain_r2_branch_q_one():
     mu = random_flat(128, 16, seed=3)
     g = random_bounded_g(128, 1, seed=4)
-    report = check_dual_chain(mu, g, 2, 2, Fraction(4, 3))
+    report = check_dual_chain(prepare_chain(mu, 2, 2, Fraction(4, 3)), g)
     assert report.instance["q"] == "1"
     assert report.all_hold()
 
@@ -93,7 +97,7 @@ def test_chain_r2_branch_q_one():
 def test_chain_materialized_oracle_small_grid():
     mu = random_flat(64, 10, seed=5)
     g = random_bounded_g(64, 1, seed=6)
-    report = check_dual_chain(mu, g, 2, INF, Fraction(4, 3))
+    report = check_dual_chain(prepare_chain(mu, 2, INF, Fraction(4, 3)), g)
     assert report.oracle_match is not None
     assert report.oracle_match <= 1e-10
 
@@ -107,19 +111,19 @@ def test_materialized_sum_equals_fft_convolution():
 
 
 def test_chain_random_instances_no_negative_slack():
-    mu = random_flat(256, 24, seed=8)
+    chain = prepare_chain(random_flat(256, 24, seed=8), 2, INF, Fraction(4, 3), epsilon=2)
     for trial in range(25):
         g = random_bounded_g(256, 1, seed=100 + trial)
-        report = check_dual_chain(mu, g, 2, INF, Fraction(4, 3), epsilon=2)
+        report = check_dual_chain(chain, g)
         assert report.all_hold(1e-8), report.as_dict()
 
 
 def test_chain_compositionality():
     # if every step holds, the assembled dual estimate cannot fail
-    mu = random_flat(256, 30, seed=9)
+    chain = prepare_chain(random_flat(256, 30, seed=9), 2, INF, Fraction(4, 3))
     for trial in range(10):
         g = random_bounded_g(256, 1, seed=200 + trial)
-        rep = check_dual_chain(mu, g, 2, INF, Fraction(4, 3))
+        rep = check_dual_chain(chain, g)
         by_name = {s.name: s for s in rep.steps}
         # adjacent steps share their boundary values
         assert by_name["hausdorff_young"].lhs == pytest.approx(
@@ -138,13 +142,14 @@ def test_chain_epsilon_variants():
     mu = random_flat(256, 24, seed=10)
     g = random_bounded_g(256, 1, seed=11)
     for eps in (1, 2, 8, 16):
-        assert check_dual_chain(mu, g, 2, INF, Fraction(4, 3), epsilon=eps).all_hold()
+        chain = prepare_chain(mu, 2, INF, Fraction(4, 3), epsilon=eps)
+        assert check_dual_chain(chain, g).all_hold()
 
 
 def test_chain_n3():
     mu = random_flat(128, 10, seed=12)
     g = random_bounded_g(128, 1, seed=13)
-    report = check_dual_chain(mu, g, 3, INF, Fraction(6, 5))
+    report = check_dual_chain(prepare_chain(mu, 3, INF, Fraction(6, 5)), g)
     assert report.instance["s"] == "2"
     assert report.all_hold()
 
@@ -153,7 +158,7 @@ def test_chain_intermediate_r():
     # r = 4: endpoint q = p'/(n r') = 3 at p = 8/7, generic Holder branch
     mu = random_flat(128, 14, seed=14)
     g = random_bounded_g(128, 1, seed=15)
-    report = check_dual_chain(mu, g, 2, 4, Fraction(8, 7))
+    report = check_dual_chain(prepare_chain(mu, 2, 4, Fraction(8, 7)), g)
     assert report.instance["q"] == "3"
     assert report.instance["s"] == "4"
     assert report.all_hold()
@@ -161,20 +166,40 @@ def test_chain_intermediate_r():
 
 def test_chain_rejects_infeasible():
     mu = uniform(1, 64)
-    g = np.ones(64, dtype=complex)
     with pytest.raises(ValueError):
-        check_dual_chain(mu, g, 2, INF, Fraction(3, 2))  # p beyond 4/3: s < 2
+        prepare_chain(mu, 2, INF, Fraction(3, 2))  # p beyond 4/3: s < 2
     with pytest.raises(ValueError):
-        check_dual_chain(mu, g, 2, 1, Fraction(4, 3))  # r = 1: q = 0
+        prepare_chain(mu, 2, 1, Fraction(4, 3))  # r = 1: q = 0
 
 
 def test_chain_dim2():
     mu = dirac(2, 16, (3, 5))
     rng = np.random.default_rng(30)
     g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    report = check_dual_chain(mu, g, 2, INF, Fraction(4, 3), epsilon=2)
+    report = check_dual_chain(prepare_chain(mu, 2, INF, Fraction(4, 3), epsilon=2), g)
     assert report.all_hold()
     assert report.instance["dim"] == 2
+
+
+def test_chain_rejects_g_off_the_grid():
+    chain = prepare_chain(uniform(1, 64), 2, INF, Fraction(4, 3))
+    with pytest.raises(ValueError, match="full grid"):
+        check_dual_chain(chain, np.ones(32, dtype=complex))
+
+
+@pytest.mark.parametrize("r", [INF, 2])
+def test_prepared_chain_is_read_only_and_trials_independent(r):
+    mu = random_flat(128, 16, seed=40)
+    chain = prepare_chain(mu, 2, r, Fraction(4, 3))
+    for array in (chain.mu_eps, chain.M_n):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    g1, g2 = random_bounded_g(128, 1, seed=41), random_bounded_g(128, 1, seed=42)
+    check_dual_chain(chain, g1)
+    after_g1 = check_dual_chain(chain, g2).as_dict()
+    fresh = check_dual_chain(prepare_chain(mu, 2, r, Fraction(4, 3)), g2).as_dict()
+    assert json.dumps(after_g1, sort_keys=True) == json.dumps(fresh, sort_keys=True)
 
 
 def test_knapp_dim2_uniform():
@@ -247,6 +272,15 @@ def test_prop3_cantor():
     rep = check_prop3(cantor(4, {0, 3}, 8), Fraction(1, 2))
     assert rep.fitted_exponent <= 0.6
     assert rep.passed
+
+
+def test_prop3_builds_no_ball_mass_grid(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("check_prop3 built a ball-mass grid")
+
+    monkeypatch.setattr(regularity, "ball_masses", no_grid)
+    monkeypatch.setattr(verifiers, "ball_masses", no_grid, raising=False)
+    assert check_prop3(cantor(4, {0, 3}, 6), Fraction(1, 2)).passed
 
 
 def test_greedy_packing_counts():
