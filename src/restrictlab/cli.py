@@ -317,10 +317,7 @@ def _suite_prop2(args) -> tuple[list[dict], bool]:
     mu = load_measure(args.measure) if args.measure else measures.cantor(4, (0, 3), 8)
     gamma = Fraction(args.gamma) if args.gamma else Fraction(1, 2)
     K_list = args.K or [2**j for j in range(4, 13)]
-    records = []
-    for s in (2, 8):
-        rep = verifiers.check_prop2(mu, gamma, s, K_list)
-        records.append(rep.as_dict())
+    records = [rep.as_dict() for rep in verifiers.check_prop2(mu, gamma, (2, 8), K_list)]
     return records, all(r["agrees"] for r in records)
 
 

@@ -23,7 +23,7 @@ from functools import reduce
 
 import numpy as np
 
-SCHEMA_VERSION = 1
+MEASURE_SCHEMA_VERSION = 1
 
 WEIGHT_SUM_TOL = 1e-12
 DENSITY_MASS_TOL = 1e-10
@@ -344,7 +344,7 @@ def atomic_write_text(path: str, text: str) -> None:
 def measure_to_dict(mu: DiscreteMeasure) -> dict:
     atoms = [[*(int(v) for v in idx), float(w)] for idx, w in zip(mu.indices, mu.weights)]
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": MEASURE_SCHEMA_VERSION,
         "dim": mu.dim,
         "N": mu.N,
         "constructor": mu.constructor,
@@ -358,7 +358,7 @@ def measure_from_dict(data: dict) -> DiscreteMeasure:
     """Inverse of measure_to_dict; a malformed payload raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"measure payload is a {type(data).__name__}, not an object")
-    if data.get("schema_version") != SCHEMA_VERSION:
+    if data.get("schema_version") != MEASURE_SCHEMA_VERSION:
         raise ValueError(f"unsupported measure schema {data.get('schema_version')!r}")
     missing = [key for key in ("dim", "N", "atoms") if key not in data]
     if missing:

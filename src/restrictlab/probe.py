@@ -18,6 +18,13 @@ All starts of one estimate run together as one block, one start per
 column, so each operator application is one matrix-matrix product.  At one
 BLAS thread a start's iterates do not depend on which starts share its
 block.
+
+At q = 2 the square of the value is the quadratic form <T f, f> of the
+Gram matrix T[x, y] = conj(mu_hat(x - y)) (the T T* identity behind the
+Stein-Tomas argument), and the pulled-back functional is T f up to a
+positive factor.  T is Toeplitz on [-X, X]^dim, so the q = 2 loop makes one
+FFT convolution per iteration instead of the two L x m products; FFTs take
+no BLAS call, so those iterates do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -26,14 +33,14 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .fitting import FitResult, loglog_fit
 from .measures import DiscreteMeasure
 from .rationals import INF, Exponent, conjugate, exp_float, exp_str, is_inf, validate_exponent
-from .spectral import lp_norm
+from .spectral import fourier, lp_norm
 
 MAX_MATRIX_ENTRIES = 8_388_608
 WITNESS_EVAL_TOL = 1e-10
@@ -72,13 +79,21 @@ class ExtensionOperator:
     """Dense pairing between dual-lattice points and measure atoms.
 
     matrix[x, j] = exp(2*pi*i <x, xi_j>) has unit modulus; restriction is the
-    conjugate transpose applied to a lattice vector.
+    conjugate transpose applied to a lattice vector.  gram applies
+    extend(restrict(.)) without the matrix, from the Fourier data of mu.
     """
 
-    dim: int
+    mu: DiscreteMeasure
     X: int
-    weights: np.ndarray
     matrix: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.mu.dim
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.mu.weights
 
     @property
     def lattice_size(self) -> int:
@@ -112,6 +127,63 @@ class ExtensionOperator:
         out = (rows @ self.matrix.T)[:len(block)]
         return out[0] if g.ndim == 1 else out.T
 
+    @cached_property
+    def _gram_kernel(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The Gram kernel conj(mu_hat) on [-2X, 2X]^dim, built on first use and kept.
+
+        Returns its FFT, zero-padded to a fast size of at least 4X + 1 per
+        axis; its [-X, X]^dim part, which is extend(1); and the round-off
+        bound of Re <T f, f> / ||f||_2^2 by that FFT, eps log2(size) max|FFT|.
+
+        The coefficients come from an FFT of the dense N^dim grid only when
+        that grid is no larger than the (4X + 1)^dim x num_atoms direct sum,
+        so a sparse measure on a fine grid costs a constant times the
+        operator, as on the dense path.
+        """
+        X = self.X
+        direct = self.mu.N ** self.dim > (4 * X + 1) ** self.dim * self.num_atoms
+        kernel = np.conj(fourier(self.mu, 2 * X, "direct" if direct else "auto"))
+        size = (_fast_fft_size(4 * X + 1),) * self.dim
+        spectrum = np.fft.fftn(kernel, s=size, axes=tuple(range(self.dim)))
+        noise = np.finfo(float).eps * math.log2(spectrum.size) * float(np.abs(spectrum).max())
+        return spectrum, kernel[(slice(X, 3 * X + 1),) * self.dim].ravel(), noise
+
+    def gram(self, f: np.ndarray) -> np.ndarray:
+        """extend(restrict(f)) for the rows of a (k, L) block f, as (k, L).
+
+        T[x, y] = conj(mu_hat(x - y)) depends on x - y alone, so T f is the
+        linear convolution of f with the kernel on [-2X, 2X]^dim, read at
+        offset 2X.  Each axis is transformed as its own 1-D lines, and only
+        the lines that hold input or are read are transformed.  A row's
+        result does not depend on the other rows of the block.
+        """
+        spectrum = self._gram_kernel[0]
+        side, size = 2 * self.X + 1, spectrum.shape[0]
+        z = f.reshape((len(f),) + (side,) * self.dim)
+        for axis in range(1, self.dim + 1):
+            z = np.fft.fft(z, n=size, axis=axis)
+        z *= spectrum
+        window = slice(2 * self.X, 4 * self.X + 1)
+        for axis in range(1, self.dim + 1):
+            z = np.fft.ifft(z, axis=axis)[(slice(None),) * axis + (window,)]
+        return z.reshape(len(f), -1)
+
+
+def _fast_fft_size(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n."""
+    best = 1 << (n - 1).bit_length()
+    fives = 1
+    while fives < best:
+        odd = fives
+        while odd < best:  # odd runs over 3^b 5^c
+            size = odd
+            while size < n:
+                size *= 2
+            best = min(best, size)
+            odd *= 3
+        fives *= 5
+    return best
+
 
 def _gemm_rows(block: np.ndarray) -> np.ndarray:
     """C-ordered complex copy of a (k, n) block, padded with a zero row when k = 1.
@@ -138,7 +210,7 @@ def assemble(mu: DiscreteMeasure, X: int) -> ExtensionOperator:
     pos = mu.positions()
     matrix = np.exp(2j * np.pi * reduce(
         np.add, (np.outer(lattice[a], pos[:, a]) for a in range(mu.dim))))
-    return ExtensionOperator(mu.dim, X, mu.weights.copy(), matrix)
+    return ExtensionOperator(mu, X, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +256,23 @@ def _lattice_extremal(c: np.ndarray, pf: float, pprimef: float) -> np.ndarray:
         t = (a / peak) ** (pprimef - 1.0)
         t /= lp_norm(t, pf, rows=True)[:, None]
     return np.conj(_phase(c, a)) * t
+
+
+def _gram_step(op: ExtensionOperator, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """At q = 2: the values ||restrict(f)||_{L^2(mu)} of the rows of f, and their pulled-back functionals.
+
+    A value's square is Re <T f, f>.  The L^2(mu) dual element u / max|u| of
+    u = restrict(f) pulls back to T f / max|u|, and the extremal vector is
+    scale-free, so T f stands for it.  A row whose square is within the
+    FFT round-off of zero is taken as u = 0, as the dense path sees it: value
+    0, and the dual element 1, which pulls back to extend(1).
+    """
+    _, extend_one, noise = op._gram_kernel
+    h = op.gram(f)
+    square = np.sum((np.conj(f) * h).real, axis=1)
+    nonzero = square > noise * np.sum(f.real**2 + f.imag**2, axis=1)
+    h[~nonzero] = extend_one
+    return np.sqrt(np.where(nonzero, square, 0.0)), h
 
 
 @dataclass(frozen=True)
@@ -294,10 +383,14 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
         raise ArithmeticError("all starts degenerate")
     f = f[live] / nf[live, None]
     last = np.full(len(live), -1.0)
+    gram = qf == 2.0
     for it in range(options.max_iters):
-        u = op.restrict(f.T).T
-        a = np.abs(u)
-        val = lp_norm(a, qf, op.weights, rows=True)
+        if gram:
+            val, pulled = _gram_step(op, f)
+        else:
+            u = op.restrict(f.T).T
+            a = np.abs(u)
+            val = lp_norm(a, qf, op.weights, rows=True)
         if not np.isfinite(val).all():
             raise ArithmeticError("non-finite value in norm iteration")
         iterations[live] += 1
@@ -312,10 +405,15 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
             break
         if done.any():
             keep = ~done
-            live, u, a, val = live[keep], u[keep], a[keep], val[keep]
+            live, val = live[keep], val[keep]
+            if gram:
+                pulled = pulled[keep]
+            else:
+                u, a = u[keep], a[keep]
         last = val
-        g = _measure_dual(u, a, op.weights, qf)
-        f = _lattice_extremal(np.conj(op.extend(g.T)).T, pf, pprimef)
+        if not gram:
+            pulled = op.extend(_measure_dual(u, a, op.weights, qf).T).T
+        f = _lattice_extremal(np.conj(pulled), pf, pprimef)
 
     trace: list[float] = []
     top, best_start = -1.0, -1

@@ -37,10 +37,16 @@ ANNULUS_K_MIN = 4.0
 # ---------------------------------------------------------------------------
 
 def _windowed_sums(values: np.ndarray, halfwidth: int, axis: int) -> None:
-    """Overwrite values with its circular sums over [x - h, x + h] along one axis, at every x."""
+    """Overwrite values with its circular sums over [x - h, x + h] along one axis, at every x.
+
+    Where 2h + 1 >= n the window is the whole axis, and every x gets the axis total.
+    """
     v = np.moveaxis(values, axis, -1)
     n = v.shape[-1]
-    h = min(halfwidth, (n - 1) // 2)
+    h = halfwidth
+    if 2 * h + 1 >= n:
+        v[...] = v.sum(axis=-1, keepdims=True)
+        return
     # prefix sums of v followed by its first 2h entries, after a zero column
     cs = np.empty(v.shape[:-1] + (n + 2 * h + 1,))
     cs[..., 0] = 0.0
@@ -70,8 +76,8 @@ def ball_masses(mu: DiscreteMeasure, radius: float) -> np.ndarray:
 def ball_masses_at(mu: DiscreteMeasure, center, radii) -> list[float]:
     """mu(B(center, r)) for each radius r, summed over the atoms; builds no grid.
 
-    Same balls as ball_masses: torus sup metric, half-width
-    min(floor(r * N), (N - 1) // 2) cells.
+    Same balls as ball_masses: torus sup metric, half-width floor(r * N)
+    cells, so at radius 1/2 the ball is the whole torus.
     """
     offset = (mu.indices - np.asarray(center, dtype=np.int64)) % mu.N
     distance = np.minimum(offset, mu.N - offset).max(axis=1)
@@ -79,7 +85,7 @@ def ball_masses_at(mu: DiscreteMeasure, center, radii) -> list[float]:
     for radius in radii:
         if not (0 < radius <= 0.5):
             raise ValueError(f"radius {radius} outside (0, 1/2]")
-        h = min(int(np.floor(radius * mu.N)), (mu.N - 1) // 2)
+        h = int(np.floor(radius * mu.N))
         masses.append(float(mu.weights[distance <= h].sum()))
     return masses
 

@@ -379,30 +379,43 @@ class Prop2Report:
                 "agrees": self.agrees}
 
 
-def check_prop2(mu: DiscreteMeasure, gamma, s: Exponent, K_list) -> Prop2Report:
-    """Partial sums of |mu_hat|^s across truncations K, with trend classification.
+def check_prop2(mu: DiscreteMeasure, gamma, s_values, K_list) -> list[Prop2Report]:
+    """Partial sums of |mu_hat|^s across truncations K, one classified report per s.
 
     A gamma-dimensional measure should have divergent lattice sums for every
     s < 2 dim / gamma; the checker fits the log-log growth of the partial
-    sums and calls slopes above PROP2_DIVERGE_SLOPE divergent.
+    sums and calls slopes above PROP2_DIVERGE_SLOPE divergent.  The FFT of
+    the measure and its frequency radii are computed once for all s.  The
+    sums run over the frequencies of the N^dim FFT grid, so at K = N/2 the
+    frequency -N/2 = N/2 (mod N) is counted once.
     """
     gamma = Fraction(gamma)
     if not (0 < gamma <= mu.dim):
         raise ValueError(f"gamma {gamma} outside (0, dim]")
-    s = validate_exponent(s, "s")
+    s_values = [validate_exponent(s, "s") for s in s_values]
     K_list = sorted(int(k) for k in K_list)
     if K_list[0] < 1 or K_list[-1] > mu.N // 2:
         raise ValueError("K values must lie in [1, N/2]")
-    full = np.fft.fftn(mu.dense_weights())
-    radii = frequency_radii(np.fft.fftfreq(mu.N, d=1.0 / mu.N), mu.dim)
-    power = np.abs(full) ** exp_float(s)
-    sums = [float(power[radii <= K].sum()) for K in K_list]
-    fit = loglog_fit(K_list, sums)
-    classification = "diverging" if fit.slope > PROP2_DIVERGE_SLOPE else "leveling"
+    spectrum = np.fft.fftn(mu.dense_weights())
+    freqs = np.fft.fftfreq(mu.N, d=1.0 / mu.N)
+    # only the frequencies within the largest K on every axis, kept in the FFT
+    # grid's order, so each partial sum adds the terms of a full-grid mask in
+    # the same order
+    near = np.flatnonzero(np.abs(freqs) <= K_list[-1])
+    magnitude = np.abs(spectrum[np.ix_(*[near] * mu.dim)])
+    radii = frequency_radii(freqs[near], mu.dim)
+    inside = [radii <= K for K in K_list]
     critical = 2 * Fraction(mu.dim) / gamma
-    expected = "diverging" if (not is_inf(s) and Fraction(s) < critical) else "leveling"
-    return Prop2Report(s, gamma, critical, K_list, sums, fit.slope,
-                       classification, expected, classification == expected)
+    reports = []
+    for s in s_values:
+        power = magnitude ** exp_float(s)
+        sums = [float(power[m].sum()) for m in inside]
+        fit = loglog_fit(K_list, sums)
+        classification = "diverging" if fit.slope > PROP2_DIVERGE_SLOPE else "leveling"
+        expected = "diverging" if (not is_inf(s) and Fraction(s) < critical) else "leveling"
+        reports.append(Prop2Report(s, gamma, critical, K_list, sums, fit.slope,
+                                   classification, expected, classification == expected))
+    return reports
 
 
 @dataclass(frozen=True)

@@ -76,11 +76,14 @@ def concat_roll_windowed_sums(values, halfwidth, axis):
 
     Concatenates the first 2h entries onto a copy, prepends a zero column to
     a cumsum copy, and rolls the differences into place; the routine it
-    checks must agree bit for bit.
+    checks must agree bit for bit.  A window of 2h + 1 >= n cells is the
+    whole axis, whose total every entry gets.
     """
     v = np.moveaxis(values, axis, -1)
     n = v.shape[-1]
-    h = min(halfwidth, (n - 1) // 2)
+    h = halfwidth
+    if 2 * h + 1 >= n:
+        return np.broadcast_to(values.sum(axis=axis, keepdims=True), values.shape)
     ext = np.concatenate([v, v[..., : 2 * h]], axis=-1)
     cs = np.concatenate([np.zeros(v.shape[:-1] + (1,)), np.cumsum(ext, axis=-1)], axis=-1)
     sums = cs[..., 2 * h + 1:] - cs[..., :n]

@@ -255,8 +255,7 @@ def _prop_artifact() -> str:
     ]
     stage8 = cantor(4, {0, 3}, 8)
     K_list = [2**j for j in range(4, 13)]
-    records["prop2"] = [check_prop2(stage8, Fraction(1, 2), s, K_list).as_dict()
-                        for s in (2, 8)]
+    records["prop2"] = [rep.as_dict() for rep in check_prop2(stage8, Fraction(1, 2), (2, 8), K_list)]
     records["prop3"] = check_prop3(stage8, Fraction(1, 2)).as_dict()
     r_list = [4.0**-j for j in range(1, 6)]
     records["knapp"] = [

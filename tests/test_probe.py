@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 import restrictlab
 from restrictlab import probe
-from restrictlab.measures import DiscreteMeasure, circle, dirac, random_flat, uniform
+from restrictlab.measures import DiscreteMeasure, cantor, circle, dirac, random_flat, uniform
 from restrictlab.probe import (
     ProbeOptions,
     assemble,
@@ -303,6 +304,17 @@ def test_per_start_diagnostics():
     assert not any(warm.converged)
 
 
+def _at_blas_threads(code, threads):
+    """Run code in a child process at the given OpenBLAS thread count; returns its stdout."""
+    src = os.path.dirname(os.path.dirname(restrictlab.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def _at_one_blas_thread(code):
     """Run code in a child process pinned to one OpenBLAS thread.
 
@@ -310,12 +322,7 @@ def _at_one_blas_thread(code):
     on the block width, so checks that need a start's bits to be the same in
     any block run here, whatever thread count the suite itself runs with.
     """
-    src = os.path.dirname(os.path.dirname(restrictlab.__file__))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    _at_blas_threads(code, 1)
 
 
 def test_best_start_is_the_start_that_reached_the_bound():
@@ -421,3 +428,125 @@ def test_block_columns_do_not_depend_on_the_block_at_one_blas_thread():
                     for j in range(lo, hi):
                         assert np.array_equal(out[:, j - lo:j - lo + 1], alone[j]), (lo, hi, j)
         """)
+
+
+def _gram_cases():
+    # (measure, X): fourier's FFT path (2X <= N/2), its direct path (2X > N/2),
+    # and a lattice wider than the grid (2X + 1 > N), in 1-D and 2-D
+    return [(random_measure(31, max_atoms=24), 16), (random_flat(64, 12, seed=31), 20),
+            (random_flat(32, 9, seed=32), 20), (circle(64, 0.25), 8),
+            (circle(16, 0.25), 6), (circle(16, 0.25), 10)]
+
+
+def test_gram_product_is_extend_of_restrict():
+    for mu, X in _gram_cases():
+        op = assemble(mu, X)
+        rng = np.random.default_rng(X)
+        F = rng.standard_normal((op.lattice_size, 5)) + 1j * rng.standard_normal((op.lattice_size, 5))
+        dense = op.extend(op.restrict(F))
+        gram = op.gram(F.T).T
+        assert gram.shape == dense.shape
+        assert np.abs(gram - dense).max() <= 1e-12 * np.abs(dense).max(), (mu.N, X)
+        # extend(1), the pull-back of a vanished start, is the kernel on [-X, X]^dim
+        extend_one = op._gram_kernel[1]
+        assert np.abs(extend_one - op.extend(np.ones(op.num_atoms))).max() <= 1e-12, (mu.N, X)
+
+
+def test_gram_rows_do_not_depend_on_the_block():
+    # FFTs transform each line on its own, with no BLAS call, so this holds
+    # at any BLAS thread count
+    for mu, X in ((random_flat(4096, 185, seed=5), 64), (circle(64, 0.25), 8)):
+        op = assemble(mu, X)
+        rng = np.random.default_rng(5)
+        F = rng.standard_normal((9, op.lattice_size)) + 1j * rng.standard_normal((9, op.lattice_size))
+        alone = [op.gram(F[j:j + 1]) for j in range(9)]
+        for lo in range(9):
+            for hi in range(lo + 1, 10):
+                out = op.gram(F[lo:hi])
+                for j in range(lo, hi):
+                    assert np.array_equal(out[j - lo], alone[j][0]), (X, lo, hi, j)
+
+
+def test_gram_kernel_is_built_once_and_only_at_q_2(monkeypatch):
+    calls = []
+    real = probe.fourier
+
+    def counting(mu, K, method="auto"):
+        calls.append(K)
+        return real(mu, K, method)
+
+    monkeypatch.setattr(probe, "fourier", counting)
+    op = assemble(random_measure(17), 8)
+    restriction_norm(op, Fraction(4, 3), 4, ProbeOptions(restarts=2))
+    assert calls == []
+    for p in (Fraction(4, 3), 2):
+        restriction_norm(op, p, 2, ProbeOptions(restarts=2))
+    assert calls == [16]
+
+
+@pytest.mark.parametrize("mu, X", [(cantor(4, {0, 3}, 12), 8), (circle(4096, 0.01), 4)],
+                         ids=["1d", "2d"])
+def test_q2_probe_on_a_fine_grid_builds_no_dense_grid(monkeypatch, mu, X):
+    # N^dim = 2^24 is far above the (4X + 1)^dim x num_atoms direct sum, so
+    # the Gram kernel must come from the atoms, as the dense path's operator
+    # does, and not from an FFT of the whole grid
+    def no_grid(self):
+        raise AssertionError("dense N^dim grid built")
+
+    monkeypatch.setattr(DiscreteMeasure, "dense_weights", no_grid)
+    op = assemble(mu, X)
+    options = ProbeOptions(restarts=2, seed=11)
+    for p in (Fraction(4, 3), 2):
+        res = restriction_norm(op, p, 2, options)
+        ref = serial_restriction_norm(op.matrix, op.weights, float(p), 2.0,
+                                      _oracle_starts(op, p, 2, options, []),
+                                      options.max_iters, options.tol)
+        assert res.iterations == ref["iterations"], p
+        assert res.norm_lower_bound == pytest.approx(ref["norm"], rel=1e-12, abs=0), p
+    assert np.abs(op.gram(op.matrix[:, :3].T).T - op.extend(op.restrict(op.matrix[:, :3]))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("mu, X", [(dirac(1, 64, 0), 4), (dirac(1, 4096, 0), 16),
+                                   (dirac(2, 16, (0, 0)), 2)], ids=["1d", "1d-wide", "2d"])
+def test_start_with_vanishing_restriction_runs_as_on_the_dense_path(mu, X):
+    # with one atom at the origin every operator entry is exactly 1, so two
+    # opposite lattice values cancel exactly: the dense path sees
+    # restrict(f) = 0, takes the dual element 1 and pulls back extend(1); the
+    # Gram path must do the same, not follow the round-off of its FFTs
+    op = assemble(mu, X)
+    options = ProbeOptions(restarts=1, seed=7)
+    for i, j in ((0, 1), (1, op.lattice_size - 1), (X, X + 3)):
+        w = np.zeros(op.lattice_size, dtype=complex)
+        w[i], w[j] = 0.6 + 0.8j, -0.6 - 0.8j
+        assert not op.restrict(w).any()
+        for p in (1, Fraction(4, 3), 2, INF):
+            res = restriction_norm(op, p, 2, options, warm_starts=[w])
+            ref = serial_restriction_norm(op.matrix, op.weights, float(p), 2.0,
+                                          _oracle_starts(op, p, 2, options, [w]),
+                                          options.max_iters, options.tol)
+            case = (i, j, p)
+            assert res.iterations == ref["iterations"], case
+            assert res.converged == ref["converged"], case
+            assert res.norm_lower_bound == pytest.approx(ref["norm"], rel=1e-12, abs=0), case
+
+
+def test_q2_iterates_do_not_depend_on_the_blas_thread_count():
+    # only the witness re-evaluation goes through BLAS at q = 2, so the
+    # iterates are compared and the certified norm is not
+    code = """
+        import json
+        from fractions import Fraction
+        import numpy as np
+        from restrictlab.measures import random_flat
+        from restrictlab.probe import ProbeOptions, assemble, restriction_norm
+        op = assemble(random_flat(4096, 185, seed=20240613, flatness_c=4.0, max_retries=200), 64)
+        out = []
+        for p in (Fraction(5, 4), Fraction(4, 3), Fraction(8, 5), Fraction(2)):
+            res = restriction_norm(op, p, 2, ProbeOptions(restarts=5, seed=20240613))
+            out.append([res.iterations, res.converged, res.best_start,
+                        [v.hex() for v in res.trace],
+                        res.witness.tobytes().hex()])
+        print(json.dumps(out))
+        """
+    one, two = (json.loads(_at_blas_threads(code, threads)) for threads in (1, 2))
+    assert one == two

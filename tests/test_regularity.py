@@ -57,12 +57,19 @@ def test_window_sums_dim2():
 @pytest.mark.parametrize("shape", [(1 << 16,), (256, 256)])
 @pytest.mark.parametrize("halfwidth", [0, 2, 64, 1 << 20])
 def test_window_sums_bit_identical_to_concat_roll(shape, halfwidth):
-    # the largest half-width is capped at (n - 1) // 2
+    # the largest half-width covers the whole axis
     values = np.random.default_rng(len(shape) * 1000 + halfwidth % 997).random(shape)
     for axis in range(len(shape)):
         sums = values.copy()
         _windowed_sums(sums, halfwidth, axis)
         assert np.array_equal(sums, concat_roll_windowed_sums(values, halfwidth, axis))
+
+
+def test_ball_of_radius_one_half_is_the_whole_torus():
+    # the antipodal atom at distance N/2 lies in the closed ball of radius 1/2
+    mu = DiscreteMeasure(1, 8, [[0], [4]], [0.5, 0.5])
+    assert np.array_equal(ball_masses(mu, 0.5), np.ones(8))
+    assert ball_masses_at(mu, [0], [0.5, 0.25]) == [1.0, 0.5]
 
 
 @st.composite
@@ -74,7 +81,7 @@ def _measure_and_halfwidths(draw):
     flat = rng.choice(N**dim, size=m, replace=False)
     idx = np.stack(np.unravel_index(flat, (N,) * dim), axis=1)
     w = rng.random(m) + 0.01
-    # half-widths up to N/2: (N - 1) // 2 is the cap, N/2 is over it
+    # half-widths up to N/2, where the window is the whole axis
     halfwidths = draw(st.lists(st.integers(0, N // 2), min_size=1, max_size=4))
     return DiscreteMeasure(dim, N, idx, w / w.sum()), halfwidths
 
@@ -91,10 +98,7 @@ def test_ball_masses_at_matches_dense_oracle_at_every_center(case):
         for center in np.ndindex(grid.shape):
             (value,) = ball_masses_at(mu, center, [r])
             assert abs(value - grid[center]) <= 1e-13
-            # at radius 1/2 the window stops at the (N - 1) // 2 cap, as in
-            # ball_masses, so the antipodal cells the closed ball holds are left out
-            if int(r * N) <= (N - 1) // 2:
-                assert abs(value - dense[center]) <= 1e-13
+            assert abs(value - dense[center]) <= 1e-13
 
 
 def test_billingsley_builds_one_grid(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restrictlab import regularity, verifiers
-from restrictlab.measures import cantor, dirac, random_flat, uniform
+from restrictlab.measures import cantor, circle, dirac, random_flat, uniform
 from restrictlab.rationals import INF
 from restrictlab.verifiers import (
     check_bilinear,
@@ -238,10 +238,9 @@ def test_prop1_random_flat():
 def test_prop2_cantor_classifications():
     mu = cantor(4, {0, 3}, 8)
     K_list = [2**j for j in range(4, 13)]
-    diverging = check_prop2(mu, Fraction(1, 2), 2, K_list)
+    diverging, leveling = check_prop2(mu, Fraction(1, 2), (2, 8), K_list)
     assert diverging.classification == "diverging" == diverging.expected
     assert diverging.agrees
-    leveling = check_prop2(mu, Fraction(1, 2), 8, K_list)
     assert leveling.classification == "leveling" == leveling.expected
     assert leveling.agrees
     assert diverging.critical == 4
@@ -249,10 +248,30 @@ def test_prop2_cantor_classifications():
 
 def test_prop2_dirac_edge():
     mu = dirac(1, 1024, 0)
-    for s in (2, 8):
-        rep = check_prop2(mu, Fraction(1, 100), s, [16, 32, 64, 128, 256])
+    reports = check_prop2(mu, Fraction(1, 100), (2, 8), [16, 32, 64, 128, 256])
+    assert [rep.s for rep in reports] == [2, 8]
+    for rep in reports:
         assert rep.classification == "diverging"
         assert rep.agrees
+
+
+@pytest.mark.parametrize("mu", [random_flat(256, 20, seed=9), circle(32, 0.25)], ids=["1d", "2d"])
+def test_prop2_sums_each_grid_frequency_once(mu):
+    # Parseval: sum over Z_N^dim of |mu_hat|^2 = N^dim sum_j w_j^2.  The
+    # frequencies +-N/2 are one frequency, which the sum at K = N/2 holds
+    # once in 1-D; in 2-D the full grid needs K = N/sqrt(2), above the cap,
+    # so compare with the direct sum over the same disc instead
+    K = mu.N // 2
+    (rep,) = check_prop2(mu, Fraction(1, 2), (2,), [K // 8, K // 4, K // 2, K])
+    if mu.dim == 1:
+        assert rep.partial_sums[-1] == pytest.approx(mu.N * float(np.sum(mu.weights**2)), rel=1e-12)
+    ks = np.arange(-K, K)  # one representative of each frequency mod N per axis
+    grid = np.meshgrid(*[ks] * mu.dim, indexing="ij")
+    disc = sum(k**2 for k in grid) <= K**2
+    pos = mu.positions()
+    phase = sum(np.multiply.outer(k[disc], pos[:, a]) for a, k in enumerate(grid))
+    direct = np.abs(np.exp(-2j * np.pi * phase) @ mu.weights) ** 2
+    assert rep.partial_sums[-1] == pytest.approx(float(direct.sum()), rel=1e-12)
 
 
 def test_prop3_uniform():
