@@ -19,6 +19,13 @@ column, so each operator application is one matrix-matrix product.  At one
 BLAS thread a start's iterates do not depend on which starts share its
 block.
 
+Atoms sit on the grid j/N and the lattice is integral, so restrict and
+extend are exact DFTs on Z_N^dim.  A large operator (chosen from its shape
+alone, see ExtensionOperator.grid_fft) applies them by FFTs of the N^dim
+grid instead of the L x m matrix; FFTs transform each line on its own and
+take no BLAS call.  The dense matrix stays for small operators and for the
+witness re-evaluation, a route independent of the loop.
+
 At q = 2 the square of the value is the quadratic form <T f, f> of the
 Gram matrix T[x, y] = conj(mu_hat(x - y)) (the T T* identity behind the
 Stein-Tomas argument), and the pulled-back functional is T f up to a
@@ -43,6 +50,9 @@ from .rationals import INF, Exponent, conjugate, exp_float, exp_str, is_inf, val
 from .spectral import fourier, lp_norm
 
 MAX_MATRIX_ENTRIES = 8_388_608
+# restrict/extend run on the FFT grid when L * m exceeds this multiple of
+# N^dim log2 N^dim (and 2X + 1 <= N), from the crossover table in CHANGES.md
+GRID_FFT_CROSSOVER = 2.5
 WITNESS_EVAL_TOL = 1e-10
 SLOPE_BOUNDED_MAX = 0.05
 SLOPE_GROWING_MIN = 0.10
@@ -79,8 +89,10 @@ class ExtensionOperator:
     """Dense pairing between dual-lattice points and measure atoms.
 
     matrix[x, j] = exp(2*pi*i <x, xi_j>) has unit modulus; restriction is the
-    conjugate transpose applied to a lattice vector.  gram applies
-    extend(restrict(.)) without the matrix, from the Fourier data of mu.
+    conjugate transpose applied to a lattice vector.  On a large operator
+    (grid_fft) restrict and extend compute the same products by FFTs of the
+    N^dim grid.  gram applies extend(restrict(.)) without the matrix, from
+    the Fourier data of mu.
     """
 
     mu: DiscreteMeasure
@@ -103,13 +115,74 @@ class ExtensionOperator:
     def num_atoms(self) -> int:
         return self.matrix.shape[1]
 
+    @cached_property
+    def grid_fft(self) -> bool:
+        """Whether restrict and extend run on the FFT grid instead of the matrix.
+
+        Chosen from (L, m, N, dim) alone, never from a block's width or the
+        caller, so a row's bits do not depend on which rows share its block:
+        the FFTs need the lattice window to fit the grid once, 2X + 1 <= N,
+        and pay off when L * m exceeds GRID_FFT_CROSSOVER N^dim log2 N^dim.
+        """
+        grid = self.mu.N ** self.dim
+        return (2 * self.X + 1 <= self.mu.N
+                and self.lattice_size * self.num_atoms > GRID_FFT_CROSSOVER * grid * math.log2(grid))
+
+    @cached_property
+    def _grid_lines(self) -> tuple[list[np.ndarray], tuple[np.ndarray, ...]]:
+        """Per axis, the distinct atom coordinates (the lines of the FFT grid
+        that are read or hold input) and each atom's place among them."""
+        lines = [np.unique(c, return_inverse=True) for c in self.mu.indices.T]
+        return [u for u, _ in lines], tuple(inv for _, inv in lines)
+
+    def _grid_restrict(self, rows: np.ndarray) -> np.ndarray:
+        """restrict for a (k, L) block of rows by FFTs, as (k, m).
+
+        f_hat(n/N) = sum_x f(x) exp(-2 pi i <x, n>/N) is the DFT of f placed
+        at x mod N.  Each axis, last first, is placed, transformed and cut
+        to the lines through atoms; the last step gathers at the atoms.
+        """
+        coords, atoms = self._grid_lines
+        N, X = self.mu.N, self.X
+        z = rows.reshape((len(rows),) + (2 * X + 1,) * self.dim)
+        for axis in range(self.dim, 0, -1):
+            at = (slice(None),) * axis
+            grid = np.zeros(z.shape[:axis] + (N,) + z.shape[axis + 1:], dtype=np.complex128)
+            grid[at + (slice(X + 1),)] = z[at + (slice(X, None),)]
+            grid[at + (slice(N - X, None),)] = z[at + (slice(X),)]
+            z = np.fft.fft(grid, axis=axis)[at + (coords[axis - 1],)]
+        return z[(slice(None),) + atoms]
+
+    def _grid_extend(self, rows: np.ndarray) -> np.ndarray:
+        """extend for a (k, m) block of weighted rows by FFTs, as (k, L).
+
+        The adjoint of _grid_restrict: scatter at the atoms, then per axis,
+        first first, place the lines at their coordinates, run the inverse
+        FFT without its 1/N factor and read the lattice window at x mod N.
+        """
+        coords, atoms = self._grid_lines
+        N, X = self.mu.N, self.X
+        z = np.zeros((len(rows),) + tuple(len(c) for c in coords), dtype=np.complex128)
+        z[(slice(None),) + atoms] = rows
+        for axis in range(1, self.dim + 1):
+            at = (slice(None),) * axis
+            grid = np.zeros(z.shape[:axis] + (N,) + z.shape[axis + 1:], dtype=np.complex128)
+            grid[at + (coords[axis - 1],)] = z
+            grid = np.fft.ifft(grid, axis=axis, norm="forward")
+            z = np.concatenate((grid[at + (slice(N - X, None),)], grid[at + (slice(X + 1),)]), axis=axis)
+        return z.reshape(len(rows), -1)
+
     def restrict(self, f: np.ndarray) -> np.ndarray:
         """f on the lattice -> f_hat at the atoms; f is one vector (L,) or a block (L, k).
 
         The adjoint product conj(matrix).T @ f, taken as conj(conj(f) @ matrix)
         so that no conjugated L x m copy of the operator is made.  A block is
-        multiplied by rows, (k, L) @ (L, m), and comes back as (m, k).
+        multiplied by rows, (k, L) @ (L, m), and comes back as (m, k).  With
+        grid_fft the rows are transformed instead, a vector as one row.
         """
+        if self.grid_fft:
+            out = self._grid_restrict(np.atleast_2d(f.T))
+            return out[0] if f.ndim == 1 else out.T
         if f.ndim == 1:
             return np.conj(np.conj(f) @ self.matrix)
         rows = _gemm_rows(f.T)
@@ -119,12 +192,16 @@ class ExtensionOperator:
     def extend(self, g: np.ndarray) -> np.ndarray:
         """g at the atoms -> weighted exponential sums on the lattice; g is (m,) or (m, k).
 
-        Multiplied by rows, (k, m) @ (m, L); a vector is taken as one row.
+        Multiplied by rows, (k, m) @ (m, L), or transformed by rows with
+        grid_fft; a vector is taken as one row.
         """
         block = np.atleast_2d(g.T)
-        rows = _gemm_rows(block)
-        rows *= self.weights
-        out = (rows @ self.matrix.T)[:len(block)]
+        if self.grid_fft:
+            out = self._grid_extend(block * self.weights)
+        else:
+            rows = _gemm_rows(block)
+            rows *= self.weights
+            out = (rows @ self.matrix.T)[:len(block)]
         return out[0] if g.ndim == 1 else out.T
 
     @cached_property
@@ -312,10 +389,11 @@ class ProbeResult:
 
 
 def _rayleigh(op: ExtensionOperator, f: np.ndarray, p: Exponent, q: Exponent) -> float:
+    """||restrict(f)||_{L^q(mu)} / ||f||_{l^p} by the dense matrix, a route independent of the loop."""
     nf = lp_norm(f, p)
     if nf == 0.0:
         return 0.0
-    return lp_norm(op.restrict(f), q, op.weights) / nf
+    return lp_norm(np.conj(np.conj(f) @ op.matrix), q, op.weights) / nf
 
 
 def _embed_witness(w: np.ndarray, dim: int, target_size: int) -> np.ndarray:

@@ -8,6 +8,7 @@ trigonometric summation path is kept as an independent route for any K.
 
 from __future__ import annotations
 
+import itertools
 from functools import reduce
 
 import numpy as np
@@ -17,6 +18,8 @@ from .rationals import Exponent, exp_float, is_inf, validate_exponent
 
 CONV_CLIP_ERROR = 1e-8
 CONV_DROP_REL = 1e-14
+# phase entries (frequencies x atoms) per chunk of fourier's direct sum
+DIRECT_CHUNK_ENTRIES = 262_144
 
 
 def fourier(mu: DiscreteMeasure, K: int, method: str = "auto") -> np.ndarray:
@@ -39,17 +42,36 @@ def fourier(mu: DiscreteMeasure, K: int, method: str = "auto") -> np.ndarray:
         ks = np.arange(-K, K + 1) % mu.N
         coeffs = full[np.ix_(*[ks] * mu.dim)]
     elif method == "direct":
-        ks = np.arange(-K, K + 1)
-        pos = mu.positions()
-        if mu.dim == 1:
-            phases = np.exp(-2j * np.pi * np.outer(ks, pos[:, 0]))
-            coeffs = phases @ mu.weights
-        else:
-            ph1 = np.exp(-2j * np.pi * np.outer(ks, pos[:, 0]))
-            ph2 = np.exp(-2j * np.pi * np.outer(ks, pos[:, 1]))
-            coeffs = np.einsum("kj,lj,j->kl", ph1, ph2, mu.weights)
+        coeffs = _direct_sum(mu, K)
     else:
         raise ValueError(f"unknown method {method!r}")
+    return coeffs
+
+
+def _direct_sum(mu: DiscreteMeasure, K: int) -> np.ndarray:
+    """mu_hat on [-K, K]^dim as the sum over atoms, in chunks of frequencies.
+
+    Each axis is cut into chunks of DIRECT_CHUNK_ENTRIES // m frequencies,
+    and each chunk of the output is one einsum over per-axis (chunk, m)
+    phase tables, so the peak memory is a small multiple of m times the
+    chunk and never the (2K+1) x m table of the whole sum.
+    """
+    ks = np.arange(-K, K + 1)
+    pos = mu.positions()
+    step = max(1, DIRECT_CHUNK_ENTRIES // mu.num_atoms)
+    chunks = [slice(lo, lo + step) for lo in range(0, len(ks), step)]
+    axes = "klmn"[:mu.dim]
+    subscripts = ",".join(a + "j" for a in axes) + ",j->" + axes
+    coeffs = np.empty((len(ks),) * mu.dim, dtype=np.complex128)
+    tables: list[np.ndarray] = [np.empty(0)] * mu.dim
+    for block in itertools.product(chunks, repeat=mu.dim):
+        for a, c in enumerate(block):
+            # product() runs the last axis fastest, so an axis moves to its
+            # next chunk only when every later axis starts over
+            if all(later.start == 0 for later in block[a + 1:]):
+                phase = np.outer(ks[c], pos[:, a]) * (-2j * np.pi)
+                tables[a] = np.exp(phase, out=phase)
+        coeffs[block] = np.einsum(subscripts, *tables, mu.weights)
     return coeffs
 
 

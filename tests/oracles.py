@@ -234,3 +234,16 @@ def serial_restriction_norm(matrix, weights, p, q, starts, max_iters, tol):
     norm = _scaled_lp(restrict(best_f), q, weights) / _scaled_lp(best_f, p)
     return {"norm": norm, "trace": trace, "iterations": iterations,
             "converged": converged, "best_start": best_start, "start_best": start_best}
+
+
+def whole_table_fourier(indices, weights, N, K):
+    """mu_hat on [-K, K]^dim by one einsum over whole (2K+1) x m phase tables, one per axis.
+
+    The direct sum as it reads without chunking; its tables are the memory
+    that spectral.fourier's chunked direct path avoids.
+    """
+    indices = np.asarray(indices).reshape(len(weights), -1)
+    ks = np.arange(-K, K + 1)
+    tables = [np.exp(-2j * np.pi * np.outer(ks, indices[:, a] / N)) for a in range(indices.shape[1])]
+    axes = "klmn"[:len(tables)]
+    return np.einsum(",".join(a + "j" for a in axes) + ",j->" + axes, *tables, weights)

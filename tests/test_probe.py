@@ -28,12 +28,12 @@ from restrictlab.spectral import lp_norm
 from oracles import lattice_phase_matrix, serial_restriction_norm
 
 
-def random_measure(seed, N=1024, max_atoms=64):
+def random_measure(seed, N=1024, max_atoms=64, dim=1):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(8, max_atoms + 1))
-    idx = rng.choice(N, size=m, replace=False).reshape(-1, 1)
+    flat = np.sort(rng.choice(N**dim, size=m, replace=False))
     w = rng.random(m)
-    return DiscreteMeasure(1, N, np.sort(idx, axis=0), w / w.sum())
+    return DiscreteMeasure(dim, N, np.array(np.unravel_index(flat, (N,) * dim)).T, w / w.sum())
 
 
 def svd_norm(op):
@@ -381,10 +381,14 @@ def _oracle_starts(op, p, q, options, warm):
     return starts + warm
 
 
-@pytest.mark.parametrize("mu, X", [(random_measure(21, max_atoms=24), 16),
-                                   (circle(64, 0.25), 4)], ids=["1d", "2d"])
-def test_block_engine_matches_serial_oracle(mu, X):
+@pytest.mark.parametrize("mu, X, grid_fft", [
+    (random_measure(21, max_atoms=24), 16, False), (circle(64, 0.25), 4, False),
+    (random_measure(21, N=64, max_atoms=48), 31, True),
+    (random_measure(21, N=16, max_atoms=64, dim=2), 7, True)],
+    ids=["1d", "2d", "1d-fft", "2d-fft"])
+def test_block_engine_matches_serial_oracle(mu, X, grid_fft):
     op = assemble(mu, X)
+    assert op.grid_fft == grid_fft
     rng = np.random.default_rng(21)
     warm = [rng.standard_normal(op.lattice_size), np.zeros(op.lattice_size)]
     options = ProbeOptions(restarts=3, seed=21)
@@ -550,3 +554,98 @@ def test_q2_iterates_do_not_depend_on_the_blas_thread_count():
         """
     one, two = (json.loads(_at_blas_threads(code, threads)) for threads in (1, 2))
     assert one == two
+
+
+def _fft_cases():
+    # operators on which the backend rule picks the FFT grid, 1-D and 2-D
+    return [(random_flat(4096, 185, seed=5), 512), (circle(128, 0.25), 32)]
+
+
+@pytest.mark.parametrize("mu, X, grid_fft", [
+    (random_flat(4096, 185, seed=5), 64, False),
+    (cantor(4, {0, 3}, 8), 512, False),
+    (random_flat(64, 32, seed=1), 40, False),  # 2X + 1 > N, though L m is above the crossover
+    (circle(16, 0.25), 10, False),             # the same in 2-D
+    (dirac(1, 4096, 0), 2047, False),          # one atom: L m = L never reaches N log2 N
+    (random_flat(4096, 185, seed=5), 512, True),
+    (circle(128, 0.25), 32, True)],
+    ids=["flat-X64", "cantor8-X512", "wide-1d", "wide-2d", "one-atom", "flat-X512", "circle128-X32"])
+def test_backend_rule_reads_only_the_operator_shape(mu, X, grid_fft):
+    op = assemble(mu, X)
+    grid = mu.N ** mu.dim
+    ratio = op.lattice_size * op.num_atoms / (grid * np.log2(grid))
+    assert op.grid_fft == grid_fft, ratio
+    if 2 * X + 1 <= mu.N:
+        assert grid_fft == (ratio > probe.GRID_FFT_CROSSOVER)
+
+
+def test_fft_products_match_the_dense_matrix():
+    for mu, X in _fft_cases():
+        op = assemble(mu, X)
+        assert op.grid_fft
+        L, m = op.lattice_size, op.num_atoms
+        rng = np.random.default_rng(X)
+        F = rng.standard_normal((L, 9)) + 1j * rng.standard_normal((L, 9))
+        G = rng.standard_normal((m, 9)) + 1j * rng.standard_normal((m, 9))
+        # the dense entries carry the round-off of exp(2 pi i <x, xi>), at
+        # most about 2 pi X dim eps, and each side sums L or m terms or runs
+        # log2 N^dim FFT stages: bound each column's difference by that many
+        # eps times the l^1 norm of its input
+        grid = mu.N ** mu.dim
+        terms = 2 * np.pi * X * mu.dim + L + m + 4 * np.log2(grid)
+        for got, want, inputs in ((op.restrict(F), op.matrix.conj().T @ F, F),
+                                  (op.extend(G), op.matrix @ (op.weights[:, None] * G),
+                                   op.weights[:, None] * G)):
+            tol = terms * np.finfo(float).eps * np.abs(inputs).sum(axis=0)
+            assert got.shape == want.shape
+            assert (np.abs(got - want) <= tol).all(), (mu.N, X, np.abs(got - want).max())
+        # a vector is one row of the same transforms
+        assert np.array_equal(op.restrict(F[:, 0]), op.restrict(F[:, :1])[:, 0])
+        assert np.array_equal(op.extend(G[:, 0]), op.extend(G[:, :1])[:, 0])
+        # each column's result does not depend on the others in its block;
+        # FFTs take no BLAS call, so at any BLAS thread count
+        for apply, block in ((op.restrict, F), (op.extend, G)):
+            alone = [apply(block[:, j:j + 1]) for j in range(9)]
+            for lo in range(9):
+                for hi in range(lo + 1, 10):
+                    out = apply(block[:, lo:hi])
+                    for j in range(lo, hi):
+                        assert np.array_equal(out[:, j - lo:j - lo + 1], alone[j]), (X, lo, hi, j)
+
+
+def test_fft_backed_probes_do_not_depend_on_the_blas_thread_count():
+    # the loop's products are FFTs and its other steps row-wise sums, and
+    # the witness re-evaluation's dense vector product gives the same bits
+    # here at one and two OpenBLAS threads, so iterates, traces and
+    # certified norms all agree
+    code = """
+        import json
+        from fractions import Fraction
+        from restrictlab.measures import circle, random_flat
+        from restrictlab.probe import ProbeOptions, assemble, restriction_norm
+        out = []
+        for mu, X in ((random_flat(4096, 185, seed=20240613, flatness_c=4.0, max_retries=200), 512),
+                      (circle(128, 0.25), 32)):
+            op = assemble(mu, X)
+            assert op.grid_fft
+            for p, q in ((Fraction(5, 4), Fraction(4)), (Fraction(8, 5), Fraction(3, 2))):
+                res = restriction_norm(op, p, q, ProbeOptions(restarts=4, max_iters=60, seed=5))
+                out.append([res.iterations, res.converged, res.best_start,
+                            [v.hex() for v in res.trace], res.norm_lower_bound.hex(),
+                            res.witness.tobytes().hex()])
+        print(json.dumps(out))
+        """
+    one, two = (json.loads(_at_blas_threads(code, threads)) for threads in (1, 2))
+    assert one == two
+
+
+def test_witness_re_evaluation_is_independent_of_the_fft_products(monkeypatch):
+    # the certified norm comes from the dense matrix, so a fault in the
+    # loop's FFT products is caught instead of certifying itself
+    op = assemble(random_measure(21, N=64, max_atoms=48), 31)
+    assert op.grid_fft
+    real = probe.ExtensionOperator._grid_restrict
+    monkeypatch.setattr(probe.ExtensionOperator, "_grid_restrict",
+                        lambda self, rows: real(self, rows) * (1 + 1e-6))
+    with pytest.raises(AssertionError, match="witness re-evaluation"):
+        restriction_norm(op, Fraction(4, 3), 4, ProbeOptions(restarts=2, seed=1))

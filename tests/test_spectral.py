@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from restrictlab.measures import DiscreteMeasure, cantor, circle, dirac, random_flat, reflect, uniform
 from restrictlab.rationals import INF
 from restrictlab.regularity import fourier_beta
+from restrictlab import spectral
 from restrictlab.spectral import (
     convolve_power,
     density_norm,
@@ -23,6 +26,7 @@ from oracles import (
     pairwise_sum_weights,
     validate_spectrum,
     weighted_lp_norm,
+    whole_table_fourier,
 )
 
 
@@ -56,6 +60,32 @@ def test_fft_path_requires_small_K():
     # direct path accepts any K
     spec = fourier(mu, 40, method="direct")
     assert spec.shape == (81,)
+
+
+@pytest.mark.parametrize("mu, K, entries", [(cantor(4, {0, 3}, 12), 256, None),
+                                             (random_flat(4096, 185, seed=3), 300, 2048),
+                                             (circle(256, 0.25), 64, 4096)],
+                         ids=["1d", "1d-small-chunks", "2d-small-chunks"])
+def test_direct_sum_runs_in_chunks_of_frequencies(monkeypatch, mu, K, entries):
+    # the whole-table sum holds dim (2K+1) x m complex tables (34 MB for
+    # cantor(4, {0, 3}, 12) at K = 256); the chunked one holds a few
+    # (chunk, m) tables per axis, each at most DIRECT_CHUNK_ENTRIES entries
+    if entries:
+        monkeypatch.setattr(spectral, "DIRECT_CHUNK_ENTRIES", entries)
+    chunk_bytes = 16 * spectral.DIRECT_CHUNK_ENTRIES
+    whole_bytes = 16 * (2 * K + 1) * mu.num_atoms * mu.dim
+    tracemalloc.start()
+    try:
+        spec = fourier(mu, K, method="direct")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 4 * mu.dim * chunk_bytes + spec.nbytes
+    assert bound < whole_bytes
+    assert peak <= bound, (peak, bound)
+    ref = whole_table_fourier(mu.indices, mu.weights, mu.N, K)
+    # both sum the same products over the atoms in the same order
+    assert np.abs(spec - ref).max() <= 4 * np.finfo(float).eps, np.abs(spec - ref).max()
 
 
 def test_fourier_dim2_agreement():
