@@ -22,7 +22,7 @@ import numpy as np
 from . import measures, probe, regularity, spectral, verifiers
 from .config import artifact_envelope, default_output_dir
 from .measures import AtomBudgetError, atomic_write_text, load_measure, save_measure
-from .rationals import INF, as_exponent, conjugate, exp_mul, exp_str, is_inf
+from .rationals import INF, as_exponent, conjugate, exp_mul, exp_str, is_inf, validate_exponent
 
 
 def _fmt(value) -> str:
@@ -58,9 +58,11 @@ def _parse_grid(text: str) -> list[Fraction]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid {text!r} is not of the form a:b:step")
-    a, b, step = (Fraction(p) for p in parts)
+    a, b, step = (_rational(p) for p in parts)
     if step <= 0 or b < a:
         raise argparse.ArgumentTypeError(f"grid {text!r} is empty")
+    if a < 1:
+        raise argparse.ArgumentTypeError(f"grid {text!r} starts below 1")
     vals, v = [], a
     while v <= b:
         vals.append(v)
@@ -92,20 +94,26 @@ def _int_list_at_least(low: int):
     return lambda text: _parse_list(text, item)
 
 
-def _positive_fraction(text: str) -> Fraction:
-    """argparse type: a rational number > 0, such as 1/8 or 0.125."""
+def _rational(text: str) -> Fraction:
+    """argparse type: a rational number, such as 1/8 or 0.125."""
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}")
+
+
+def _positive_fraction(text: str) -> Fraction:
+    """argparse type: a rational number > 0."""
+    value = _rational(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     return value
 
 
 def _exp(text: str):
+    """argparse type: an exponent in [1, inf], such as 4/3 or inf."""
     try:
-        return as_exponent(text)
+        return validate_exponent(as_exponent(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -173,13 +181,11 @@ def cmd_exponents(args) -> int:
             print(f"p_max = {exp_str(rng.p_max)}, q_max(p) = p'/{exp_str(nrp)}")
         printed = True
     if args.alpha is not None and args.beta is not None:
-        d = args.d or 1
-        p0 = regularity.mockenhaupt_p0(d, Fraction(args.alpha), Fraction(args.beta))
+        p0 = regularity.mockenhaupt_p0(args.d, args.alpha, args.beta)
         print(f"p0 = {exp_str(p0)}")
         printed = True
     if args.gamma is not None and args.p is not None:
-        d = args.d or 1
-        qmax = regularity.knapp_bound(d, Fraction(args.gamma), args.p)
+        qmax = regularity.knapp_bound(args.d, args.gamma, args.p)
         print(f"q_max = {exp_str(qmax)}")
         printed = True
     if not printed:
@@ -315,7 +321,7 @@ def _suite_prop1(args) -> tuple[list[dict], bool]:
 
 def _suite_prop2(args) -> tuple[list[dict], bool]:
     mu = load_measure(args.measure) if args.measure else measures.cantor(4, (0, 3), 8)
-    gamma = Fraction(args.gamma) if args.gamma else Fraction(1, 2)
+    gamma = args.gamma or Fraction(1, 2)
     K_list = args.K or [2**j for j in range(4, 13)]
     records = [rep.as_dict() for rep in verifiers.check_prop2(mu, gamma, (2, 8), K_list)]
     return records, all(r["agrees"] for r in records)
@@ -323,7 +329,7 @@ def _suite_prop2(args) -> tuple[list[dict], bool]:
 
 def _suite_prop3(args) -> tuple[list[dict], bool]:
     mu = load_measure(args.measure) if args.measure else measures.cantor(4, (0, 3), 8)
-    gamma = Fraction(args.gamma) if args.gamma else Fraction(1, 2)
+    gamma = args.gamma or Fraction(1, 2)
     rep = verifiers.check_prop3(mu, gamma)
     return [rep.as_dict()], rep.passed
 
@@ -447,10 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("exponents", help="exact exponent calculators")
     e.add_argument("--n", type=_int_at_least(1), default=None)
     e.add_argument("--r", type=_exp, default=None)
-    e.add_argument("--d", type=int, default=None)
-    e.add_argument("--alpha", default=None)
-    e.add_argument("--beta", default=None)
-    e.add_argument("--gamma", default=None)
+    e.add_argument("--d", type=_int_at_least(1), default=1)
+    e.add_argument("--alpha", type=_rational, default=None)
+    e.add_argument("--beta", type=_rational, default=None)
+    e.add_argument("--gamma", type=_positive_fraction, default=None)
     e.add_argument("--p", type=_exp, default=None)
     e.set_defaults(func=cmd_exponents)
 
@@ -489,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--r", type=_exp, default=None)
     v.add_argument("--p", type=_exp, default=None)
     v.add_argument("--eps", type=_int_at_least(1), default=2)
-    v.add_argument("--gamma", default=None)
+    v.add_argument("--gamma", type=_positive_fraction, default=None)
     v.add_argument("--K", type=_int_list_at_least(1), default=None)
     v.add_argument("--out", default=None)
     v.set_defaults(func=cmd_verify)

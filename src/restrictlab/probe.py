@@ -212,14 +212,13 @@ class ExtensionOperator:
         axis; its [-X, X]^dim part, which is extend(1); and the round-off
         bound of Re <T f, f> / ||f||_2^2 by that FFT, eps log2(size) max|FFT|.
 
-        The coefficients come from an FFT of the dense N^dim grid only when
-        that grid is no larger than the (4X + 1)^dim x num_atoms direct sum,
-        so a sparse measure on a fine grid costs a constant times the
-        operator, as on the dense path.
+        The coefficients come from spectral.fourier, whose route rule sums
+        over the atoms when the N^dim grid is larger than that sum, so a
+        sparse measure on a fine grid costs a constant times the operator, as
+        on the dense path.
         """
         X = self.X
-        direct = self.mu.N ** self.dim > (4 * X + 1) ** self.dim * self.num_atoms
-        kernel = np.conj(fourier(self.mu, 2 * X, "direct" if direct else "auto"))
+        kernel = np.conj(fourier(self.mu, 2 * X))
         size = (_fast_fft_size(4 * X + 1),) * self.dim
         spectrum = np.fft.fftn(kernel, s=size, axes=tuple(range(self.dim)))
         noise = np.finfo(float).eps * math.log2(spectrum.size) * float(np.abs(spectrum).max())

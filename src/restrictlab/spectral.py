@@ -1,9 +1,9 @@
 """Fourier data of grid measures: transforms, convolution powers, L^p norms.
 
 The transform convention is mu_hat(k) = sum_j w_j exp(-2*pi*i <k, j/N>) on the
-truncated dual lattice k in [-K, K]^dim.  Because atoms live on the grid, the
-fast path reads coefficients off an FFT of the dense weight grid; a direct
-trigonometric summation path is kept as an independent route for any K.
+truncated dual lattice k in [-K, K]^dim.  fourier is the one reader of these
+coefficients: it takes whichever of two exact routes costs less, an FFT of
+the dense weight grid or the sum over atoms.
 """
 
 from __future__ import annotations
@@ -22,30 +22,27 @@ CONV_DROP_REL = 1e-14
 DIRECT_CHUNK_ENTRIES = 262_144
 
 
-def fourier(mu: DiscreteMeasure, K: int, method: str = "auto") -> np.ndarray:
+def fourier(mu: DiscreteMeasure, K: int) -> np.ndarray:
     """Fourier coefficients of a measure on [-K, K]^dim, shape (2K+1,)*dim.
 
     Entry [k + K], with k an integer vector of length dim, holds mu_hat(k).
 
-    method "fft" requires K <= N/2 and reads an FFT of the dense grid;
-    "direct" performs the exact trigonometric sum over atoms and accepts any
-    K; "auto" picks the FFT path when the truncation permits.
+    Atoms sit on the grid, so mu_hat is N-periodic and both routes are exact
+    for every K: an FFT of the dense N^dim grid read at k mod N when that grid
+    is no larger than the (2K+1)^dim x num_atoms direct sum, and the sum over
+    atoms otherwise, so a sparse measure on a fine grid never builds its grid.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    if method == "auto":
-        method = "fft" if K <= mu.N // 2 else "direct"
-    if method == "fft":
-        if K > mu.N // 2:
-            raise ValueError(f"FFT path requires K <= N/2 = {mu.N // 2}")
-        full = np.fft.fftn(mu.dense_weights())
-        ks = np.arange(-K, K + 1) % mu.N
-        coeffs = full[np.ix_(*[ks] * mu.dim)]
-    elif method == "direct":
-        coeffs = _direct_sum(mu, K)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return coeffs
+    if mu.N ** mu.dim > (2 * K + 1) ** mu.dim * mu.num_atoms:
+        return _direct_sum(mu, K)
+    return _grid_read(mu, K)
+
+
+def _grid_read(mu: DiscreteMeasure, K: int) -> np.ndarray:
+    """mu_hat on [-K, K]^dim read off an FFT of the dense grid at k mod N."""
+    ks = np.arange(-K, K + 1) % mu.N
+    return np.fft.fftn(mu.dense_weights())[np.ix_(*[ks] * mu.dim)]
 
 
 def _direct_sum(mu: DiscreteMeasure, K: int) -> np.ndarray:

@@ -44,7 +44,7 @@ from .regularity import (
     endpoint_q,
     theorem_range,
 )
-from .spectral import convolve_power, density_norm, frequency_radii, lp_norm, self_correlation
+from .spectral import convolve_power, density_norm, fourier, frequency_radii, lp_norm, self_correlation
 
 SLACK_REL_TOL = 1e-8
 ORACLE_MATCH_TOL = 1e-10
@@ -384,26 +384,23 @@ def check_prop2(mu: DiscreteMeasure, gamma, s_values, K_list) -> list[Prop2Repor
 
     A gamma-dimensional measure should have divergent lattice sums for every
     s < 2 dim / gamma; the checker fits the log-log growth of the partial
-    sums and calls slopes above PROP2_DIVERGE_SLOPE divergent.  The FFT of
-    the measure and its frequency radii are computed once for all s.  The
-    sums run over the frequencies of the N^dim FFT grid, so at K = N/2 the
-    frequency -N/2 = N/2 (mod N) is counted once.
+    sums and calls slopes above PROP2_DIVERGE_SLOPE divergent.  The
+    coefficients (from spectral.fourier, by its route rule) and their
+    frequency radii are computed once for all s.  The sums run over the
+    frequencies of Z_N^dim, so at K = N/2, where -N/2 = N/2 (mod N), only the
+    end -N/2 of each axis is kept.
     """
     gamma = Fraction(gamma)
     if not (0 < gamma <= mu.dim):
         raise ValueError(f"gamma {gamma} outside (0, dim]")
     s_values = [validate_exponent(s, "s") for s in s_values]
     K_list = sorted(int(k) for k in K_list)
-    if K_list[0] < 1 or K_list[-1] > mu.N // 2:
+    top = K_list[-1]
+    if K_list[0] < 1 or top > mu.N // 2:
         raise ValueError("K values must lie in [1, N/2]")
-    spectrum = np.fft.fftn(mu.dense_weights())
-    freqs = np.fft.fftfreq(mu.N, d=1.0 / mu.N)
-    # only the frequencies within the largest K on every axis, kept in the FFT
-    # grid's order, so each partial sum adds the terms of a full-grid mask in
-    # the same order
-    near = np.flatnonzero(np.abs(freqs) <= K_list[-1])
-    magnitude = np.abs(spectrum[np.ix_(*[near] * mu.dim)])
-    radii = frequency_radii(freqs[near], mu.dim)
+    window = slice(None, -1 if 2 * top == mu.N else None)
+    magnitude = np.abs(fourier(mu, top)[(window,) * mu.dim])
+    radii = frequency_radii(np.arange(-top, top + 1)[window], mu.dim)
     inside = [radii <= K for K in K_list]
     critical = 2 * Fraction(mu.dim) / gamma
     reports = []

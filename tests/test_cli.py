@@ -40,6 +40,10 @@ def test_exponents_mockenhaupt_and_knapp(capsys):
     assert "p0 = 6/5" in capsys.readouterr().out
     assert main(["exponents", "--d", "1", "--gamma", "1/2", "--p", "4/3"]) == 0
     assert "q_max = 2" in capsys.readouterr().out
+    assert main(["exponents", "--d", "2", "--alpha", "1/2", "--beta", "1/2",
+                 "--gamma", "1/2", "--p", "4/3"]) == 0
+    out = capsys.readouterr().out
+    assert "p0 = 14/13" in out and "q_max = 1\n" in out
 
 
 def test_exponents_requires_arguments():
@@ -463,12 +467,29 @@ def test_trials_below_one_are_usage_errors(tmp_path, capsys, suite):
     (["analyze", "--scales", "-1/8,1/8,1/4"], "--scales: expected one argument"),
     (["analyze", "--scales", "1/0,1/8,1/4"], "--scales: invalid rational value: '1/0'"),
     (["analyze", "--scales", "abc"], "--scales: invalid rational value: 'abc'"),
+    (["probe", "-p", "1/2", "-q", "2", "-X", "4"], "-p: exponent = 1/2 is outside [1, inf]"),
+    (["probe", "-p", "2", "-q", "1/2", "-X", "4"], "-q: exponent = 1/2 is outside [1, inf]"),
+    (["conv", "-n", "2", "-r", "1/2"], "-r: exponent = 1/2 is outside [1, inf]"),
+    (["verify", "--suite", "chain", "--trials", "1", "--p", "1/2"],
+     "--p: exponent = 1/2 is outside [1, inf]"),
+    (["exponents", "--n", "2", "--r", "1/2"], "--r: exponent = 1/2 is outside [1, inf]"),
+    (["sweep", "--p-grid", "1/2:1:1/4", "--q-grid", "2:2:1", "--X", "2,4"],
+     "--p-grid: grid '1/2:1:1/4' starts below 1"),
+    (["verify", "--suite", "prop2", "--gamma", "abc"], "--gamma: invalid rational value: 'abc'"),
+    (["verify", "--suite", "prop2", "--gamma", "0"], "--gamma: must be > 0, got 0"),
+    (["exponents", "--alpha", "abc", "--beta", "1/2"], "--alpha: invalid rational value: 'abc'"),
+    (["exponents", "--alpha", "1/2", "--beta", "1/0"], "--beta: invalid rational value: '1/0'"),
+    (["exponents", "--gamma", "0", "--p", "4/3"], "--gamma: must be > 0, got 0"),
+    (["exponents", "--d", "0", "--alpha", "1/2", "--beta", "1/2"], "--d: must be >= 1, got 0"),
 ], ids=["verify-n", "chain-eps", "bilinear-eps", "conv-n", "sweep-n", "exponents-n",
         "exponents-n-not-int", "probe-X", "analyze-beta", "measure-retries",
         "measure-dim-0", "measure-dim-negative", "uniform-N", "circle-N", "measure-N-negative",
         "cantor-stage", "random-flat-m", "cantor-base", "measure-confine", "sweep-X",
         "verify-K", "scales-zero", "scales-negative", "scales-negative-as-flag",
-        "scales-zero-denominator", "scales-not-a-number"])
+        "scales-zero-denominator", "scales-not-a-number", "probe-p", "probe-q", "conv-r",
+        "verify-p", "exponents-r", "sweep-p-grid", "verify-gamma-not-a-number",
+        "verify-gamma-zero", "exponents-alpha", "exponents-beta", "exponents-gamma",
+        "exponents-d"])
 def test_out_of_range_counts_are_usage_errors(flat_measure, tmp_path, capsys, argv, message):
     if argv[0] in ("conv", "sweep", "probe", "analyze"):
         argv = [*argv, "--measure", flat_measure]

@@ -435,9 +435,11 @@ def test_block_columns_do_not_depend_on_the_block_at_one_blas_thread():
 
 
 def _gram_cases():
-    # (measure, X): fourier's FFT path (2X <= N/2), its direct path (2X > N/2),
-    # and a lattice wider than the grid (2X + 1 > N), in 1-D and 2-D
-    return [(random_measure(31, max_atoms=24), 16), (random_flat(64, 12, seed=31), 20),
+    # (measure, X): fourier's grid route (2X <= N/2 and 2X > N/2), its direct
+    # route (N > (4X + 1) m, 1-D only), and a lattice wider than the grid
+    # (2X + 1 > N), in 1-D and 2-D
+    return [(random_measure(31, max_atoms=24), 16), (random_measure(31, max_atoms=24), 8),
+            (random_flat(64, 12, seed=31), 20),
             (random_flat(32, 9, seed=32), 20), (circle(64, 0.25), 8),
             (circle(16, 0.25), 6), (circle(16, 0.25), 10)]
 
@@ -475,9 +477,9 @@ def test_gram_kernel_is_built_once_and_only_at_q_2(monkeypatch):
     calls = []
     real = probe.fourier
 
-    def counting(mu, K, method="auto"):
+    def counting(mu, K):
         calls.append(K)
-        return real(mu, K, method)
+        return real(mu, K)
 
     monkeypatch.setattr(probe, "fourier", counting)
     op = assemble(random_measure(17), 8)

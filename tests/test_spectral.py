@@ -46,20 +46,47 @@ def test_fourier_two_atoms_closed_form():
     assert np.allclose(spec, expected, atol=1e-12)
 
 
-def test_fft_and_direct_paths_agree():
-    mu = random_flat(256, 24, seed=4)
-    a = fourier(mu, 100, method="fft")
-    b = fourier(mu, 100, method="direct")
+@pytest.mark.parametrize("mu, K", [(random_flat(256, 24, seed=4), 100),
+                                   (random_flat(256, 24, seed=4), 300),
+                                   (circle(64, 0.25), 8),
+                                   (circle(64, 0.25), 70)],
+                         ids=["1d", "1d-K-above-N/2", "2d", "2d-K-above-N/2"])
+def test_fft_and_direct_paths_agree(mu, K):
+    # atoms sit on the grid, so mu_hat is N-periodic and the FFT read at
+    # k mod N is exact for every K, also past N/2
+    a = spectral._grid_read(mu, K)
+    b = spectral._direct_sum(mu, K)
+    assert a.shape == b.shape == (2 * K + 1,) * mu.dim
     assert np.max(np.abs(a - b)) <= 1e-10
 
 
-def test_fft_path_requires_small_K():
-    mu = dirac(1, 32, 3)
-    with pytest.raises(ValueError):
-        fourier(mu, 20, method="fft")
-    # direct path accepts any K
-    spec = fourier(mu, 40, method="direct")
-    assert spec.shape == (81,)
+TWO_ATOMS = DiscreteMeasure(1, 64, np.array([[0], [32]]), np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("mu, K, reads_grid", [(cantor(4, {0, 3}, 14), 64, False),
+                                               (TWO_ATOMS, 16, True),  # 64 <= 33 x 2
+                                               (TWO_ATOMS, 15, False),  # 64 > 31 x 2
+                                               (TWO_ATOMS, 40, True),
+                                               (circle(64, 0.25), 40, True)],
+                         ids=["fine-grid", "grid", "direct", "K-above-N/2", "2d-K-above-N/2"])
+def test_fourier_reads_the_grid_only_when_it_is_no_larger_than_the_direct_sum(
+        monkeypatch, mu, K, reads_grid):
+    # the N^dim grid is read when N^dim <= (2K + 1)^dim x num_atoms; for
+    # cantor(4, {0, 3}, 14) that grid is 2^28 points against 129 x 16384
+    reads = []
+    real = DiscreteMeasure.dense_weights
+
+    def dense_weights(self):
+        if not reads_grid:
+            raise AssertionError("dense N^dim grid built")
+        reads.append(self.N)
+        return real(self)
+
+    monkeypatch.setattr(DiscreteMeasure, "dense_weights", dense_weights)
+    spec = fourier(mu, K)
+    assert reads == ([mu.N] if reads_grid else [])
+    assert spec.shape == (2 * K + 1,) * mu.dim
+    validate_spectrum(spec)
 
 
 @pytest.mark.parametrize("mu, K, entries", [(cantor(4, {0, 3}, 12), 256, None),
@@ -76,7 +103,7 @@ def test_direct_sum_runs_in_chunks_of_frequencies(monkeypatch, mu, K, entries):
     whole_bytes = 16 * (2 * K + 1) * mu.num_atoms * mu.dim
     tracemalloc.start()
     try:
-        spec = fourier(mu, K, method="direct")
+        spec = spectral._direct_sum(mu, K)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -86,13 +113,6 @@ def test_direct_sum_runs_in_chunks_of_frequencies(monkeypatch, mu, K, entries):
     ref = whole_table_fourier(mu.indices, mu.weights, mu.N, K)
     # both sum the same products over the atoms in the same order
     assert np.abs(spec - ref).max() <= 4 * np.finfo(float).eps, np.abs(spec - ref).max()
-
-
-def test_fourier_dim2_agreement():
-    mu = circle(64, 0.25)
-    a = fourier(mu, 8, method="fft")
-    b = fourier(mu, 8, method="direct")
-    assert np.max(np.abs(a - b)) <= 1e-10
 
 
 def test_cantor_self_similarity_product():
