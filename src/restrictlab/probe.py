@@ -23,8 +23,13 @@ Atoms sit on the grid j/N and the lattice is integral, so restrict and
 extend are exact DFTs on Z_N^dim.  A large operator (chosen from its shape
 alone, see ExtensionOperator.grid_fft) applies them by FFTs of the N^dim
 grid instead of the L x m matrix; FFTs transform each line on its own and
-take no BLAS call.  The dense matrix stays for small operators and for the
-witness re-evaluation, a route independent of the loop.
+take no BLAS call.  The dense matrix is built only for the first dense
+restrict or extend, that is for q != 2 on an operator off the FFT grid.
+Its entries, and those of the witness re-evaluation, are read from a table
+of the N-th roots of unity at the exact integer phase <x, j> mod N.  The
+witness re-evaluation sums over the lattice one chunk of atoms at a time,
+never reads the matrix and takes no BLAS call: a route independent of the
+loop, whichever backend the loop used.
 
 At q = 2 the square of the value is the quadratic form <T f, f> of the
 Gram matrix T[x, y] = conj(mu_hat(x - y)) (the T T* identity behind the
@@ -40,14 +45,14 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
 from .fitting import FitResult, loglog_fit
 from .measures import DiscreteMeasure
 from .rationals import INF, Exponent, conjugate, exp_float, exp_str, is_inf, validate_exponent
-from .spectral import fourier, lp_norm
+from .spectral import DIRECT_CHUNK_ENTRIES, fourier, lp_norm
 
 MAX_MATRIX_ENTRIES = 8_388_608
 # restrict/extend run on the FFT grid when L * m exceeds this multiple of
@@ -86,18 +91,19 @@ class ProbeOptions:
 
 @dataclass(frozen=True)
 class ExtensionOperator:
-    """Dense pairing between dual-lattice points and measure atoms.
+    """Pairing between dual-lattice points and measure atoms, built lazily.
 
-    matrix[x, j] = exp(2*pi*i <x, xi_j>) has unit modulus; restriction is the
-    conjugate transpose applied to a lattice vector.  On a large operator
-    (grid_fft) restrict and extend compute the same products by FFTs of the
-    N^dim grid.  gram applies extend(restrict(.)) without the matrix, from
-    the Fourier data of mu.
+    The dense matrix[x, j] = exp(2*pi*i <x, xi_j>) has unit modulus;
+    restriction is its conjugate transpose applied to a lattice vector.  It
+    is built on first use, and only a dense restrict or extend uses it: on a
+    large operator (grid_fft) restrict and extend compute the same products
+    by FFTs of the N^dim grid, gram applies extend(restrict(.)) from the
+    Fourier data of mu, and _direct_restrict sums over the lattice in chunks
+    of atoms.
     """
 
     mu: DiscreteMeasure
     X: int
-    matrix: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -109,11 +115,83 @@ class ExtensionOperator:
 
     @property
     def lattice_size(self) -> int:
-        return self.matrix.shape[0]
+        return (2 * self.X + 1) ** self.dim
 
     @property
     def num_atoms(self) -> int:
-        return self.matrix.shape[1]
+        return self.mu.num_atoms
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The (L, m) dense operator, built on first use within MAX_MATRIX_ENTRIES and kept."""
+        entries = self.lattice_size * self.num_atoms
+        if entries > MAX_MATRIX_ENTRIES:
+            raise MemoryError(
+                f"operator would need {entries} entries > MAX_MATRIX_ENTRIES budget {MAX_MATRIX_ENTRIES}")
+        # the exact phases <x, j> mod N of every lattice point and atom, then one gather
+        axis = np.arange(-self.X, self.X + 1)
+        k = np.multiply.outer(axis, self.mu.indices[:, 0])
+        if self.dim == 2:
+            k = k[:, None, :] + np.multiply.outer(axis, self.mu.indices[:, 1])
+        return self._roots_at(k).reshape(-1, self.num_atoms)
+
+    @cached_property
+    def _roots(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """exp(2 pi i k / N) for 0 <= k < N as high[k >> shift] * low[k & (2^shift - 1)].
+
+        Built once per operator.  high holds at most DIRECT_CHUNK_ENTRIES
+        entries, as one of fourier's direct-sum chunks does, so a sparse
+        measure on a fine grid never pays O(N) memory; up to that size shift
+        is 0 and high is the whole table.
+        """
+        N = self.mu.N
+        shift = max(0, N.bit_length() - DIRECT_CHUNK_ENTRIES.bit_length())
+        low = np.exp(2j * np.pi * np.arange(1 << shift) / N)
+        high = np.exp(2j * np.pi * np.arange(N >> shift) * (1 << shift) / N)
+        return high, low, shift
+
+    def _roots_at(self, k: np.ndarray) -> np.ndarray:
+        """exp(2 pi i k / N) for an integer array k, read from the roots table; k is overwritten.
+
+        The phase k mod N is exact (N is a power of two), so an entry's
+        error is that of the table and does not grow with X.
+        """
+        high, low, shift = self._roots
+        k &= self.mu.N - 1
+        if not shift:
+            return high[k]
+        table = high[k >> shift]
+        table *= low[np.bitwise_and(k, (1 << shift) - 1, out=k)]
+        return table
+
+    def _direct_restrict(self, f: np.ndarray) -> np.ndarray:
+        """restrict of one vector f (L,) as the sum over the lattice, one chunk of atoms at a time.
+
+        The lattice is summed as a 2-D array with a phase table per side,
+        one einsum per chunk: in 2-D its two axes; in 1-D x = -X + a + S b
+        with S = ceil(sqrt(2X + 1)), zero-padded to a (T, S) array, so each
+        table holds about sqrt(L) entries per atom.  Chunks keep each table
+        within DIRECT_CHUNK_ENTRIES.  Reads no matrix and takes no BLAS call.
+        """
+        side, X, idx = 2 * self.X + 1, self.X, self.mu.indices
+        if self.dim == 2:
+            lattice = np.conj(f).reshape(side, side)
+            axis = np.arange(-X, X + 1)
+            sides = ((axis, idx[:, 0]), (axis, idx[:, 1]))
+        else:
+            S = math.isqrt(side - 1) + 1
+            T = -(-side // S)
+            lattice = np.zeros(T * S, dtype=np.complex128)
+            lattice[:side] = np.conj(f)
+            lattice = lattice.reshape(T, S)
+            sides = ((S * np.arange(T), idx[:, 0]), (np.arange(S) - X, idx[:, 0]))
+        step = max(1, DIRECT_CHUNK_ENTRIES // max(lattice.shape))
+        out = np.empty(self.num_atoms, dtype=np.complex128)
+        for lo in range(0, self.num_atoms, step):
+            atoms = slice(lo, lo + step)
+            out[atoms] = np.einsum("kl,kj,lj->j", lattice, *(
+                self._roots_at(np.multiply.outer(x, j[atoms])) for x, j in sides))
+        return np.conj(out, out=out)
 
     @cached_property
     def grid_fft(self) -> bool:
@@ -274,19 +352,10 @@ def _gemm_rows(block: np.ndarray) -> np.ndarray:
 
 
 def assemble(mu: DiscreteMeasure, X: int) -> ExtensionOperator:
+    """The operator on [-X, X]^dim; nothing is built until a product needs it."""
     if X < 1:
         raise ValueError("X must be >= 1")
-    side = 2 * X + 1
-    rows = side**mu.dim
-    entries = rows * mu.num_atoms
-    if entries > MAX_MATRIX_ENTRIES:
-        raise MemoryError(
-            f"operator would need {entries} entries > MAX_MATRIX_ENTRIES budget {MAX_MATRIX_ENTRIES}")
-    lattice = np.indices((side,) * mu.dim).reshape(mu.dim, -1) - X
-    pos = mu.positions()
-    matrix = np.exp(2j * np.pi * reduce(
-        np.add, (np.outer(lattice[a], pos[:, a]) for a in range(mu.dim))))
-    return ExtensionOperator(mu, X, matrix)
+    return ExtensionOperator(mu, X)
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +457,16 @@ class ProbeResult:
 
 
 def _rayleigh(op: ExtensionOperator, f: np.ndarray, p: Exponent, q: Exponent) -> float:
-    """||restrict(f)||_{L^q(mu)} / ||f||_{l^p} by the dense matrix, a route independent of the loop."""
+    """||restrict(f)||_{L^q(mu)} / ||f||_{l^p} by op._direct_restrict, a route independent of the loop.
+
+    The sum reads neither the matrix, the FFT grid nor the Gram kernel, so a
+    fault in the loop's products cannot certify itself, and its bits do not
+    depend on the BLAS thread count.
+    """
     nf = lp_norm(f, p)
     if nf == 0.0:
         return 0.0
-    return lp_norm(np.conj(np.conj(f) @ op.matrix), q, op.weights) / nf
+    return lp_norm(op._direct_restrict(f), q, op.weights) / nf
 
 
 def _embed_witness(w: np.ndarray, dim: int, target_size: int) -> np.ndarray:

@@ -14,10 +14,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from restrictlab.measures import DiscreteMeasure, cantor, dirac, random_flat, uniform
-from restrictlab.probe import ProbeOptions, assemble, growth_exponent, restriction_norm, sweep
+from restrictlab.measures import DiscreteMeasure, cantor, circle, dirac, random_flat, uniform
+from restrictlab.probe import (
+    ProbeOptions,
+    assemble,
+    classify_slope,
+    growth_exponent,
+    restriction_norm,
+    sweep,
+)
 from restrictlab.rationals import INF, conjugate
-from restrictlab.regularity import ahlfors_alpha, knapp_bound, mockenhaupt_p0, theorem_range
+from restrictlab.regularity import (
+    ahlfors_alpha,
+    knapp_bound,
+    mockenhaupt_p0,
+    stein_tomas_p,
+    theorem_range,
+)
 from restrictlab.spectral import convolve_power, density_norm, self_correlation
 from restrictlab.verifiers import (
     check_dual_chain,
@@ -194,6 +207,31 @@ def test_criterion_5_region_mapping():
         for row in rows.values():
             if row["in_theorem_region"]:
                 assert row["class"] != "growing", row
+
+
+# ---------------------------------------------------------------------------
+# A 2-D ground truth: Stein-Tomas on the circle
+# ---------------------------------------------------------------------------
+
+# fixed before the first run that could fail it
+STEIN_TOMAS_SLOPE_TOL = 0.03
+
+
+def test_stein_tomas_slopes_on_the_circle():
+    # l^p(Z^2) -> L^2(sigma) on the circle of radius 1/4 holds iff p <= 6/5,
+    # the Stein-Tomas endpoint; beyond it the curvature Knapp cap of size
+    # delta x delta^2, delta = X^(-1/2), grows like X^((3/p' - 1/q)/2)
+    mu = circle(256, 0.25)
+    X_list = [8, 16, 32, 64]
+    operators = {X: assemble(mu, X) for X in X_list}
+    options = ProbeOptions(restarts=2, max_iters=200, seed=0)
+    q = Fraction(2)
+    for p, want in ((Fraction(1), "bounded"), (stein_tomas_p(2), "bounded"),
+                    (Fraction(4, 3), "growing"), (Fraction(3, 2), "growing")):
+        g = growth_exponent(mu, p, q, X_list, options, operators=operators)
+        predicted = max(0.0, float(3 * (1 - 1 / p) - 1 / q) / 2)
+        assert classify_slope(g.slope) == want, (p, g.slope)
+        assert abs(g.slope - predicted) <= STEIN_TOMAS_SLOPE_TOL, (p, g.slope, predicted)
 
 
 # ---------------------------------------------------------------------------

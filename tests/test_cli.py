@@ -120,13 +120,29 @@ def test_probe_json(tmp_path, flat_measure, capsys):
 
 
 def test_probe_budget_exit_code(tmp_path, capsys):
+    # 4097 x 4096 entries is above MAX_MATRIX_ENTRIES, and 2X + 1 > N keeps
+    # the operator off the FFT grid, so the q = 4 loop's first product needs
+    # the dense matrix and stops before any iteration
     mpath = tmp_path / "u.json"
     assert main(["measure", "new", "--kind", "uniform", "--N", "4096",
                  "--out", str(mpath)]) == 0
-    rc = main(["probe", "--measure", mpath.as_posix(), "-p", "2", "-q", "2",
+    rc = main(["probe", "--measure", mpath.as_posix(), "-p", "2", "-q", "4",
                "-X", "2048"])
     assert rc == 1
     assert "budget" in capsys.readouterr().err
+
+
+def test_q2_probe_runs_over_the_matrix_budget(tmp_path, flat_measure, monkeypatch, capsys):
+    # a q = 2 probe and its witness re-evaluation never build the matrix, so
+    # the budget does not stop them
+    from restrictlab import probe
+
+    monkeypatch.setattr(probe, "MAX_MATRIX_ENTRIES", 1_000)  # the operator has 129 x 32
+    out = tmp_path / "probe.json"
+    assert main(["probe", "--measure", flat_measure, "-p", "4/3", "-q", "2",
+                 "-X", "64", "--restarts", "2", "--out", str(out)]) == 0
+    assert "budget" not in capsys.readouterr().err
+    assert json.loads(out.read_text())["probe"]["norm_lower_bound"] > 1.0
 
 
 def test_sweep_csv_and_determinism(tmp_path, flat_measure):

@@ -23,7 +23,7 @@ from restrictlab.probe import (
     sweep,
 )
 from restrictlab.rationals import INF
-from restrictlab.spectral import lp_norm
+from restrictlab.spectral import DIRECT_CHUNK_ENTRIES, lp_norm
 
 from oracles import lattice_phase_matrix, serial_restriction_norm
 
@@ -49,10 +49,18 @@ def test_assemble_shape_and_modulus():
 
 
 def test_assemble_budget(monkeypatch):
+    # the budget bounds the dense matrix, which only a q != 2 probe off the
+    # FFT grid reads; a q = 2 probe on the same operator runs without it
     monkeypatch.setattr(probe, "MAX_MATRIX_ENTRIES", 10_000)
     mu = uniform(1, 1024)
+    op = assemble(mu, 512)
     with pytest.raises(MemoryError, match="MAX_MATRIX_ENTRIES"):
-        assemble(mu, 512)
+        op.matrix
+    with pytest.raises(MemoryError, match="MAX_MATRIX_ENTRIES"):
+        restriction_norm(op, Fraction(4, 3), 4, ProbeOptions(restarts=2))
+    res = restriction_norm(op, Fraction(4, 3), 2, ProbeOptions(restarts=2, max_iters=20))
+    assert res.norm_lower_bound >= 1.0
+    assert "matrix" not in op.__dict__
 
 
 def test_assemble_dim2():
@@ -69,6 +77,34 @@ def test_assemble_dim2():
     mu = DiscreteMeasure(2, 64, idx, np.full(7, 1 / 7))
     op = assemble(mu, 3)
     assert np.max(np.abs(op.matrix - lattice_phase_matrix(mu.indices, 64, 3))) < 1e-12
+
+
+def _fine_2d_measure():
+    # N = 2^19 in 2-D: the roots table is split, and no grid is ever built
+    rng = np.random.default_rng(19)
+    flat = np.sort(rng.choice(2**38, size=40, replace=False))
+    return DiscreteMeasure(2, 2**19, np.array(np.unravel_index(flat, (2**19,) * 2)).T,
+                           np.full(40, 1 / 40))
+
+
+@pytest.mark.parametrize("mu, X", [(random_flat(4096, 185, seed=5), 512), (cantor(4, {0, 3}, 12), 8),
+                                   (circle(128, 0.25), 16), (_fine_2d_measure(), 6)],
+                         ids=["1d-X512", "1d-split", "2d", "2d-split"])
+def test_entries_are_read_at_the_exact_phase(mu, X):
+    # <x, j> mod N is an exact integer, so every entry is within 8 eps of
+    # exp(2 pi i (<x, j> mod N) / N) at any X (np.exp of the float phase
+    # <x, j> / N was off by up to 3.5e-13 at X = 512), and the roots table
+    # never takes O(N) memory on a fine grid
+    op = assemble(mu, X)
+    L, eps = op.lattice_size, np.finfo(float).eps
+    lattice = np.indices((2 * X + 1,) * mu.dim).reshape(mu.dim, -1) - X
+    exact = np.exp(2j * np.pi * ((lattice.T @ mu.indices.T) % mu.N) / mu.N)
+    assert np.abs(op.matrix - exact).max() <= 8 * eps
+    assert max(t.size for t in op._roots[:2]) <= DIRECT_CHUNK_ENTRIES
+    # the witness sum against the exact product: L terms of unit modulus
+    rng = np.random.default_rng(X)
+    f = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+    assert np.abs(op._direct_restrict(f) - exact.conj().T @ f).max() <= L * eps * np.abs(f).sum()
 
 
 def test_restriction_is_fourier_at_atoms():
@@ -537,8 +573,9 @@ def test_start_with_vanishing_restriction_runs_as_on_the_dense_path(mu, X):
 
 
 def test_q2_iterates_do_not_depend_on_the_blas_thread_count():
-    # only the witness re-evaluation goes through BLAS at q = 2, so the
-    # iterates are compared and the certified norm is not
+    # at q = 2 neither the loop's FFT convolutions nor the witness
+    # re-evaluation's einsum sums take a BLAS call, so iterates, traces and
+    # certified norms all agree
     code = """
         import json
         from fractions import Fraction
@@ -550,7 +587,7 @@ def test_q2_iterates_do_not_depend_on_the_blas_thread_count():
         for p in (Fraction(5, 4), Fraction(4, 3), Fraction(8, 5), Fraction(2)):
             res = restriction_norm(op, p, 2, ProbeOptions(restarts=5, seed=20240613))
             out.append([res.iterations, res.converged, res.best_start,
-                        [v.hex() for v in res.trace],
+                        [v.hex() for v in res.trace], res.norm_lower_bound.hex(),
                         res.witness.tobytes().hex()])
         print(json.dumps(out))
         """
@@ -617,9 +654,8 @@ def test_fft_products_match_the_dense_matrix():
 
 def test_fft_backed_probes_do_not_depend_on_the_blas_thread_count():
     # the loop's products are FFTs and its other steps row-wise sums, and
-    # the witness re-evaluation's dense vector product gives the same bits
-    # here at one and two OpenBLAS threads, so iterates, traces and
-    # certified norms all agree
+    # the witness re-evaluation sums by einsum: none takes a BLAS call, so
+    # iterates, traces and certified norms all agree
     code = """
         import json
         from fractions import Fraction
@@ -642,7 +678,7 @@ def test_fft_backed_probes_do_not_depend_on_the_blas_thread_count():
 
 
 def test_witness_re_evaluation_is_independent_of_the_fft_products(monkeypatch):
-    # the certified norm comes from the dense matrix, so a fault in the
+    # the certified norm is summed from the phase table, so a fault in the
     # loop's FFT products is caught instead of certifying itself
     op = assemble(random_measure(21, N=64, max_atoms=48), 31)
     assert op.grid_fft
@@ -651,3 +687,41 @@ def test_witness_re_evaluation_is_independent_of_the_fft_products(monkeypatch):
                         lambda self, rows: real(self, rows) * (1 + 1e-6))
     with pytest.raises(AssertionError, match="witness re-evaluation"):
         restriction_norm(op, Fraction(4, 3), 4, ProbeOptions(restarts=2, seed=1))
+
+
+def test_witness_re_evaluation_is_independent_of_the_dense_matrix():
+    # the certified norm is summed from the phase table, never read from the
+    # cached matrix, so a corrupted matrix is caught instead of certifying itself
+    op = assemble(random_measure(21, N=64, max_atoms=48), 8)
+    assert not op.grid_fft
+    op.matrix[...] *= 1 + 1e-6
+    with pytest.raises(AssertionError, match="witness re-evaluation"):
+        restriction_norm(op, Fraction(4, 3), 4, ProbeOptions(restarts=2, seed=1))
+
+
+@pytest.mark.parametrize("q, mu, X", [(2, random_measure(23), 16), (2, circle(64, 0.25), 8),
+                                      (4, random_flat(4096, 185, seed=5), 512),
+                                      (Fraction(3, 2), circle(128, 0.25), 32)],
+                         ids=["q2-1d", "q2-2d", "fft-1d", "fft-2d"])
+def test_probes_that_need_no_dense_product_build_no_matrix(q, mu, X):
+    op = assemble(mu, X)
+    assert "matrix" not in op.__dict__
+    assert q == 2 or op.grid_fft
+    restriction_norm(op, Fraction(4, 3), q, ProbeOptions(restarts=2, max_iters=20, seed=3))
+    assert "matrix" not in op.__dict__
+
+
+def test_q2_probe_memory_stays_below_the_matrix():
+    # circle(256, 1/4) at X = 64 is 16641 x 384: the matrix alone would take
+    # L m 16 bytes, and a q = 2 probe with its witness re-evaluation stays
+    # below an eighth of that
+    op = assemble(circle(256, 0.25), 64)
+    budget = op.lattice_size * op.num_atoms * 16 // 8
+    tracemalloc.start()
+    try:
+        restriction_norm(op, Fraction(4, 3), 2, ProbeOptions(restarts=2, max_iters=5, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget, (peak, budget)
+    assert "matrix" not in op.__dict__
