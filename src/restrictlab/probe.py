@@ -37,6 +37,10 @@ Stein-Tomas argument), and the pulled-back functional is T f up to a
 positive factor.  T is Toeplitz on [-X, X]^dim, so the q = 2 loop makes one
 FFT convolution per iteration instead of the two L x m products; FFTs take
 no BLAS call, so those iterates do not depend on the BLAS thread count.
+Each probe makes one pair of FFT buffers for its starting block and every
+convolution writes into them, so the loop allocates no transform arrays;
+the buffers belong to the call, never to the operator, which sweep's
+threads share.
 """
 
 from __future__ import annotations
@@ -302,7 +306,16 @@ class ExtensionOperator:
         noise = np.finfo(float).eps * math.log2(spectrum.size) * float(np.abs(spectrum).max())
         return spectrum, kernel[(slice(X, 3 * X + 1),) * self.dim].ravel(), noise
 
-    def gram(self, f: np.ndarray) -> np.ndarray:
+    def _gram_workspace(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two flat complex buffers that hold gram's transforms of up to k rows.
+
+        Made by the caller once per probe and never kept on the operator,
+        which sweep's threads share.
+        """
+        entries = k * self._gram_kernel[0].shape[0] ** self.dim
+        return np.empty(entries, dtype=np.complex128), np.empty(entries, dtype=np.complex128)
+
+    def gram(self, f: np.ndarray, *, work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
         """extend(restrict(f)) for the rows of a (k, L) block f, as (k, L).
 
         T[x, y] = conj(mu_hat(x - y)) depends on x - y alone, so T f is the
@@ -310,17 +323,45 @@ class ExtensionOperator:
         offset 2X.  Each axis is transformed as its own 1-D lines, and only
         the lines that hold input or are read are transformed.  A row's
         result does not depend on the other rows of the block.
+
+        Every transform writes into the two buffers of work, from
+        _gram_workspace for at least k rows, by turns; the result is a view
+        into one of them, so it lasts until the next call with the same work.
+        Without work a fresh pair is made.  Each forward transform reads its
+        lines zero-padded to the FFT size in the workspace rather than
+        through np.fft's n=, because numpy transforms several unpadded lines
+        at a time and padded ones one by one; the bits are the same.
         """
         spectrum = self._gram_kernel[0]
-        side, size = 2 * self.X + 1, spectrum.shape[0]
-        z = f.reshape((len(f),) + (side,) * self.dim)
-        for axis in range(1, self.dim + 1):
-            z = np.fft.fft(z, n=size, axis=axis)
+        k, side, size, dim = len(f), 2 * self.X + 1, spectrum.shape[0], self.dim
+        buffers = self._gram_workspace(k) if work is None else work
+
+        def into(turn: int, shape: tuple[int, ...]) -> np.ndarray:
+            return buffers[turn % 2][:k * math.prod(shape)].reshape((k,) + shape)
+
+        def padded(turn: int, axis: int) -> tuple[np.ndarray, np.ndarray]:
+            """A block of full size on axes 1..axis, zero past side on axis, and its part below side."""
+            z = into(turn, (size,) * axis + (side,) * (dim - axis))
+            at = (slice(None),) * axis
+            z[at + (slice(side, None),)] = 0
+            return z, z[at + (slice(side),)]
+
+        z, head = padded(0, 1)
+        np.copyto(head, f.reshape(head.shape))
+        for axis in range(1, dim + 1):
+            if axis < dim:  # the output lands zero-padded for the next axis
+                nxt, out = padded(axis, axis + 1)
+            else:
+                nxt = out = into(axis, (size,) * dim)
+            np.fft.fft(z, axis=axis, out=out)
+            z = nxt
         z *= spectrum
         window = slice(2 * self.X, 4 * self.X + 1)
-        for axis in range(1, self.dim + 1):
-            z = np.fft.ifft(z, axis=axis)[(slice(None),) * axis + (window,)]
-        return z.reshape(len(f), -1)
+        for turn, axis in enumerate(range(1, dim + 1), start=dim + 1):
+            z = np.fft.ifft(z, axis=axis, out=into(turn, z.shape[1:]))[(slice(None),) * axis + (window,)]
+        out = into(2 * dim + 1, (side**dim,))
+        np.copyto(out.reshape(z.shape), z)
+        return out
 
 
 def _fast_fft_size(n: int) -> int:
@@ -364,13 +405,33 @@ def assemble(mu: DiscreteMeasure, X: int) -> ExtensionOperator:
 
 def _phase(z: np.ndarray, a: np.ndarray) -> np.ndarray:
     """z / |z| where a = |z| > 0, else 1."""
-    return np.where(a > 0, z / np.where(a > 0, a, 1.0), 1.0)
+    return np.divide(z, a, out=np.ones_like(z), where=a > 0)
 
 
-def _measure_dual(u: np.ndarray, a: np.ndarray, weights: np.ndarray, qf: float) -> np.ndarray:
+def _measure_norm(a: np.ndarray, weights: np.ndarray, qf: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """The L^q(mu) norms of the rows whose moduli are a, and the powers they share with the dual.
+
+    For finite q the norm is peak (sum_j w_j s_j^(q-1) s_j)^(1/q) with
+    s = a / peak, so each entry takes one general power, and s^(q-1) is
+    returned for _measure_dual.  A row that vanished has norm 0 and powers
+    1, so that its dual element is 1.  For q = inf the powers are None.
+    """
+    if qf == INF:
+        return lp_norm(a, qf, weights, rows=True), None
+    peak = a.max(axis=1, keepdims=True)
+    s = a / np.where(peak > 0.0, peak, 1.0)
+    power = s ** (qf - 1.0)
+    val = peak[:, 0] * np.sum(power * s * weights, axis=1) ** (1.0 / qf)
+    if not peak.all():
+        power[peak[:, 0] == 0.0] = 1.0
+    return val, power
+
+
+def _measure_dual(u: np.ndarray, a: np.ndarray, power: np.ndarray | None,
+                  weights: np.ndarray, qf: float) -> np.ndarray:
     """Holder-extremal elements for the L^q(mu) norms of the rows of u (scale-free).
 
-    a = |u|, shared with the norm; qf = float(q).
+    a = |u| and power come from _measure_norm; qf = float(q).
     """
     if qf == INF:
         g = np.zeros_like(u)
@@ -378,17 +439,19 @@ def _measure_dual(u: np.ndarray, a: np.ndarray, weights: np.ndarray, qf: float) 
         j = np.argmax(np.where(weights > 0, a, -1.0), axis=1)
         g[rows, j] = _phase(u[rows, j], a[rows, j]) / weights[j]
         return g
-    peak = a.max(axis=1, keepdims=True)
-    live = peak > 0.0
-    return np.where(live, _phase(u, a) * (a / np.where(live, peak, 1.0)) ** (qf - 1.0), 1.0)
+    g = _phase(u, a)
+    g *= power
+    return g
 
 
-def _lattice_extremal(c: np.ndarray, pf: float, pprimef: float) -> np.ndarray:
-    """Unit-l^p rows f maximizing Re sum_x f[r, x] c[r, x], one per row of c.
+def _lattice_extremal(pulled: np.ndarray, pf: float, pprimef: float) -> np.ndarray:
+    """Unit-l^p rows f maximizing Re sum_x f[r, x] conj(pulled[r, x]), one per row of pulled.
 
-    pf, pprimef = float(p), float(p').
+    pulled holds the pulled-back functionals; pf, pprimef = float(p), float(p').
+    For 1 < p < inf, t = (|pulled| / peak)^(p'-1) has max t = 1 exactly,
+    so ||t||_p = (sum_x t^p)^(1/p) needs no modulus, peak or rescaling.
     """
-    a = np.abs(c)
+    a = np.abs(pulled)
     if pf == 1.0:
         t = np.zeros_like(a)
         t[np.arange(len(a)), np.argmax(a, axis=1)] = 1.0
@@ -399,21 +462,25 @@ def _lattice_extremal(c: np.ndarray, pf: float, pprimef: float) -> np.ndarray:
         if not peak.all():
             raise ArithmeticError("pulled-back functional vanished")
         t = (a / peak) ** (pprimef - 1.0)
-        t /= lp_norm(t, pf, rows=True)[:, None]
-    return np.conj(_phase(c, a)) * t
+        t /= np.sum(t**pf, axis=1, keepdims=True) ** (1.0 / pf)
+    f = _phase(pulled, a)
+    f *= t
+    return f
 
 
-def _gram_step(op: ExtensionOperator, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gram_step(op: ExtensionOperator, f: np.ndarray,
+               work: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """At q = 2: the values ||restrict(f)||_{L^2(mu)} of the rows of f, and their pulled-back functionals.
 
     A value's square is Re <T f, f>.  The L^2(mu) dual element u / max|u| of
     u = restrict(f) pulls back to T f / max|u|, and the extremal vector is
-    scale-free, so T f stands for it.  A row whose square is within the
-    FFT round-off of zero is taken as u = 0, as the dense path sees it: value
-    0, and the dual element 1, which pulls back to extend(1).
+    scale-free, so T f stands for it; it is a view into work.  A row whose
+    square is within the FFT round-off of zero is taken as u = 0, as the
+    dense path sees it: value 0, and the dual element 1, which pulls back to
+    extend(1).
     """
     _, extend_one, noise = op._gram_kernel
-    h = op.gram(f)
+    h = op.gram(f, work=work)
     square = np.sum((np.conj(f) * h).real, axis=1)
     nonzero = square > noise * np.sum(f.real**2 + f.imag**2, axis=1)
     h[~nonzero] = extend_one
@@ -535,13 +602,15 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
     f = f[live] / nf[live, None]
     last = np.full(len(live), -1.0)
     gram = qf == 2.0
+    if gram:
+        work = op._gram_workspace(len(f))
     for it in range(options.max_iters):
         if gram:
-            val, pulled = _gram_step(op, f)
+            val, pulled = _gram_step(op, f, work)
         else:
             u = op.restrict(f.T).T
             a = np.abs(u)
-            val = lp_norm(a, qf, op.weights, rows=True)
+            val, power = _measure_norm(a, op.weights, qf)
         if not np.isfinite(val).all():
             raise ArithmeticError("non-finite value in norm iteration")
         iterations[live] += 1
@@ -561,10 +630,11 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
                 pulled = pulled[keep]
             else:
                 u, a = u[keep], a[keep]
+                power = None if power is None else power[keep]
         last = val
         if not gram:
-            pulled = op.extend(_measure_dual(u, a, op.weights, qf).T).T
-        f = _lattice_extremal(np.conj(pulled), pf, pprimef)
+            pulled = op.extend(_measure_dual(u, a, power, op.weights, qf).T).T
+        f = _lattice_extremal(pulled, pf, pprimef)
 
     trace: list[float] = []
     top, best_start = -1.0, -1

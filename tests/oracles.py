@@ -98,6 +98,23 @@ def lattice_phase_matrix(indices, N, X):
                       for j in indices] for x in rows])
 
 
+def gram_by_padded_ffts(spectrum, f, X, dim):
+    """T f for the rows of a (k, L) block f by FFTs that pad through np.fft's n= into fresh arrays.
+
+    spectrum is ExtensionOperator._gram_kernel[0].  The same transforms, in
+    the same order, as the workspace gram, which must match it bit for bit.
+    """
+    side, size = 2 * X + 1, spectrum.shape[0]
+    z = f.reshape((len(f),) + (side,) * dim)
+    for axis in range(1, dim + 1):
+        z = np.fft.fft(z, n=size, axis=axis)
+    z = z * spectrum
+    window = slice(2 * X, 4 * X + 1)
+    for axis in range(1, dim + 1):
+        z = np.fft.ifft(z, axis=axis)[(slice(None),) * axis + (window,)]
+    return z.reshape(len(f), -1)
+
+
 def direct_fourier_1d(indices, weights, N, ks):
     """Exact trigonometric sums, one frequency at a time."""
     return np.array([

@@ -25,7 +25,7 @@ from restrictlab.probe import (
 from restrictlab.rationals import INF
 from restrictlab.spectral import DIRECT_CHUNK_ENTRIES, lp_norm
 
-from oracles import lattice_phase_matrix, serial_restriction_norm
+from oracles import gram_by_padded_ffts, lattice_phase_matrix, serial_restriction_norm
 
 
 def random_measure(seed, N=1024, max_atoms=64, dim=1):
@@ -428,8 +428,9 @@ def test_block_engine_matches_serial_oracle(mu, X, grid_fft):
     rng = np.random.default_rng(21)
     warm = [rng.standard_normal(op.lattice_size), np.zeros(op.lattice_size)]
     options = ProbeOptions(restarts=3, seed=21)
-    for p in (1, Fraction(4, 3), 2, INF):
-        for q in (Fraction(4, 3), 2, 4, INF):
+    # p = 8/5 and q = 3/2 take fractional powers p' - 1 = 5/3 and q - 1 = 1/2
+    for p in (1, Fraction(4, 3), Fraction(8, 5), 2, INF):
+        for q in (Fraction(4, 3), Fraction(3, 2), 2, 4, INF):
             res = restriction_norm(op, p, q, options, warm_starts=warm)
             ref = serial_restriction_norm(op.matrix, op.weights, float(p), float(q),
                                           _oracle_starts(op, p, q, options, warm),
@@ -488,6 +489,8 @@ def test_gram_product_is_extend_of_restrict():
         dense = op.extend(op.restrict(F))
         gram = op.gram(F.T).T
         assert gram.shape == dense.shape
+        # the workspace's zero-padded lines give the bits of np.fft's own padding
+        assert np.array_equal(gram, gram_by_padded_ffts(op._gram_kernel[0], F.T, X, mu.dim).T), (mu.N, X)
         assert np.abs(gram - dense).max() <= 1e-12 * np.abs(dense).max(), (mu.N, X)
         # extend(1), the pull-back of a vanished start, is the kernel on [-X, X]^dim
         extend_one = op._gram_kernel[1]
@@ -507,6 +510,45 @@ def test_gram_rows_do_not_depend_on_the_block():
                 out = op.gram(F[lo:hi])
                 for j in range(lo, hi):
                     assert np.array_equal(out[j - lo], alone[j][0]), (X, lo, hi, j)
+
+
+@pytest.mark.parametrize("mu, X", [(circle(64, 0.25), 8), (random_flat(4096, 185, seed=5), 64)],
+                         ids=["2d", "1d"])
+def test_q2_probe_runs_its_gram_ffts_in_one_per_call_workspace(monkeypatch, mu, X):
+    op = assemble(mu, X)
+    outs = []
+
+    def recording(transform):
+        def wrapped(*args, **kwargs):
+            outs.append(kwargs.get("out"))
+            return transform(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.fft, "fft", recording(np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", recording(np.fft.ifft))
+    res = restriction_norm(op, Fraction(4, 3), 2, ProbeOptions(restarts=4, seed=9))
+    monkeypatch.undo()
+    per_iteration = 2 * op.dim
+    assert len(outs) == per_iteration * max(res.iterations) > per_iteration
+    assert len(set(res.iterations)) > 1  # starts left the block on the way
+    assert all(out is not None for out in outs)
+    first = [out.base for out in outs[:per_iteration]]
+    assert all(any(out.base is buf for buf in first) for out in outs[per_iteration:])
+    # sweep's threads share the operator, so the workspace is never kept on it
+    kept = [v for value in op.__dict__.values()
+            for v in (value if isinstance(value, tuple) else (value,)) if isinstance(v, np.ndarray)]
+    assert "_gram_kernel" in op.__dict__
+    assert not any(np.shares_memory(v, buf) for v in kept for buf in first)
+
+    # starts leave the block, so the workspace serves every smaller height;
+    # stale entries from a taller block must never be read
+    rng = np.random.default_rng(X)
+    F = rng.standard_normal((9, op.lattice_size)) + 1j * rng.standard_normal((9, op.lattice_size))
+    work = op._gram_workspace(9)
+    for buf in work:
+        buf.fill(np.nan)
+    for k in range(9, 0, -1):
+        assert np.array_equal(op.gram(F[:k], work=work), op.gram(F[:k])), k
 
 
 def test_gram_kernel_is_built_once_and_only_at_q_2(monkeypatch):
