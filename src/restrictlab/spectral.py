@@ -2,8 +2,15 @@
 
 The transform convention is mu_hat(k) = sum_j w_j exp(-2*pi*i <k, j/N>) on the
 truncated dual lattice k in [-K, K]^dim.  fourier is the one reader of these
-coefficients: it takes whichever of two exact routes costs less, an FFT of
-the dense weight grid or the sum over atoms.
+coefficients: it takes whichever of two exact routes costs less, a real FFT
+of the dense weight grid or the sum over atoms.
+
+Weights are real, so every full-grid transform here is a real one: rfftn
+keeps the half spectrum (last-axis frequencies 0..N/2, the rest follow from
+mu_hat(-k) = conj(mu_hat(k))), writes all its passes into one array, and no
+complex copy of the grid is made.  The grid measures (convolution powers,
+self-correlation) keep that one spectrum alive and map and invert it in
+place.
 """
 
 from __future__ import annotations
@@ -28,9 +35,11 @@ def fourier(mu: DiscreteMeasure, K: int) -> np.ndarray:
     Entry [k + K], with k an integer vector of length dim, holds mu_hat(k).
 
     Atoms sit on the grid, so mu_hat is N-periodic and both routes are exact
-    for every K: an FFT of the dense N^dim grid read at k mod N when that grid
-    is no larger than the (2K+1)^dim x num_atoms direct sum, and the sum over
-    atoms otherwise, so a sparse measure on a fine grid never builds its grid.
+    for every K: the real FFT of the dense N^dim grid read at k mod N when
+    that grid is no larger than the (2K+1)^dim x num_atoms direct sum, and
+    the sum over atoms otherwise, so a sparse measure on a fine grid never
+    builds its grid.  The grid route holds the real grid and its half
+    spectrum, about 16 bytes per grid point, besides the result.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -39,10 +48,40 @@ def fourier(mu: DiscreteMeasure, K: int) -> np.ndarray:
     return _grid_read(mu, K)
 
 
+def _half_spectrum(grid: np.ndarray) -> np.ndarray:
+    """rfftn of a real grid over all its axes, every pass written into one array."""
+    half = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
+    return np.fft.rfftn(grid, axes=tuple(range(grid.ndim)),
+                        out=np.empty(half, dtype=np.complex128))
+
+
+def _from_half_spectrum(spec: np.ndarray, N: int) -> np.ndarray:
+    """irfftn of a half spectrum onto the (N,)*dim grid, overwriting spec.
+
+    The leading axes are inverted in place, in irfftn's order and with its
+    bits, so no second spectrum is made; only the real output is new.
+    """
+    for axis in range(spec.ndim - 1):
+        np.fft.ifft(spec, axis=axis, out=spec)
+    return np.fft.irfft(spec, n=N, axis=-1)
+
+
 def _grid_read(mu: DiscreteMeasure, K: int) -> np.ndarray:
-    """mu_hat on [-K, K]^dim read off an FFT of the dense grid at k mod N."""
+    """mu_hat on [-K, K]^dim read off the real FFT of the dense grid at k mod N.
+
+    The half spectrum holds last-axis frequencies 0..N/2.  A frequency whose
+    last coordinate has k mod N <= N/2 is read directly; any other is read
+    as conj(spec[(-k) mod N]), since the weights are real.
+    """
+    spec = _half_spectrum(mu.dense_weights())
     ks = np.arange(-K, K + 1) % mu.N
-    return np.fft.fftn(mu.dense_weights())[np.ix_(*[ks] * mu.dim)]
+    flip = (-ks) % mu.N
+    near = ks <= mu.N // 2
+    coeffs = np.empty((2 * K + 1,) * mu.dim, dtype=np.complex128)
+    coeffs[..., near] = spec[np.ix_(*[ks] * (mu.dim - 1), ks[near])]
+    mirror = spec[np.ix_(*[flip] * (mu.dim - 1), flip[~near])]
+    coeffs[..., ~near] = np.conjugate(mirror, out=mirror)
+    return coeffs
 
 
 def _direct_sum(mu: DiscreteMeasure, K: int) -> np.ndarray:
@@ -112,21 +151,28 @@ def lp_norm(values: np.ndarray, s: Exponent, weights: np.ndarray | None = None,
 def _grid_measure(mu: DiscreteMeasure, spectral_map, constructor: dict) -> DiscreteMeasure:
     """Measure on mu's grid whose weights are the inverse FFT of spectral_map(mu_hat).
 
-    Values below -CONV_CLIP_ERROR raise ArithmeticError; the rest of the
-    round-off is clipped and dropped as convolve_power describes.
+    spectral_map rewrites the half spectrum of the real grid in place, and
+    the inverse transform overwrites it, so one spectrum is alive at a time;
+    it is dropped before the thresholding, which works in place on the real
+    grid, and the grid is dropped before the atoms are sorted.  Values below
+    -CONV_CLIP_ERROR raise ArithmeticError; the rest of the round-off is
+    clipped and dropped as convolve_power describes.
     """
-    axes = tuple(range(mu.dim))
-    spec = np.fft.rfftn(mu.dense_weights(), axes=axes)
-    grid = np.fft.irfftn(spectral_map(spec), s=(mu.N,) * mu.dim, axes=axes)
+    spec = _half_spectrum(mu.dense_weights())
+    spectral_map(spec)
+    grid = _from_half_spectrum(spec, mu.N)
+    del spec
     worst = float(grid.min())
     if worst < -CONV_CLIP_ERROR:
         raise ArithmeticError(
             f"{constructor['kind']} produced negative weight {worst}; "
             "resolution/precision failure")
-    grid = np.maximum(grid, 0.0)
+    np.maximum(grid, 0.0, out=grid)
     grid[grid < CONV_DROP_REL * grid.max()] = 0.0
     sites = np.argwhere(grid)
-    return _finalize(mu.dim, mu.N, sites, grid[tuple(sites.T)], constructor, seed=mu.seed)
+    weights = grid[tuple(sites.T)]
+    del grid
+    return _finalize(mu.dim, mu.N, sites, weights, constructor, seed=mu.seed)
 
 
 def convolve_power(mu: DiscreteMeasure, n: int) -> DiscreteMeasure:
@@ -142,8 +188,11 @@ def convolve_power(mu: DiscreteMeasure, n: int) -> DiscreteMeasure:
         raise ValueError("n must be >= 1")
     if n == 1:
         return mu
-    return _grid_measure(mu, lambda spec: spec**n,
-                         {"kind": "convolve_power", "n": n, "of": mu.constructor})
+
+    def power(spec):
+        spec **= n
+
+    return _grid_measure(mu, power, {"kind": "convolve_power", "n": n, "of": mu.constructor})
 
 
 def density_norm(mu: DiscreteMeasure, r: Exponent) -> float:
@@ -159,6 +208,12 @@ def density_norm(mu: DiscreteMeasure, r: Exponent) -> float:
 
 def self_correlation(mu: DiscreteMeasure) -> DiscreteMeasure:
     """mu * reflect(mu): the autocorrelation measure, peaked at lag zero."""
-    return _grid_measure(mu, lambda spec: np.abs(spec) ** 2,
+
+    def squared_modulus(spec):
+        np.abs(spec, out=spec.real)
+        np.square(spec.real, out=spec.real)
+        spec.imag = 0.0
+
+    return _grid_measure(mu, squared_modulus,
                          {"kind": "self_correlation", "of": mu.constructor})
 

@@ -115,6 +115,73 @@ def test_direct_sum_runs_in_chunks_of_frequencies(monkeypatch, mu, K, entries):
     assert np.abs(spec - ref).max() <= 4 * np.finfo(float).eps, np.abs(spec - ref).max()
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def _real_grid_bytes(mu):
+    # the real N^dim grid plus its rfftn half spectrum, last axis N/2 + 1 long
+    points = mu.N ** mu.dim
+    return 8 * points + 16 * (points // mu.N) * (mu.N // 2 + 1)
+
+
+TRACE_SLACK = 64 * 1024
+
+
+@pytest.mark.parametrize("mu, K", [(cantor(4, {0, 3}, 8), 256), (circle(256, 0.25), 8)],
+                         ids=["1d", "2d"])
+def test_fourier_grid_route_holds_the_real_grid_and_one_half_spectrum(mu, K):
+    # a complex fftn holds a complex copy of the grid and a full complex
+    # spectrum besides the real grid: 40 bytes per point, against about 16
+    points = mu.N ** mu.dim
+    assert points <= (2 * K + 1) ** mu.dim * mu.num_atoms  # fourier's grid route
+    coeffs, peak = _traced_peak(fourier, mu, K)
+    bound = _real_grid_bytes(mu) + 2 * coeffs.nbytes + TRACE_SLACK
+    assert bound < 40 * points
+    assert peak <= bound, (peak, bound)
+
+
+SPARSE_2D = DiscreteMeasure(2, 256, np.array([[0, 0], [3, 200], [101, 7]]),
+                            np.array([0.5, 0.25, 0.25]))
+
+
+@pytest.mark.parametrize("grid_measure", [lambda mu: convolve_power(mu, 3), self_correlation],
+                         ids=["convolve_power", "self_correlation"])
+@pytest.mark.parametrize("mu", [cantor(16, {0, 5}, 4), SPARSE_2D], ids=["1d", "2d"])
+def test_grid_measures_keep_one_spectrum(mu, grid_measure):
+    # the spectrum is mapped and inverted in place; a second one (an
+    # out-of-place map, or irfftn's intermediate in 2-D) adds 8 bytes per
+    # point, 512 KB on these 2^16-point grids
+    nu, peak = _traced_peak(grid_measure, mu)
+    bound = _real_grid_bytes(mu) + TRACE_SLACK
+    assert peak <= bound, (peak, bound)
+    assert nu.num_atoms < 300
+
+
+@pytest.mark.parametrize("mu", [random_flat(256, 24, seed=4), circle(64, 0.25)],
+                         ids=["1d", "2d"])
+def test_grid_read_matches_the_complex_fft_read(mu):
+    # K = N/2 reads k = +-N/2, where the half spectrum ends; K = N + 3 reads
+    # every frequency, some twice over
+    tol = 4 * np.finfo(float).eps * np.log2(mu.N ** mu.dim)
+    full = np.fft.fftn(mu.dense_weights())
+    for K in (mu.N // 2, mu.N + 3):
+        ks = np.arange(-K, K + 1) % mu.N
+        coeffs = spectral._grid_read(mu, K)
+        assert np.abs(coeffs - full[np.ix_(*[ks] * mu.dim)]).max() <= tol
+        # off the self-conjugate last-axis frequencies 0 and N/2 (mod N),
+        # one of k and -k is read as the exact conjugate of the other
+        mirrored = ks % (mu.N // 2) != 0
+        reflected = coeffs[(slice(None, None, -1),) * mu.dim]
+        assert np.array_equal(coeffs[..., mirrored], np.conj(reflected[..., mirrored]))
+
+
 def test_cantor_self_similarity_product():
     mu = cantor(4, {0, 3}, 5)
     ks = np.arange(-64, 65)
