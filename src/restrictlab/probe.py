@@ -300,7 +300,8 @@ class ExtensionOperator:
         on the dense path.
         """
         X = self.X
-        kernel = np.conj(fourier(self.mu, 2 * X))
+        kernel = fourier(self.mu, 2 * X)
+        np.conjugate(kernel, out=kernel)
         size = (_fast_fft_size(4 * X + 1),) * self.dim
         spectrum = np.fft.fftn(kernel, s=size, axes=tuple(range(self.dim)))
         noise = np.finfo(float).eps * math.log2(spectrum.size) * float(np.abs(spectrum).max())

@@ -148,8 +148,8 @@ def billingsley_gamma(mu: DiscreteMeasure, scales=None) -> ScanReport:
     """Local dimension at the most concentrated point.
 
     The center is the arg-max of ball mass at the finest scale, the one
-    grid built here; the exponent is fitted to the masses at that fixed
-    center, read from the atoms, which seeds Knapp-type tests with a
+    ball-mass grid built here; the exponent is fitted to the masses at that
+    fixed center, read from the atoms, which seeds Knapp-type tests with a
     genuinely heavy point.
     """
     scales = _check_scales(mu, scales)
@@ -158,12 +158,7 @@ def billingsley_gamma(mu: DiscreteMeasure, scales=None) -> ScanReport:
     # carrying the most atomic mass so the center is a genuine support point
     flat_masses = finest_masses.ravel()
     plateau = np.flatnonzero(flat_masses >= flat_masses.max() * (1 - 1e-12))
-    # each atom's cell is looked up in the sorted plateau; empty cells weigh 0
-    cells = np.ravel_multi_index(tuple(mu.indices.T), finest_masses.shape)
-    slot = np.minimum(np.searchsorted(plateau, cells), len(plateau) - 1)
-    hit = plateau[slot] == cells
-    cell_mass = np.zeros(len(plateau))
-    cell_mass[slot[hit]] = mu.weights[hit]
+    cell_mass = mu.dense_weights().ravel()[plateau]
     center = tuple(int(c) for c in np.unravel_index(plateau[np.argmax(cell_mass)],
                                                     finest_masses.shape))
     values = ball_masses_at(mu, center, scales)

@@ -44,7 +44,16 @@ from .regularity import (
     endpoint_q,
     theorem_range,
 )
-from .spectral import convolve_power, density_norm, fourier, frequency_radii, lp_norm, self_correlation
+from .spectral import (
+    _from_half_spectrum,
+    _half_spectrum,
+    convolve_power,
+    density_norm,
+    fourier,
+    frequency_radii,
+    lp_norm,
+    self_correlation,
+)
 
 SLACK_REL_TOL = 1e-8
 ORACLE_MATCH_TOL = 1e-10
@@ -74,19 +83,18 @@ def torus_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def torus_convolve_power(a: np.ndarray, n: int) -> np.ndarray:
-    """n-fold convolution power of a density with the normalized volume element.
+    """n-fold convolution power of a real density with the normalized volume element.
 
-    A real density goes through rfftn/irfftn, which hold half the spectrum,
-    and comes back real; a complex one goes through fftn/ifftn.
+    The power is taken in place on the half spectrum of a real FFT, which
+    is inverted in place, so one half spectrum is alive and the result is real.
     """
     if n == 1:
-        return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
-    if np.iscomplexobj(a):
-        return np.fft.ifftn(np.fft.fftn(a) ** n) / a.size ** (n - 1)
-    axes = tuple(range(a.ndim))
-    spec = np.fft.rfftn(a, axes=axes)
+        return a.astype(np.float64)
+    spec = _half_spectrum(a)
     spec **= n
-    return np.fft.irfftn(spec, s=a.shape, axes=axes) / a.size ** (n - 1)
+    out = _from_half_spectrum(spec, a.shape[-1])
+    out /= a.size ** (n - 1)
+    return out
 
 
 def torus_integral(values: np.ndarray) -> complex:

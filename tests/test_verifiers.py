@@ -24,6 +24,7 @@ from restrictlab.verifiers import (
     materialized_pair_sum,
     prepare_chain,
     random_bounded_g,
+    torus_convolve,
     torus_convolve_power,
 )
 from restrictlab.spectral import lp_norm
@@ -106,8 +107,19 @@ def test_materialized_sum_equals_fft_convolution():
     rng = np.random.default_rng(7)
     h = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     brute = materialized_pair_sum(h)
-    fast = torus_convolve_power(h, 2)
+    fast = torus_convolve(h, h)
     assert np.max(np.abs(brute - fast)) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(64,), (63,), (16, 16), (15, 15)])
+def test_real_convolution_power_matches_repeated_complex_convolution(shape):
+    a = np.random.default_rng(3).random(shape)
+    expected = a.astype(np.complex128)
+    for n in (1, 2, 3):
+        power = torus_convolve_power(a, n)
+        assert power.dtype == np.float64 and power.shape == shape
+        assert np.max(np.abs(power - expected)) <= 1e-12 * np.max(np.abs(expected))
+        expected = torus_convolve(expected, a)
 
 
 def test_chain_random_instances_no_negative_slack():
