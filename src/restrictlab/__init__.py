@@ -14,7 +14,6 @@ from .measures import (
     load_measure,
     mollify,
     random_flat,
-    reflect,
     save_measure,
     uniform,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "mockenhaupt_p0",
     "mollify",
     "random_flat",
-    "reflect",
     "save_measure",
     "theorem_range",
     "uniform",

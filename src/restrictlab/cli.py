@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -75,22 +76,27 @@ def _parse_list(text: str, item=int) -> list:
     return [item(t) for t in text.split(",") if t]
 
 
-def _int_at_least(low: int):
-    """argparse type: an int >= low, else a usage error that names the flag."""
-    def parse(text: str) -> int:
+def _at_least(low, kind=int):
+    """argparse type: a finite value of type kind (int or float) >= low.
+
+    Anything else is a usage error, whose message argparse prefixes with the flag.
+    """
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        if value < low:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
+        if not value >= low:  # nan too
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value == math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
         return value
     return parse
 
 
 def _int_list_at_least(low: int):
     """argparse type: comma-separated ints, each >= low."""
-    item = _int_at_least(low)
+    item = _at_least(low)
     return lambda text: _parse_list(text, item)
 
 
@@ -385,9 +391,6 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    # a suite that ran no instance would pass vacuously
-    if args.trials < 1:
-        raise probe.SettingError("trials", args.trials, ">= 1")
     records, passed = _SUITES[args.suite](args)
     payload = artifact_envelope(args.seed, {
         "suite": args.suite, "trials": args.trials, "passed": passed,
@@ -404,38 +407,46 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    seed = _at_least(0)
+    # the seeded subcommands repeat --seed with default=SUPPRESS, so it
+    # overrides the global value only when given
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=seed, default=argparse.SUPPRESS)
+    # the probe settings that probe and sweep share
+    settings = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    settings.add_argument("--restarts", type=_at_least(1), default=8)
+    settings.add_argument("--iters", type=_at_least(1), default=500)
+    settings.add_argument("--tol", type=_at_least(0, float), default=1e-9)
+
     parser = argparse.ArgumentParser(
         prog="restrictlab",
         description="Numerical laboratory for restriction estimates of singular measures")
-    # subcommands repeat --seed with default=SUPPRESS, so it overrides this
-    # global value only when given
-    parser.add_argument("--seed", type=int, default=0, help="global seed")
+    parser.add_argument("--seed", type=seed, default=0, help="global seed")
     parser.add_argument("--output-dir", default=None, help="artifact directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    m = sub.add_parser("measure", help="construct measures")
+    m = sub.add_parser("measure", parents=[seeded], help="construct measures")
     m.add_argument("action", choices=["new"])
     m.add_argument("--kind", required=True,
                    choices=["dirac", "uniform", "cantor", "random-flat", "random_flat", "circle"])
     m.add_argument("--dim", type=int, choices=(1, 2), default=1)
-    m.add_argument("--N", type=_int_at_least(1), default=4096)
+    m.add_argument("--N", type=_at_least(1), default=4096)
     m.add_argument("--index", default="0")
-    m.add_argument("--base", type=_int_at_least(2), default=4)
+    m.add_argument("--base", type=_at_least(2), default=4)
     m.add_argument("--digits", default="0,3")
-    m.add_argument("--stage", type=_int_at_least(1), default=6)
-    m.add_argument("--m", type=_int_at_least(1), default=185)
-    m.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    m.add_argument("--stage", type=_at_least(1), default=6)
+    m.add_argument("--m", type=_at_least(1), default=185)
     m.add_argument("--flatness-c", type=float, default=4.0)
-    m.add_argument("--retries", type=_int_at_least(0), default=200)
+    m.add_argument("--retries", type=_at_least(0), default=200)
     m.add_argument("--radius", type=float, default=0.25)
-    m.add_argument("--confine", type=_int_at_least(1), default=1)
+    m.add_argument("--confine", type=_at_least(1), default=1)
     m.add_argument("--out", default=None)
     m.set_defaults(func=cmd_measure)
 
     a = sub.add_parser("analyze", help="regularity estimates")
     a.add_argument("--measure", required=True)
     a.add_argument("--alpha", action="store_true")
-    a.add_argument("--beta", type=_int_at_least(0), default=0, metavar="K")
+    a.add_argument("--beta", type=_at_least(0), default=0, metavar="K")
     a.add_argument("--gamma", action="store_true")
     a.add_argument("--scales", type=lambda text: _parse_list(text, _positive_fraction),
                    default=None)
@@ -444,57 +455,49 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("conv", help="convolution power density norms")
     c.add_argument("--measure", required=True)
-    c.add_argument("-n", type=_int_at_least(1), required=True)
+    c.add_argument("-n", type=_at_least(1), required=True)
     c.add_argument("-r", type=_exp, required=True)
     c.add_argument("--resolutions", type=_parse_list, default=None)
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_conv)
 
     e = sub.add_parser("exponents", help="exact exponent calculators")
-    e.add_argument("--n", type=_int_at_least(1), default=None)
+    e.add_argument("--n", type=_at_least(1), default=None)
     e.add_argument("--r", type=_exp, default=None)
-    e.add_argument("--d", type=_int_at_least(1), default=1)
+    e.add_argument("--d", type=_at_least(1), default=1)
     e.add_argument("--alpha", type=_rational, default=None)
     e.add_argument("--beta", type=_rational, default=None)
     e.add_argument("--gamma", type=_positive_fraction, default=None)
     e.add_argument("--p", type=_exp, default=None)
     e.set_defaults(func=cmd_exponents)
 
-    pr = sub.add_parser("probe", help="single restriction-norm estimate")
+    pr = sub.add_parser("probe", parents=[settings], help="single restriction-norm estimate")
     pr.add_argument("--measure", required=True)
     pr.add_argument("-p", type=_exp, required=True)
     pr.add_argument("-q", type=_exp, required=True)
-    pr.add_argument("-X", type=_int_at_least(1), required=True)
-    pr.add_argument("--restarts", type=int, default=8)
-    pr.add_argument("--iters", type=int, default=500)
-    pr.add_argument("--tol", type=float, default=1e-9)
-    pr.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    pr.add_argument("-X", type=_at_least(1), required=True)
     pr.add_argument("--out", default=None)
     pr.set_defaults(func=cmd_probe)
 
-    sw = sub.add_parser("sweep", help="exponent-plane sweep")
+    sw = sub.add_parser("sweep", parents=[settings], help="exponent-plane sweep")
     sw.add_argument("--measure", required=True)
     sw.add_argument("--p-grid", type=_parse_grid, required=True)
     sw.add_argument("--q-grid", type=_parse_grid, required=True)
     sw.add_argument("--X", type=_int_list_at_least(1), default=[64, 128, 256, 512])
-    sw.add_argument("--n", type=_int_at_least(1), default=2)
+    sw.add_argument("--n", type=_at_least(1), default=2)
     sw.add_argument("--r", type=_exp, default=INF)
-    sw.add_argument("--restarts", type=int, default=8)
-    sw.add_argument("--iters", type=int, default=500)
-    sw.add_argument("--tol", type=float, default=1e-9)
-    sw.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sw.add_argument("--out", default=None)
     sw.set_defaults(func=cmd_sweep)
 
-    v = sub.add_parser("verify", help="run a verification suite")
+    v = sub.add_parser("verify", parents=[seeded], help="run a verification suite")
     v.add_argument("--suite", required=True, choices=sorted(_SUITES))
     v.add_argument("--measure", default=None)
-    v.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    v.add_argument("--trials", type=int, default=100)
-    v.add_argument("--n", type=_int_at_least(1), default=None)
+    # a suite that ran no instance would pass vacuously
+    v.add_argument("--trials", type=_at_least(1), default=100)
+    v.add_argument("--n", type=_at_least(1), default=None)
     v.add_argument("--r", type=_exp, default=None)
     v.add_argument("--p", type=_exp, default=None)
-    v.add_argument("--eps", type=_int_at_least(1), default=2)
+    v.add_argument("--eps", type=_at_least(1), default=2)
     v.add_argument("--gamma", type=_positive_fraction, default=None)
     v.add_argument("--K", type=_int_list_at_least(1), default=None)
     v.add_argument("--out", default=None)
@@ -509,11 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the flag that sets each probe.SettingError name
-_SETTING_FLAGS = {"restarts": "--restarts", "max_iters": "--iters", "tol": "--tol",
-                  "seed": "--seed", "trials": "--trials"}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -521,15 +519,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        # checked here, not where it is read, so every subcommand rejects it
-        if args.seed < 0:
-            raise probe.SettingError("seed", args.seed, ">= 0")
         return args.func(args)
     except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except probe.SettingError as exc:
-        print(f"usage error: {_SETTING_FLAGS[exc.name]}: {exc}", file=sys.stderr)
         return 2
     except (AtomBudgetError, MemoryError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -238,13 +238,6 @@ def circle(N: int, radius: float) -> DiscreteMeasure:
                      {"kind": "circle", "N": N, "radius": radius, "points": M})
 
 
-def reflect(mu: DiscreteMeasure) -> DiscreteMeasure:
-    """Pushforward under x -> -x on the torus: atom j maps to -j mod N."""
-    idx = (-mu.indices) % mu.N
-    return _finalize(mu.dim, mu.N, idx, mu.weights,
-                     {"kind": "reflect", "of": mu.constructor}, seed=mu.seed, info=mu.info)
-
-
 # ---------------------------------------------------------------------------
 # Mollification
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ import numpy as np
 from .fitting import FitResult, loglog_fit
 from .measures import DiscreteMeasure
 from .rationals import INF, Exponent, conjugate, exp_float, exp_str, is_inf, validate_exponent
+from .regularity import billingsley_gamma, theorem_range
 from .spectral import DIRECT_CHUNK_ENTRIES, fourier, lp_norm
 
 MAX_MATRIX_ENTRIES = 8_388_608
@@ -67,14 +68,6 @@ SLOPE_BOUNDED_MAX = 0.05
 SLOPE_GROWING_MIN = 0.10
 
 
-class SettingError(ValueError):
-    """A setting out of its range; ``name`` is the parameter's name."""
-
-    def __init__(self, name: str, value, rule: str):
-        super().__init__(f"{name} must be {rule}, got {value!r}")
-        self.name = name
-
-
 @dataclass(frozen=True)
 class ProbeOptions:
     restarts: int = 8
@@ -84,13 +77,13 @@ class ProbeOptions:
 
     def __post_init__(self):
         if self.seed < 0:
-            raise SettingError("seed", self.seed, ">= 0")
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.restarts < 1:
-            raise SettingError("restarts", self.restarts, ">= 1")
+            raise ValueError(f"restarts must be >= 1, got {self.restarts!r}")
         if self.max_iters < 1:
-            raise SettingError("max_iters", self.max_iters, ">= 1")
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
         if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise SettingError("tol", self.tol, "finite and >= 0")
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -260,16 +253,16 @@ class ExtensionOperator:
         The adjoint product conj(matrix).T @ f, taken as conj(conj(f) @ matrix)
         so that no conjugated L x m copy of the operator is made.  A block is
         multiplied by rows, (k, L) @ (L, m), and comes back as (m, k).  With
-        grid_fft the rows are transformed instead, a vector as one row.
+        grid_fft the rows are transformed instead; a vector is taken as one row.
         """
+        block = np.atleast_2d(f.T)
         if self.grid_fft:
-            out = self._grid_restrict(np.atleast_2d(f.T))
-            return out[0] if f.ndim == 1 else out.T
-        if f.ndim == 1:
-            return np.conj(np.conj(f) @ self.matrix)
-        rows = _gemm_rows(f.T)
-        out = np.conj(rows, out=rows) @ self.matrix
-        return np.conj(out, out=out)[:f.shape[1]].T
+            out = self._grid_restrict(block)
+        else:
+            rows = _gemm_rows(block)
+            out = np.conj(rows, out=rows) @ self.matrix
+            out = np.conj(out, out=out)[:len(block)]
+        return out[0] if f.ndim == 1 else out.T
 
     def extend(self, g: np.ndarray) -> np.ndarray:
         """g at the atoms -> weighted exponential sums on the lattice; g is (m,) or (m, k).
@@ -316,7 +309,7 @@ class ExtensionOperator:
         entries = k * self._gram_kernel[0].shape[0] ** self.dim
         return np.empty(entries, dtype=np.complex128), np.empty(entries, dtype=np.complex128)
 
-    def gram(self, f: np.ndarray, *, work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    def gram(self, f: np.ndarray, *, work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """extend(restrict(f)) for the rows of a (k, L) block f, as (k, L).
 
         T[x, y] = conj(mu_hat(x - y)) depends on x - y alone, so T f is the
@@ -328,17 +321,16 @@ class ExtensionOperator:
         Every transform writes into the two buffers of work, from
         _gram_workspace for at least k rows, by turns; the result is a view
         into one of them, so it lasts until the next call with the same work.
-        Without work a fresh pair is made.  Each forward transform reads its
-        lines zero-padded to the FFT size in the workspace rather than
-        through np.fft's n=, because numpy transforms several unpadded lines
-        at a time and padded ones one by one; the bits are the same.
+        Each forward transform reads its lines zero-padded to the FFT size in
+        the workspace rather than through np.fft's n=, because numpy
+        transforms several unpadded lines at a time and padded ones one by
+        one; the bits are the same.
         """
         spectrum = self._gram_kernel[0]
         k, side, size, dim = len(f), 2 * self.X + 1, spectrum.shape[0], self.dim
-        buffers = self._gram_workspace(k) if work is None else work
 
         def into(turn: int, shape: tuple[int, ...]) -> np.ndarray:
-            return buffers[turn % 2][:k * math.prod(shape)].reshape((k,) + shape)
+            return work[turn % 2][:k * math.prod(shape)].reshape((k,) + shape)
 
         def padded(turn: int, axis: int) -> tuple[np.ndarray, np.ndarray]:
             """A block of full size on axes 1..axis, zero past side on axis, and its part below side."""
@@ -754,10 +746,8 @@ def sweep(mu: DiscreteMeasure, p_grid, q_grid, X_list,
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    from .regularity import billingsley_gamma, theorem_range
-
     if threads < 1:
-        raise SettingError("threads", threads, ">= 1")
+        raise ValueError(f"threads must be >= 1, got {threads!r}")
     if r is None:
         r = float("inf")
     region = theorem_range(n, r)

@@ -207,7 +207,7 @@ def density_norm(mu: DiscreteMeasure, r: Exponent) -> float:
 
 
 def self_correlation(mu: DiscreteMeasure) -> DiscreteMeasure:
-    """mu * reflect(mu): the autocorrelation measure, peaked at lag zero."""
+    """mu convolved with its image under x -> -x: the autocorrelation measure, peaked at lag zero."""
 
     def squared_modulus(spec):
         np.abs(spec, out=spec.real)

@@ -45,6 +45,7 @@ from .regularity import (
     theorem_range,
 )
 from .spectral import (
+    CONV_CLIP_ERROR,
     _from_half_spectrum,
     _half_spectrum,
     convolve_power,
@@ -83,18 +84,26 @@ def torus_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def torus_convolve_power(a: np.ndarray, n: int) -> np.ndarray:
-    """n-fold convolution power of a real density with the normalized volume element.
+    """n-fold convolution power of a nonnegative real density with the normalized volume element.
 
     The power is taken in place on the half spectrum of a real FFT, which
     is inverted in place, so one half spectrum is alive and the result is real.
+    Its round-off below zero is clipped in place; a value below
+    -CONV_CLIP_ERROR times the peak, from a signed input or a precision
+    failure, raises ArithmeticError.
     """
     if n == 1:
-        return a.astype(np.float64)
-    spec = _half_spectrum(a)
-    spec **= n
-    out = _from_half_spectrum(spec, a.shape[-1])
-    out /= a.size ** (n - 1)
-    return out
+        out = a.astype(np.float64)
+    else:
+        spec = _half_spectrum(a)
+        spec **= n
+        out = _from_half_spectrum(spec, a.shape[-1])
+        out /= a.size ** (n - 1)
+    worst = float(out.min())
+    if worst < -CONV_CLIP_ERROR * float(out.max()):
+        raise ArithmeticError(f"convolution power has negative value {worst}; "
+                              "signed input or precision failure")
+    return np.maximum(out, 0.0, out=out)
 
 
 def torus_integral(values: np.ndarray) -> complex:
@@ -243,7 +252,7 @@ def prepare_chain(mu: DiscreteMeasure, n: int, r: Exponent, p: Exponent,
     if is_inf(s) or Fraction(s) < 2:
         raise ValueError(f"infeasible exponents: s = p'/n = {exp_str(s)} must be finite and >= 2")
     mu_eps = mollify(mu, epsilon)
-    M_n = np.maximum(torus_convolve_power(mu_eps, n), 0.0)
+    M_n = torus_convolve_power(mu_eps, n)
     mu_eps.setflags(write=False)
     M_n.setflags(write=False)
     atomic_conv_norm = density_norm(convolve_power(mu, n), r)
@@ -297,7 +306,7 @@ def check_dual_chain(chain: PreparedChain, g: np.ndarray) -> ChainReport:
         T_n = None
     else:
         qpf = exp_float(qp)
-        T_n = np.maximum(torus_convolve_power(np.abs(g) ** qpf * mu_eps, n), 0.0)
+        T_n = torus_convolve_power(np.abs(g) ** qpf * mu_eps, n)
         pointwise_rhs = M_n ** (1.0 / exp_float(q)) * T_n ** (1.0 / qpf)
     lhs_c = rhs_b
     rhs_c = lp_norm(pointwise_rhs, sp, volume=vol)
@@ -565,7 +574,7 @@ def check_bilinear(mu: DiscreteMeasure, f: np.ndarray, g: np.ndarray,
     conv = torus_convolve(f * mu_eps, g * mu_eps)
     vol = mu_eps.size
     lhs = lp_norm(conv, p, volume=vol)
-    corr_sup = float(np.maximum(torus_convolve_power(mu_eps, 2), 0.0).max())
+    corr_sup = float(torus_convolve_power(mu_eps, 2).max())
     rhs = (corr_sup ** float(reciprocal(conjugate(p)))
            * lp_norm(f, p, mu_eps, vol) * lp_norm(g, p, mu_eps, vol))
     return SlackRecord(f"bilinear(p={exp_str(p)})", lhs, rhs)

@@ -23,6 +23,11 @@ def pairwise_difference_counts(members, N):
     return counts
 
 
+def reflect(mu):
+    """Atoms (indices, weights) of the pushforward under x -> -x on the torus: atom j maps to -j mod N."""
+    return (-mu.indices) % mu.N, mu.weights
+
+
 def pairwise_sum_weights(indices, weights, N):
     """O(m^2) weights of mu * mu at every site, by direct summation over pairs."""
     out = np.zeros(N)

@@ -410,30 +410,39 @@ def test_chain_reports_constant_trend_in_epsilon():
 
 @pytest.mark.parametrize("flags", [["--tol", "-1"], ["--tol", "nan"], ["--iters", "0"],
                                    ["--restarts", "0"], ["--restarts", "-3"],
-                                   ["--seed", "-7"]])
-def test_out_of_range_probe_flags_are_usage_errors(flat_measure, capsys, flags):
-    assert main(["probe", "--measure", flat_measure, "-p", "2", "-q", "2", "-X", "4",
-                 *flags]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: ") and flags[0] in err, err
+                                   ["--seed", "-7"], ["--tol", "inf"]])
+def test_out_of_range_probe_flags_are_usage_errors(flat_measure, tmp_path, capsys, flags):
+    # the parser rejects the flag before any measure file is read
+    out = tmp_path / "probe.json"
+    for measure in (flat_measure, str(tmp_path / "missing.json")):
+        assert main(["probe", "--measure", measure, "-p", "2", "-q", "2", "-X", "4",
+                     *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flags[0]}: " in err, err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [["--tol", "nan"], ["--iters", "0"], ["--restarts", "-3"],
                                    ["--tol", "-1"], ["--restarts", "0"], ["--seed", "-7"]])
 def test_out_of_range_sweep_flags_are_usage_errors(flat_measure, tmp_path, capsys, flags):
+    out = tmp_path / "out.csv"
     sweep = ["sweep", "--measure", flat_measure, "--p-grid", "2:2:1", "--q-grid", "2:2:1",
-             "--X", "2,4,8,16", "--restarts", "1"]
+             "--X", "2,4,8,16", "--restarts", "1", "--out", str(out)]
     runs = [sweep + flags]
     if flags[0] == "--seed":
         # the global flag, checked for every subcommand
-        probe = ["probe", "--measure", flat_measure, "-p", "2", "-q", "2", "-X", "4"]
-        runs += [flags + sweep, flags + probe, flags + ["verify", "--suite", "expid"],
+        probe = ["probe", "--measure", flat_measure, "-p", "2", "-q", "2", "-X", "4",
+                 "--out", str(out)]
+        runs += [flags + sweep, flags + probe,
+                 flags + ["verify", "--suite", "expid", "--out", str(out)],
+                 flags + ["exponents", "--n", "2", "--r", "inf"],
                  ["measure", "new", "--kind", "random-flat", "--N", "64", "--m", "8",
-                  "--out", str(tmp_path / "m.json"), *flags]]
+                  "--out", str(out), *flags]]
     for argv in runs:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
-        assert err.startswith("usage error: ") and flags[0] in err, err
+        assert f"error: argument {flags[0]}: " in err, err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("suite", ["chain", "hy", "expid"])
@@ -443,7 +452,7 @@ def test_trials_below_one_are_usage_errors(tmp_path, capsys, suite):
     for trials in ("0", "-5"):
         assert main(["verify", "--suite", suite, "--trials", trials, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage error: --trials: "), err
+        assert f"error: argument --trials: must be >= 1, got {trials}\n" in err, err
         assert not out.exists()
 
 

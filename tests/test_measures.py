@@ -14,7 +14,6 @@ from restrictlab.measures import (
     load_measure,
     mollify,
     random_flat,
-    reflect,
     save_measure,
     uniform,
 )
@@ -135,20 +134,6 @@ def test_circle_mass_and_geometry():
 def test_circle_radius_validation():
     with pytest.raises(ValueError):
         circle(256, 0.5)
-
-
-def test_reflect_involution_and_fixed_point():
-    assert reflect(dirac(1, 64, 0)).indices[0, 0] == 0
-    mu = cantor(4, {0, 3}, 2)
-    assert reflect(mu).indices.ravel().tolist() == [0, 1, 4, 13]
-    back = reflect(reflect(mu))
-    assert back.indices.ravel().tolist() == mu.indices.ravel().tolist()
-    assert np.array_equal(back.weights, mu.weights)
-
-
-def test_reflect_preserves_weight_multiset():
-    mu = random_flat(256, 17, seed=3)
-    assert sorted(reflect(mu).weights) == sorted(mu.weights)
 
 
 def test_mollify_dirac_is_kernel():

@@ -171,6 +171,19 @@ def test_witness_certificate():
     assert ratio == pytest.approx(res.norm_lower_bound, abs=1e-10)
 
 
+def test_out_of_range_settings_raise_value_error():
+    # the CLI parser rejects these flags; library callers get the same ranges
+    for kwargs, message in (({"seed": -1}, "seed must be >= 0"),
+                            ({"restarts": 0}, "restarts must be >= 1"),
+                            ({"max_iters": 0}, "max_iters must be >= 1"),
+                            ({"tol": -1.0}, "tol must be finite and >= 0"),
+                            ({"tol": float("nan")}, "tol must be finite and >= 0")):
+        with pytest.raises(ValueError, match=message):
+            ProbeOptions(**kwargs)
+    with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
+        sweep(dirac(1, 64, 0), [2], [2], [2, 4, 8, 16], threads=0)
+
+
 def test_growth_requires_geometric_series():
     mu = dirac(1, 256, 0)
     with pytest.raises(ValueError):
@@ -283,8 +296,9 @@ def test_restrict_is_the_adjoint_without_copying_the_operator():
         rng = np.random.default_rng(X)
         f = rng.standard_normal(L) + 1j * rng.standard_normal(L)
         block = rng.standard_normal((L, 5)) + 1j * rng.standard_normal((L, 5))
-        assert np.array_equal(op.restrict(f), op.matrix.conj().T @ f)
-        for F in (block[:, :1], block):
+        # a vector is one column of a block, so it takes the block's GEMM bits
+        assert np.array_equal(op.restrict(f), op.restrict(f[:, None])[:, 0])
+        for F in (f[:, None], block[:, :1], block):
             # a block is a GEMM by rows, so its bits differ from this
             # product's; bound the difference by the dot-product round-off
             # of L terms against unit-modulus entries
@@ -490,7 +504,7 @@ def test_gram_product_is_extend_of_restrict():
         rng = np.random.default_rng(X)
         F = rng.standard_normal((op.lattice_size, 5)) + 1j * rng.standard_normal((op.lattice_size, 5))
         dense = op.extend(op.restrict(F))
-        gram = op.gram(F.T).T
+        gram = op.gram(F.T, work=op._gram_workspace(5)).T
         assert gram.shape == dense.shape
         # the workspace's zero-padded lines give the bits of np.fft's own padding
         assert np.array_equal(gram, gram_by_padded_ffts(op._gram_kernel[0], F.T, X, mu.dim).T), (mu.N, X)
@@ -507,10 +521,11 @@ def test_gram_rows_do_not_depend_on_the_block():
         op = assemble(mu, X)
         rng = np.random.default_rng(5)
         F = rng.standard_normal((9, op.lattice_size)) + 1j * rng.standard_normal((9, op.lattice_size))
-        alone = [op.gram(F[j:j + 1]) for j in range(9)]
+        work = op._gram_workspace(9)
+        alone = [op.gram(F[j:j + 1], work=work).copy() for j in range(9)]
         for lo in range(9):
             for hi in range(lo + 1, 10):
-                out = op.gram(F[lo:hi])
+                out = op.gram(F[lo:hi], work=work)
                 for j in range(lo, hi):
                     assert np.array_equal(out[j - lo], alone[j][0]), (X, lo, hi, j)
 
@@ -551,7 +566,7 @@ def test_q2_probe_runs_its_gram_ffts_in_one_per_call_workspace(monkeypatch, mu, 
     for buf in work:
         buf.fill(np.nan)
     for k in range(9, 0, -1):
-        assert np.array_equal(op.gram(F[:k], work=work), op.gram(F[:k])), k
+        assert np.array_equal(op.gram(F[:k], work=work), op.gram(F[:k], work=op._gram_workspace(k))), k
 
 
 def test_gram_kernel_is_built_once_and_only_at_q_2(monkeypatch):
@@ -590,7 +605,8 @@ def test_q2_probe_on_a_fine_grid_builds_no_dense_grid(monkeypatch, mu, X):
                                       options.max_iters, options.tol)
         assert res.iterations == ref["iterations"], p
         assert res.norm_lower_bound == pytest.approx(ref["norm"], rel=1e-12, abs=0), p
-    assert np.abs(op.gram(op.matrix[:, :3].T).T - op.extend(op.restrict(op.matrix[:, :3]))).max() <= 1e-12
+    gram = op.gram(op.matrix[:, :3].T, work=op._gram_workspace(3)).T
+    assert np.abs(gram - op.extend(op.restrict(op.matrix[:, :3]))).max() <= 1e-12
 
 
 @pytest.mark.parametrize("mu, X", [(dirac(1, 64, 0), 4), (dirac(1, 4096, 0), 16),

@@ -122,6 +122,16 @@ def test_real_convolution_power_matches_repeated_complex_convolution(shape):
         expected = torus_convolve(expected, a)
 
 
+def test_convolution_power_of_a_signed_density_raises():
+    # the clip is meant for round-off only, so a signed input must not be
+    # clipped into a density
+    a = np.zeros(64)
+    a[0], a[1] = 1.0, -1.0
+    for n in (1, 2, 3):
+        with pytest.raises(ArithmeticError, match="negative value"):
+            torus_convolve_power(a, n)
+
+
 def test_chain_random_instances_no_negative_slack():
     chain = prepare_chain(random_flat(256, 24, seed=8), 2, INF, Fraction(4, 3), epsilon=2)
     for trial in range(25):
