@@ -94,6 +94,19 @@ def _at_least(low, kind=int):
     return parse
 
 
+def _float_between(low: float, high: float):
+    """argparse type: a float strictly between low and high, so finite when high is inf."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+        if not low < value < high:  # nan too
+            raise argparse.ArgumentTypeError(f"must be in ({low}, {high}), got {value}")
+        return value
+    return parse
+
+
 def _int_list_at_least(low: int):
     """argparse type: comma-separated ints, each >= low."""
     item = _at_least(low)
@@ -436,9 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--digits", default="0,3")
     m.add_argument("--stage", type=_at_least(1), default=6)
     m.add_argument("--m", type=_at_least(1), default=185)
-    m.add_argument("--flatness-c", type=float, default=4.0)
+    m.add_argument("--flatness-c", type=_float_between(0, math.inf), default=4.0)
     m.add_argument("--retries", type=_at_least(0), default=200)
-    m.add_argument("--radius", type=float, default=0.25)
+    m.add_argument("--radius", type=_float_between(0, 0.5), default=0.25)
     m.add_argument("--confine", type=_at_least(1), default=1)
     m.add_argument("--out", default=None)
     m.set_defaults(func=cmd_measure)

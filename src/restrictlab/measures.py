@@ -79,9 +79,12 @@ class DiscreteMeasure:
             raise ValueError(f"weights sum to {total!r}, not 1")
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.N):
             raise ValueError("atom index outside [0, N)")
+        # strictly increasing flat indices have no duplicate; sort only if not
         flat = _flat_indices(self.indices, self.N)
-        if len(np.unique(flat)) != len(flat):
-            raise ValueError("duplicate atom indices")
+        if not np.all(flat[1:] > flat[:-1]):
+            flat = np.sort(flat)
+            if not np.all(flat[1:] > flat[:-1]):
+                raise ValueError("duplicate atom indices")
 
     @property
     def num_atoms(self) -> int:
@@ -105,8 +108,9 @@ def _finalize(dim, N, indices, weights, constructor, seed=None, info=None) -> Di
     flat = _flat_indices(idx, N)
     order = np.argsort(flat, kind="stable")
     flat, idx, w = flat[order], idx[order], w[order]
-    uniq, start = np.unique(flat, return_index=True)
-    if len(uniq) != len(flat):
+    # first position of each run of equal flat indices (they are >= 0)
+    start = np.flatnonzero(np.diff(flat, prepend=-1))
+    if len(start) != len(flat):
         w = np.add.reduceat(w, start)
         idx = idx[start]
     w = w / w.sum()
@@ -196,6 +200,8 @@ def random_flat(N: int, m: int, seed: int, flatness_c: float = 4.0,
     """
     if not (1 <= m <= N):
         raise ValueError(f"need 1 <= m <= N, got m={m}, N={N}")
+    if not (0 < flatness_c < math.inf):  # nan too
+        raise ValueError(f"flatness_c must be finite and > 0, got {flatness_c}")
     if not _is_power_of_two(confine):
         raise ValueError(f"confine factor {confine} must be a power of two")
     if max_retries < 0:

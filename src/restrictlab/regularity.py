@@ -5,10 +5,18 @@ fourier_beta, billingsley_gamma) fit power laws to finite-scale data and are
 explicit about their scale window; the exponent calculators (theorem_range,
 mockenhaupt_p0, knapp_bound) are exact rational arithmetic with infinity as a
 legal value.
+
+Ball masses are windowed prefix sums, one pass per axis, last axis first.
+Both passes share one prefix buffer per call, and the pass along axis 0
+adds whole rows, the same sequential adds per line as a cumsum, so the bits
+are those of a cumsum per line.  ahlfors_alpha sizes that buffer for its
+largest half-width and reads every scale from it; in dim 1 it builds no
+grid at all.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +32,7 @@ from .rationals import (
     exp_mul,
     validate_exponent,
 )
-from .spectral import frequency_radii
+from .spectral import DIRECT_CHUNK_ENTRIES, frequency_radii
 
 DEFAULT_SCALE_COUNT = 6
 # fourier_beta: ratio of consecutive annulus radii, and the first radius
@@ -36,41 +44,105 @@ ANNULUS_K_MIN = 4.0
 # Ball-mass scans (sliding-window prefix sums, wrap-around metric)
 # ---------------------------------------------------------------------------
 
-def _windowed_sums(values: np.ndarray, halfwidth: int, axis: int) -> None:
+def _prefix_sums(values: np.ndarray, halfwidth: int, axis: int,
+                 buffer: np.ndarray) -> np.ndarray:
+    """Cumulative sums of [0, v, v[:2h]] along axis, v = values, in the front of a flat buffer.
+
+    They form a C-ordered array with n + 2h + 1 entries on axis in place of
+    n, returned with that axis first.  So one buffer of
+    N^(dim-1) * (N + 2H + 1) entries serves the pass along either axis of an
+    (N,)*dim grid at every h <= H, and the front n + 2h + 1 entries of a
+    line are its prefix for h.  values may sit in the buffer already, at
+    entries 1..n of a 1-D prefix.  Along the last axis cumsum runs on each
+    line; along axis 0 of a 2-D grid whole rows are added,
+    np.add(c[i - 1], c[i], out=c[i]) row after row: the same sequential
+    adds per line, so the same bits, in C order.
+    """
+    shape = list(values.shape)
+    n, h = shape[axis], halfwidth
+    shape[axis] += 2 * h + 1
+    lines = np.moveaxis(buffer[:math.prod(shape)].reshape(shape), axis, 0)
+    v = np.moveaxis(values, axis, 0)
+    lines[0] = 0.0
+    lines[1:n + 1] = v
+    lines[n + 1:] = v[:2 * h]
+    if axis == values.ndim - 1:
+        np.cumsum(lines[1:], axis=0, out=lines[1:])
+    else:
+        for prev, row in zip(lines[1:], lines[2:]):
+            np.add(prev, row, out=row)
+    return lines
+
+
+def _windowed_sums(values: np.ndarray, halfwidth: int, axis: int,
+                   buffer: np.ndarray | None = None) -> None:
     """Overwrite values with its circular sums over [x - h, x + h] along one axis, at every x.
 
-    Where 2h + 1 >= n the window is the whole axis, and every x gets the axis total.
+    Where 2h + 1 >= n the window is the whole axis, and every x gets the axis
+    total.  Otherwise the prefix sums go into buffer (see _prefix_sums), or
+    into a new one when it is None.
     """
-    v = np.moveaxis(values, axis, -1)
-    n = v.shape[-1]
+    v = np.moveaxis(values, axis, 0)
+    n = v.shape[0]
     h = halfwidth
     if 2 * h + 1 >= n:
-        v[...] = v.sum(axis=-1, keepdims=True)
+        v[...] = v.sum(axis=0, keepdims=True)
         return
-    # prefix sums of v followed by its first 2h entries, after a zero column
-    cs = np.empty(v.shape[:-1] + (n + 2 * h + 1,))
-    cs[..., 0] = 0.0
-    cs[..., 1:n + 1] = v
-    cs[..., n + 1:] = v[..., : 2 * h]
-    np.cumsum(cs[..., 1:], axis=-1, out=cs[..., 1:])
+    if buffer is None:
+        buffer = np.empty(values.size // n * (n + 2 * h + 1))
+    lines = _prefix_sums(values, h, axis, buffer)
     # the window starting at x - h is written at its center x
-    np.subtract(cs[..., n + h + 1:], cs[..., n - h:n], out=v[..., :h])
-    np.subtract(cs[..., 2 * h + 1:n + h + 1], cs[..., :n - h], out=v[..., h:])
+    np.subtract(lines[n + h + 1:n + 2 * h + 1], lines[n - h:n], out=v[:h])
+    np.subtract(lines[2 * h + 1:n + h + 1], lines[:n - h], out=v[h:])
+
+
+def _window_max(lines: np.ndarray, n: int, halfwidth: int) -> float:
+    """Largest circular window sum over 2h + 1 cells of a 1-D prefix from _prefix_sums.
+
+    The window starting at x is lines[x + 2h + 1] - lines[x]; the
+    differences are taken chunk by chunk into one array of a quarter of
+    fourier's chunk budget (512 KiB of float64), which stays in cache while
+    the max reads it.
+    """
+    step = DIRECT_CHUNK_ENTRIES // 4
+    chunk = np.empty(min(step, n))
+    best = 0.0
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        diff = np.subtract(lines[lo + 2 * halfwidth + 1:hi + 2 * halfwidth + 1], lines[lo:hi],
+                           out=chunk[:hi - lo])
+        best = max(best, float(diff.max()))
+    return best
+
+
+def _ball_mass_grid(mu: DiscreteMeasure, halfwidth: int, grid: np.ndarray,
+                    buffer: np.ndarray | None) -> np.ndarray:
+    """Write mu(B(x, h cells)) at every center x into grid, one pass per axis, last axis first."""
+    grid[...] = 0.0
+    grid[tuple(mu.indices.T)] = mu.weights
+    for axis in reversed(range(mu.dim)):
+        _windowed_sums(grid, halfwidth, axis, buffer)
+    return grid
+
+
+def _prefix_buffer(mu: DiscreteMeasure, halfwidth: int) -> np.ndarray | None:
+    """One flat buffer for every pass at half-widths up to h (None when the window is the whole axis)."""
+    if 2 * halfwidth + 1 >= mu.N:
+        return None
+    return np.empty(mu.N ** (mu.dim - 1) * (mu.N + 2 * halfwidth + 1))
 
 
 def ball_masses(mu: DiscreteMeasure, radius: float) -> np.ndarray:
     """mu(B(x, radius)) for every grid center x, torus metric.
 
     Balls are intervals in dim 1 and squares (sup metric) in dim 2; the
-    half-width in cells is floor(radius * N).
+    half-width in cells is floor(radius * N).  One prefix buffer serves the
+    pass along each axis; the axis-0 pass of a 2-D grid adds whole rows.
     """
     if not (0 < radius <= 0.5):
         raise ValueError(f"radius {radius} outside (0, 1/2]")
     h = int(np.floor(radius * mu.N))
-    masses = mu.dense_weights()
-    for axis in reversed(range(mu.dim)):
-        _windowed_sums(masses, h, axis)
-    return masses
+    return _ball_mass_grid(mu, h, np.empty((mu.N,) * mu.dim), _prefix_buffer(mu, h))
 
 
 def ball_masses_at(mu: DiscreteMeasure, center, radii) -> list[float]:
@@ -137,9 +209,28 @@ def _check_scales(mu: DiscreteMeasure, scales) -> list[float]:
 
 
 def ahlfors_alpha(mu: DiscreteMeasure, scales=None) -> ScanReport:
-    """Upper-regularity exponent: slope of log max-ball-mass against log r."""
+    """Upper-regularity exponent: slope of log max-ball-mass against log r.
+
+    Only the largest mass at each scale is kept, and one prefix buffer,
+    sized for the largest half-width H, is made per call.  In dim 1 the
+    atoms are scattered straight into one prefix of [0, v, v[:2H]], and
+    every scale is read off it (the prefix for h is the front of the one
+    for H); no grid is built.  In dim 2 each scale fills one reused grid
+    with ball_masses' passes.  Either way the maxima have ball_masses' bits.
+    """
     scales = _check_scales(mu, scales)
-    maxima = [float(ball_masses(mu, r).max()) for r in scales]
+    halfwidths = [int(np.floor(r * mu.N)) for r in scales]
+    H = max(halfwidths)
+    buffer = _prefix_buffer(mu, H)  # not None: 2H + 1 < N, as every scale is <= 1/4
+    if mu.dim == 1:
+        weights = buffer[1:mu.N + 1]
+        weights[...] = 0.0
+        weights[mu.indices[:, 0]] = mu.weights
+        lines = _prefix_sums(weights, H, 0, buffer)
+        maxima = [_window_max(lines, mu.N, h) for h in halfwidths]
+    else:
+        grid = np.empty((mu.N,) * mu.dim)
+        maxima = [float(_ball_mass_grid(mu, h, grid, buffer).max()) for h in halfwidths]
     fit = loglog_fit(scales, maxima)
     return ScanReport(fit.slope, scales, maxima, fit, (min(scales), max(scales)))
 

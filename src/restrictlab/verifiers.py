@@ -218,8 +218,11 @@ def materialized_pair_sum(h: np.ndarray) -> np.ndarray:
 class PreparedChain:
     """The per-instance side of the dual chain: everything that does not depend on g.
 
-    mu_eps and M_n are read-only, so trials on one prepared chain cannot
-    affect each other.  constant is ||mu^{*n}||_r^{1/(nq)}.
+    mu_eps, M_n and M_n_root are read-only, so trials on one prepared chain
+    cannot affect each other.  constant is ||mu^{*n}||_r^{1/(nq)}.  qp and
+    sp are the exact conjugates q' and s', and holder_exponent is
+    1/s' - 1/(qr), which equals 1/q'.  M_n_root is M_n^{1/q}, None when
+    q' = inf.  instance holds the report fields that do not depend on g.
     """
 
     mu: DiscreteMeasure
@@ -234,6 +237,11 @@ class PreparedChain:
     mu_eps_conv_norm: float
     atomic_conv_norm: float
     constant: float
+    qp: Exponent
+    sp: Exponent
+    holder_exponent: Exponent
+    M_n_root: np.ndarray | None
+    instance: dict
 
 
 def prepare_chain(mu: DiscreteMeasure, n: int, r: Exponent, p: Exponent,
@@ -241,9 +249,10 @@ def prepare_chain(mu: DiscreteMeasure, n: int, r: Exponent, p: Exponent,
     """Validate the exponents and compute the g-independent data of one chain instance.
 
     q is pinned to the endpoint p'/(n r') and s = p'/n; the instance must be
-    feasible (s >= 2, q >= 1).  The mollified power M_n = mu_eps^{*n}, its
-    L^r norm, and the atomic norm ||mu^{*n}||_r behind the constant are
-    computed here once, whatever the number of g checked against them.
+    feasible (s >= 2, q >= 1).  The mollified power M_n = mu_eps^{*n} and
+    its root M_n^{1/q}, its L^r norm, the atomic norm ||mu^{*n}||_r behind
+    the constant, and the exact exponents are computed here once, whatever
+    the number of g checked against them.
     """
     r = validate_exponent(r, "r")
     p = validate_exponent(p, "p")
@@ -251,14 +260,26 @@ def prepare_chain(mu: DiscreteMeasure, n: int, r: Exponent, p: Exponent,
     s = exp_div(conjugate(p), n)
     if is_inf(s) or Fraction(s) < 2:
         raise ValueError(f"infeasible exponents: s = p'/n = {exp_str(s)} must be finite and >= 2")
+    qp, sp = conjugate(q), conjugate(s)
     mu_eps = mollify(mu, epsilon)
     M_n = torus_convolve_power(mu_eps, n)
-    mu_eps.setflags(write=False)
-    M_n.setflags(write=False)
+    M_n_root = None if is_inf(qp) else M_n ** (1.0 / exp_float(q))
+    for array in (mu_eps, M_n, M_n_root):
+        if array is not None:
+            array.setflags(write=False)
     atomic_conv_norm = density_norm(convolve_power(mu, n), r)
+    constant = atomic_conv_norm ** float(reciprocal(exp_mul(n, q)))
+    instance = {
+        "N": mu.N, "dim": mu.dim, "n": n, "epsilon": epsilon,
+        "p": exp_str(p), "q": exp_str(q), "r": exp_str(r), "s": exp_str(s),
+        "measure": mu.constructor.get("kind", "custom"), "seed": mu.seed,
+        # the dual-estimate constant; with each trial's achieved ratio,
+        # tracking it across epsilon exposes the (non-certified) uniformity trend
+        "constant": constant,
+    }
     return PreparedChain(mu, n, r, p, q, s, epsilon, mu_eps, M_n,
-                         lp_norm(M_n, r, volume=mu_eps.size), atomic_conv_norm,
-                         atomic_conv_norm ** float(reciprocal(exp_mul(n, q))))
+                         lp_norm(M_n, r, volume=mu_eps.size), atomic_conv_norm, constant,
+                         qp, sp, reciprocal(sp) - reciprocal(exp_mul(q, r)), M_n_root, instance)
 
 
 def check_dual_chain(chain: PreparedChain, g: np.ndarray) -> ChainReport:
@@ -272,8 +293,7 @@ def check_dual_chain(chain: PreparedChain, g: np.ndarray) -> ChainReport:
     For n = 2 on tiny grids the inner object is additionally materialized as
     a brute-force eta-sum and compared exactly to the convolution form.
     """
-    mu, n, r, q, s = chain.mu, chain.n, chain.r, chain.q, chain.s
-    qp, sp = conjugate(q), conjugate(s)
+    mu, n, q, s, qp, sp = chain.mu, chain.n, chain.q, chain.s, chain.qp, chain.sp
     g = np.asarray(g, dtype=np.complex128)
     if g.shape != (mu.N,) * mu.dim:
         raise ValueError("g must be defined on the full grid")
@@ -306,8 +326,12 @@ def check_dual_chain(chain: PreparedChain, g: np.ndarray) -> ChainReport:
         T_n = None
     else:
         qpf = exp_float(qp)
-        T_n = torus_convolve_power(np.abs(g) ** qpf * mu_eps, n)
-        pointwise_rhs = M_n ** (1.0 / exp_float(q)) * T_n ** (1.0 / qpf)
+        # |g|^{q'} mu_eps, whose integral is the single-factor mass below
+        weighted = np.abs(g) ** qpf * mu_eps
+        single_mass = float(torus_integral(weighted).real)
+        T_n = torus_convolve_power(weighted, n)
+        del weighted
+        pointwise_rhs = chain.M_n_root * T_n ** (1.0 / qpf)
     lhs_c = rhs_b
     rhs_c = lp_norm(pointwise_rhs, sp, volume=vol)
     steps.append(SlackRecord("inner_holder", lhs_c, rhs_c))
@@ -318,8 +342,7 @@ def check_dual_chain(chain: PreparedChain, g: np.ndarray) -> ChainReport:
         factor_g = g_sup**n
     else:
         inner_mass = float(torus_integral(T_n).real)
-        exponent = reciprocal(sp) - reciprocal(exp_mul(q, r))
-        factor_g = inner_mass ** float(exponent)
+        factor_g = inner_mass ** float(chain.holder_exponent)
     lhs_d = rhs_c
     rhs_d = mu_eps_conv_norm ** float(reciprocal(q)) * factor_g
     steps.append(SlackRecord("outer_holder", lhs_d, rhs_d))
@@ -327,7 +350,6 @@ def check_dual_chain(chain: PreparedChain, g: np.ndarray) -> ChainReport:
     # Mass identity: integral of (|g|^{q'} mu_eps)^{*n} is the n-th power of
     # the single-factor integral (Fubini on the torus).
     if not is_inf(qp):
-        single_mass = float(torus_integral(np.abs(g) ** exp_float(qp) * mu_eps).real)
         steps.append(SlackRecord("inner_mass_identity", inner_mass, single_mass**n,
                                  kind="identity"))
         g_norm_factor = single_mass ** float(reciprocal(qp))
@@ -344,16 +366,8 @@ def check_dual_chain(chain: PreparedChain, g: np.ndarray) -> ChainReport:
     if n == 2 and mu.dim == 1 and mu.N <= 64:
         oracle_gap = float(np.abs(materialized_pair_sum(h) - conv_h).max())
 
-    instance = {
-        "N": mu.N, "dim": mu.dim, "n": n, "epsilon": chain.epsilon,
-        "p": exp_str(chain.p), "q": exp_str(q), "r": exp_str(r), "s": exp_str(s),
-        "measure": mu.constructor.get("kind", "custom"), "seed": mu.seed,
-        # the dual-estimate constant and the ratio it actually achieved on
-        # this instance; tracking these across epsilon exposes the
-        # (non-certified) uniformity trend
-        "constant": chain.constant,
-        "achieved_ratio": (end.lhs / g_norm_factor) if g_norm_factor > 0 else 0.0,
-    }
+    instance = {**chain.instance,
+                "achieved_ratio": (end.lhs / g_norm_factor) if g_norm_factor > 0 else 0.0}
     return ChainReport(steps, instance, end, oracle_gap)
 
 

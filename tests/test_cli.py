@@ -445,6 +445,27 @@ def test_out_of_range_sweep_flags_are_usage_errors(flat_measure, tmp_path, capsy
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--flatness-c", "-1", "--retries", "100000"], "--flatness-c: must be in (0, inf), got -1.0"),
+    (["--flatness-c", "0"], "--flatness-c: must be in (0, inf), got 0.0"),
+    (["--flatness-c", "nan"], "--flatness-c: must be in (0, inf), got nan"),
+    (["--flatness-c", "inf"], "--flatness-c: must be in (0, inf), got inf"),
+    (["--flatness-c", "abc"], "--flatness-c: invalid float value: 'abc'"),
+    (["--radius", "0.5"], "--radius: must be in (0, 0.5), got 0.5"),
+    (["--radius", "0"], "--radius: must be in (0, 0.5), got 0.0"),
+    (["--radius", "nan"], "--radius: must be in (0, 0.5), got nan"),
+])
+def test_out_of_range_measure_floats_are_usage_errors(tmp_path, capsys, flags, message):
+    # an unreachable flatness bound used to spend every retry before exiting 1
+    kind = ["--kind", "circle", "--N", "64"] if flags[0] == "--radius" else \
+        ["--kind", "random-flat", "--N", "4096", "--m", "185"]
+    out = tmp_path / "mu.json"
+    assert main(["measure", "new", *kind, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {message}\n" in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("suite", ["chain", "hy", "expid"])
 def test_trials_below_one_are_usage_errors(tmp_path, capsys, suite):
     # a suite that ran no instance must not report a pass

@@ -123,6 +123,12 @@ def test_random_flat_rejects_negative_retries(max_retries):
         random_flat(64, 8, seed=1, max_retries=max_retries)
 
 
+@pytest.mark.parametrize("flatness_c", [0.0, -1.0, float("nan"), float("inf")])
+def test_random_flat_rejects_unreachable_flatness_bound(flatness_c):
+    with pytest.raises(ValueError, match="flatness_c must be finite and > 0"):
+        random_flat(64, 8, seed=1, flatness_c=flatness_c)
+
+
 def test_circle_mass_and_geometry():
     mu = circle(1024, 0.25)
     assert mu.dim == 2
@@ -192,6 +198,27 @@ def test_measure_validation_rejects_bad_data():
         DiscreteMeasure(1, 16, np.array([[0], [0]]), np.array([0.5, 0.5]))  # dup
     with pytest.raises(ValueError):
         DiscreteMeasure(1, 16, np.array([[0], [1]]), np.array([0.7, 0.7]))  # mass
+
+
+@pytest.mark.parametrize("dim, indices", [
+    (1, [[1], [3], [3]]),                 # sorted
+    (1, [[3], [1], [3]]),                 # unsorted
+    (2, [[0, 1], [2, 3], [2, 3]]),
+    (2, [[2, 3], [0, 1], [2, 3]]),
+])
+def test_validate_rejects_duplicates_sorted_or_not(dim, indices):
+    weights = np.full(len(indices), 1.0 / len(indices))
+    with pytest.raises(ValueError, match="duplicate atom indices"):
+        DiscreteMeasure(dim, 16, np.array(indices), weights)
+    # the same atoms without the repeat are accepted, in any order
+    distinct = DiscreteMeasure(dim, 16, np.array(indices[:2]), np.array([0.5, 0.5]))
+    assert distinct.num_atoms == 2
+
+
+def test_finalize_sorts_and_merges_duplicate_atoms():
+    mu = measures._finalize(1, 8, [[3], [1], [3], [6], [1]], [1.0, 2.0, 3.0, 2.0, 2.0], {})
+    assert mu.indices.ravel().tolist() == [1, 3, 6]
+    assert mu.weights.tolist() == [0.4, 0.4, 0.2]
 
 
 def test_json_roundtrip_bit_exact(tmp_path):

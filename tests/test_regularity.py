@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -63,6 +65,66 @@ def test_window_sums_bit_identical_to_concat_roll(shape, halfwidth):
         sums = values.copy()
         _windowed_sums(sums, halfwidth, axis)
         assert np.array_equal(sums, concat_roll_windowed_sums(values, halfwidth, axis))
+
+
+def _oracle_ball_masses(mu, halfwidth):
+    """ball_masses' grid from the concat-and-roll oracle, last axis first."""
+    grid = mu.dense_weights()
+    for axis in reversed(range(mu.dim)):
+        grid = concat_roll_windowed_sums(grid, halfwidth, axis)
+    return grid
+
+
+def _random_measure(dim, N, m, seed):
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(N**dim, size=m, replace=False)
+    w = rng.random(m)
+    return DiscreteMeasure(dim, N, np.stack(np.unravel_index(flat, (N,) * dim), axis=1),
+                           w / w.sum())
+
+
+@pytest.mark.parametrize("dim, N, m", [(1, 4096, 700), (2, 128, 900)])
+def test_ball_mass_scans_bit_identical_to_concat_roll(dim, N, m):
+    mu = _random_measure(dim, N, m, seed=dim)
+    scales = default_scales(N)
+    # odd half-widths 3, 5, 7, 9, ...: radius (h + 1/2)/N has half-width h
+    odd_scales = [(h + 0.5) / N for h in range(3, 3 + 2 * len(scales), 2)]
+    for window in (scales, odd_scales):
+        halfwidths = [int(np.floor(r * N)) for r in sorted(window)]
+        grids = [_oracle_ball_masses(mu, h) for h in halfwidths]
+        assert ahlfors_alpha(mu, window).values == [float(g.max()) for g in grids]
+        for r, grid in zip(sorted(window), grids):
+            assert np.array_equal(ball_masses(mu, r), grid)
+    # the widest window short of the axis (2h + 1 = N - 1), and the whole axis (2h + 1 > N)
+    for r in ((N // 2 - 0.5) / N, 0.5):
+        assert np.array_equal(ball_masses(mu, r), _oracle_ball_masses(mu, int(np.floor(r * N))))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_alpha_in_1d_allocates_one_prefix_buffer():
+    mu = cantor(4, {0, 3}, 10)  # N = 2^20, no grid is built
+    H = int(np.floor(max(default_scales(mu.N)) * mu.N))
+    prefix = (mu.N + 2 * H + 1) * 8
+    assert _traced_peak(ahlfors_alpha, mu) <= prefix + 2**20
+
+
+def test_alpha_in_2d_allocates_one_grid_and_one_prefix_buffer():
+    mu = circle(1024, 0.25)
+    N = mu.N
+    H = int(np.floor(max(default_scales(N)) * N))
+    grid, prefix = N * N * 8, (N + 2 * H + 1) * N * 8
+    # the strided subtraction of the axis-1 pass runs through numpy's
+    # buffered iterator, one np.getbufsize() of float64 per operand
+    iterator_buffers = 4 * np.getbufsize() * 8
+    assert _traced_peak(ahlfors_alpha, mu) <= grid + prefix + iterator_buffers
 
 
 def test_ball_of_radius_one_half_is_the_whole_torus():

@@ -213,7 +213,9 @@ def test_chain_rejects_g_off_the_grid():
 def test_prepared_chain_is_read_only_and_trials_independent(r):
     mu = random_flat(128, 16, seed=40)
     chain = prepare_chain(mu, 2, r, Fraction(4, 3))
-    for array in (chain.mu_eps, chain.M_n):
+    # q' = 2 at r = inf keeps M_n^{1/q}; q' = inf at r = 2 keeps none
+    assert (chain.M_n_root is None) == (r == 2)
+    for array in (a for a in (chain.mu_eps, chain.M_n, chain.M_n_root) if a is not None):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 1.0
