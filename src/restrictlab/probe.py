@@ -19,6 +19,16 @@ column, so each operator application is one matrix-matrix product.  At one
 BLAS thread a start's iterates do not depend on which starts share its
 block.
 
+The row-wise steps of an iteration take no modulus and no phase divide.
+With s2 = |z|^2 over its row's largest entry, the l^p extremal vector of a
+pulled-back row z is z s2^((p'-2)/2) times one scale per row, and the
+L^q(mu) dual element of u = restrict(f) is u s2^((q-2)/2), whose powers
+also make the norm's sum: one general power per entry for each.  Every
+row is reduced on its own, by einsum, which takes no BLAS call.  Iterates
+are new arrays that are never written, so each start's best iterate is
+kept as a row of its block, and copied only when the loop moves past that
+block without the start improving.
+
 Atoms sit on the grid j/N and the lattice is integral, so restrict and
 extend are exact DFTs on Z_N^dim.  A large operator (chosen from its shape
 alone, see ExtensionOperator.grid_fft) applies them by FFTs of the N^dim
@@ -401,81 +411,100 @@ def _phase(z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.divide(z, a, out=np.ones_like(z), where=a > 0)
 
 
-def _measure_norm(a: np.ndarray, weights: np.ndarray, qf: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """The L^q(mu) norms of the rows whose moduli are a, and the powers they share with the dual.
+def _scaled_squares(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s2 = |z|^2 row by row over its row's largest entry, and those peaks, shape (k, 1).
 
-    For finite q the norm is peak (sum_j w_j s_j^(q-1) s_j)^(1/q) with
-    s = a / peak, so each entry takes one general power, and s^(q-1) is
-    returned for _measure_dual.  A row that vanished has norm 0 and powers
-    1, so that its dual element is 1.  For q = inf the powers are None.
+    The peak is its entry's own square, so max s2 = 1 to round-off; a row
+    that vanished keeps s2 = 0 and peak 0.  The rows are scaled by one
+    reciprocal each, not a divide per entry.
+    """
+    s2 = np.square(z.real)
+    s2 += np.square(z.imag)
+    peak = s2.max(axis=1, keepdims=True)
+    s2 *= 1.0 / np.where(peak > 0.0, peak, 1.0)
+    return s2, peak
+
+
+def _row_power(s2: np.ndarray, e: float) -> np.ndarray:
+    """s2 ** e entry by entry, with 0 at an exact zero of s2 when e < 0.
+
+    Every caller multiplies each entry of the result by its s2 or by an
+    entry of modulus sqrt(s2), so the value at a zero is never seen; the
+    guard only keeps 0 ** e finite.
+    """
+    if e < 0.0 and not s2.all():
+        return np.power(s2, e, out=np.zeros_like(s2), where=s2 > 0.0)
+    return s2 ** e
+
+
+def _measure_step(u: np.ndarray, weights: np.ndarray, qf: float) -> tuple[np.ndarray, np.ndarray]:
+    """The L^q(mu) norms of the rows of u, and their Holder-extremal elements (scale-free).
+
+    For finite q, with s2 = |u|^2 / peak per row (_scaled_squares), the norm
+    is sqrt(peak) (sum_j w_j s2_j^((q-2)/2) s2_j)^(1/q) and the dual element
+    is u s2^((q-2)/2), written over u: one general power per entry, shared
+    by both.  A row that vanished has norm 0 and dual element 1.  qf = float(q).
     """
     if qf == INF:
-        return lp_norm(a, qf, weights, rows=True), None
-    peak = a.max(axis=1, keepdims=True)
-    s = a / np.where(peak > 0.0, peak, 1.0)
-    power = s ** (qf - 1.0)
-    val = peak[:, 0] * np.sum(power * s * weights, axis=1) ** (1.0 / qf)
-    if not peak.all():
-        power[peak[:, 0] == 0.0] = 1.0
-    return val, power
-
-
-def _measure_dual(u: np.ndarray, a: np.ndarray, power: np.ndarray | None,
-                  weights: np.ndarray, qf: float) -> np.ndarray:
-    """Holder-extremal elements for the L^q(mu) norms of the rows of u (scale-free).
-
-    a = |u| and power come from _measure_norm; qf = float(q).
-    """
-    if qf == INF:
+        a = np.abs(u)
         g = np.zeros_like(u)
         rows = np.arange(len(u))
         j = np.argmax(np.where(weights > 0, a, -1.0), axis=1)
         g[rows, j] = _phase(u[rows, j], a[rows, j]) / weights[j]
-        return g
-    g = _phase(u, a)
-    g *= power
-    return g
+        return lp_norm(a, qf, weights, rows=True), g
+    s2, peak = _scaled_squares(u)
+    power = _row_power(s2, 0.5 * (qf - 2.0))
+    val = np.sqrt(peak[:, 0]) * np.einsum("ij,ij,j->i", power, s2, weights) ** (1.0 / qf)
+    u *= power
+    if not peak.all():
+        u[peak[:, 0] == 0.0] = 1.0
+    return val, u
 
 
 def _lattice_extremal(pulled: np.ndarray, pf: float, pprimef: float) -> np.ndarray:
     """Unit-l^p rows f maximizing Re sum_x f[r, x] conj(pulled[r, x]), one per row of pulled.
 
     pulled holds the pulled-back functionals; pf, pprimef = float(p), float(p').
-    For 1 < p < inf, t = (|pulled| / peak)^(p'-1) has max t = 1 exactly,
-    so ||t||_p = (sum_x t^p)^(1/p) needs no modulus, peak or rescaling.
+    For 1 < p < inf, f = pulled |pulled|^(p'-2) / || |pulled|^(p'-1) ||_p,
+    taken with s2 = |pulled|^2 / peak per row (_scaled_squares) as
+    pulled s2^((p'-2)/2) / (sqrt(peak) (sum_x s2^((p'-2)/2) s2)^(1/p)):
+    one general power per entry and no modulus or phase.  The result is a
+    new array.
     """
-    a = np.abs(pulled)
-    if pf == 1.0:
-        t = np.zeros_like(a)
-        t[np.arange(len(a)), np.argmax(a, axis=1)] = 1.0
-    elif pf == INF:
-        t = np.ones_like(a)
-    else:
-        peak = a.max(axis=1, keepdims=True)
-        if not peak.all():
-            raise ArithmeticError("pulled-back functional vanished")
-        t = (a / peak) ** (pprimef - 1.0)
-        t /= np.sum(t**pf, axis=1, keepdims=True) ** (1.0 / pf)
-    f = _phase(pulled, a)
-    f *= t
-    return f
+    if pf == 1.0 or pf == INF:
+        a = np.abs(pulled)
+        if pf == 1.0:
+            t = np.zeros_like(a)
+            t[np.arange(len(a)), np.argmax(a, axis=1)] = 1.0
+        else:
+            t = np.ones_like(a)
+        f = _phase(pulled, a)
+        f *= t
+        return f
+    s2, peak = _scaled_squares(pulled)
+    if not peak.all():
+        raise ArithmeticError("pulled-back functional vanished")
+    t = _row_power(s2, 0.5 * (pprimef - 2.0))
+    t *= (1.0 / (np.sqrt(peak[:, 0]) * np.einsum("ij,ij->i", t, s2) ** (1.0 / pf)))[:, None]
+    return pulled * t
 
 
 def _gram_step(op: ExtensionOperator, f: np.ndarray,
                work: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """At q = 2: the values ||restrict(f)||_{L^2(mu)} of the rows of f, and their pulled-back functionals.
 
-    A value's square is Re <T f, f>.  The L^2(mu) dual element u / max|u| of
-    u = restrict(f) pulls back to T f / max|u|, and the extremal vector is
-    scale-free, so T f stands for it; it is a view into work.  A row whose
-    square is within the FFT round-off of zero is taken as u = 0, as the
-    dense path sees it: value 0, and the dual element 1, which pulls back to
-    extend(1).
+    A value's square is Re <T f, f>, one row-wise dot of the float64 views
+    of f and T f.  The L^2(mu) dual element u / max|u| of u = restrict(f)
+    pulls back to T f / max|u|, and the extremal vector is scale-free, so
+    T f stands for it; it is a view into work.  A row whose square is within
+    the FFT round-off of zero is taken as u = 0, as the dense path sees it:
+    value 0, and the dual element 1, which pulls back to extend(1).
     """
     _, extend_one, noise = op._gram_kernel
     h = op.gram(f, work=work)
-    square = np.sum((np.conj(f) * h).real, axis=1)
-    nonzero = square > noise * np.sum(f.real**2 + f.imag**2, axis=1)
+    fv = f.view(np.float64)
+    square = np.einsum("ij,ij->i", fv, h.view(np.float64))
+    nonzero = square > noise * np.einsum("ij,ij->i", fv, fv)
     h[~nonzero] = extend_one
     return np.sqrt(np.where(nonzero, square, 0.0)), h
 
@@ -490,10 +519,12 @@ class ProbeResult:
     trace: list[float] = field(default_factory=list)
     # per start, random starts first and warm starts after them;
     # final_change is (v_last - v_prev) / |v_prev| of its last two values,
-    # None when it ran fewer than 2 iterations or v_prev is 0
+    # None when it ran fewer than 2 iterations or v_prev is 0; final_value
+    # is its last value, None when it never ran
     iterations: list[int] = field(default_factory=list)
     converged: list[bool] = field(default_factory=list)
     final_change: list[float | None] = field(default_factory=list)
+    final_value: list[float | None] = field(default_factory=list)
     best_start: int = -1
 
     @property
@@ -510,6 +541,7 @@ class ProbeResult:
             "iterations": list(self.iterations),
             "converged": list(self.converged),
             "final_change": list(self.final_change),
+            "final_value": list(self.final_value),
             "best_start": self.best_start,
             "trace": list(self.trace),
             "witness": [[float(z.real), float(z.imag)] for z in self.witness],
@@ -583,51 +615,56 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
     f = np.array(starts, dtype=np.complex128)
 
     n = len(starts)
-    iterations = np.zeros(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
     history: list[list[float]] = [[] for _ in range(n)]  # each start's values
-    best_val = np.full(n, -1.0)
-    best_f = np.zeros_like(f)
+    converged = [False] * n
+    best_val = [-1.0] * n
+    # each start's best iterate, kept by reference: every iterate is a new
+    # array that is never written, so a row of its block stands for it
+    best: list[np.ndarray | None] = [None] * n
+    in_block: set[int] = set()  # the starts whose best is a row of the current f
     nf = lp_norm(f, pf, rows=True)
     live = np.flatnonzero(nf > 0.0)  # a start that normalizes to zero is skipped
     if not len(live):
         raise ArithmeticError("all starts degenerate")
     f = f[live] / nf[live, None]
-    last = np.full(len(live), -1.0)
+    # the per-start bookkeeping runs on Python floats, which round as float64
+    live = live.tolist()
+    last = [-1.0] * len(live)
+    tol = options.tol
     gram = qf == 2.0
     if gram:
         work = op._gram_workspace(len(f))
     for it in range(options.max_iters):
+        # g: the pulled-back functionals at q = 2, else the dual elements to pull back
         if gram:
-            val, pulled = _gram_step(op, f, work)
+            val, g = _gram_step(op, f, work)
         else:
-            u = op.restrict(f.T).T
-            a = np.abs(u)
-            val, power = _measure_norm(a, op.weights, qf)
+            val, g = _measure_step(op.restrict(f.T).T, op.weights, qf)
         if not np.isfinite(val).all():
             raise ArithmeticError("non-finite value in norm iteration")
-        iterations[live] += 1
-        for start, v in zip(live.tolist(), val.tolist()):
+        values = val.tolist()
+        improved: set[int] = set()
+        keep: list[int] = []  # the rows whose start goes on
+        for row, (start, v, prev) in enumerate(zip(live, values, last)):
             history[start].append(v)
-        up = val > best_val[live]
-        best_val[live[up]] = val[up]
-        best_f[live[up]] = f[up]
-        done = (last > 0.0) & (val - last < options.tol * np.abs(last))
-        converged[live[done]] = True
-        if done.all() or it + 1 == options.max_iters:
-            break
-        if done.any():
-            keep = ~done
-            live, val = live[keep], val[keep]
-            if gram:
-                pulled = pulled[keep]
+            if v > best_val[start]:
+                best_val[start] = v
+                best[start] = f[row]
+                improved.add(start)
+            if prev > 0.0 and v - prev < tol * abs(prev):
+                converged[start] = True
             else:
-                u, a = u[keep], a[keep]
-                power = None if power is None else power[keep]
-        last = val
-        if not gram:
-            pulled = op.extend(_measure_dual(u, a, power, op.weights, qf).T).T
-        f = _lattice_extremal(pulled, pf, pprimef)
+                keep.append(row)
+        # a best row left in the previous block is copied, so that block is freed
+        for start in in_block - improved:
+            best[start] = best[start].copy()
+        in_block = improved
+        if not keep or it + 1 == options.max_iters:
+            break
+        if len(keep) < len(live):
+            live, g = [live[row] for row in keep], g[keep]
+        last = [values[row] for row in keep]
+        f = _lattice_extremal(g if gram else op.extend(g.T).T, pf, pprimef)
 
     trace: list[float] = []
     top, best_start = -1.0, -1
@@ -638,14 +675,15 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
                 trace.append(v)
     final_change = [(v[-1] - v[-2]) / abs(v[-2]) if len(v) >= 2 and v[-2] != 0.0 else None
                     for v in history]
-    witness = best_f[best_start]
+    witness = best[best_start]
     certified = _rayleigh(op, witness, p, q)
     if abs(certified - top) > WITNESS_EVAL_TOL * max(1.0, abs(top)):
         raise AssertionError(
             f"witness re-evaluation {certified} disagrees with tracked value {top}")
     return ProbeResult(p, q, op.X, certified, witness / lp_norm(witness, p),
-                       trace=trace, iterations=iterations.tolist(),
-                       converged=converged.tolist(), final_change=final_change,
+                       trace=trace, iterations=[len(v) for v in history],
+                       converged=converged, final_change=final_change,
+                       final_value=[v[-1] if v else None for v in history],
                        best_start=best_start)
 
 

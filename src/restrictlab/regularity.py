@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fitting import FitResult, loglog_fit
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _flat_indices
 from .rationals import (
     Exponent,
     conjugate,
@@ -246,10 +246,15 @@ def billingsley_gamma(mu: DiscreteMeasure, scales=None) -> ScanReport:
     scales = _check_scales(mu, scales)
     finest_masses = ball_masses(mu, scales[0])
     # argmax is flat over window-width plateaus; break ties toward the cell
-    # carrying the most atomic mass so the center is a genuine support point
+    # carrying the most atomic mass so the center is a genuine support point.
+    # The plateau cells' masses are read off the sorted atoms (0 where no
+    # atom sits), not off a second dense grid
     flat_masses = finest_masses.ravel()
     plateau = np.flatnonzero(flat_masses >= flat_masses.max() * (1 - 1e-12))
-    cell_mass = mu.dense_weights().ravel()[plateau]
+    flat = _flat_indices(mu.indices, mu.N)
+    order = np.argsort(flat)
+    at = np.minimum(np.searchsorted(flat[order], plateau), len(order) - 1)
+    cell_mass = np.where(flat[order[at]] == plateau, mu.weights[order[at]], 0.0)
     center = tuple(int(c) for c in np.unravel_index(plateau[np.argmax(cell_mass)],
                                                     finest_masses.shape))
     values = ball_masses_at(mu, center, scales)

@@ -120,6 +120,55 @@ def gram_by_padded_ffts(spectrum, f, X, dim):
     return z.reshape(len(f), -1)
 
 
+def _phase_rows(z, a):
+    """z / |z| entry by entry where a = |z| > 0, else 1."""
+    return np.where(a > 0, z / np.where(a > 0, a, 1.0), 1.0)
+
+
+def phase_power_extremal(pulled, p):
+    """Unit-l^p rows maximizing Re <f, pulled>, as phase(pulled) (|pulled| / peak)^(p' - 1) / ||.||_p.
+
+    The probe's l^p extremal vector for a float 1 < p < inf, written with a
+    modulus, a phase divide and two powers per entry, row by row.
+    """
+    pprime = p / (p - 1.0)
+    out = []
+    for row in np.atleast_2d(pulled):
+        a = np.abs(row)
+        t = (a / a.max()) ** (pprime - 1.0)
+        t = t / np.sum(t**p) ** (1.0 / p)
+        out.append(_phase_rows(row, a) * t)
+    return np.array(out)
+
+
+def phase_power_measure(u, weights, q):
+    """The L^q(mu) norms of the rows of u and their dual elements phase(u) (|u| / peak)^(q - 1).
+
+    Row by row for a float 1 <= q < inf; a row that vanished has norm 0 and
+    dual element 1.
+    """
+    norms, duals = [], []
+    for row in np.atleast_2d(u):
+        a = np.abs(row)
+        peak = a.max()
+        if peak == 0.0:
+            norms.append(0.0)
+            duals.append(np.ones_like(row))
+            continue
+        s = a / peak
+        norms.append(peak * np.sum(weights * s**q) ** (1.0 / q))
+        duals.append(_phase_rows(row, a) * s ** (q - 1.0))
+    return np.array(norms), np.array(duals)
+
+
+def dense_grid_billingsley_center(mu, finest_masses):
+    """The argmax of a ball-mass grid, ties over its plateau broken by the most atomic mass on the dense weight grid."""
+    flat_masses = finest_masses.ravel()
+    plateau = np.flatnonzero(flat_masses >= flat_masses.max() * (1 - 1e-12))
+    cell_mass = mu.dense_weights().ravel()[plateau]
+    return tuple(int(c) for c in np.unravel_index(plateau[np.argmax(cell_mass)], finest_masses.shape))
+
+
 def direct_fourier_1d(indices, weights, N, ks):
     """Exact trigonometric sums, one frequency at a time."""
     return np.array([
@@ -200,9 +249,6 @@ def serial_restriction_norm(matrix, weights, p, q, starts, max_iters, tol):
     """
     pprime = math.inf if p == 1.0 else (1.0 if p == math.inf else p / (p - 1.0))
 
-    def phase(z, a):
-        return np.where(a > 0, z / np.where(a > 0, a, 1.0), 1.0)
-
     def restrict(f):
         return np.conj(np.conj(f) @ matrix)
 
@@ -235,15 +281,15 @@ def serial_restriction_norm(matrix, weights, p, q, starts, max_iters, tol):
             if q == math.inf:
                 g = np.zeros_like(u)
                 j = int(np.argmax(np.where(weights > 0, a, -1.0)))
-                g[j] = phase(u[j], a[j]) / weights[j]
+                g[j] = _phase_rows(u[j], a[j]) / weights[j]
             elif a.max() == 0.0:
                 g = np.ones_like(u)
             else:
-                g = phase(u, a) * (a / a.max()) ** (q - 1.0)
+                g = _phase_rows(u, a) * (a / a.max()) ** (q - 1.0)
             # l^p extremal vector of the pulled-back functional
             c = np.conj(matrix @ (weights * g))
             a = np.abs(c)
-            ph = np.conj(phase(c, a))
+            ph = np.conj(_phase_rows(c, a))
             if p == 1.0:
                 f = np.zeros_like(c)
                 j = int(np.argmax(a))

@@ -22,10 +22,16 @@ from restrictlab.probe import (
     restriction_norm,
     sweep,
 )
-from restrictlab.rationals import INF
+from restrictlab.rationals import INF, conjugate
 from restrictlab.spectral import DIRECT_CHUNK_ENTRIES, lp_norm
 
-from oracles import gram_by_padded_ffts, lattice_phase_matrix, serial_restriction_norm
+from oracles import (
+    gram_by_padded_ffts,
+    lattice_phase_matrix,
+    phase_power_extremal,
+    phase_power_measure,
+    serial_restriction_norm,
+)
 
 
 def random_measure(seed, N=1024, max_atoms=64, dim=1):
@@ -420,6 +426,108 @@ def test_per_start_final_change():
     assert one.final_change == [None, None]
 
 
+def test_per_start_final_value(monkeypatch):
+    values = []
+    real = probe._gram_step
+
+    def recording(op, f, work):
+        val, h = real(op, f, work)
+        values.append(val.tolist())
+        return val, h
+
+    monkeypatch.setattr(probe, "_gram_step", recording)
+    op = assemble(random_measure(11), 16)
+    # at tol = 0 a start stops only when round-off lowers its value, so its
+    # final value lies below its best
+    res = restriction_norm(op, Fraction(4, 3), 2, ProbeOptions(restarts=3, seed=11, tol=0.0),
+                           warm_starts=[np.zeros(op.lattice_size)])
+    # a start runs its first iterations[s] steps and then leaves the block,
+    # whose rows stay in start order, so each call's values split by start
+    history = [[] for _ in res.iterations]
+    for step, vals in enumerate(values):
+        live = [s for s, n in enumerate(res.iterations) if n > step]
+        assert len(live) == len(vals)
+        for s, v in zip(live, vals):
+            history[s].append(v)
+    assert res.final_value == [h[-1] if h else None for h in history]
+    assert any(h[-1] < max(h) for h in history if h)
+    assert res.final_value[-1] is None  # the zero start never ran
+    best = max(history[res.best_start])
+    assert all(best >= v for v in res.final_value if v is not None)
+    assert res.as_dict()["final_value"] == res.final_value
+
+
+@pytest.mark.parametrize("mu, X, q", [
+    (random_measure(31, max_atoms=24), 16, 2), (circle(64, 0.25), 8, 2),
+    (random_flat(4096, 185, seed=20240613, flatness_c=4.0, max_retries=200), 512, 4)],
+    ids=["gram-1d", "gram-2d", "fft-grid"])
+def test_restarts_k_reproduces_the_first_k_starts(mu, X, q):
+    # neither the Gram convolutions nor the FFT-grid products take a BLAS
+    # call, and every row-wise step reduces each row on its own, so a start's
+    # bits do not depend on the starts that share its block
+    op = assemble(mu, X)
+    assert q == 2 or op.grid_fft
+    for p in (Fraction(4, 3), Fraction(8, 5), 4):
+        full = restriction_norm(op, p, q, ProbeOptions(restarts=8, seed=12))
+        for k in range(1, 8):
+            res = restriction_norm(op, p, q, ProbeOptions(restarts=k, seed=12))
+            case = (p, k)
+            assert res.iterations == full.iterations[:k], case
+            assert res.converged == full.converged[:k], case
+            assert res.final_change == full.final_change[:k], case
+            assert res.final_value == full.final_value[:k], case
+            assert res.trace == full.trace[:len(res.trace)], case
+            if k == full.best_start + 1:
+                assert res.norm_lower_bound == full.norm_lower_bound, case
+                assert res.best_start == full.best_start, case
+
+
+def _with_exact_zeros(rng, shape):
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    z[rng.random(shape) < 0.2] = 0.0
+    return z
+
+
+def _unit_peak(g):
+    """Rows scaled to largest modulus 1; dual elements are scale-free."""
+    return g / np.abs(g).max(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("p", [Fraction(4, 3), Fraction(8, 5), 2, 3, 4])
+def test_lattice_extremal_matches_phase_power_oracle(p):
+    # past p = 2 the power (p' - 2)/2 is negative (p = 4 has p' = 4/3), so an
+    # exact zero needs its guard: filterwarnings = error fails a 0 ** e warning
+    pulled = _with_exact_zeros(np.random.default_rng(41), (5, 257))
+    f = probe._lattice_extremal(pulled, float(p), float(conjugate(p)))
+    np.testing.assert_allclose(f, phase_power_extremal(pulled, float(p)), rtol=1e-13, atol=0)
+    assert not f[pulled == 0].any()
+
+
+@pytest.mark.parametrize("q", [Fraction(3, 2), 2, 3, 4])
+def test_measure_step_matches_phase_power_oracle(q):
+    # q = 3/2 takes the negative power (q - 2)/2 = -1/4; row 1 vanished and
+    # keeps the dual element 1
+    rng = np.random.default_rng(43)
+    u = _with_exact_zeros(rng, (4, 97))
+    u[1] = 0.0
+    weights = rng.random(97)
+    weights /= weights.sum()
+    norms, duals = phase_power_measure(u, weights, float(q))
+    val, g = probe._measure_step(u.copy(), weights, float(q))
+    np.testing.assert_allclose(val, norms, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(_unit_peak(g), _unit_peak(duals), rtol=1e-13, atol=0)
+    assert val[1] == 0.0 and (g[1] == 1.0).all()
+
+
+def test_gram_step_value_is_the_quadratic_form():
+    op = assemble(random_measure(31, max_atoms=24), 16)
+    f = _with_exact_zeros(np.random.default_rng(47), (3, op.lattice_size))
+    h = op.gram(f, work=op._gram_workspace(3)).copy()
+    val, pulled = probe._gram_step(op, f, op._gram_workspace(3))
+    np.testing.assert_allclose(val, np.sqrt(np.sum((np.conj(f) * h).real, axis=1)), rtol=1e-13, atol=0)
+    assert np.array_equal(pulled, h)
+
+
 def _without_roundoff_steps(trace):
     """The trace without the values that the next one passes only by round-off."""
     return [v for v, nxt in zip(trace, trace[1:] + [np.inf]) if nxt > v * (1 + 1e-12)]
@@ -622,7 +730,8 @@ def test_start_with_vanishing_restriction_runs_as_on_the_dense_path(mu, X):
         w = np.zeros(op.lattice_size, dtype=complex)
         w[i], w[j] = 0.6 + 0.8j, -0.6 - 0.8j
         assert not op.restrict(w).any()
-        for p in (1, Fraction(4, 3), 2, INF):
+        # p = 4 takes the negative power (p' - 2)/2 = -1/3 of the extremal vector
+        for p in (1, Fraction(4, 3), 2, 4, INF):
             res = restriction_norm(op, p, 2, options, warm_starts=[w])
             ref = serial_restriction_norm(op.matrix, op.weights, float(p), 2.0,
                                           _oracle_starts(op, p, 2, options, [w]),

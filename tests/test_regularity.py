@@ -26,7 +26,12 @@ from restrictlab.regularity import (
 from restrictlab.spectral import fourier
 from restrictlab.verifiers import exponent_identity
 
-from oracles import concat_roll_windowed_sums, dense_ball_masses, dirichlet_interval_spectrum_sq
+from oracles import (
+    concat_roll_windowed_sums,
+    dense_ball_masses,
+    dense_grid_billingsley_center,
+    dirichlet_interval_spectrum_sq,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +181,43 @@ def test_billingsley_builds_one_grid(monkeypatch):
     rep = billingsley_gamma(mu, [0.25, 0.125, 0.0625, 0.03125])
     assert radii == [0.03125]
     assert rep.values == ball_masses_at(mu, rep.center, rep.scales)
+
+
+@pytest.mark.parametrize("dim, N", [(1, 256), (2, 32)])
+def test_billingsley_center_matches_the_dense_grid_rule(dim, N):
+    # few atoms give wide plateaus of the finest-scale argmax, with cells
+    # that carry atoms and cells that do not; the atoms are given unsorted,
+    # and every other measure has equal weights, so cell masses tie as well
+    scales = [0.25, 0.125, 0.0625]
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 7))
+        flat = rng.choice(N**dim, size=m, replace=False)
+        w = rng.random(m) if seed % 2 else np.ones(m)
+        mu = DiscreteMeasure(dim, N, np.stack(np.unravel_index(flat, (N,) * dim), axis=1), w / w.sum())
+        center = billingsley_gamma(mu, scales).center
+        assert center == dense_grid_billingsley_center(mu, ball_masses(mu, min(scales))), seed
+
+
+def test_billingsley_tie_break_builds_no_second_grid(monkeypatch):
+    mu = cantor(4, {0, 3}, 10)  # N = 2^20
+    h = int(np.floor(min(default_scales(mu.N)) * mu.N))
+    grid, prefix = mu.N * 8, (mu.N + 2 * h + 1) * 8
+    scan = []
+    real = regularity.ball_masses
+
+    def scanned(mu, radius):
+        out = real(mu, radius)
+        scan.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(regularity, "ball_masses", scanned)
+    after = _traced_peak(billingsley_gamma, mu)
+    assert max(scan[0], after) <= grid + prefix + 2**20
+    # once the scan is done the tie-break holds the grid and under 2 MiB more
+    # (a plateau mask of N bytes and the plateau's cells), no dense weight grid
+    assert after <= grid + 2 * 2**20
 
 
 def test_alpha_uniform_is_one():
