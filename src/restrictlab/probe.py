@@ -32,25 +32,32 @@ block without the start improving.
 Atoms sit on the grid j/N and the lattice is integral, so restrict and
 extend are exact DFTs on Z_N^dim.  A large operator (chosen from its shape
 alone, see ExtensionOperator.grid_fft) applies them by FFTs of the N^dim
-grid instead of the L x m matrix; FFTs transform each line on its own and
-take no BLAS call.  The dense matrix is built only for the first dense
-restrict or extend, that is for q != 2 on an operator off the FFT grid.
-Its entries, and those of the witness re-evaluation, are read from a table
-of the N-th roots of unity at the exact integer phase <x, j> mod N.  The
-witness re-evaluation sums over the lattice one chunk of atoms at a time,
-never reads the matrix and takes no BLAS call: a route independent of the
-loop, whichever backend the loop used.
+grid instead of the L x m matrix, transforming only the lines that hold
+input or are read; FFTs transform each line on its own and take no BLAS
+call.  The dense matrix is built only for the first dense restrict or
+extend, that is for q != 2 on an operator off the FFT grid.  Its entries,
+and those of the witness re-evaluation, are read from a table of the N-th
+roots of unity at the exact integer phase <x, j> mod N.  The witness
+re-evaluation sums over the lattice one chunk of atoms at a time, never
+reads the matrix and takes no BLAS call: a route independent of the loop,
+whichever backend the loop used.
 
 At q = 2 the square of the value is the quadratic form <T f, f> of the
 Gram matrix T[x, y] = conj(mu_hat(x - y)) (the T T* identity behind the
 Stein-Tomas argument), and the pulled-back functional is T f up to a
-positive factor.  T is Toeplitz on [-X, X]^dim, so the q = 2 loop makes one
-FFT convolution per iteration instead of the two L x m products; FFTs take
-no BLAS call, so those iterates do not depend on the BLAS thread count.
-Each probe makes one pair of FFT buffers for its starting block and every
-convolution writes into them, so the loop allocates no transform arrays;
-the buffers belong to the call, never to the operator, which sweep's
-threads share.
+positive factor, so the q = 2 loop makes one Gram product per iteration
+instead of a restrict and an extend.  It takes one of two exact routes,
+chosen once per operator by ExtensionOperator.gram_grid: T is Toeplitz on
+[-X, X]^dim, so T f is one FFT convolution of size at least 4X + 1 per
+axis; and mu_hat is N-periodic, so on the N^dim grid T f is the grid
+restrict, a multiply by the weights and the grid extend, the cheaper route
+once 4X + 1 outgrows N.  FFTs take no BLAS call, so those iterates do not
+depend on the BLAS thread count.
+
+Each probe makes one workspace for its starting block, and every FFT of
+the loop, Gram or grid, writes into it through np.fft's out=, so the loop
+allocates no transform arrays; the workspace belongs to the call, never to
+the operator, which sweep's threads share.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +104,15 @@ class ProbeOptions:
             raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
 
 
+class _GridWork(NamedTuple):
+    """The buffers of one probe's grid transforms (ExtensionOperator._grid_workspace)."""
+
+    grids: list[np.ndarray]  # per axis, the zero-padded input of its transforms; zero between calls
+    scratch: np.ndarray  # flat; the output of every transform
+    atoms: np.ndarray  # (k, m): restrict's result, extend's weighted rows
+    lattice: np.ndarray  # (k, L): extend's result
+
+
 @dataclass(frozen=True)
 class ExtensionOperator:
     """Pairing between dual-lattice points and measure atoms, built lazily.
@@ -104,9 +121,10 @@ class ExtensionOperator:
     restriction is its conjugate transpose applied to a lattice vector.  It
     is built on first use, and only a dense restrict or extend uses it: on a
     large operator (grid_fft) restrict and extend compute the same products
-    by FFTs of the N^dim grid, gram applies extend(restrict(.)) from the
-    Fourier data of mu, and _direct_restrict sums over the lattice in chunks
-    of atoms.
+    by FFTs of the N^dim grid, gram applies extend(restrict(.)) as a Toeplitz
+    convolution with the Fourier data of mu or by those grid FFTs
+    (gram_grid), and _direct_restrict sums over the lattice in chunks of
+    atoms.
     """
 
     mu: DiscreteMeasure
@@ -214,75 +232,114 @@ class ExtensionOperator:
                 and self.lattice_size * self.num_atoms > GRID_FFT_CROSSOVER * grid * math.log2(grid))
 
     @cached_property
-    def _grid_lines(self) -> tuple[list[np.ndarray], tuple[np.ndarray, ...]]:
+    def _grid_lines(self) -> tuple[list[np.ndarray], np.ndarray]:
         """Per axis, the distinct atom coordinates (the lines of the FFT grid
-        that are read or hold input) and each atom's place among them."""
+        that are read or hold input), and each atom's flat place in a row of
+        the last axis's transforms, the lines of the earlier axes by N."""
         lines = [np.unique(c, return_inverse=True) for c in self.mu.indices.T]
-        return [u for u, _ in lines], tuple(inv for _, inv in lines)
+        coords = [u for u, _ in lines]
+        places = tuple(inv for _, inv in lines[:-1]) + (coords[-1][lines[-1][1]],)
+        return coords, np.ravel_multi_index(places, tuple(len(c) for c in coords[:-1]) + (self.mu.N,))
 
-    def _grid_restrict(self, rows: np.ndarray) -> np.ndarray:
-        """restrict for a (k, L) block of rows by FFTs, as (k, m).
+    def _grid_workspace(self, k: int) -> _GridWork:
+        """The buffers of _grid_restrict and _grid_extend for blocks of up to k rows.
+
+        Per axis one grid, laid out here as zeros, which is the input of the
+        transforms along that axis in both directions; a call writes its
+        input into it, transforms it into the one scratch buffer and zeroes
+        the entries it wrote, so between calls every pad is in place.  A block
+        of k rows takes the first k rows of every buffer.  Made by the caller
+        once per probe and never kept on the operator, which sweep's threads
+        share.
+        """
+        # a row at the transforms along axis a (0-based): the earlier axes cut
+        # to the lines through atoms, a of length N, the later axes the window
+        lines = [len(c) for c in self._grid_lines[0]]
+        stages = [(k, *lines[:a], self.mu.N) + (2 * self.X + 1,) * (self.dim - 1 - a) for a in range(self.dim)]
+        return _GridWork([np.zeros(shape, dtype=np.complex128) for shape in stages],
+                         np.empty(max(math.prod(shape) for shape in stages), dtype=np.complex128),
+                         np.empty((k, self.num_atoms), dtype=np.complex128),
+                         np.empty((k, self.lattice_size), dtype=np.complex128))
+
+    def _grid_restrict(self, rows: np.ndarray, work: _GridWork) -> np.ndarray:
+        """restrict for a (k, L) block of rows by FFTs, as (k, m), a view into work.
 
         f_hat(n/N) = sum_x f(x) exp(-2 pi i <x, n>/N) is the DFT of f placed
-        at x mod N.  Each axis, last first, is placed, transformed and cut
-        to the lines through atoms; the last step gathers at the atoms.
+        at x mod N.  Per axis, first first, the lattice window is placed at
+        x mod N in its grid, with the axis before it cut to the lines through
+        atoms, and transformed into work.scratch; the last step gathers at
+        the atoms.  Every cut and placement copies whole rows of the last
+        axis.
         """
-        coords, atoms = self._grid_lines
-        N, X = self.mu.N, self.X
-        z = rows.reshape((len(rows),) + (2 * X + 1,) * self.dim)
-        for axis in range(self.dim, 0, -1):
-            at = (slice(None),) * axis
-            grid = np.zeros(z.shape[:axis] + (N,) + z.shape[axis + 1:], dtype=np.complex128)
-            grid[at + (slice(X + 1),)] = z[at + (slice(X, None),)]
-            grid[at + (slice(N - X, None),)] = z[at + (slice(X),)]
-            z = np.fft.fft(grid, axis=axis)[at + (coords[axis - 1],)]
-        return z[(slice(None),) + atoms]
+        coords, places = self._grid_lines
+        N, X, k, dim = self.mu.N, self.X, len(rows), self.dim
+        z = rows.reshape((k,) + (2 * X + 1,) * dim)
+        for axis in range(1, dim + 1):
+            grid, at = work.grids[axis - 1][:k], (slice(None),) * axis
+            cut = at if axis == 1 else at[:-1] + (coords[axis - 2],)
+            ends = at + (slice(X + 1),), at + (slice(N - X, None),)
+            grid[ends[0]] = z[cut + (slice(X, None),)]
+            grid[ends[1]] = z[cut + (slice(X),)]
+            z = np.fft.fft(grid, axis=axis, out=work.scratch[:grid.size].reshape(grid.shape))
+            for end in ends:
+                grid[end] = 0
+        return np.take(z.reshape(k, -1), places, axis=1, out=work.atoms[:k], mode="clip")
 
-    def _grid_extend(self, rows: np.ndarray) -> np.ndarray:
-        """extend for a (k, m) block of weighted rows by FFTs, as (k, L).
+    def _grid_extend(self, rows: np.ndarray, work: _GridWork) -> np.ndarray:
+        """extend for a (k, m) block of weighted rows by FFTs, as (k, L), a view into work.
 
         The adjoint of _grid_restrict: scatter at the atoms, then per axis,
-        first first, place the lines at their coordinates, run the inverse
-        FFT without its 1/N factor and read the lattice window at x mod N.
+        last first, run the inverse FFT without its 1/N factor into
+        work.scratch and place the lattice window at x mod N on the lines
+        through atoms of the axis before it, or into the result.
         """
-        coords, atoms = self._grid_lines
-        N, X = self.mu.N, self.X
-        z = np.zeros((len(rows),) + tuple(len(c) for c in coords), dtype=np.complex128)
-        z[(slice(None),) + atoms] = rows
-        for axis in range(1, self.dim + 1):
-            at = (slice(None),) * axis
-            grid = np.zeros(z.shape[:axis] + (N,) + z.shape[axis + 1:], dtype=np.complex128)
-            grid[at + (coords[axis - 1],)] = z
-            grid = np.fft.ifft(grid, axis=axis, norm="forward")
-            z = np.concatenate((grid[at + (slice(N - X, None),)], grid[at + (slice(X + 1),)]), axis=axis)
-        return z.reshape(len(rows), -1)
+        coords, places = self._grid_lines
+        N, X, k, dim = self.mu.N, self.X, len(rows), self.dim
+        # the grid to transform next, and its entries that hold input
+        held, written = work.grids[dim - 1][:k].reshape(k, -1), (slice(None), places)
+        held[written] = rows
+        for axis in range(dim, 0, -1):
+            grid, at = work.grids[axis - 1][:k], (slice(None),) * axis
+            z = np.fft.ifft(grid, axis=axis, norm="forward", out=work.scratch[:grid.size].reshape(grid.shape))
+            held[written] = 0
+            if axis > 1:
+                held = work.grids[axis - 2][:k]
+                written = at[:-1] + (coords[axis - 2],)
+            else:
+                held, written = work.lattice[:k].reshape((k,) + (2 * X + 1,) * dim), at
+            held[written + (slice(X),)] = z[at + (slice(N - X, None),)]
+            held[written + (slice(X, None),)] = z[at + (slice(X + 1),)]
+        return work.lattice[:k]
 
-    def restrict(self, f: np.ndarray) -> np.ndarray:
+    def restrict(self, f: np.ndarray, *, work: _GridWork | None = None) -> np.ndarray:
         """f on the lattice -> f_hat at the atoms; f is one vector (L,) or a block (L, k).
 
         The adjoint product conj(matrix).T @ f, taken as conj(conj(f) @ matrix)
         so that no conjugated L x m copy of the operator is made.  A block is
         multiplied by rows, (k, L) @ (L, m), and comes back as (m, k).  With
-        grid_fft the rows are transformed instead; a vector is taken as one row.
+        grid_fft the rows are transformed instead, in work (a _grid_workspace
+        for at least k rows, fresh when None), and the result is a view into
+        it; a vector is taken as one row.
         """
         block = np.atleast_2d(f.T)
         if self.grid_fft:
-            out = self._grid_restrict(block)
+            out = self._grid_restrict(block, work or self._grid_workspace(len(block)))
         else:
             rows = _gemm_rows(block)
             out = np.conj(rows, out=rows) @ self.matrix
             out = np.conj(out, out=out)[:len(block)]
         return out[0] if f.ndim == 1 else out.T
 
-    def extend(self, g: np.ndarray) -> np.ndarray:
+    def extend(self, g: np.ndarray, *, work: _GridWork | None = None) -> np.ndarray:
         """g at the atoms -> weighted exponential sums on the lattice; g is (m,) or (m, k).
 
-        Multiplied by rows, (k, m) @ (m, L), or transformed by rows with
-        grid_fft; a vector is taken as one row.
+        Multiplied by rows, (k, m) @ (m, L), or with grid_fft transformed by
+        rows in work, as restrict; a vector is taken as one row.
         """
         block = np.atleast_2d(g.T)
         if self.grid_fft:
-            out = self._grid_extend(block * self.weights)
+            work = work or self._grid_workspace(len(block))
+            out = self._grid_extend(np.multiply(block, self.weights, out=work.atoms[:len(block)]), work)
         else:
             rows = _gemm_rows(block)
             rows *= self.weights
@@ -290,18 +347,47 @@ class ExtensionOperator:
         return out[0] if g.ndim == 1 else out.T
 
     @cached_property
-    def _gram_kernel(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """The Gram kernel conj(mu_hat) on [-2X, 2X]^dim, built on first use and kept.
+    def gram_grid(self) -> bool:
+        """Whether gram runs as _grid_extend(w _grid_restrict(.)), not as a Toeplitz convolution.
 
-        Returns its FFT, zero-padded to a fast size of at least 4X + 1 per
+        Both routes are exact: mu_hat is N-periodic, so on the grid
+        T = extend restrict is restrict, a multiply by the weights and extend.
+        Chosen once per operator from (X, N, dim) and the number of distinct
+        atom coordinates per axis, never from a block's width.  The grid needs
+        2X + 1 <= N and is taken when its transform work is the smaller,
+        counted as lines x length x log2(length) as each route runs them: in
+        2-D, 2 (side + n_first) lines of length N, n_first the number of
+        distinct first coordinates, against 2 (side + M) of length
+        M = _fast_fft_size(4X + 1), side = 2X + 1; in 1-D, two lines of
+        length N against two of length M.
+        """
+        side, N, M, dim = 2 * self.X + 1, self.mu.N, _fast_fft_size(4 * self.X + 1), self.dim
+        lines = [len(c) for c in self._grid_lines[0]]
+        grid = 2 * sum(math.prod(lines[:a]) * side ** (dim - 1 - a) for a in range(dim))
+        toeplitz = sum(M**a * side ** (dim - 1 - a) + side**a * M ** (dim - 1 - a) for a in range(dim))
+        return side <= N and grid * N * math.log2(N) < toeplitz * M * math.log2(M)
+
+    @cached_property
+    def _gram_kernel(self) -> tuple[np.ndarray | None, np.ndarray, float]:
+        """What gram and _gram_step read besides the block, built on first use and kept.
+
+        On the Toeplitz route: the FFT of the Gram kernel conj(mu_hat) on
+        [-2X, 2X]^dim, zero-padded to a fast size of at least 4X + 1 per
         axis; its [-X, X]^dim part, which is extend(1); and the round-off
         bound of Re <T f, f> / ||f||_2^2 by that FFT, eps log2(size) max|FFT|.
-
         The coefficients come from spectral.fourier, whose route rule sums
         over the atoms when the N^dim grid is larger than that sum, so a
         sparse measure on a fine grid costs a constant times the operator, as
         on the dense path.
+
+        On the grid route (gram_grid) no kernel is built: None, extend(1) by
+        _grid_extend, and the bound eps log2(N^dim) N^dim max(w), since the
+        unnormalized DFT F of the grid has F* F = N^dim, so ||T|| <= N^dim max(w).
         """
+        if self.gram_grid:
+            grid = self.mu.N ** self.dim
+            extend_one = self._grid_extend(self.weights[None], self._grid_workspace(1))[0].copy()
+            return None, extend_one, np.finfo(float).eps * math.log2(grid) * grid * float(self.weights.max())
         X = self.X
         kernel = fourier(self.mu, 2 * X)
         np.conjugate(kernel, out=kernel)
@@ -310,32 +396,44 @@ class ExtensionOperator:
         noise = np.finfo(float).eps * math.log2(spectrum.size) * float(np.abs(spectrum).max())
         return spectrum, kernel[(slice(X, 3 * X + 1),) * self.dim].ravel(), noise
 
-    def _gram_workspace(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two flat complex buffers that hold gram's transforms of up to k rows.
+    def _gram_workspace(self, k: int) -> _GridWork | tuple[np.ndarray, np.ndarray]:
+        """The buffers of gram for blocks of up to k rows.
 
-        Made by the caller once per probe and never kept on the operator,
-        which sweep's threads share.
+        On the grid route a _grid_workspace; on the Toeplitz route two flat
+        complex buffers that hold its transforms.  Made by the caller once
+        per probe and never kept on the operator, which sweep's threads share.
+        The kernel is built first, so its transient arrays are freed before
+        the buffers are made.
         """
-        entries = k * self._gram_kernel[0].shape[0] ** self.dim
+        spectrum = self._gram_kernel[0]
+        if self.gram_grid:
+            return self._grid_workspace(k)
+        entries = k * spectrum.size
         return np.empty(entries, dtype=np.complex128), np.empty(entries, dtype=np.complex128)
 
-    def gram(self, f: np.ndarray, *, work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    def gram(self, f: np.ndarray, *, work: _GridWork | tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """extend(restrict(f)) for the rows of a (k, L) block f, as (k, L).
 
-        T[x, y] = conj(mu_hat(x - y)) depends on x - y alone, so T f is the
-        linear convolution of f with the kernel on [-2X, 2X]^dim, read at
-        offset 2X.  Each axis is transformed as its own 1-D lines, and only
-        the lines that hold input or are read are transformed.  A row's
-        result does not depend on the other rows of the block.
+        work is a _gram_workspace for at least k rows, and the result is a
+        view into it, so it lasts until the next call with the same work.  A
+        row's result does not depend on the other rows of the block.
 
-        Every transform writes into the two buffers of work, from
-        _gram_workspace for at least k rows, by turns; the result is a view
-        into one of them, so it lasts until the next call with the same work.
-        Each forward transform reads its lines zero-padded to the FFT size in
-        the workspace rather than through np.fft's n=, because numpy
+        On the grid route (gram_grid) this is _grid_extend(w _grid_restrict(f)).
+
+        On the Toeplitz route T[x, y] = conj(mu_hat(x - y)) depends on x - y
+        alone, so T f is the linear convolution of f with the kernel on
+        [-2X, 2X]^dim, read at offset 2X.  Each axis is transformed as its own
+        1-D lines, and only the lines that hold input or are read are
+        transformed.  Every transform writes into the two buffers of work by
+        turns.  Each forward transform reads its lines zero-padded to the FFT
+        size in the workspace rather than through np.fft's n=, because numpy
         transforms several unpadded lines at a time and padded ones one by
         one; the bits are the same.
         """
+        if self.gram_grid:
+            u = self._grid_restrict(f, work)
+            u *= self.weights
+            return self._grid_extend(u, work)
         spectrum = self._gram_kernel[0]
         k, side, size, dim = len(f), 2 * self.X + 1, spectrum.shape[0], self.dim
 
@@ -468,18 +566,17 @@ def _lattice_extremal(pulled: np.ndarray, pf: float, pprimef: float) -> np.ndarr
     For 1 < p < inf, f = pulled |pulled|^(p'-2) / || |pulled|^(p'-1) ||_p,
     taken with s2 = |pulled|^2 / peak per row (_scaled_squares) as
     pulled s2^((p'-2)/2) / (sqrt(peak) (sum_x s2^((p'-2)/2) s2)^(1/p)):
-    one general power per entry and no modulus or phase.  The result is a
-    new array.
+    one general power per entry and no modulus or phase.  At p = inf f is
+    the phase of pulled, and at p = 1 that phase at each row's largest
+    entry and 0 elsewhere.  The result is a new array.
     """
-    if pf == 1.0 or pf == INF:
+    if pf == INF:
+        return _phase(pulled, np.abs(pulled))
+    if pf == 1.0:
         a = np.abs(pulled)
-        if pf == 1.0:
-            t = np.zeros_like(a)
-            t[np.arange(len(a)), np.argmax(a, axis=1)] = 1.0
-        else:
-            t = np.ones_like(a)
-        f = _phase(pulled, a)
-        f *= t
+        rows, j = np.arange(len(a)), np.argmax(a, axis=1)
+        f = np.zeros_like(pulled)
+        f[rows, j] = _phase(pulled[rows, j], a[rows, j])
         return f
     s2, peak = _scaled_squares(pulled)
     if not peak.all():
@@ -606,15 +703,15 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
     # floats only inside the iteration; p and q stay exact everywhere else
     pf, qf, pprimef = exp_float(p), exp_float(q), exp_float(conjugate(p))
     L = op.lattice_size
-    starts: list[np.ndarray] = []
+    warm_starts = warm_starts or []
+    f = np.empty((options.restarts + len(warm_starts), L), dtype=np.complex128)
     for i in range(options.restarts):
         rng = probe_seed(options.seed, p, q, op.X, i)
-        starts.append(rng.standard_normal(L) + 1j * rng.standard_normal(L))
-    for w in warm_starts or []:
-        starts.append(_embed_witness(np.asarray(w, dtype=np.complex128), op.dim, L))
-    f = np.array(starts, dtype=np.complex128)
+        f[i] = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+    for i, w in enumerate(warm_starts, start=options.restarts):
+        f[i] = _embed_witness(np.asarray(w, dtype=np.complex128), op.dim, L)
 
-    n = len(starts)
+    n = len(f)
     history: list[list[float]] = [[] for _ in range(n)]  # each start's values
     converged = [False] * n
     best_val = [-1.0] * n
@@ -632,14 +729,17 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
     last = [-1.0] * len(live)
     tol = options.tol
     gram = qf == 2.0
+    # the products of every iteration write into one workspace, made here
     if gram:
         work = op._gram_workspace(len(f))
+    else:
+        work = op._grid_workspace(len(f)) if op.grid_fft else None
     for it in range(options.max_iters):
         # g: the pulled-back functionals at q = 2, else the dual elements to pull back
         if gram:
             val, g = _gram_step(op, f, work)
         else:
-            val, g = _measure_step(op.restrict(f.T).T, op.weights, qf)
+            val, g = _measure_step(op.restrict(f.T, work=work).T, op.weights, qf)
         if not np.isfinite(val).all():
             raise ArithmeticError("non-finite value in norm iteration")
         values = val.tolist()
@@ -664,7 +764,8 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
         if len(keep) < len(live):
             live, g = [live[row] for row in keep], g[keep]
         last = [values[row] for row in keep]
-        f = _lattice_extremal(g if gram else op.extend(g.T).T, pf, pprimef)
+        f = _lattice_extremal(g if gram else op.extend(g.T, work=work).T, pf, pprimef)
+    del work, g  # freed before the witness is re-evaluated
 
     trace: list[float] = []
     top, best_start = -1.0, -1

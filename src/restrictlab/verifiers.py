@@ -75,7 +75,7 @@ FEASIBLE_P_PER_PAIR = 5
 
 def grid_transform(values: np.ndarray) -> np.ndarray:
     """Transform of a grid density onto the full dual grid (counting measure)."""
-    return np.fft.fftn(values) / values.size
+    return np.fft.fftn(values, norm="forward")
 
 
 def torus_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -313,7 +313,7 @@ def check_dual_chain(chain: PreparedChain, g: np.ndarray) -> ChainReport:
     steps.append(SlackRecord("power_identity", lhs_a, rhs_a, kind="identity"))
 
     # Hausdorff-Young on the n-fold convolution, whose transform is h_hat^n.
-    conv_h = np.fft.ifftn(h_hat_n) * vol
+    conv_h = np.fft.ifftn(h_hat_n, norm="forward")
     lhs_b = rhs_a
     rhs_b = lp_norm(conv_h, sp, volume=vol)
     steps.append(SlackRecord("hausdorff_young", lhs_b, rhs_b))

@@ -459,14 +459,15 @@ def test_per_start_final_value(monkeypatch):
 
 @pytest.mark.parametrize("mu, X, q", [
     (random_measure(31, max_atoms=24), 16, 2), (circle(64, 0.25), 8, 2),
+    (circle(16, 0.25), 6, 2),
     (random_flat(4096, 185, seed=20240613, flatness_c=4.0, max_retries=200), 512, 4)],
-    ids=["gram-1d", "gram-2d", "fft-grid"])
+    ids=["gram-1d", "gram-2d", "gram-grid", "fft-grid"])
 def test_restarts_k_reproduces_the_first_k_starts(mu, X, q):
-    # neither the Gram convolutions nor the FFT-grid products take a BLAS
-    # call, and every row-wise step reduces each row on its own, so a start's
-    # bits do not depend on the starts that share its block
+    # neither the Gram products (on either route) nor the FFT-grid products
+    # take a BLAS call, and every row-wise step reduces each row on its own,
+    # so a start's bits do not depend on the starts that share its block
     op = assemble(mu, X)
-    assert q == 2 or op.grid_fft
+    assert op.gram_grid == (X == 6) and (q == 2 or op.grid_fft)
     for p in (Fraction(4, 3), Fraction(8, 5), 4):
         full = restriction_norm(op, p, q, ProbeOptions(restarts=8, seed=12))
         for k in range(1, 8):
@@ -520,12 +521,15 @@ def test_measure_step_matches_phase_power_oracle(q):
 
 
 def test_gram_step_value_is_the_quadratic_form():
-    op = assemble(random_measure(31, max_atoms=24), 16)
-    f = _with_exact_zeros(np.random.default_rng(47), (3, op.lattice_size))
-    h = op.gram(f, work=op._gram_workspace(3)).copy()
-    val, pulled = probe._gram_step(op, f, op._gram_workspace(3))
-    np.testing.assert_allclose(val, np.sqrt(np.sum((np.conj(f) * h).real, axis=1)), rtol=1e-13, atol=0)
-    assert np.array_equal(pulled, h)
+    # on the Toeplitz route and on the grid route
+    for mu, X, gram_grid in ((random_measure(31, max_atoms=24), 16, False), (circle(16, 0.25), 6, True)):
+        op = assemble(mu, X)
+        assert op.gram_grid == gram_grid
+        f = _with_exact_zeros(np.random.default_rng(47), (3, op.lattice_size))
+        h = op.gram(f, work=op._gram_workspace(3)).copy()
+        val, pulled = probe._gram_step(op, f, op._gram_workspace(3))
+        np.testing.assert_allclose(val, np.sqrt(np.sum((np.conj(f) * h).real, axis=1)), rtol=1e-13, atol=0)
+        assert np.array_equal(pulled, h)
 
 
 def _without_roundoff_steps(trace):
@@ -597,25 +601,35 @@ def test_block_columns_do_not_depend_on_the_block_at_one_blas_thread():
 
 
 def _gram_cases():
-    # (measure, X): fourier's grid route (2X <= N/2 and 2X > N/2), its direct
-    # route (N > (4X + 1) m, 1-D only), and a lattice wider than the grid
-    # (2X + 1 > N), in 1-D and 2-D
-    return [(random_measure(31, max_atoms=24), 16), (random_measure(31, max_atoms=24), 8),
-            (random_flat(64, 12, seed=31), 20),
-            (random_flat(32, 9, seed=32), 20), (circle(64, 0.25), 8),
-            (circle(16, 0.25), 6), (circle(16, 0.25), 10)]
+    # (measure, X, gram_grid).  Toeplitz route: fourier's grid route (2X <=
+    # N/2 and 2X > N/2), its direct route (N > (4X + 1) m, 1-D only), and a
+    # lattice wider than the grid (2X + 1 > N), in 1-D and 2-D.  Grid route:
+    # N below the fast size of 4X + 1 in 1-D, and in 2-D a small grid, the
+    # benchmark's circle(128) at X = 32 and one atom
+    return [(random_measure(31, max_atoms=24), 16, False), (random_measure(31, max_atoms=24), 8, False),
+            (random_flat(32, 9, seed=32), 20, False), (circle(64, 0.25), 8, False),
+            (circle(16, 0.25), 10, False),
+            (random_flat(64, 12, seed=31), 20, True), (circle(16, 0.25), 6, True),
+            (circle(128, 0.25), 32, True), (dirac(2, 16, (0, 0)), 2, True)]
 
 
 def test_gram_product_is_extend_of_restrict():
-    for mu, X in _gram_cases():
+    for mu, X, gram_grid in _gram_cases():
         op = assemble(mu, X)
+        assert op.gram_grid == gram_grid, (mu.N, X)
         rng = np.random.default_rng(X)
         F = rng.standard_normal((op.lattice_size, 5)) + 1j * rng.standard_normal((op.lattice_size, 5))
         dense = op.extend(op.restrict(F))
         gram = op.gram(F.T, work=op._gram_workspace(5)).T
         assert gram.shape == dense.shape
-        # the workspace's zero-padded lines give the bits of np.fft's own padding
-        assert np.array_equal(gram, gram_by_padded_ffts(op._gram_kernel[0], F.T, X, mu.dim).T), (mu.N, X)
+        if gram_grid:
+            # the grid round trip itself, each half in a fresh workspace
+            u = op._grid_restrict(F.T, op._grid_workspace(5)) * op.weights
+            assert np.array_equal(gram, op._grid_extend(u, op._grid_workspace(5)).T), (mu.N, X)
+            assert op._gram_kernel[0] is None  # no Toeplitz kernel is built
+        else:
+            # the workspace's zero-padded lines give the bits of np.fft's own padding
+            assert np.array_equal(gram, gram_by_padded_ffts(op._gram_kernel[0], F.T, X, mu.dim).T), (mu.N, X)
         assert np.abs(gram - dense).max() <= 1e-12 * np.abs(dense).max(), (mu.N, X)
         # extend(1), the pull-back of a vanished start, is the kernel on [-X, X]^dim
         extend_one = op._gram_kernel[1]
@@ -624,9 +638,11 @@ def test_gram_product_is_extend_of_restrict():
 
 def test_gram_rows_do_not_depend_on_the_block():
     # FFTs transform each line on its own, with no BLAS call, so this holds
-    # at any BLAS thread count
-    for mu, X in ((random_flat(4096, 185, seed=5), 64), (circle(64, 0.25), 8)):
+    # at any BLAS thread count, on either route
+    for mu, X, gram_grid in ((random_flat(4096, 185, seed=5), 64, False), (circle(64, 0.25), 8, False),
+                             (circle(128, 0.25), 32, True)):
         op = assemble(mu, X)
+        assert op.gram_grid == gram_grid, X
         rng = np.random.default_rng(5)
         F = rng.standard_normal((9, op.lattice_size)) + 1j * rng.standard_normal((9, op.lattice_size))
         work = op._gram_workspace(9)
@@ -638,10 +654,21 @@ def test_gram_rows_do_not_depend_on_the_block():
                     assert np.array_equal(out[j - lo], alone[j][0]), (X, lo, hi, j)
 
 
-@pytest.mark.parametrize("mu, X", [(circle(64, 0.25), 8), (random_flat(4096, 185, seed=5), 64)],
-                         ids=["2d", "1d"])
-def test_q2_probe_runs_its_gram_ffts_in_one_per_call_workspace(monkeypatch, mu, X):
+def _nan_empty(shape, dtype=float):
+    return np.full(shape, np.nan, dtype=dtype)
+
+
+@pytest.mark.parametrize("mu, X, q", [(circle(64, 0.25), 8, 2), (random_flat(4096, 185, seed=5), 64, 2),
+                                      (circle(128, 0.25), 32, 2), (random_flat(4096, 185, seed=5), 512, 4)],
+                         ids=["2d", "1d", "2d-grid", "fft-1d"])
+def test_q2_probe_runs_its_gram_ffts_in_one_per_call_workspace(monkeypatch, mu, X, q):
+    # named for q = 2, whose gram runs on the Toeplitz route ("2d", "1d") or
+    # the grid route ("2d-grid"); a q != 2 probe on the FFT grid ("fft-1d")
+    # runs restrict and extend in the same kind of workspace
     op = assemble(mu, X)
+    assert op.gram_grid == (X == 32) and (q == 2 or op.grid_fft)
+    if q == 2:
+        op._gram_kernel  # built before the loop, by its own transforms
     outs = []
 
     def recording(transform):
@@ -652,10 +679,11 @@ def test_q2_probe_runs_its_gram_ffts_in_one_per_call_workspace(monkeypatch, mu, 
 
     monkeypatch.setattr(np.fft, "fft", recording(np.fft.fft))
     monkeypatch.setattr(np.fft, "ifft", recording(np.fft.ifft))
-    res = restriction_norm(op, Fraction(4, 3), 2, ProbeOptions(restarts=4, seed=9))
+    res = restriction_norm(op, Fraction(4, 3), q, ProbeOptions(restarts=4, seed=9))
     monkeypatch.undo()
     per_iteration = 2 * op.dim
-    assert len(outs) == per_iteration * max(res.iterations) > per_iteration
+    # at q != 2 the last iteration restricts and stops before its extend
+    assert len(outs) == per_iteration * max(res.iterations) - (q != 2) * op.dim > per_iteration
     assert len(set(res.iterations)) > 1  # starts left the block on the way
     assert all(out is not None for out in outs)
     first = [out.base for out in outs[:per_iteration]]
@@ -663,21 +691,31 @@ def test_q2_probe_runs_its_gram_ffts_in_one_per_call_workspace(monkeypatch, mu, 
     # sweep's threads share the operator, so the workspace is never kept on it
     kept = [v for value in op.__dict__.values()
             for v in (value if isinstance(value, tuple) else (value,)) if isinstance(v, np.ndarray)]
-    assert "_gram_kernel" in op.__dict__
+    assert ("_gram_kernel" in op.__dict__) == (q == 2)
     assert not any(np.shares_memory(v, buf) for v in kept for buf in first)
 
     # starts leave the block, so the workspace serves every smaller height;
-    # stale entries from a taller block must never be read
+    # stale entries from a taller block must never be read: every entry the
+    # workspace does not lay out as a zero pad starts as NaN
     rng = np.random.default_rng(X)
     F = rng.standard_normal((9, op.lattice_size)) + 1j * rng.standard_normal((9, op.lattice_size))
-    work = op._gram_workspace(9)
-    for buf in work:
-        buf.fill(np.nan)
+    make = op._gram_workspace if q == 2 else op._grid_workspace
+    monkeypatch.setattr(np, "empty", _nan_empty)
+    work = make(9)
+    monkeypatch.undo()
+    if q == 2:
+        def apply(F, work):
+            return op.gram(F, work=work)
+    else:
+        def apply(F, work):
+            return op.extend(op.restrict(F.T, work=work), work=work).T
     for k in range(9, 0, -1):
-        assert np.array_equal(op.gram(F[:k], work=work), op.gram(F[:k], work=op._gram_workspace(k))), k
+        assert np.array_equal(apply(F[:k], work), apply(F[:k], make(k))), k
 
 
 def test_gram_kernel_is_built_once_and_only_at_q_2(monkeypatch):
+    # the Toeplitz route reads mu_hat on [-2X, 2X] once; the grid route
+    # builds no kernel and reads no Fourier coefficients
     calls = []
     real = probe.fourier
 
@@ -687,11 +725,17 @@ def test_gram_kernel_is_built_once_and_only_at_q_2(monkeypatch):
 
     monkeypatch.setattr(probe, "fourier", counting)
     op = assemble(random_measure(17), 8)
+    assert not op.gram_grid
     restriction_norm(op, Fraction(4, 3), 4, ProbeOptions(restarts=2))
     assert calls == []
     for p in (Fraction(4, 3), 2):
         restriction_norm(op, p, 2, ProbeOptions(restarts=2))
     assert calls == [16]
+    op = assemble(circle(16, 0.25), 6)
+    assert op.gram_grid
+    for p in (Fraction(4, 3), 2):
+        restriction_norm(op, p, 2, ProbeOptions(restarts=2))
+    assert calls == [16] and op._gram_kernel[0] is None
 
 
 @pytest.mark.parametrize("mu, X", [(cantor(4, {0, 3}, 12), 8), (circle(4096, 0.01), 4)],
@@ -705,6 +749,7 @@ def test_q2_probe_on_a_fine_grid_builds_no_dense_grid(monkeypatch, mu, X):
 
     monkeypatch.setattr(DiscreteMeasure, "dense_weights", no_grid)
     op = assemble(mu, X)
+    assert not op.gram_grid
     options = ProbeOptions(restarts=2, seed=11)
     for p in (Fraction(4, 3), 2):
         res = restriction_norm(op, p, 2, options)
@@ -723,8 +768,10 @@ def test_start_with_vanishing_restriction_runs_as_on_the_dense_path(mu, X):
     # with one atom at the origin every operator entry is exactly 1, so two
     # opposite lattice values cancel exactly: the dense path sees
     # restrict(f) = 0, takes the dual element 1 and pulls back extend(1); the
-    # Gram path must do the same, not follow the round-off of its FFTs
+    # Gram path must do the same, not follow the round-off of its FFTs, on
+    # the Toeplitz route (1-D) and the grid route (2-D)
     op = assemble(mu, X)
+    assert op.gram_grid == (mu.dim == 2)
     options = ProbeOptions(restarts=1, seed=7)
     for i, j in ((0, 1), (1, op.lattice_size - 1), (X, X + 3)):
         w = np.zeros(op.lattice_size, dtype=complex)
@@ -786,6 +833,31 @@ def test_backend_rule_reads_only_the_operator_shape(mu, X, grid_fft):
     assert op.grid_fft == grid_fft, ratio
     if 2 * X + 1 <= mu.N:
         assert grid_fft == (ratio > probe.GRID_FFT_CROSSOVER)
+
+
+@pytest.mark.parametrize("mu, X_list, gram_grid", [
+    (circle(128, 0.25), (4, 8, 16, 32), (False, False, False, True)),
+    (circle(256, 0.25), (16, 32, 64), (False, False, True)),
+    (random_flat(4096, 185, seed=20240613, flatness_c=4.0, max_retries=200), (64, 128, 256, 512), (False,) * 4),
+    (cantor(4, {0, 3}, 8), (64, 128, 256, 512), (False,) * 4),
+    (random_flat(32, 9, seed=32), (20,), (False,)),  # 2X + 1 > N
+    (random_flat(64, 12, seed=31), (20,), (True,))],  # N below the fast size of 4X + 1
+    ids=["circle128", "circle256", "sweep", "cantor8", "wide-1d", "narrow-1d"])
+def test_gram_route_rule_counts_each_route_s_transforms(mu, X_list, gram_grid):
+    # the benchmark's operators and the Stein-Tomas circle: the grid round
+    # trip takes over once 4X + 1 outgrows N in 2-D, never on the sweep's or
+    # the Cantor measure's 1-D grids; the work of each route is its lines
+    # times length times log2(length), as each route transforms them
+    for X, want in zip(X_list, gram_grid):
+        op = assemble(mu, X)
+        assert op.gram_grid == want, X
+        side, N, M = 2 * X + 1, mu.N, probe._fast_fft_size(4 * X + 1)
+        if mu.dim == 2:
+            n_first = len(np.unique(mu.indices[:, 0]))
+            grid, toeplitz = 2 * (side + n_first) * N * np.log2(N), 2 * (side + M) * M * np.log2(M)
+        else:
+            grid, toeplitz = 2 * N * np.log2(N), 2 * M * np.log2(M)
+        assert want == (side <= N and grid < toeplitz), X
 
 
 def test_fft_products_match_the_dense_matrix():
@@ -854,7 +926,7 @@ def test_witness_re_evaluation_is_independent_of_the_fft_products(monkeypatch):
     assert op.grid_fft
     real = probe.ExtensionOperator._grid_restrict
     monkeypatch.setattr(probe.ExtensionOperator, "_grid_restrict",
-                        lambda self, rows: real(self, rows) * (1 + 1e-6))
+                        lambda self, rows, work: real(self, rows, work) * (1 + 1e-6))
     with pytest.raises(AssertionError, match="witness re-evaluation"):
         restriction_norm(op, Fraction(4, 3), 4, ProbeOptions(restarts=2, seed=1))
 
