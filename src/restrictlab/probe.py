@@ -15,7 +15,7 @@ singular value; elsewhere the problem is nonconvex and the result is a
 certified lower bound with a stored witness.
 
 All starts of one estimate run together as one block, one start per
-column, so each operator application is one matrix-matrix product.  At one
+column, so each operator application is one block product.  At one
 BLAS thread a start's iterates do not depend on which starts share its
 block.
 
@@ -32,15 +32,16 @@ block without the start improving.
 Atoms sit on the grid j/N and the lattice is integral, so restrict and
 extend are exact DFTs on Z_N^dim.  A large operator (chosen from its shape
 alone, see ExtensionOperator.grid_fft) applies them by FFTs of the N^dim
-grid instead of the L x m matrix, transforming only the lines that hold
-input or are read; FFTs transform each line on its own and take no BLAS
-call.  The dense matrix is built only for the first dense restrict or
-extend, that is for q != 2 on an operator off the FFT grid.  Its entries,
-and those of the witness re-evaluation, are read from a table of the N-th
+grid, transforming only the lines that hold input or are read; FFTs
+transform each line on its own and take no BLAS call.  Otherwise they take
+the two-level split of the DFT (Cooley-Tukey): the lattice is read as a
+(T, S) array, T and S about sqrt(L) in 1-D, and a product is one GEMM
+against an (S, m) phase table and an einsum against a (T, m) one, so no
+L x m matrix is ever made.  Every phase is read from a table of the N-th
 roots of unity at the exact integer phase <x, j> mod N.  The witness
-re-evaluation sums over the lattice one chunk of atoms at a time, never
-reads the matrix and takes no BLAS call: a route independent of the loop,
-whichever backend the loop used.
+re-evaluation builds phase tables of its own, one chunk of atoms at a time,
+and takes no BLAS call: a route independent of the loop, whichever backend
+the loop used.
 
 At q = 2 the square of the value is the quadratic form <T f, f> of the
 Gram matrix T[x, y] = conj(mu_hat(x - y)) (the T T* identity behind the
@@ -77,7 +78,7 @@ from .rationals import INF, Exponent, conjugate, exp_float, exp_str, is_inf, val
 from .regularity import billingsley_gamma, theorem_range
 from .spectral import DIRECT_CHUNK_ENTRIES, fourier, lp_norm
 
-MAX_MATRIX_ENTRIES = 8_388_608
+MAX_DENSE_ENTRIES = 8_388_608
 # restrict/extend run on the FFT grid when L * m exceeds this multiple of
 # N^dim log2 N^dim (and 2X + 1 <= N), from the crossover table in CHANGES.md
 GRID_FFT_CROSSOVER = 2.5
@@ -117,14 +118,13 @@ class _GridWork(NamedTuple):
 class ExtensionOperator:
     """Pairing between dual-lattice points and measure atoms, built lazily.
 
-    The dense matrix[x, j] = exp(2*pi*i <x, xi_j>) has unit modulus;
+    The operator E[x, j] = exp(2*pi*i <x, xi_j>) has unit modulus;
     restriction is its conjugate transpose applied to a lattice vector.  It
-    is built on first use, and only a dense restrict or extend uses it: on a
-    large operator (grid_fft) restrict and extend compute the same products
-    by FFTs of the N^dim grid, gram applies extend(restrict(.)) as a Toeplitz
-    convolution with the Fourier data of mu or by those grid FFTs
-    (gram_grid), and _direct_restrict sums over the lattice in chunks of
-    atoms.
+    is never stored: restrict and extend take it as the product of two phase
+    tables (_tables) or, on a large operator (grid_fft), by FFTs of the N^dim
+    grid; gram applies extend(restrict(.)) as a Toeplitz convolution with the
+    Fourier data of mu or by those grid FFTs (gram_grid); and
+    _direct_restrict sums over the lattice in chunks of atoms.
     """
 
     mu: DiscreteMeasure
@@ -146,19 +146,37 @@ class ExtensionOperator:
     def num_atoms(self) -> int:
         return self.mu.num_atoms
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The (L, m) dense operator, built on first use within MAX_MATRIX_ENTRIES and kept."""
-        entries = self.lattice_size * self.num_atoms
-        if entries > MAX_MATRIX_ENTRIES:
-            raise MemoryError(
-                f"operator would need {entries} entries > MAX_MATRIX_ENTRIES budget {MAX_MATRIX_ENTRIES}")
-        # the exact phases <x, j> mod N of every lattice point and atom, then one gather
-        axis = np.arange(-self.X, self.X + 1)
-        k = np.multiply.outer(axis, self.mu.indices[:, 0])
+    def _sides(self, S: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The lattice as a (T, S) array: per side its offsets x and the atom coordinates j, whose
+        products x j sum to <x, j>.  In 2-D the two axes; in 1-D x = -X + a + S b, T = ceil((2X + 1) / S)."""
+        X, idx = self.X, self.mu.indices
         if self.dim == 2:
-            k = k[:, None, :] + np.multiply.outer(axis, self.mu.indices[:, 1])
-        return self._roots_at(k).reshape(-1, self.num_atoms)
+            return [(np.arange(-X, X + 1), idx[:, axis]) for axis in (0, 1)]
+        return [(S * np.arange(-(-(2 * X + 1) // S)), idx[:, 0]), (np.arange(S) - X, idx[:, 0])]
+
+    @cached_property
+    def _split(self) -> tuple[int, int]:
+        """(T, S) of the dense products' _sides: in 1-D S is the least power of
+        two with S^2 >= 2X + 1, so T >= 2.  From X alone, never from a block."""
+        side = 2 * self.X + 1
+        if self.dim == 2:
+            return side, side
+        S = 1 << -(-(side - 1).bit_length() // 2)
+        return -(-side // S), S
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dense products' phase tables (outer, inner), shapes (T, m) and (S, m), built once:
+        outer[t, j] inner[s, j] = exp(2 pi i <x, xi_j>) at row t, column s of the lattice array
+        (_split), read from the roots table at exact phases."""
+        return tuple(self._roots_at(np.multiply.outer(x, j)) for x, j in self._sides(self._split[1]))
+
+    def _dense_tables(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """_tables, once they and a (k, T, m) partial product fit MAX_DENSE_ENTRIES."""
+        entries = (sum(self._split) + k * self._split[0]) * self.num_atoms
+        if entries > MAX_DENSE_ENTRIES:
+            raise MemoryError(f"{entries} dense entries > MAX_DENSE_ENTRIES budget {MAX_DENSE_ENTRIES}")
+        return self._tables
 
     @cached_property
     def _roots(self) -> tuple[np.ndarray, np.ndarray, int]:
@@ -192,24 +210,16 @@ class ExtensionOperator:
     def _direct_restrict(self, f: np.ndarray) -> np.ndarray:
         """restrict of one vector f (L,) as the sum over the lattice, one chunk of atoms at a time.
 
-        The lattice is summed as a 2-D array with a phase table per side,
-        one einsum per chunk: in 2-D its two axes; in 1-D x = -X + a + S b
-        with S = ceil(sqrt(2X + 1)), zero-padded to a (T, S) array, so each
+        The lattice is summed as a 2-D array (_sides) with a phase table per
+        side, one einsum per chunk; in 1-D S = ceil(sqrt(2X + 1)), so each
         table holds about sqrt(L) entries per atom.  Chunks keep each table
-        within DIRECT_CHUNK_ENTRIES.  Reads no matrix and takes no BLAS call.
+        within DIRECT_CHUNK_ENTRIES.  Builds its own tables, never reads the
+        dense products' _tables, and takes no BLAS call.
         """
-        side, X, idx = 2 * self.X + 1, self.X, self.mu.indices
-        if self.dim == 2:
-            lattice = np.conj(f).reshape(side, side)
-            axis = np.arange(-X, X + 1)
-            sides = ((axis, idx[:, 0]), (axis, idx[:, 1]))
-        else:
-            S = math.isqrt(side - 1) + 1
-            T = -(-side // S)
-            lattice = np.zeros(T * S, dtype=np.complex128)
-            lattice[:side] = np.conj(f)
-            lattice = lattice.reshape(T, S)
-            sides = ((S * np.arange(T), idx[:, 0]), (np.arange(S) - X, idx[:, 0]))
+        sides = self._sides(math.isqrt(2 * self.X) + 1)
+        lattice = np.zeros(len(sides[0][0]) * len(sides[1][0]), dtype=np.complex128)
+        lattice[:self.lattice_size] = np.conj(f)
+        lattice = lattice.reshape(len(sides[0][0]), -1)
         step = max(1, DIRECT_CHUNK_ENTRIES // max(lattice.shape))
         out = np.empty(self.num_atoms, dtype=np.complex128)
         for lo in range(0, self.num_atoms, step):
@@ -220,7 +230,7 @@ class ExtensionOperator:
 
     @cached_property
     def grid_fft(self) -> bool:
-        """Whether restrict and extend run on the FFT grid instead of the matrix.
+        """Whether restrict and extend run on the FFT grid instead of the phase tables.
 
         Chosen from (L, m, N, dim) alone, never from a block's width or the
         caller, so a row's bits do not depend on which rows share its block:
@@ -314,36 +324,41 @@ class ExtensionOperator:
     def restrict(self, f: np.ndarray, *, work: _GridWork | None = None) -> np.ndarray:
         """f on the lattice -> f_hat at the atoms; f is one vector (L,) or a block (L, k).
 
-        The adjoint product conj(matrix).T @ f, taken as conj(conj(f) @ matrix)
-        so that no conjugated L x m copy of the operator is made.  A block is
-        multiplied by rows, (k, L) @ (L, m), and comes back as (m, k).  With
-        grid_fft the rows are transformed instead, in work (a _grid_workspace
-        for at least k rows, fresh when None), and the result is a view into
-        it; a vector is taken as one row.
+        A block is taken by rows, (k, L), and comes back as (m, k); a vector
+        as one row.  Dense: conj(f) on the lattice array (_split) is one GEMM
+        (k T, S) @ (S, m) against inner, reduced against outer by an einsum,
+        which takes no BLAS call, and conjugated.  With grid_fft the rows are
+        transformed in work (a _grid_workspace for at least k rows, fresh when
+        None), and the result is a view into it.
         """
         block = np.atleast_2d(f.T)
+        k, L = block.shape
         if self.grid_fft:
-            out = self._grid_restrict(block, work or self._grid_workspace(len(block)))
+            out = self._grid_restrict(block, work or self._grid_workspace(k))
         else:
-            rows = _gemm_rows(block)
-            out = np.conj(rows, out=rows) @ self.matrix
-            out = np.conj(out, out=out)[:len(block)]
+            (T, S), (outer, inner) = self._split, self._dense_tables(k)
+            rows = np.zeros((k * T, S), dtype=np.complex128)
+            np.conjugate(block, out=rows.reshape(k, -1)[:, :L])
+            out = np.einsum("ktj,tj->kj", (rows @ inner).reshape(k, T, -1), outer)
+            np.conjugate(out, out=out)
         return out[0] if f.ndim == 1 else out.T
 
     def extend(self, g: np.ndarray, *, work: _GridWork | None = None) -> np.ndarray:
         """g at the atoms -> weighted exponential sums on the lattice; g is (m,) or (m, k).
 
-        Multiplied by rows, (k, m) @ (m, L), or with grid_fft transformed by
-        rows in work, as restrict; a vector is taken as one row.
+        Taken by rows, as restrict.  Dense: (w g)[:, None, :] * outer, one
+        GEMM (k T, m) @ (m, S) against inner.T, cut to the lattice; with
+        grid_fft transformed by rows in work.
         """
         block = np.atleast_2d(g.T)
+        k = len(block)
         if self.grid_fft:
-            work = work or self._grid_workspace(len(block))
-            out = self._grid_extend(np.multiply(block, self.weights, out=work.atoms[:len(block)]), work)
+            work = work or self._grid_workspace(k)
+            out = self._grid_extend(np.multiply(block, self.weights, out=work.atoms[:k]), work)
         else:
-            rows = _gemm_rows(block)
-            rows *= self.weights
-            out = (rows @ self.matrix.T)[:len(block)]
+            outer, inner = self._dense_tables(k)
+            partial = np.multiply(outer, (block * self.weights)[:, None], order="C")
+            out = (partial.reshape(-1, self.num_atoms) @ inner.T).reshape(k, -1)[:, :self.lattice_size]
         return out[0] if g.ndim == 1 else out.T
 
     @cached_property
@@ -479,18 +494,6 @@ def _fast_fft_size(n: int) -> int:
             odd *= 3
         fives *= 5
     return best
-
-
-def _gemm_rows(block: np.ndarray) -> np.ndarray:
-    """C-ordered complex copy of a (k, n) block, padded with a zero row when k = 1.
-
-    numpy hands a one-row product to GEMV, whose last bits differ from a GEMM
-    row.  The padding keeps every row on the GEMM arithmetic, which at one
-    BLAS thread gives each row the same result in any block.
-    """
-    rows = np.zeros((max(len(block), 2), block.shape[1]), dtype=np.complex128)
-    rows[:len(block)] = block
-    return rows
 
 
 def assemble(mu: DiscreteMeasure, X: int) -> ExtensionOperator:
@@ -648,9 +651,9 @@ class ProbeResult:
 def _rayleigh(op: ExtensionOperator, f: np.ndarray, p: Exponent, q: Exponent) -> float:
     """||restrict(f)||_{L^q(mu)} / ||f||_{l^p} by op._direct_restrict, a route independent of the loop.
 
-    The sum reads neither the matrix, the FFT grid nor the Gram kernel, so a
-    fault in the loop's products cannot certify itself, and its bits do not
-    depend on the BLAS thread count.
+    The sum reads neither the phase tables, the FFT grid nor the Gram kernel,
+    so a fault in the loop's products cannot certify itself, and its bits do
+    not depend on the BLAS thread count.
     """
     nf = lp_norm(f, p)
     if nf == 0.0:
@@ -730,10 +733,7 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
     tol = options.tol
     gram = qf == 2.0
     # the products of every iteration write into one workspace, made here
-    if gram:
-        work = op._gram_workspace(len(f))
-    else:
-        work = op._grid_workspace(len(f)) if op.grid_fft else None
+    work = op._gram_workspace(len(f)) if gram else op._grid_workspace(len(f)) if op.grid_fft else None
     for it in range(options.max_iters):
         # g: the pulled-back functionals at q = 2, else the dual elements to pull back
         if gram:

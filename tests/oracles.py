@@ -96,11 +96,15 @@ def concat_roll_windowed_sums(values, halfwidth, axis):
 
 
 def lattice_phase_matrix(indices, N, X):
-    """exp(2 pi i <x, j/N>) one entry at a time, rows x in [-X, X]^dim in row-major order."""
-    indices = np.asarray(indices)
-    rows = itertools.product(range(-X, X + 1), repeat=indices.shape[1])
-    return np.array([[np.exp(2j * np.pi * sum(a * b for a, b in zip(x, j)) / N)
-                      for j in indices] for x in rows])
+    """The dense L x m operator exp(2 pi i <x, j/N>), rows x in [-X, X]^dim in row-major order.
+
+    The integer phase <x, j> is reduced mod N before np.exp, so an entry's
+    error does not grow with X.
+    """
+    indices = np.asarray(indices).reshape(len(indices), -1)
+    dim = indices.shape[1]
+    lattice = np.indices((2 * X + 1,) * dim).reshape(dim, -1).T - X
+    return np.exp(2j * np.pi * ((lattice @ indices.T) % N) / N)
 
 
 def gram_by_padded_ffts(spectrum, f, X, dim):

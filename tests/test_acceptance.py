@@ -45,7 +45,7 @@ from restrictlab.verifiers import (
     random_bounded_g,
 )
 
-from oracles import digit_multiplicity_peak, pairwise_difference_counts
+from oracles import digit_multiplicity_peak, lattice_phase_matrix, pairwise_difference_counts
 
 SEED = 20240613
 
@@ -158,7 +158,8 @@ def test_criterion_4_operator_norm_oracles():
             mu = DiscreteMeasure(1, N, idx, w / w.sum())
             X = int(rng.choice([32, 64, 128]))
             op = assemble(mu, X)
-            svd = float(np.linalg.svd(np.sqrt(op.weights)[:, None] * op.matrix.conj().T,
+            dense = lattice_phase_matrix(mu.indices, N, X)
+            svd = float(np.linalg.svd(np.sqrt(op.weights)[:, None] * dense.conj().T,
                                       compute_uv=False)[0])
             res = restriction_norm(op, 2, 2, ProbeOptions(restarts=8, max_iters=3000,
                                                           tol=1e-12, seed=trial))

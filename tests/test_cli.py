@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -120,24 +121,46 @@ def test_probe_json(tmp_path, flat_measure, capsys):
 
 
 def test_probe_budget_exit_code(tmp_path, capsys):
-    # 4097 x 4096 entries is above MAX_MATRIX_ENTRIES, and 2X + 1 > N keeps
-    # the operator off the FFT grid, so the q = 4 loop's first product needs
-    # the dense matrix and stops before any iteration
+    # 2X + 1 > N keeps the operator off the FFT grid, so the q = 4 loop's
+    # first product is dense: at side 16385 it reads a (65, 256) lattice
+    # array, whose tables, (65 + 256) x 16384 entries, fit MAX_DENSE_ENTRIES
+    # but not with the (8, 65, 16384) partial product of the 8 starts, so it
+    # stops before any iteration
     mpath = tmp_path / "u.json"
-    assert main(["measure", "new", "--kind", "uniform", "--N", "4096",
+    assert main(["measure", "new", "--kind", "uniform", "--N", "16384",
                  "--out", str(mpath)]) == 0
     rc = main(["probe", "--measure", mpath.as_posix(), "-p", "2", "-q", "4",
-               "-X", "2048"])
+               "-X", "8192"])
     assert rc == 1
-    assert "budget" in capsys.readouterr().err
+    assert "MAX_DENSE_ENTRIES budget" in capsys.readouterr().err
+
+
+def test_dense_probe_holds_a_fraction_of_the_matrix(tmp_path, capsys):
+    # 4097 x 4096 was over the budget as an L x m matrix (268 MB); as a
+    # (33, 128) array its tables and the 2 starts' partial product hold
+    # (33 + 128 + 2 x 33) x 4096 entries, and the whole probe, witness
+    # re-evaluation included, peaks far below the matrix
+    mpath, out = tmp_path / "u.json", tmp_path / "probe.json"
+    assert main(["measure", "new", "--kind", "uniform", "--N", "4096",
+                 "--out", str(mpath)]) == 0
+    tracemalloc.start()
+    try:
+        rc = main(["probe", "--measure", mpath.as_posix(), "-p", "2", "-q", "4",
+                   "-X", "2048", "--restarts", "2", "--iters", "3", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0, capsys.readouterr().err
+    assert peak < 4097 * 4096 * 16 / 8, peak
+    assert json.loads(out.read_text())["probe"]["norm_lower_bound"] > 0.0
 
 
 def test_q2_probe_runs_over_the_matrix_budget(tmp_path, flat_measure, monkeypatch, capsys):
-    # a q = 2 probe and its witness re-evaluation never build the matrix, so
-    # the budget does not stop them
+    # a q = 2 probe and its witness re-evaluation never make a dense
+    # product, so the budget does not stop them
     from restrictlab import probe
 
-    monkeypatch.setattr(probe, "MAX_MATRIX_ENTRIES", 1_000)  # the operator has 129 x 32
+    monkeypatch.setattr(probe, "MAX_DENSE_ENTRIES", 100)  # the operator has 129 x 32
     out = tmp_path / "probe.json"
     assert main(["probe", "--measure", flat_measure, "-p", "4/3", "-q", "2",
                  "-X", "64", "--restarts", "2", "--out", str(out)]) == 0

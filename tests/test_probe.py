@@ -42,40 +42,60 @@ def random_measure(seed, N=1024, max_atoms=64, dim=1):
     return DiscreteMeasure(dim, N, np.array(np.unravel_index(flat, (N,) * dim)).T, w / w.sum())
 
 
+def _dense(op):
+    """The operator's L x m matrix, from the oracle."""
+    return lattice_phase_matrix(op.mu.indices, op.mu.N, op.X)
+
+
 def svd_norm(op):
-    scaled = np.sqrt(op.weights)[:, None] * op.matrix.conj().T
+    scaled = np.sqrt(op.weights)[:, None] * _dense(op).conj().T
     return float(np.linalg.svd(scaled, compute_uv=False)[0])
 
 
 def test_assemble_shape_and_modulus():
+    # side 17 is read as a (3, 8) array: S = 8 is the least power of two
+    # with S^2 >= 17
     mu = random_measure(0, max_atoms=16)
     op = assemble(mu, 8)
-    assert op.matrix.shape == (17, mu.num_atoms)
-    assert np.allclose(np.abs(op.matrix), 1.0, atol=1e-14)
+    assert op._split == (3, 8)
+    outer, inner = op._tables
+    assert outer.shape == (3, mu.num_atoms) and inner.shape == (8, mu.num_atoms)
+    for table in (outer, inner):
+        assert np.allclose(np.abs(table), 1.0, atol=1e-14)
 
 
 def test_assemble_budget(monkeypatch):
-    # the budget bounds the dense matrix, which only a q != 2 probe off the
-    # FFT grid reads; a q = 2 probe on the same operator runs without it
-    monkeypatch.setattr(probe, "MAX_MATRIX_ENTRIES", 10_000)
-    # 1025 x 32 entries; a lattice delta certifies 1, and this sparse
-    # measure's norm is well above it (1.66 after 20 iterations), so the
-    # bound is strict without resting on the last bits of the iterates
+    # the budget bounds what a dense product holds at once: the two phase
+    # tables, (17 + 64) x 32 entries at side 1025, and the (k, 17, 32)
+    # partial product; a q = 2 probe on the same operator runs without them
+    monkeypatch.setattr(probe, "MAX_DENSE_ENTRIES", 3_500)
+    # a lattice delta certifies 1, and this sparse measure's norm is well
+    # above it (1.66 after 20 iterations), so the bound is strict without
+    # resting on the last bits of the iterates
     mu = cantor(4, {0, 3}, 5)
     op = assemble(mu, 512)
-    with pytest.raises(MemoryError, match="MAX_MATRIX_ENTRIES"):
-        op.matrix
-    with pytest.raises(MemoryError, match="MAX_MATRIX_ENTRIES"):
+    assert op._split == (17, 64)
+    # one row: (17 + 64 + 17) x 32 = 3136 entries; two rows: 3680
+    op.restrict(np.ones(op.lattice_size))
+    with pytest.raises(MemoryError, match="MAX_DENSE_ENTRIES"):
+        op.extend(np.ones((op.num_atoms, 2)))
+    with pytest.raises(MemoryError, match="MAX_DENSE_ENTRIES"):
         restriction_norm(op, Fraction(4, 3), 4, ProbeOptions(restarts=2))
+    # the budget is checked before the tables are built
+    monkeypatch.setattr(probe, "MAX_DENSE_ENTRIES", 2_000)
+    op = assemble(mu, 512)
+    with pytest.raises(MemoryError, match="MAX_DENSE_ENTRIES"):
+        op.restrict(np.ones(op.lattice_size))
     res = restriction_norm(op, Fraction(4, 3), 2, ProbeOptions(restarts=2, max_iters=20))
     assert res.norm_lower_bound > 1.0
-    assert "matrix" not in op.__dict__
+    assert "_tables" not in op.__dict__
 
 
 def test_assemble_dim2():
     mu = dirac(2, 64, (3, 4))
     op = assemble(mu, 4)
-    assert op.matrix.shape == (81, 1)
+    assert op._split == (9, 9)
+    assert [table.shape for table in op._tables] == [(9, 1), (9, 1)]
     f = np.zeros(81, dtype=complex)
     f[0] = 1.0  # lattice point (-4, -4)
     u = op.restrict(f)
@@ -85,7 +105,11 @@ def test_assemble_dim2():
     idx = np.stack(np.unravel_index(rng.choice(64 * 64, 7, replace=False), (64, 64)), axis=1)
     mu = DiscreteMeasure(2, 64, idx, np.full(7, 1 / 7))
     op = assemble(mu, 3)
-    assert np.max(np.abs(op.matrix - lattice_phase_matrix(mu.indices, 64, 3))) < 1e-12
+    F = rng.standard_normal((49, 2)) + 1j * rng.standard_normal((49, 2))
+    G = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
+    dense = lattice_phase_matrix(mu.indices, 64, 3)
+    assert np.max(np.abs(op.restrict(F) - dense.conj().T @ F)) < 1e-12
+    assert np.max(np.abs(op.extend(G) - dense @ (op.weights[:, None] * G))) < 1e-12
 
 
 def _fine_2d_measure():
@@ -100,15 +124,23 @@ def _fine_2d_measure():
                                    (circle(128, 0.25), 16), (_fine_2d_measure(), 6)],
                          ids=["1d-X512", "1d-split", "2d", "2d-split"])
 def test_entries_are_read_at_the_exact_phase(mu, X):
-    # <x, j> mod N is an exact integer, so every entry is within 8 eps of
-    # exp(2 pi i (<x, j> mod N) / N) at any X (np.exp of the float phase
+    # <x, j> mod N is an exact integer, so every table entry is within 8 eps
+    # of exp(2 pi i (<x, j> mod N) / N) at any X (np.exp of the float phase
     # <x, j> / N was off by up to 3.5e-13 at X = 512), and the roots table
     # never takes O(N) memory on a fine grid
     op = assemble(mu, X)
-    L, eps = op.lattice_size, np.finfo(float).eps
-    lattice = np.indices((2 * X + 1,) * mu.dim).reshape(mu.dim, -1) - X
-    exact = np.exp(2j * np.pi * ((lattice.T @ mu.indices.T) % mu.N) / mu.N)
-    assert np.abs(op.matrix - exact).max() <= 8 * eps
+    (T, S), L, m, eps = op._split, op.lattice_size, mu.num_atoms, np.finfo(float).eps
+    outer, inner = op._tables
+    # the rows of each table: the two axes in 2-D, S b and a - X in 1-D
+    if mu.dim == 2:
+        rows = [(np.arange(-X, X + 1), mu.indices[:, axis]) for axis in (0, 1)]
+    else:
+        rows = [(S * np.arange(T), mu.indices[:, 0]), (np.arange(S) - X, mu.indices[:, 0])]
+    for table, (x, j) in zip((outer, inner), rows):
+        assert np.abs(table - np.exp(2j * np.pi * (np.multiply.outer(x, j) % mu.N) / mu.N)).max() <= 8 * eps
+    # entry [t S + s] of the (T, S) array is outer[t] inner[s]
+    exact = lattice_phase_matrix(mu.indices, mu.N, X)
+    assert np.abs((outer[:, None] * inner).reshape(T * S, m)[:L] - exact).max() <= 17 * eps
     assert max(t.size for t in op._roots[:2]) <= DIRECT_CHUNK_ENTRIES
     # the witness sum against the exact product: L terms of unit modulus
     rng = np.random.default_rng(X)
@@ -150,8 +182,8 @@ def test_duality_at_22_shared_singular_values():
     # ||R||_{l2 -> L2(mu)} equals ||E||_{L2(mu) -> l2}
     mu = random_measure(7, max_atoms=32)
     op = assemble(mu, 16)
-    r_side = np.sqrt(op.weights)[:, None] * op.matrix.conj().T
-    e_side = op.matrix * (op.weights / np.sqrt(op.weights))[None, :]
+    r_side = np.sqrt(op.weights)[:, None] * _dense(op).conj().T
+    e_side = _dense(op) * (op.weights / np.sqrt(op.weights))[None, :]
     s1 = np.linalg.svd(r_side, compute_uv=False)[0]
     s2 = np.linalg.svd(e_side, compute_uv=False)[0]
     assert s1 == pytest.approx(s2, rel=1e-10)
@@ -294,11 +326,12 @@ def test_probe_seed_reproducibility():
 
 
 def test_restrict_is_the_adjoint_without_copying_the_operator():
-    # 1-D 129 x 32 and 2-D 289 x 56; a conjugated copy of the operator
-    # would make the peak about matrix.nbytes
+    # 1-D 129 x 32 and 2-D 289 x 56; the products hold the phase tables and
+    # a (k, T, m) partial product, never an L x m array
     for mu, X in ((random_flat(512, 32, seed=4), 64), (circle(64, 0.25), 8)):
         op = assemble(mu, X)
         L = op.lattice_size
+        dense = _dense(op)
         rng = np.random.default_rng(X)
         f = rng.standard_normal(L) + 1j * rng.standard_normal(L)
         block = rng.standard_normal((L, 5)) + 1j * rng.standard_normal((L, 5))
@@ -309,7 +342,7 @@ def test_restrict_is_the_adjoint_without_copying_the_operator():
             # product's; bound the difference by the dot-product round-off
             # of L terms against unit-modulus entries
             tol = L * np.finfo(float).eps * np.abs(F).sum(axis=0)
-            assert (np.abs(op.restrict(F) - op.matrix.conj().T @ F) <= tol).all()
+            assert (np.abs(op.restrict(F) - dense.conj().T @ F) <= tol).all()
         for arg in (f, block[:, :1], block):
             tracemalloc.start()
             try:
@@ -317,7 +350,57 @@ def test_restrict_is_the_adjoint_without_copying_the_operator():
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < op.matrix.nbytes / 4, (arg.shape, peak, op.matrix.nbytes)
+            # k rows hold about k (T m + T S + m) entries: a tenth of L m
+            # at k = 1, and 0.6 at k = 5 with these few atoms (m = 32, 56)
+            share = 4 if arg.ndim == 1 or arg.shape[1] == 1 else 1
+            assert peak < dense.nbytes / share, (arg.shape, peak, dense.nbytes)
+
+
+@pytest.mark.parametrize("mu, X, split", [
+    (random_flat(4096, 185, seed=5), 1, (2, 2)),     # side 3, the smallest lattice
+    (random_flat(4096, 185, seed=5), 64, (9, 16)),   # side 129 = 8 S + 1
+    (cantor(4, {0, 3}, 8), 512, (17, 64)),           # side 1025 = 16 S + 1, N = 65536
+    (dirac(1, 4096, 17), 40, (6, 16)),               # one atom; side 81 = 5 S + 1
+    (circle(64, 0.25), 8, (17, 17)),
+    (dirac(2, 64, (3, 4)), 3, (7, 7))],
+    ids=["side3", "flat-X64", "cantor8-X512", "dirac-1d", "circle64-X8", "dirac-2d"])
+def test_dense_products_match_the_oracle_matrix(mu, X, split):
+    # every entry is read within 17 eps of exact and each output sums L or m
+    # terms: bound each column's difference by L eps times its input's l^1 norm
+    op = assemble(mu, X)
+    assert not op.grid_fft and op._split == split
+    L, m, eps = op.lattice_size, op.num_atoms, np.finfo(float).eps
+    dense = _dense(op)
+    rng = np.random.default_rng(X)
+    for k in (1, 2, 9):
+        F = rng.standard_normal((L, k)) + 1j * rng.standard_normal((L, k))
+        G = op.weights[:, None] * (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k)))
+        for got, want, inputs in ((op.restrict(F), dense.conj().T @ F, F),
+                                  (op.extend(G / op.weights[:, None]), dense @ G, G)):
+            assert got.shape == want.shape
+            assert (np.abs(got - want) <= L * eps * np.abs(inputs).sum(axis=0)).all(), (k, np.abs(got - want).max())
+
+
+def test_dense_products_hold_a_fraction_of_the_matrix():
+    # cantor(4, {0, 3}, 8) at X = 512 is 1025 x 256: the products hold a
+    # (k, 17, 256) partial product and their input and output, about
+    # (17 k + 64 k) / (1025 x 256) of the matrix besides k m
+    op = assemble(cantor(4, {0, 3}, 8), 512)
+    L, m = op.lattice_size, op.num_atoms
+    op._tables  # built once per operator, as the matrix was
+    rng = np.random.default_rng(8)
+    # k = 9 rows alone make a partial product of 9 x 17 / 1025 = 0.15 of L m
+    for k, share in ((1, 8), (2, 8), (9, 4)):
+        F = rng.standard_normal((L, k)) + 1j * rng.standard_normal((L, k))
+        G = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+        for apply, arg in ((op.restrict, F), (op.extend, G)):
+            tracemalloc.start()
+            try:
+                apply(arg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < L * m * 16 / share, (k, apply.__name__, peak)
 
 
 def test_extend_takes_a_vector_as_one_column():
@@ -327,7 +410,7 @@ def test_extend_takes_a_vector_as_one_column():
     out = op.extend(g)
     assert out.shape == (op.lattice_size,)
     assert np.array_equal(out, op.extend(g[:, None])[:, 0])
-    assert np.allclose(out, op.matrix @ (op.weights * g), rtol=1e-13, atol=1e-13)
+    assert np.allclose(out, _dense(op) @ (op.weights * g), rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize("kwargs", [dict(restarts=0), dict(restarts=-3), dict(max_iters=0),
@@ -561,7 +644,7 @@ def test_block_engine_matches_serial_oracle(mu, X, grid_fft):
     for p in (1, Fraction(4, 3), Fraction(8, 5), 2, INF):
         for q in (Fraction(4, 3), Fraction(3, 2), 2, 4, INF):
             res = restriction_norm(op, p, q, options, warm_starts=warm)
-            ref = serial_restriction_norm(op.matrix, op.weights, float(p), float(q),
+            ref = serial_restriction_norm(_dense(op), op.weights, float(p), float(q),
                                           _oracle_starts(op, p, q, options, warm),
                                           options.max_iters, options.tol)
             case = (p, q)
@@ -583,20 +666,25 @@ def test_block_engine_matches_serial_oracle(mu, X, grid_fft):
 def test_block_columns_do_not_depend_on_the_block_at_one_blas_thread():
     _at_one_blas_thread("""
         import numpy as np
-        from restrictlab.measures import DiscreteMeasure
+        from restrictlab.measures import DiscreteMeasure, cantor
         from restrictlab.probe import assemble
         rng = np.random.default_rng(5)
         idx = np.sort(rng.choice(4096, size=185, replace=False)).reshape(-1, 1)
-        op = assemble(DiscreteMeasure(1, 4096, idx, np.full(185, 1 / 185)), 64)
-        F = rng.standard_normal((op.lattice_size, 9)) + 1j * rng.standard_normal((op.lattice_size, 9))
-        G = rng.standard_normal((185, 9)) + 1j * rng.standard_normal((185, 9))
-        for apply, block in ((op.restrict, F), (op.extend, G)):
-            alone = [apply(block[:, j:j + 1]) for j in range(9)]
-            for lo in range(9):
-                for hi in range(lo + 1, 10):
-                    out = apply(block[:, lo:hi])
-                    for j in range(lo, hi):
-                        assert np.array_equal(out[:, j - lo:j - lo + 1], alone[j]), (lo, hi, j)
+        # the sweep's X = 64 operator and cantor(4, {0, 3}, 8) at X = 512,
+        # whose one-row products are GEMMs of 17 rows
+        for op in (assemble(DiscreteMeasure(1, 4096, idx, np.full(185, 1 / 185)), 64),
+                   assemble(cantor(4, {0, 3}, 8), 512)):
+            L, m = op.lattice_size, op.num_atoms
+            F = rng.standard_normal((L, 9)) + 1j * rng.standard_normal((L, 9))
+            G = rng.standard_normal((m, 9)) + 1j * rng.standard_normal((m, 9))
+            for apply, block in ((op.restrict, F), (op.extend, G)):
+                alone = [apply(block[:, j:j + 1]) for j in range(9)]
+                assert np.array_equal(apply(block[:, 0]), alone[0][:, 0])
+                for lo in range(9):
+                    for hi in range(lo + 1, 10):
+                        out = apply(block[:, lo:hi])
+                        for j in range(lo, hi):
+                            assert np.array_equal(out[:, j - lo:j - lo + 1], alone[j]), (L, lo, hi, j)
         """)
 
 
@@ -753,13 +841,14 @@ def test_q2_probe_on_a_fine_grid_builds_no_dense_grid(monkeypatch, mu, X):
     options = ProbeOptions(restarts=2, seed=11)
     for p in (Fraction(4, 3), 2):
         res = restriction_norm(op, p, 2, options)
-        ref = serial_restriction_norm(op.matrix, op.weights, float(p), 2.0,
+        ref = serial_restriction_norm(_dense(op), op.weights, float(p), 2.0,
                                       _oracle_starts(op, p, 2, options, []),
                                       options.max_iters, options.tol)
         assert res.iterations == ref["iterations"], p
         assert res.norm_lower_bound == pytest.approx(ref["norm"], rel=1e-12, abs=0), p
-    gram = op.gram(op.matrix[:, :3].T, work=op._gram_workspace(3)).T
-    assert np.abs(gram - op.extend(op.restrict(op.matrix[:, :3]))).max() <= 1e-12
+    F = _dense(op)[:, :3]
+    gram = op.gram(F.T, work=op._gram_workspace(3)).T
+    assert np.abs(gram - op.extend(op.restrict(F))).max() <= 1e-12
 
 
 @pytest.mark.parametrize("mu, X", [(dirac(1, 64, 0), 4), (dirac(1, 4096, 0), 16),
@@ -780,7 +869,7 @@ def test_start_with_vanishing_restriction_runs_as_on_the_dense_path(mu, X):
         # p = 4 takes the negative power (p' - 2)/2 = -1/3 of the extremal vector
         for p in (1, Fraction(4, 3), 2, 4, INF):
             res = restriction_norm(op, p, 2, options, warm_starts=[w])
-            ref = serial_restriction_norm(op.matrix, op.weights, float(p), 2.0,
+            ref = serial_restriction_norm(_dense(op), op.weights, float(p), 2.0,
                                           _oracle_starts(op, p, 2, options, [w]),
                                           options.max_iters, options.tol)
             case = (i, j, p)
@@ -874,8 +963,9 @@ def test_fft_products_match_the_dense_matrix():
         # eps times the l^1 norm of its input
         grid = mu.N ** mu.dim
         terms = 2 * np.pi * X * mu.dim + L + m + 4 * np.log2(grid)
-        for got, want, inputs in ((op.restrict(F), op.matrix.conj().T @ F, F),
-                                  (op.extend(G), op.matrix @ (op.weights[:, None] * G),
+        dense = _dense(op)
+        for got, want, inputs in ((op.restrict(F), dense.conj().T @ F, F),
+                                  (op.extend(G), dense @ (op.weights[:, None] * G),
                                    op.weights[:, None] * G)):
             tol = terms * np.finfo(float).eps * np.abs(inputs).sum(axis=0)
             assert got.shape == want.shape
@@ -932,11 +1022,13 @@ def test_witness_re_evaluation_is_independent_of_the_fft_products(monkeypatch):
 
 
 def test_witness_re_evaluation_is_independent_of_the_dense_matrix():
-    # the certified norm is summed from the phase table, never read from the
-    # cached matrix, so a corrupted matrix is caught instead of certifying itself
+    # the certified norm is summed from tables of its own, never from the
+    # dense products' cached tables, so corrupted tables are caught instead
+    # of certifying themselves
     op = assemble(random_measure(21, N=64, max_atoms=48), 8)
     assert not op.grid_fft
-    op.matrix[...] *= 1 + 1e-6
+    outer, inner = op._tables
+    outer *= 1 + 1e-6
     with pytest.raises(AssertionError, match="witness re-evaluation"):
         restriction_norm(op, Fraction(4, 3), 4, ProbeOptions(restarts=2, seed=1))
 
@@ -947,10 +1039,10 @@ def test_witness_re_evaluation_is_independent_of_the_dense_matrix():
                          ids=["q2-1d", "q2-2d", "fft-1d", "fft-2d"])
 def test_probes_that_need_no_dense_product_build_no_matrix(q, mu, X):
     op = assemble(mu, X)
-    assert "matrix" not in op.__dict__
+    assert "_tables" not in op.__dict__
     assert q == 2 or op.grid_fft
     restriction_norm(op, Fraction(4, 3), q, ProbeOptions(restarts=2, max_iters=20, seed=3))
-    assert "matrix" not in op.__dict__
+    assert "_tables" not in op.__dict__
 
 
 def test_q2_probe_memory_stays_below_the_matrix():
@@ -966,4 +1058,4 @@ def test_q2_probe_memory_stays_below_the_matrix():
     finally:
         tracemalloc.stop()
     assert peak < budget, (peak, budget)
-    assert "matrix" not in op.__dict__
+    assert "_tables" not in op.__dict__
