@@ -35,13 +35,11 @@ alone, see ExtensionOperator.grid_fft) applies them by FFTs of the N^dim
 grid, transforming only the lines that hold input or are read; FFTs
 transform each line on its own and take no BLAS call.  Otherwise they take
 the two-level split of the DFT (Cooley-Tukey): the lattice is read as a
-(T, S) array, T and S about sqrt(L) in 1-D, and a product is one GEMM
-against an (S, m) phase table and an einsum against a (T, m) one, so no
-L x m matrix is ever made.  Every phase is read from a table of the N-th
-roots of unity at the exact integer phase <x, j> mod N.  The witness
-re-evaluation builds phase tables of its own, one chunk of atoms at a time,
-and takes no BLAS call: a route independent of the loop, whichever backend
-the loop used.
+(T, S) array, and a product is a GEMM against an (S, m) phase table and an
+einsum against a (T, m) one, never an L x m matrix.  Phases are read from a
+table of the N-th roots of unity at the exact integer phase <x, j> mod N.
+The witness re-evaluation builds phase tables of its own, one chunk of atoms
+at a time, and takes no BLAS call: a route independent of the loop.
 
 At q = 2 the square of the value is the quadratic form <T f, f> of the
 Gram matrix T[x, y] = conj(mu_hat(x - y)) (the T T* identity behind the
@@ -118,13 +116,11 @@ class _GridWork(NamedTuple):
 class ExtensionOperator:
     """Pairing between dual-lattice points and measure atoms, built lazily.
 
-    The operator E[x, j] = exp(2*pi*i <x, xi_j>) has unit modulus;
-    restriction is its conjugate transpose applied to a lattice vector.  It
-    is never stored: restrict and extend take it as the product of two phase
-    tables (_tables) or, on a large operator (grid_fft), by FFTs of the N^dim
-    grid; gram applies extend(restrict(.)) as a Toeplitz convolution with the
-    Fourier data of mu or by those grid FFTs (gram_grid); and
-    _direct_restrict sums over the lattice in chunks of atoms.
+    The operator E[x, j] = exp(2*pi*i <x, xi_j>) has unit modulus; restriction
+    is its conjugate transpose.  It is never stored: restrict and extend take
+    it as the product of two phase tables (_tables) or by FFTs of the N^dim grid
+    (grid_fft); gram applies extend(restrict(.)) as a Toeplitz convolution or
+    by those grid FFTs (gram_grid); _direct_restrict sums in chunks of atoms.
     """
 
     mu: DiscreteMeasure
@@ -146,37 +142,36 @@ class ExtensionOperator:
     def num_atoms(self) -> int:
         return self.mu.num_atoms
 
-    def _sides(self, S: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The lattice as a (T, S) array: per side its offsets x and the atom coordinates j, whose
-        products x j sum to <x, j>.  In 2-D the two axes; in 1-D x = -X + a + S b, T = ceil((2X + 1) / S)."""
-        X, idx = self.X, self.mu.indices
-        if self.dim == 2:
-            return [(np.arange(-X, X + 1), idx[:, axis]) for axis in (0, 1)]
-        return [(S * np.arange(-(-(2 * X + 1) // S)), idx[:, 0]), (np.arange(S) - X, idx[:, 0])]
-
     @cached_property
     def _split(self) -> tuple[int, int]:
-        """(T, S) of the dense products' _sides: in 1-D S is the least power of
-        two with S^2 >= 2X + 1, so T >= 2.  From X alone, never from a block."""
+        """(T, S) of the lattice read as a 2-D array: the two axes in 2-D; in 1-D x = -X + a + S b,
+        S the least power of two with S^2 >= 2X + 1 and T = ceil((2X + 1) / S) >= 2."""
         side = 2 * self.X + 1
         if self.dim == 2:
             return side, side
         S = 1 << -(-(side - 1).bit_length() // 2)
         return -(-side // S), S
 
+    def _sides(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per side of the lattice array (_split), offsets x and atom coordinates j: x j sums to <x, j>."""
+        X, idx, S = self.X, self.mu.indices, self._split[1]
+        if self.dim == 2:
+            return [(np.arange(-X, X + 1), idx[:, axis]) for axis in (0, 1)]
+        return [(S * np.arange(self._split[0]), idx[:, 0]), (np.arange(S) - X, idx[:, 0])]
+
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The dense products' phase tables (outer, inner), shapes (T, m) and (S, m), built once:
-        outer[t, j] inner[s, j] = exp(2 pi i <x, xi_j>) at row t, column s of the lattice array
-        (_split), read from the roots table at exact phases."""
-        return tuple(self._roots_at(np.multiply.outer(x, j)) for x, j in self._sides(self._split[1]))
+        """The dense products' phase tables (outer, inner), (T, m) and (S, m), built once, read at exact
+        phases: outer[t, j] inner[s, j] = exp(2 pi i <x, xi_j>) at row t, column s of the lattice array."""
+        return tuple(self._roots_at(np.multiply.outer(x, j)) for x, j in self._sides())
 
-    def _dense_tables(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """_tables, once they and a (k, T, m) partial product fit MAX_DENSE_ENTRIES."""
-        entries = (sum(self._split) + k * self._split[0]) * self.num_atoms
-        if entries > MAX_DENSE_ENTRIES:
-            raise MemoryError(f"{entries} dense entries > MAX_DENSE_ENTRIES budget {MAX_DENSE_ENTRIES}")
-        return self._tables
+    def _dense_tables(self, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """_tables and c, the most of k rows whose (c, T, m) partial product fits MAX_DENSE_ENTRIES with them."""
+        (T, S), m = self._split, self.num_atoms
+        rows = min(k, (MAX_DENSE_ENTRIES - (T + S) * m) // (T * m))
+        if rows < 1:
+            raise MemoryError(f"{(2 * T + S) * m} dense entries > MAX_DENSE_ENTRIES budget {MAX_DENSE_ENTRIES}")
+        return (*self._tables, rows)
 
     @cached_property
     def _roots(self) -> tuple[np.ndarray, np.ndarray, int]:
@@ -210,16 +205,13 @@ class ExtensionOperator:
     def _direct_restrict(self, f: np.ndarray) -> np.ndarray:
         """restrict of one vector f (L,) as the sum over the lattice, one chunk of atoms at a time.
 
-        The lattice is summed as a 2-D array (_sides) with a phase table per
-        side, one einsum per chunk; in 1-D S = ceil(sqrt(2X + 1)), so each
-        table holds about sqrt(L) entries per atom.  Chunks keep each table
-        within DIRECT_CHUNK_ENTRIES.  Builds its own tables, never reads the
-        dense products' _tables, and takes no BLAS call.
+        The lattice is summed as the dense products' (T, S) array (_sides), one
+        einsum per chunk against a phase table per side, each chunk's tables
+        within DIRECT_CHUNK_ENTRIES.  Builds its own tables, never reads _tables,
+        and takes no BLAS call.
         """
-        sides = self._sides(math.isqrt(2 * self.X) + 1)
-        lattice = np.zeros(len(sides[0][0]) * len(sides[1][0]), dtype=np.complex128)
-        lattice[:self.lattice_size] = np.conj(f)
-        lattice = lattice.reshape(len(sides[0][0]), -1)
+        sides, lattice = self._sides(), np.zeros(self._split, dtype=np.complex128)
+        lattice.reshape(-1)[:self.lattice_size] = np.conj(f)
         step = max(1, DIRECT_CHUNK_ENTRIES // max(lattice.shape))
         out = np.empty(self.num_atoms, dtype=np.complex128)
         for lo in range(0, self.num_atoms, step):
@@ -324,31 +316,32 @@ class ExtensionOperator:
     def restrict(self, f: np.ndarray, *, work: _GridWork | None = None) -> np.ndarray:
         """f on the lattice -> f_hat at the atoms; f is one vector (L,) or a block (L, k).
 
-        A block is taken by rows, (k, L), and comes back as (m, k); a vector
-        as one row.  Dense: conj(f) on the lattice array (_split) is one GEMM
-        (k T, S) @ (S, m) against inner, reduced against outer by an einsum,
-        which takes no BLAS call, and conjugated.  With grid_fft the rows are
-        transformed in work (a _grid_workspace for at least k rows, fresh when
-        None), and the result is a view into it.
+        A block is taken by rows, (k, L), and comes back as (m, k); a vector as
+        one row.  Dense, c rows at a time (_dense_tables): conj(f) on the lattice
+        array (_split), a GEMM (c T, S) @ (S, m) against inner, an einsum (no BLAS
+        call) against outer, conjugated.  With grid_fft the rows are transformed
+        in work (a _grid_workspace for k rows, fresh when None), which holds the result.
         """
         block = np.atleast_2d(f.T)
         k, L = block.shape
         if self.grid_fft:
             out = self._grid_restrict(block, work or self._grid_workspace(k))
         else:
-            (T, S), (outer, inner) = self._split, self._dense_tables(k)
-            rows = np.zeros((k * T, S), dtype=np.complex128)
-            np.conjugate(block, out=rows.reshape(k, -1)[:, :L])
-            out = np.einsum("ktj,tj->kj", (rows @ inner).reshape(k, T, -1), outer)
+            (T, S), (outer, inner, c) = self._split, self._dense_tables(k)
+            rows, out = np.zeros((c, T * S), dtype=np.complex128), np.empty((k, self.num_atoms), dtype=np.complex128)
+            for lo in range(0, k, c):
+                n = min(c, k - lo)
+                np.conjugate(block[lo:lo + n], out=rows[:n, :L])
+                np.einsum("ktj,tj->kj", (rows[:n].reshape(n * T, S) @ inner).reshape(n, T, -1), outer,
+                          out=out[lo:lo + n])
             np.conjugate(out, out=out)
         return out[0] if f.ndim == 1 else out.T
 
     def extend(self, g: np.ndarray, *, work: _GridWork | None = None) -> np.ndarray:
         """g at the atoms -> weighted exponential sums on the lattice; g is (m,) or (m, k).
 
-        Taken by rows, as restrict.  Dense: (w g)[:, None, :] * outer, one
-        GEMM (k T, m) @ (m, S) against inner.T, cut to the lattice; with
-        grid_fft transformed by rows in work.
+        Taken by rows, as restrict.  Dense, c rows at a time: (w g)[:, None, :] * outer,
+        a GEMM (c T, m) @ (m, S) against inner.T, cut to L; grid_fft: by rows in work.
         """
         block = np.atleast_2d(g.T)
         k = len(block)
@@ -356,9 +349,12 @@ class ExtensionOperator:
             work = work or self._grid_workspace(k)
             out = self._grid_extend(np.multiply(block, self.weights, out=work.atoms[:k]), work)
         else:
-            outer, inner = self._dense_tables(k)
-            partial = np.multiply(outer, (block * self.weights)[:, None], order="C")
-            out = (partial.reshape(-1, self.num_atoms) @ inner.T).reshape(k, -1)[:, :self.lattice_size]
+            (T, S), (outer, inner, c) = self._split, self._dense_tables(k)
+            weighted, out = block * self.weights, np.empty((k, T * S), dtype=np.complex128)
+            for lo in range(0, k, c):
+                np.matmul(np.multiply(outer, weighted[lo:lo + c, None], order="C").reshape(-1, self.num_atoms),
+                          inner.T, out=out[lo:lo + c].reshape(-1, S))
+            out = out[:, :self.lattice_size]
         return out[0] if g.ndim == 1 else out.T
 
     @cached_property
@@ -733,7 +729,10 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
     tol = options.tol
     gram = qf == 2.0
     # the products of every iteration write into one workspace, made here
-    work = op._gram_workspace(len(f)) if gram else op._grid_workspace(len(f)) if op.grid_fft else None
+    if gram:
+        work = op._gram_workspace(len(f))
+    else:
+        work = op._grid_workspace(len(f)) if op.grid_fft else None
     for it in range(options.max_iters):
         # g: the pulled-back functionals at q = 2, else the dual elements to pull back
         if gram:

@@ -122,15 +122,15 @@ def test_probe_json(tmp_path, flat_measure, capsys):
 
 def test_probe_budget_exit_code(tmp_path, capsys):
     # 2X + 1 > N keeps the operator off the FFT grid, so the q = 4 loop's
-    # first product is dense: at side 16385 it reads a (65, 256) lattice
-    # array, whose tables, (65 + 256) x 16384 entries, fit MAX_DENSE_ENTRIES
-    # but not with the (8, 65, 16384) partial product of the 8 starts, so it
+    # first product is dense: at side 32769 it reads a (129, 256) lattice
+    # array, whose tables and one row's (129, 16384) partial product,
+    # (129 + 256 + 129) x 16384 entries, do not fit MAX_DENSE_ENTRIES, so it
     # stops before any iteration
     mpath = tmp_path / "u.json"
     assert main(["measure", "new", "--kind", "uniform", "--N", "16384",
                  "--out", str(mpath)]) == 0
     rc = main(["probe", "--measure", mpath.as_posix(), "-p", "2", "-q", "4",
-               "-X", "8192"])
+               "-X", "16384"])
     assert rc == 1
     assert "MAX_DENSE_ENTRIES budget" in capsys.readouterr().err
 

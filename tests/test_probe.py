@@ -66,29 +66,50 @@ def test_assemble_shape_and_modulus():
 
 def test_assemble_budget(monkeypatch):
     # the budget bounds what a dense product holds at once: the two phase
-    # tables, (17 + 64) x 32 entries at side 1025, and the (k, 17, 32)
-    # partial product; a q = 2 probe on the same operator runs without them
-    monkeypatch.setattr(probe, "MAX_DENSE_ENTRIES", 3_500)
-    # a lattice delta certifies 1, and this sparse measure's norm is well
-    # above it (1.66 after 20 iterations), so the bound is strict without
-    # resting on the last bits of the iterates
+    # tables, (17 + 64) x 32 entries at side 1025, and a (17, 32) partial
+    # product for each row it takes at once; it takes as many rows as fit
     mu = cantor(4, {0, 3}, 5)
     op = assemble(mu, 512)
     assert op._split == (17, 64)
-    # one row: (17 + 64 + 17) x 32 = 3136 entries; two rows: 3680
-    op.restrict(np.ones(op.lattice_size))
-    with pytest.raises(MemoryError, match="MAX_DENSE_ENTRIES"):
-        op.extend(np.ones((op.num_atoms, 2)))
-    with pytest.raises(MemoryError, match="MAX_DENSE_ENTRIES"):
-        restriction_norm(op, Fraction(4, 3), 4, ProbeOptions(restarts=2))
-    # the budget is checked before the tables are built
-    monkeypatch.setattr(probe, "MAX_DENSE_ENTRIES", 2_000)
+    for budget, rows in ((3_136, 1), (3_679, 1), (3_680, 2), (8_388_608, 9)):
+        monkeypatch.setattr(probe, "MAX_DENSE_ENTRIES", budget)
+        assert op._dense_tables(9)[2] == rows
+    # one row needs (17 + 64 + 17) x 32 = 3136 entries; the budget is
+    # checked before the tables are built
+    monkeypatch.setattr(probe, "MAX_DENSE_ENTRIES", 3_135)
     op = assemble(mu, 512)
     with pytest.raises(MemoryError, match="MAX_DENSE_ENTRIES"):
         op.restrict(np.ones(op.lattice_size))
+    with pytest.raises(MemoryError, match="MAX_DENSE_ENTRIES"):
+        op.extend(np.ones(op.num_atoms))
+    with pytest.raises(MemoryError, match="MAX_DENSE_ENTRIES"):
+        restriction_norm(op, Fraction(4, 3), 4, ProbeOptions(restarts=2))
+    # a q = 2 probe on the same operator runs without the tables; a lattice
+    # delta certifies 1, and this sparse measure's norm is well above it
+    # (1.66 after 20 iterations), so the bound is strict without resting on
+    # the last bits of the iterates
     res = restriction_norm(op, Fraction(4, 3), 2, ProbeOptions(restarts=2, max_iters=20))
     assert res.norm_lower_bound > 1.0
     assert "_tables" not in op.__dict__
+
+
+@pytest.mark.parametrize("dim, N, X, per_atom", [(1, 4096, 1, 8), (1, 4096, 5, 11), (2, 64, 1, 9)],
+                         ids=["1d-X1", "1d-X5", "2d-X1"])
+def test_dense_probe_at_small_X_with_many_atoms_runs_in_row_chunks(monkeypatch, dim, N, X, per_atom):
+    # at small X the tables outweigh what they factor, (T + S) m against
+    # L m, so a product takes the rows the budget leaves room for: at L
+    # entries per atom, the size of the matrix, one row at a time at X = 5
+    # in 1-D, (3, 4), and X = 1 in 2-D, (3, 3); at 8, the 2^23 budget over
+    # 2^20 atoms, two at a time at side 3, (2, 2); the probe's values are
+    # those of the whole block
+    op = assemble(uniform(dim, N), X)
+    assert not op.grid_fft
+    options = ProbeOptions(max_iters=30)
+    ref = restriction_norm(op, Fraction(4, 3), 4, options)
+    monkeypatch.setattr(probe, "MAX_DENSE_ENTRIES", per_atom * op.num_atoms)
+    assert op._dense_tables(8)[2] == (2 if per_atom == 8 else 1)
+    res = restriction_norm(op, Fraction(4, 3), 4, options)
+    assert res.norm_lower_bound == pytest.approx(ref.norm_lower_bound, rel=1e-12)
 
 
 def test_assemble_dim2():
@@ -326,11 +347,11 @@ def test_probe_seed_reproducibility():
 
 
 def test_restrict_is_the_adjoint_without_copying_the_operator():
-    # 1-D 129 x 32 and 2-D 289 x 56; the products hold the phase tables and
+    # 1-D 129 x 32 and 2-D 289 x 98; the products hold the phase tables and
     # a (k, T, m) partial product, never an L x m array
     for mu, X in ((random_flat(512, 32, seed=4), 64), (circle(64, 0.25), 8)):
         op = assemble(mu, X)
-        L = op.lattice_size
+        (T, S), L, m = op._split, op.lattice_size, op.num_atoms
         dense = _dense(op)
         rng = np.random.default_rng(X)
         f = rng.standard_normal(L) + 1j * rng.standard_normal(L)
@@ -350,10 +371,12 @@ def test_restrict_is_the_adjoint_without_copying_the_operator():
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # k rows hold about k (T m + T S + m) entries: a tenth of L m
-            # at k = 1, and 0.6 at k = 5 with these few atoms (m = 32, 56)
-            share = 4 if arg.ndim == 1 or arg.shape[1] == 1 else 1
-            assert peak < dense.nbytes / share, (arg.shape, peak, dense.nbytes)
+            # k rows, all at once, hold their padded (T, S) input, a (T, m)
+            # partial product and m outputs each: 0.11 of L m at k = 1 and
+            # 0.56 at k = 5 in 1-D (m = 32), so an L x m copy would not fit
+            k = 1 if arg.ndim == 1 else arg.shape[1]
+            held = 16 * k * (T * S + T * m + m)
+            assert held * 3 / 2 < dense.nbytes and peak < held * 3 / 2, (arg.shape, peak, held)
 
 
 @pytest.mark.parametrize("mu, X, split", [
@@ -381,26 +404,35 @@ def test_dense_products_match_the_oracle_matrix(mu, X, split):
             assert (np.abs(got - want) <= L * eps * np.abs(inputs).sum(axis=0)).all(), (k, np.abs(got - want).max())
 
 
-def test_dense_products_hold_a_fraction_of_the_matrix():
-    # cantor(4, {0, 3}, 8) at X = 512 is 1025 x 256: the products hold a
-    # (k, 17, 256) partial product and their input and output, about
-    # (17 k + 64 k) / (1025 x 256) of the matrix besides k m
+def test_dense_products_hold_a_fraction_of_the_matrix(monkeypatch):
+    # cantor(4, {0, 3}, 8) at X = 512 is 1025 x 256, read as a (17, 64)
+    # array: a product takes c rows at a time, each with a (17, 256) partial
+    # product and a padded (17, 64) input or output, and holds k rows of
+    # input, output and weights besides; numpy's broadcast multiply in
+    # extend adds one ufunc buffer of 8192 entries
     op = assemble(cantor(4, {0, 3}, 8), 512)
-    L, m = op.lattice_size, op.num_atoms
+    (T, S), L, m = op._split, op.lattice_size, op.num_atoms
     op._tables  # built once per operator, as the matrix was
     rng = np.random.default_rng(8)
-    # k = 9 rows alone make a partial product of 9 x 17 / 1025 = 0.15 of L m
-    for k, share in ((1, 8), (2, 8), (9, 4)):
-        F = rng.standard_normal((L, k)) + 1j * rng.standard_normal((L, k))
-        G = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
-        for apply, arg in ((op.restrict, F), (op.extend, G)):
-            tracemalloc.start()
-            try:
-                apply(arg)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < L * m * 16 / share, (k, apply.__name__, peak)
+    # the default budget takes all k rows at once, and below L m / 8 up to
+    # k = 2; one row at a time, k = 9 rows stay below it too
+    for budget, cases in ((probe.MAX_DENSE_ENTRIES, ((1, 1), (2, 1), (9, 2))),
+                          ((2 * T + S) * m, ((9, 1),))):
+        monkeypatch.setattr(probe, "MAX_DENSE_ENTRIES", budget)
+        for k, eighths in cases:
+            c = op._dense_tables(k)[2]
+            held = 16 * (c * T * (S + m) + k * (m + T * S)) + 16 * 8192
+            F = (rng.standard_normal((k, L)) + 1j * rng.standard_normal((k, L))).T
+            G = (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))).T
+            for apply, arg in ((op.restrict, F), (op.extend, G)):
+                tracemalloc.start()
+                try:
+                    apply(arg)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < held * 5 / 4, (k, c, apply.__name__, peak, held)
+                assert peak < L * m * 16 * eighths / 8, (k, c, apply.__name__, peak)
 
 
 def test_extend_takes_a_vector_as_one_column():
@@ -667,6 +699,7 @@ def test_block_columns_do_not_depend_on_the_block_at_one_blas_thread():
     _at_one_blas_thread("""
         import numpy as np
         from restrictlab.measures import DiscreteMeasure, cantor
+        from restrictlab import probe
         from restrictlab.probe import assemble
         rng = np.random.default_rng(5)
         idx = np.sort(rng.choice(4096, size=185, replace=False)).reshape(-1, 1)
@@ -685,6 +718,12 @@ def test_block_columns_do_not_depend_on_the_block_at_one_blas_thread():
                         out = apply(block[:, lo:hi])
                         for j in range(lo, hi):
                             assert np.array_equal(out[:, j - lo:j - lo + 1], alone[j]), (L, lo, hi, j)
+                # a budget that takes 2 rows at a time leaves every row's bits as they are
+                (T, S), budget = op._split, probe.MAX_DENSE_ENTRIES
+                probe.MAX_DENSE_ENTRIES = (3 * T + S) * m
+                assert op._dense_tables(9)[2] == 2
+                assert np.array_equal(apply(block), np.hstack(alone)), L
+                probe.MAX_DENSE_ENTRIES = budget
         """)
 
 
