@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--measure", required=True)
     c.add_argument("-n", type=_at_least(1), required=True)
     c.add_argument("-r", type=_exp, required=True)
-    c.add_argument("--resolutions", type=_parse_list, default=None)
+    c.add_argument("--resolutions", type=_int_list_at_least(1), default=None)
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_conv)
 

@@ -45,18 +45,19 @@ At q = 2 the square of the value is the quadratic form <T f, f> of the
 Gram matrix T[x, y] = conj(mu_hat(x - y)) (the T T* identity behind the
 Stein-Tomas argument), and the pulled-back functional is T f up to a
 positive factor, so the q = 2 loop makes one Gram product per iteration
-instead of a restrict and an extend.  It takes one of two exact routes,
-chosen once per operator by ExtensionOperator.gram_grid: T is Toeplitz on
-[-X, X]^dim, so T f is one FFT convolution of size at least 4X + 1 per
-axis; and mu_hat is N-periodic, so on the N^dim grid T f is the grid
-restrict, a multiply by the weights and the grid extend, the cheaper route
-once 4X + 1 outgrows N.  FFTs take no BLAS call, so those iterates do not
+instead of a restrict and an extend.  It runs on the same grid transforms
+as restrict and extend, at one of two grid lengths chosen once per
+operator by ExtensionOperator.gram_grid: mu_hat is N-periodic, so on the
+N^dim grid T f is the grid restrict, a multiply by the weights and the grid
+extend; and T is Toeplitz on [-X, X]^dim, so T f is a circular convolution
+on Z_M^dim, M >= 4X + 1, with every line transformed, the cheaper grid
+until 4X + 1 outgrows N.  FFTs take no BLAS call, so those iterates do not
 depend on the BLAS thread count.
 
 Each probe makes one workspace for its starting block, and every FFT of
-the loop, Gram or grid, writes into it through np.fft's out=, so the loop
-allocates no transform arrays; the workspace belongs to the call, never to
-the operator, which sweep's threads share.
+the loop writes into it through np.fft's out=, so the loop allocates no
+transform arrays; the workspace belongs to the call, never to the
+operator, which sweep's threads share.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from .fitting import FitResult, loglog_fit
 from .measures import DiscreteMeasure
 from .rationals import INF, Exponent, conjugate, exp_float, exp_str, is_inf, validate_exponent
 from .regularity import billingsley_gamma, theorem_range
-from .spectral import DIRECT_CHUNK_ENTRIES, fourier, lp_norm
+from .spectral import DIRECT_CHUNK_ENTRIES, fourier, lp_norm, roots_at, unit_roots
 
 MAX_DENSE_ENTRIES = 8_388_608
 # restrict/extend run on the FFT grid when L * m exceeds this multiple of
@@ -104,12 +105,14 @@ class ProbeOptions:
 
 
 class _GridWork(NamedTuple):
-    """The buffers of one probe's grid transforms (ExtensionOperator._grid_workspace)."""
+    """The buffers of one probe's transforms on Z_G^dim (ExtensionOperator._grid_workspace)."""
 
+    G: int  # the grid length per axis
+    lines: list  # per axis, the lines kept once it is transformed: coordinates, or slice(None) for all
     grids: list[np.ndarray]  # per axis, the zero-padded input of its transforms; zero between calls
     scratch: np.ndarray  # flat; the output of every transform
     atoms: np.ndarray  # (k, m): restrict's result, extend's weighted rows
-    lattice: np.ndarray  # (k, L): extend's result
+    lattice: np.ndarray  # (k, L): extend's and gram's result
 
 
 @dataclass(frozen=True)
@@ -119,8 +122,9 @@ class ExtensionOperator:
     The operator E[x, j] = exp(2*pi*i <x, xi_j>) has unit modulus; restriction
     is its conjugate transpose.  It is never stored: restrict and extend take
     it as the product of two phase tables (_tables) or by FFTs of the N^dim grid
-    (grid_fft); gram applies extend(restrict(.)) as a Toeplitz convolution or
-    by those grid FFTs (gram_grid); _direct_restrict sums in chunks of atoms.
+    (grid_fft); gram applies extend(restrict(.)) by the same grid transforms,
+    on the N^dim grid or on Z_M^dim (gram_grid); _direct_restrict sums in
+    chunks of atoms.
     """
 
     mu: DiscreteMeasure
@@ -163,7 +167,7 @@ class ExtensionOperator:
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         """The dense products' phase tables (outer, inner), (T, m) and (S, m), built once, read at exact
         phases: outer[t, j] inner[s, j] = exp(2 pi i <x, xi_j>) at row t, column s of the lattice array."""
-        return tuple(self._roots_at(np.multiply.outer(x, j)) for x, j in self._sides())
+        return tuple(roots_at(self._roots, np.multiply.outer(x, j), self.mu.N) for x, j in self._sides())
 
     def _dense_tables(self, k: int) -> tuple[np.ndarray, np.ndarray, int]:
         """_tables and c, the most of k rows whose (c, T, m) partial product fits MAX_DENSE_ENTRIES with them."""
@@ -175,32 +179,11 @@ class ExtensionOperator:
 
     @cached_property
     def _roots(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """exp(2 pi i k / N) for 0 <= k < N as high[k >> shift] * low[k & (2^shift - 1)].
-
-        Built once per operator.  high holds at most DIRECT_CHUNK_ENTRIES
-        entries, as one of fourier's direct-sum chunks does, so a sparse
-        measure on a fine grid never pays O(N) memory; up to that size shift
-        is 0 and high is the whole table.
-        """
+        """spectral.unit_roots of the N-th roots, built once per operator: high holds at most
+        DIRECT_CHUNK_ENTRIES entries, as one of fourier's direct-sum chunks does, so a sparse measure
+        on a fine grid never pays O(N) memory; up to that size shift is 0 and high is the whole table."""
         N = self.mu.N
-        shift = max(0, N.bit_length() - DIRECT_CHUNK_ENTRIES.bit_length())
-        low = np.exp(2j * np.pi * np.arange(1 << shift) / N)
-        high = np.exp(2j * np.pi * np.arange(N >> shift) * (1 << shift) / N)
-        return high, low, shift
-
-    def _roots_at(self, k: np.ndarray) -> np.ndarray:
-        """exp(2 pi i k / N) for an integer array k, read from the roots table; k is overwritten.
-
-        The phase k mod N is exact (N is a power of two), so an entry's
-        error is that of the table and does not grow with X.
-        """
-        high, low, shift = self._roots
-        k &= self.mu.N - 1
-        if not shift:
-            return high[k]
-        table = high[k >> shift]
-        table *= low[np.bitwise_and(k, (1 << shift) - 1, out=k)]
-        return table
+        return unit_roots(N, max(0, N.bit_length() - DIRECT_CHUNK_ENTRIES.bit_length()))
 
     def _direct_restrict(self, f: np.ndarray) -> np.ndarray:
         """restrict of one vector f (L,) as the sum over the lattice, one chunk of atoms at a time.
@@ -217,7 +200,7 @@ class ExtensionOperator:
         for lo in range(0, self.num_atoms, step):
             atoms = slice(lo, lo + step)
             out[atoms] = np.einsum("kl,kj,lj->j", lattice, *(
-                self._roots_at(np.multiply.outer(x, j[atoms])) for x, j in sides))
+                roots_at(self._roots, np.multiply.outer(x, j[atoms]), self.mu.N) for x, j in sides))
         return np.conj(out, out=out)
 
     @cached_property
@@ -235,7 +218,7 @@ class ExtensionOperator:
 
     @cached_property
     def _grid_lines(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """Per axis, the distinct atom coordinates (the lines of the FFT grid
+        """Per axis, the distinct atom coordinates (the lines of the N-grid
         that are read or hold input), and each atom's flat place in a row of
         the last axis's transforms, the lines of the earlier axes by N."""
         lines = [np.unique(c, return_inverse=True) for c in self.mu.indices.T]
@@ -243,75 +226,100 @@ class ExtensionOperator:
         places = tuple(inv for _, inv in lines[:-1]) + (coords[-1][lines[-1][1]],)
         return coords, np.ravel_multi_index(places, tuple(len(c) for c in coords[:-1]) + (self.mu.N,))
 
-    def _grid_workspace(self, k: int) -> _GridWork:
-        """The buffers of _grid_restrict and _grid_extend for blocks of up to k rows.
+    def _stages(self, G: int, lines: list) -> list[tuple[int, ...]]:
+        """Per axis a (0-based), a row's grid at the transforms along a on Z_G^dim: the earlier axes
+        cut to lines[:a] (coordinates, or slice(None) for all G), a of length G, the later axes the window."""
+        counts = [G if isinstance(c, slice) else len(c) for c in lines]
+        return [(*counts[:a], G) + (2 * self.X + 1,) * (self.dim - 1 - a) for a in range(self.dim)]
+
+    def _transform_work(self, G: int, lines: list) -> float:
+        """lines x length x log2(length) of a forward and an inverse pass over _stages(G, lines)."""
+        return 2 * sum(map(math.prod, self._stages(G, lines))) * math.log2(G)
+
+    def _grid_workspace(self, k: int, G: int | None = None) -> _GridWork:
+        """The buffers of the transforms for blocks of up to k rows: on the N-grid cut to the lines
+        through atoms when G is None (grid_fft, gram_grid), else on Z_G^dim with every line.
 
         Per axis one grid, laid out here as zeros, which is the input of the
-        transforms along that axis in both directions; a call writes its
-        input into it, transforms it into the one scratch buffer and zeroes
-        the entries it wrote, so between calls every pad is in place.  A block
-        of k rows takes the first k rows of every buffer.  Made by the caller
-        once per probe and never kept on the operator, which sweep's threads
-        share.
+        transforms along that axis in both directions; a call writes its input
+        into it, transforms it into the one scratch buffer and zeroes the
+        entries it wrote, so between calls every pad is in place.  A block of
+        k rows takes the first k rows of every buffer.  Made by the caller once
+        per probe and never kept on the operator, which sweep's threads share.
         """
-        # a row at the transforms along axis a (0-based): the earlier axes cut
-        # to the lines through atoms, a of length N, the later axes the window
-        lines = [len(c) for c in self._grid_lines[0]]
-        stages = [(k, *lines[:a], self.mu.N) + (2 * self.X + 1,) * (self.dim - 1 - a) for a in range(self.dim)]
-        return _GridWork([np.zeros(shape, dtype=np.complex128) for shape in stages],
+        G, lines = (self.mu.N, self._grid_lines[0]) if G is None else (G, [slice(None)] * self.dim)
+        stages = [(k, *shape) for shape in self._stages(G, lines)]
+        return _GridWork(G, lines, [np.zeros(shape, dtype=np.complex128) for shape in stages],
                          np.empty(max(math.prod(shape) for shape in stages), dtype=np.complex128),
                          np.empty((k, self.num_atoms), dtype=np.complex128),
                          np.empty((k, self.lattice_size), dtype=np.complex128))
 
-    def _grid_restrict(self, rows: np.ndarray, work: _GridWork) -> np.ndarray:
-        """restrict for a (k, L) block of rows by FFTs, as (k, m), a view into work.
+    def _forward(self, rows: np.ndarray, work: _GridWork) -> np.ndarray:
+        """The DFT on Z_G^dim (G = work.G) of each row of a (k, L) block placed at x mod G, on work's lines.
 
-        f_hat(n/N) = sum_x f(x) exp(-2 pi i <x, n>/N) is the DFT of f placed
-        at x mod N.  Per axis, first first, the lattice window is placed at
-        x mod N in its grid, with the axis before it cut to the lines through
-        atoms, and transformed into work.scratch; the last step gathers at
-        the atoms.  Every cut and placement copies whole rows of the last
-        axis.
+        Per axis, first first, the lattice window is placed at x mod G in its
+        grid, with the axis before it cut to work.lines, and transformed into
+        work.scratch, which holds the result.  Every cut and placement copies
+        whole rows of the last axis.
         """
-        coords, places = self._grid_lines
-        N, X, k, dim = self.mu.N, self.X, len(rows), self.dim
+        G, X, k, dim = work.G, self.X, len(rows), self.dim
         z = rows.reshape((k,) + (2 * X + 1,) * dim)
         for axis in range(1, dim + 1):
             grid, at = work.grids[axis - 1][:k], (slice(None),) * axis
-            cut = at if axis == 1 else at[:-1] + (coords[axis - 2],)
-            ends = at + (slice(X + 1),), at + (slice(N - X, None),)
+            cut = at if axis == 1 else at[:-1] + (work.lines[axis - 2],)
+            ends = at + (slice(X + 1),), at + (slice(G - X, None),)
             grid[ends[0]] = z[cut + (slice(X, None),)]
             grid[ends[1]] = z[cut + (slice(X),)]
             z = np.fft.fft(grid, axis=axis, out=work.scratch[:grid.size].reshape(grid.shape))
             for end in ends:
                 grid[end] = 0
-        return np.take(z.reshape(k, -1), places, axis=1, out=work.atoms[:k], mode="clip")
+        return z
 
-    def _grid_extend(self, rows: np.ndarray, work: _GridWork) -> np.ndarray:
-        """extend for a (k, m) block of weighted rows by FFTs, as (k, L), a view into work.
+    def _windows(self, z: np.ndarray, work: _GridWork) -> np.ndarray:
+        """The adjoint of _forward after its inverse transform along the last axis, z; as (k, L) in work.lattice.
 
-        The adjoint of _grid_restrict: scatter at the atoms, then per axis,
-        last first, run the inverse FFT without its 1/N factor into
-        work.scratch and place the lattice window at x mod N on the lines
-        through atoms of the axis before it, or into the result.
+        Per axis, last first, the lattice window at x mod G of z is placed on
+        work's lines of the axis before it, whose inverse FFT without its 1/G
+        factor goes into work.scratch, or into the result.
         """
-        coords, places = self._grid_lines
-        N, X, k, dim = self.mu.N, self.X, len(rows), self.dim
-        # the grid to transform next, and its entries that hold input
-        held, written = work.grids[dim - 1][:k].reshape(k, -1), (slice(None), places)
-        held[written] = rows
+        G, X, k, dim = work.G, self.X, len(z), self.dim
         for axis in range(dim, 0, -1):
-            grid, at = work.grids[axis - 1][:k], (slice(None),) * axis
-            z = np.fft.ifft(grid, axis=axis, norm="forward", out=work.scratch[:grid.size].reshape(grid.shape))
-            held[written] = 0
+            at = (slice(None),) * axis
             if axis > 1:
-                held = work.grids[axis - 2][:k]
-                written = at[:-1] + (coords[axis - 2],)
+                held, written = work.grids[axis - 2][:k], at[:-1] + (work.lines[axis - 2],)
             else:
                 held, written = work.lattice[:k].reshape((k,) + (2 * X + 1,) * dim), at
-            held[written + (slice(X),)] = z[at + (slice(N - X, None),)]
+            held[written + (slice(X),)] = z[at + (slice(G - X, None),)]
             held[written + (slice(X, None),)] = z[at + (slice(X + 1),)]
+            if axis > 1:
+                z = np.fft.ifft(held, axis=axis - 1, norm="forward",
+                                out=work.scratch[:held.size].reshape(held.shape))
+                held[written] = 0
         return work.lattice[:k]
+
+    def _grid_restrict(self, rows: np.ndarray, work: _GridWork) -> np.ndarray:
+        """restrict for a (k, L) block of rows by FFTs of the N-grid, as (k, m), a view into work.
+
+        f_hat(n/N) = sum_x f(x) exp(-2 pi i <x, n>/N) is the DFT of f placed
+        at x mod N (_forward), gathered at the atoms.
+        """
+        k = len(rows)
+        z = self._forward(rows, work).reshape(k, -1)
+        return np.take(z, self._grid_lines[1], axis=1, out=work.atoms[:k], mode="clip")
+
+    def _grid_extend(self, rows: np.ndarray, work: _GridWork) -> np.ndarray:
+        """extend for a (k, m) block of weighted rows by FFTs of the N-grid, as (k, L), a view into work.
+
+        The adjoint of _grid_restrict: scatter at the atoms, run the inverse
+        FFT without its 1/N factor along the last axis, then _windows.
+        """
+        k, dim, places = len(rows), self.dim, self._grid_lines[1]
+        grid = work.grids[dim - 1][:k]
+        held = grid.reshape(k, -1)
+        held[:, places] = rows
+        z = np.fft.ifft(grid, axis=dim, norm="forward", out=work.scratch[:grid.size].reshape(grid.shape))
+        held[:, places] = 0
+        return self._windows(z, work)
 
     def restrict(self, f: np.ndarray, *, work: _GridWork | None = None) -> np.ndarray:
         """f on the lattice -> f_hat at the atoms; f is one vector (L,) or a block (L, k).
@@ -359,39 +367,36 @@ class ExtensionOperator:
 
     @cached_property
     def gram_grid(self) -> bool:
-        """Whether gram runs as _grid_extend(w _grid_restrict(.)), not as a Toeplitz convolution.
+        """Whether gram runs on the N-grid as _grid_extend(w _grid_restrict(.)), not on the M-grid.
 
-        Both routes are exact: mu_hat is N-periodic, so on the grid
-        T = extend restrict is restrict, a multiply by the weights and extend.
-        Chosen once per operator from (X, N, dim) and the number of distinct
-        atom coordinates per axis, never from a block's width.  The grid needs
-        2X + 1 <= N and is taken when its transform work is the smaller,
-        counted as lines x length x log2(length) as each route runs them: in
-        2-D, 2 (side + n_first) lines of length N, n_first the number of
-        distinct first coordinates, against 2 (side + M) of length
-        M = _fast_fft_size(4X + 1), side = 2X + 1; in 1-D, two lines of
-        length N against two of length M.
+        Both are exact.  mu_hat is N-periodic, so on the N-grid T = extend
+        restrict is restrict, a multiply by the weights and extend.  T is
+        Toeplitz on [-X, X]^dim, and so the compression of a circulant on
+        Z_M^dim once M >= 4X + 1: take M = _fast_fft_size(4X + 1).  Chosen once
+        per operator from (X, N, dim) and the number of distinct atom
+        coordinates per axis, never from a block's width: the N-grid needs
+        2X + 1 <= N and is taken when its _transform_work, on the lines
+        through atoms, is below the M-grid's on every line.
         """
-        side, N, M, dim = 2 * self.X + 1, self.mu.N, _fast_fft_size(4 * self.X + 1), self.dim
-        lines = [len(c) for c in self._grid_lines[0]]
-        grid = 2 * sum(math.prod(lines[:a]) * side ** (dim - 1 - a) for a in range(dim))
-        toeplitz = sum(M**a * side ** (dim - 1 - a) + side**a * M ** (dim - 1 - a) for a in range(dim))
-        return side <= N and grid * N * math.log2(N) < toeplitz * M * math.log2(M)
+        N, M = self.mu.N, _fast_fft_size(4 * self.X + 1)
+        return (2 * self.X + 1 <= N
+                and self._transform_work(N, self._grid_lines[0]) < self._transform_work(M, [slice(None)] * self.dim))
 
     @cached_property
     def _gram_kernel(self) -> tuple[np.ndarray | None, np.ndarray, float]:
         """What gram and _gram_step read besides the block, built on first use and kept.
 
-        On the Toeplitz route: the FFT of the Gram kernel conj(mu_hat) on
-        [-2X, 2X]^dim, zero-padded to a fast size of at least 4X + 1 per
-        axis; its [-X, X]^dim part, which is extend(1); and the round-off
-        bound of Re <T f, f> / ||f||_2^2 by that FFT, eps log2(size) max|FFT|.
-        The coefficients come from spectral.fourier, whose route rule sums
-        over the atoms when the N^dim grid is larger than that sum, so a
-        sparse measure on a fine grid costs a constant times the operator, as
-        on the dense path.
+        On the M-grid: the DFT over M^dim (norm="forward", so gram's inverse
+        transforms take no factor) of the Gram kernel conj(mu_hat) on
+        [-2X, 2X]^dim placed at d mod M; its [-X, X]^dim part, which is
+        extend(1); and the round-off bound of Re <T f, f> / ||f||_2^2,
+        eps log2(M^dim) M^dim max|spectrum|, as M^dim spectrum holds the
+        circulant's eigenvalues.  The coefficients come from spectral.fourier,
+        whose route rule sums over the atoms when the N^dim grid is larger
+        than that sum, so a sparse measure on a fine grid costs a constant
+        times the operator, as on the dense path.
 
-        On the grid route (gram_grid) no kernel is built: None, extend(1) by
+        On the N-grid (gram_grid) no kernel is built: None, extend(1) by
         _grid_extend, and the bound eps log2(N^dim) N^dim max(w), since the
         unnormalized DFT F of the grid has F* F = N^dim, so ||T|| <= N^dim max(w).
         """
@@ -399,81 +404,43 @@ class ExtensionOperator:
             grid = self.mu.N ** self.dim
             extend_one = self._grid_extend(self.weights[None], self._grid_workspace(1))[0].copy()
             return None, extend_one, np.finfo(float).eps * math.log2(grid) * grid * float(self.weights.max())
-        X = self.X
+        X, M = self.X, _fast_fft_size(4 * self.X + 1)
         kernel = fourier(self.mu, 2 * X)
         np.conjugate(kernel, out=kernel)
-        size = (_fast_fft_size(4 * X + 1),) * self.dim
-        spectrum = np.fft.fftn(kernel, s=size, axes=tuple(range(self.dim)))
-        noise = np.finfo(float).eps * math.log2(spectrum.size) * float(np.abs(spectrum).max())
+        placed = np.zeros((M,) * self.dim, dtype=np.complex128)
+        placed[np.ix_(*[np.arange(-2 * X, 2 * X + 1) % M] * self.dim)] = kernel
+        spectrum = np.fft.fftn(placed, norm="forward")
+        noise = np.finfo(float).eps * math.log2(spectrum.size) * spectrum.size * float(np.abs(spectrum).max())
         return spectrum, kernel[(slice(X, 3 * X + 1),) * self.dim].ravel(), noise
 
-    def _gram_workspace(self, k: int) -> _GridWork | tuple[np.ndarray, np.ndarray]:
-        """The buffers of gram for blocks of up to k rows.
+    def _gram_workspace(self, k: int) -> _GridWork:
+        """gram's _grid_workspace for blocks of up to k rows, on the N-grid or the M-grid (gram_grid).
 
-        On the grid route a _grid_workspace; on the Toeplitz route two flat
-        complex buffers that hold its transforms.  Made by the caller once
-        per probe and never kept on the operator, which sweep's threads share.
-        The kernel is built first, so its transient arrays are freed before
-        the buffers are made.
+        The kernel is built first, so its transient arrays are freed before the buffers are made.
         """
         spectrum = self._gram_kernel[0]
-        if self.gram_grid:
-            return self._grid_workspace(k)
-        entries = k * spectrum.size
-        return np.empty(entries, dtype=np.complex128), np.empty(entries, dtype=np.complex128)
+        return self._grid_workspace(k, None if spectrum is None else len(spectrum))
 
-    def gram(self, f: np.ndarray, *, work: _GridWork | tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    def gram(self, f: np.ndarray, *, work: _GridWork) -> np.ndarray:
         """extend(restrict(f)) for the rows of a (k, L) block f, as (k, L).
 
         work is a _gram_workspace for at least k rows, and the result is a
         view into it, so it lasts until the next call with the same work.  A
         row's result does not depend on the other rows of the block.
 
-        On the grid route (gram_grid) this is _grid_extend(w _grid_restrict(f)).
-
-        On the Toeplitz route T[x, y] = conj(mu_hat(x - y)) depends on x - y
-        alone, so T f is the linear convolution of f with the kernel on
-        [-2X, 2X]^dim, read at offset 2X.  Each axis is transformed as its own
-        1-D lines, and only the lines that hold input or are read are
-        transformed.  Every transform writes into the two buffers of work by
-        turns.  Each forward transform reads its lines zero-padded to the FFT
-        size in the workspace rather than through np.fft's n=, because numpy
-        transforms several unpadded lines at a time and padded ones one by
-        one; the bits are the same.
+        On the N-grid (gram_grid) this is _grid_extend(w _grid_restrict(f)).
+        On the M-grid it is the circular convolution with the kernel: the
+        DFT of f placed at x mod M on every line (_forward), times the
+        kernel's spectrum, inverted along the last axis in place and then
+        per axis (_windows), read at x mod M.
         """
         if self.gram_grid:
             u = self._grid_restrict(f, work)
             u *= self.weights
             return self._grid_extend(u, work)
-        spectrum = self._gram_kernel[0]
-        k, side, size, dim = len(f), 2 * self.X + 1, spectrum.shape[0], self.dim
-
-        def into(turn: int, shape: tuple[int, ...]) -> np.ndarray:
-            return work[turn % 2][:k * math.prod(shape)].reshape((k,) + shape)
-
-        def padded(turn: int, axis: int) -> tuple[np.ndarray, np.ndarray]:
-            """A block of full size on axes 1..axis, zero past side on axis, and its part below side."""
-            z = into(turn, (size,) * axis + (side,) * (dim - axis))
-            at = (slice(None),) * axis
-            z[at + (slice(side, None),)] = 0
-            return z, z[at + (slice(side),)]
-
-        z, head = padded(0, 1)
-        np.copyto(head, f.reshape(head.shape))
-        for axis in range(1, dim + 1):
-            if axis < dim:  # the output lands zero-padded for the next axis
-                nxt, out = padded(axis, axis + 1)
-            else:
-                nxt = out = into(axis, (size,) * dim)
-            np.fft.fft(z, axis=axis, out=out)
-            z = nxt
-        z *= spectrum
-        window = slice(2 * self.X, 4 * self.X + 1)
-        for turn, axis in enumerate(range(1, dim + 1), start=dim + 1):
-            z = np.fft.ifft(z, axis=axis, out=into(turn, z.shape[1:]))[(slice(None),) * axis + (window,)]
-        out = into(2 * dim + 1, (side**dim,))
-        np.copyto(out.reshape(z.shape), z)
-        return out
+        z = self._forward(f, work)
+        z *= self._gram_kernel[0]
+        return self._windows(np.fft.ifft(z, axis=self.dim, norm="forward", out=z), work)
 
 
 def _fast_fft_size(n: int) -> int:

@@ -84,16 +84,40 @@ def _grid_read(mu: DiscreteMeasure, K: int) -> np.ndarray:
     return coeffs
 
 
+def unit_roots(N: int, shift: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """exp(2 pi i k / N) for 0 <= k < N as high[k >> shift] * low[k & (2^shift - 1)], for roots_at."""
+    low = np.exp(2j * np.pi * np.arange(1 << shift) / N)
+    high = np.exp(2j * np.pi * np.arange(N >> shift) * (1 << shift) / N)
+    return high, low, shift
+
+
+def roots_at(roots: tuple[np.ndarray, np.ndarray, int], k: np.ndarray, N: int) -> np.ndarray:
+    """exp(2 pi i k / N) for an integer array k, read from roots = unit_roots(N, .); k is overwritten.
+
+    The phase k mod N is exact (N is a power of two), so an entry's error
+    is that of the table and does not grow with k.
+    """
+    high, low, shift = roots
+    k &= N - 1
+    if not shift:
+        return high[k]
+    table = high[k >> shift]
+    table *= low[np.bitwise_and(k, (1 << shift) - 1, out=k)]
+    return table
+
+
 def _direct_sum(mu: DiscreteMeasure, K: int) -> np.ndarray:
     """mu_hat on [-K, K]^dim as the sum over atoms, in chunks of frequencies.
 
     Each axis is cut into chunks of DIRECT_CHUNK_ENTRIES // m frequencies,
     and each chunk of the output is one einsum over per-axis (chunk, m)
     phase tables, so the peak memory is a small multiple of m times the
-    chunk and never the (2K+1) x m table of the whole sum.
+    chunk and never the (2K+1) x m table of the whole sum.  A phase is read
+    at the exact integer phase -k j mod N from two tables of about sqrt(N)
+    roots of unity each, so its error does not grow with K.
     """
     ks = np.arange(-K, K + 1)
-    pos = mu.positions()
+    roots = unit_roots(mu.N, mu.N.bit_length() // 2)
     step = max(1, DIRECT_CHUNK_ENTRIES // mu.num_atoms)
     chunks = [slice(lo, lo + step) for lo in range(0, len(ks), step)]
     axes = "klmn"[:mu.dim]
@@ -105,8 +129,7 @@ def _direct_sum(mu: DiscreteMeasure, K: int) -> np.ndarray:
             # product() runs the last axis fastest, so an axis moves to its
             # next chunk only when every later axis starts over
             if all(later.start == 0 for later in block[a + 1:]):
-                phase = np.outer(ks[c], pos[:, a]) * (-2j * np.pi)
-                tables[a] = np.exp(phase, out=phase)
+                tables[a] = roots_at(roots, np.multiply.outer(-ks[c], mu.indices[:, a]), mu.N)
         coeffs[block] = np.einsum(subscripts, *tables, mu.weights)
     return coeffs
 

@@ -107,21 +107,27 @@ def lattice_phase_matrix(indices, N, X):
     return np.exp(2j * np.pi * ((lattice @ indices.T) % N) / N)
 
 
-def gram_by_padded_ffts(spectrum, f, X, dim):
-    """T f for the rows of a (k, L) block f by FFTs that pad through np.fft's n= into fresh arrays.
+def gram_by_circulant_ffts(spectrum, f, X, dim):
+    """T f for the rows of a (k, L) block f as the circular convolution on Z_M^dim, in fresh arrays.
 
-    spectrum is ExtensionOperator._gram_kernel[0].  The same transforms, in
-    the same order, as the workspace gram, which must match it bit for bit.
+    spectrum is ExtensionOperator._gram_kernel[0], the kernel's DFT over
+    M^dim.  Each axis, first first, places the block at x mod M in a new
+    zero array and transforms it; after the multiply each axis, last first,
+    is inverted without its 1/M factor and read back at x mod M.  The same
+    transforms, in the same order, as the workspace gram, which must match
+    it bit for bit.
     """
-    side, size = 2 * X + 1, spectrum.shape[0]
-    z = f.reshape((len(f),) + (side,) * dim)
+    M, k = spectrum.shape[0], len(f)
+    x = np.arange(-X, X + 1) % M
+    z = f.reshape((k,) + (2 * X + 1,) * dim)
     for axis in range(1, dim + 1):
-        z = np.fft.fft(z, n=size, axis=axis)
+        placed = np.zeros(z.shape[:axis] + (M,) + z.shape[axis + 1:], dtype=np.complex128)
+        placed[(slice(None),) * axis + (x,)] = z
+        z = np.fft.fft(placed, axis=axis)
     z = z * spectrum
-    window = slice(2 * X, 4 * X + 1)
-    for axis in range(1, dim + 1):
-        z = np.fft.ifft(z, axis=axis)[(slice(None),) * axis + (window,)]
-    return z.reshape(len(f), -1)
+    for axis in range(dim, 0, -1):
+        z = np.fft.ifft(z, axis=axis, norm="forward").take(x, axis=axis)
+    return z.reshape(k, -1)
 
 
 def _phase_rows(z, a):
@@ -312,10 +318,11 @@ def whole_table_fourier(indices, weights, N, K):
     """mu_hat on [-K, K]^dim by one einsum over whole (2K+1) x m phase tables, one per axis.
 
     The direct sum as it reads without chunking; its tables are the memory
-    that spectral.fourier's chunked direct path avoids.
+    that spectral.fourier's chunked direct path avoids.  Each table is the
+    conjugate of lattice_phase_matrix on one axis, taken at the exact
+    integer phase.
     """
     indices = np.asarray(indices).reshape(len(weights), -1)
-    ks = np.arange(-K, K + 1)
-    tables = [np.exp(-2j * np.pi * np.outer(ks, indices[:, a] / N)) for a in range(indices.shape[1])]
+    tables = [np.conj(lattice_phase_matrix(indices[:, a], N, K)) for a in range(indices.shape[1])]
     axes = "klmn"[:len(tables)]
     return np.einsum(",".join(a + "j" for a in axes) + ",j->" + axes, *tables, weights)

@@ -507,6 +507,7 @@ def test_trials_below_one_are_usage_errors(tmp_path, capsys, suite):
     (["verify", "--suite", "bilinear", "--trials", "1", "--eps", "0"],
      "--eps: must be >= 1, got 0"),
     (["conv", "-n", "0", "-r", "inf"], "-n: must be >= 1, got 0"),
+    (["conv", "-n", "2", "-r", "inf", "--resolutions", "64,0"], "--resolutions: must be >= 1, got 0"),
     (["sweep", "--p-grid", "2:2:1", "--q-grid", "2:2:1", "--X", "2,4", "--n", "0"],
      "--n: must be >= 1, got 0"),
     (["exponents", "--n", "0", "--r", "inf"], "--n: must be >= 1, got 0"),
@@ -550,7 +551,7 @@ def test_trials_below_one_are_usage_errors(tmp_path, capsys, suite):
     (["exponents", "--alpha", "1/2", "--beta", "1/0"], "--beta: invalid rational value: '1/0'"),
     (["exponents", "--gamma", "0", "--p", "4/3"], "--gamma: must be > 0, got 0"),
     (["exponents", "--d", "0", "--alpha", "1/2", "--beta", "1/2"], "--d: must be >= 1, got 0"),
-], ids=["verify-n", "chain-eps", "bilinear-eps", "conv-n", "sweep-n", "exponents-n",
+], ids=["verify-n", "chain-eps", "bilinear-eps", "conv-n", "conv-resolutions", "sweep-n", "exponents-n",
         "exponents-n-not-int", "probe-X", "analyze-beta", "measure-retries",
         "measure-dim-0", "measure-dim-negative", "uniform-N", "circle-N", "measure-N-negative",
         "cantor-stage", "random-flat-m", "cantor-base", "measure-confine", "sweep-X",

@@ -26,7 +26,7 @@ from restrictlab.rationals import INF, conjugate
 from restrictlab.spectral import DIRECT_CHUNK_ENTRIES, lp_norm
 
 from oracles import (
-    gram_by_padded_ffts,
+    gram_by_circulant_ffts,
     lattice_phase_matrix,
     phase_power_extremal,
     phase_power_measure,
@@ -636,7 +636,7 @@ def test_measure_step_matches_phase_power_oracle(q):
 
 
 def test_gram_step_value_is_the_quadratic_form():
-    # on the Toeplitz route and on the grid route
+    # on the M-grid and on the N-grid
     for mu, X, gram_grid in ((random_measure(31, max_atoms=24), 16, False), (circle(16, 0.25), 6, True)):
         op = assemble(mu, X)
         assert op.gram_grid == gram_grid
@@ -728,9 +728,9 @@ def test_block_columns_do_not_depend_on_the_block_at_one_blas_thread():
 
 
 def _gram_cases():
-    # (measure, X, gram_grid).  Toeplitz route: fourier's grid route (2X <=
-    # N/2 and 2X > N/2), its direct route (N > (4X + 1) m, 1-D only), and a
-    # lattice wider than the grid (2X + 1 > N), in 1-D and 2-D.  Grid route:
+    # (measure, X, gram_grid).  M-grid: fourier's grid route (2X <= N/2 and
+    # 2X > N/2), its direct route (N > (4X + 1) m, 1-D only), and a lattice
+    # wider than the N-grid (2X + 1 > N), in 1-D and 2-D.  N-grid:
     # N below the fast size of 4X + 1 in 1-D, and in 2-D a small grid, the
     # benchmark's circle(128) at X = 32 and one atom
     return [(random_measure(31, max_atoms=24), 16, False), (random_measure(31, max_atoms=24), 8, False),
@@ -753,10 +753,10 @@ def test_gram_product_is_extend_of_restrict():
             # the grid round trip itself, each half in a fresh workspace
             u = op._grid_restrict(F.T, op._grid_workspace(5)) * op.weights
             assert np.array_equal(gram, op._grid_extend(u, op._grid_workspace(5)).T), (mu.N, X)
-            assert op._gram_kernel[0] is None  # no Toeplitz kernel is built
+            assert op._gram_kernel[0] is None  # no kernel is built
         else:
-            # the workspace's zero-padded lines give the bits of np.fft's own padding
-            assert np.array_equal(gram, gram_by_padded_ffts(op._gram_kernel[0], F.T, X, mu.dim).T), (mu.N, X)
+            # the workspace's zero pads and in-place transforms give the bits of fresh arrays
+            assert np.array_equal(gram, gram_by_circulant_ffts(op._gram_kernel[0], F.T, X, mu.dim).T), (mu.N, X)
         assert np.abs(gram - dense).max() <= 1e-12 * np.abs(dense).max(), (mu.N, X)
         # extend(1), the pull-back of a vanished start, is the kernel on [-X, X]^dim
         extend_one = op._gram_kernel[1]
@@ -789,8 +789,8 @@ def _nan_empty(shape, dtype=float):
                                       (circle(128, 0.25), 32, 2), (random_flat(4096, 185, seed=5), 512, 4)],
                          ids=["2d", "1d", "2d-grid", "fft-1d"])
 def test_q2_probe_runs_its_gram_ffts_in_one_per_call_workspace(monkeypatch, mu, X, q):
-    # named for q = 2, whose gram runs on the Toeplitz route ("2d", "1d") or
-    # the grid route ("2d-grid"); a q != 2 probe on the FFT grid ("fft-1d")
+    # named for q = 2, whose gram runs on the M-grid ("2d", "1d") or the
+    # N-grid ("2d-grid"); a q != 2 probe on the FFT grid ("fft-1d")
     # runs restrict and extend in the same kind of workspace
     op = assemble(mu, X)
     assert op.gram_grid == (X == 32) and (q == 2 or op.grid_fft)
@@ -841,8 +841,8 @@ def test_q2_probe_runs_its_gram_ffts_in_one_per_call_workspace(monkeypatch, mu, 
 
 
 def test_gram_kernel_is_built_once_and_only_at_q_2(monkeypatch):
-    # the Toeplitz route reads mu_hat on [-2X, 2X] once; the grid route
-    # builds no kernel and reads no Fourier coefficients
+    # the M-grid reads mu_hat on [-2X, 2X] once; the N-grid builds no
+    # kernel and reads no Fourier coefficients
     calls = []
     real = probe.fourier
 
@@ -897,7 +897,7 @@ def test_start_with_vanishing_restriction_runs_as_on_the_dense_path(mu, X):
     # opposite lattice values cancel exactly: the dense path sees
     # restrict(f) = 0, takes the dual element 1 and pulls back extend(1); the
     # Gram path must do the same, not follow the round-off of its FFTs, on
-    # the Toeplitz route (1-D) and the grid route (2-D)
+    # the M-grid (1-D) and the N-grid (2-D)
     op = assemble(mu, X)
     assert op.gram_grid == (mu.dim == 2)
     options = ProbeOptions(restarts=1, seed=7)
