@@ -30,28 +30,25 @@ kept as a row of its block, and copied only when the loop moves past that
 block without the start improving.
 
 Atoms sit on the grid j/N and the lattice is integral, so restrict and
-extend are exact DFTs on Z_N^dim.  A large operator (chosen from its shape
-alone, see ExtensionOperator.grid_fft) applies them by FFTs of the N^dim
-grid, transforming only the lines that hold input or are read; FFTs
-transform each line on its own and take no BLAS call.  Otherwise they take
-the two-level split of the DFT (Cooley-Tukey): the lattice is read as a
-(T, S) array, and a product is a GEMM against an (S, m) phase table and an
-einsum against a (T, m) one, never an L x m matrix.  Phases are read from a
-table of the N-th roots of unity at the exact integer phase <x, j> mod N.
-The witness re-evaluation builds phase tables of its own, one chunk of atoms
-at a time, and takes no BLAS call: a route independent of the loop.
+extend are exact DFTs on Z_N^dim: by FFTs of the N^dim grid on a large
+operator (ExtensionOperator.grid_fft), on the lines that hold input or are
+read, each line on its own and with no BLAS call; else by the two-level
+split of the DFT (Cooley-Tukey), the lattice read as a (T, S) array, a
+GEMM against an (S, m) phase table and an einsum against a (T, m) one,
+never an L x m matrix.  Phases are read from a table of the N-th roots of
+unity at the exact integer phase <x, j> mod N.  The witness re-evaluation
+builds phase tables of its own, one chunk of atoms at a time, and takes no
+BLAS call: a route independent of the loop.
 
 At q = 2 the square of the value is the quadratic form <T f, f> of the
 Gram matrix T[x, y] = conj(mu_hat(x - y)) (the T T* identity behind the
 Stein-Tomas argument), and the pulled-back functional is T f up to a
 positive factor, so the q = 2 loop makes one Gram product per iteration
-instead of a restrict and an extend.  It runs on the same grid transforms
-as restrict and extend, at one of two grid lengths chosen once per
-operator by ExtensionOperator.gram_grid: mu_hat is N-periodic, so on the
-N^dim grid T f is the grid restrict, a multiply by the weights and the grid
-extend; and T is Toeplitz on [-X, X]^dim, so T f is a circular convolution
-on Z_M^dim, M >= 4X + 1, with every line transformed, the cheaper grid
-until 4X + 1 outgrows N.  FFTs take no BLAS call, so those iterates do not
+instead of a restrict and an extend, on the cheaper of two grids
+(ExtensionOperator.gram_grid): on the N^dim grid, where mu_hat is
+N-periodic, the grid restrict, a multiply by the weights and the grid
+extend; on Z_M^dim, where the Toeplitz T is a compressed circulant, a plain
+circular convolution.  FFTs take no BLAS call, so those iterates do not
 depend on the BLAS thread count.
 
 Each probe makes one workspace for its starting block, and every FFT of
@@ -66,7 +63,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -105,10 +102,8 @@ class ProbeOptions:
 
 
 class _GridWork(NamedTuple):
-    """The buffers of one probe's transforms on Z_G^dim (ExtensionOperator._grid_workspace)."""
+    """The buffers of one probe's transforms on the N-grid (ExtensionOperator._grid_workspace)."""
 
-    G: int  # the grid length per axis
-    lines: list  # per axis, the lines kept once it is transformed: coordinates, or slice(None) for all
     grids: list[np.ndarray]  # per axis, the zero-padded input of its transforms; zero between calls
     scratch: np.ndarray  # flat; the output of every transform
     atoms: np.ndarray  # (k, m): restrict's result, extend's weighted rows
@@ -122,9 +117,8 @@ class ExtensionOperator:
     The operator E[x, j] = exp(2*pi*i <x, xi_j>) has unit modulus; restriction
     is its conjugate transpose.  It is never stored: restrict and extend take
     it as the product of two phase tables (_tables) or by FFTs of the N^dim grid
-    (grid_fft); gram applies extend(restrict(.)) by the same grid transforms,
-    on the N^dim grid or on Z_M^dim (gram_grid); _direct_restrict sums in
-    chunks of atoms.
+    (grid_fft); gram applies extend(restrict(.)) by FFTs of the N^dim grid or
+    of Z_M^dim (gram_grid); _direct_restrict sums in chunks of atoms.
     """
 
     mu: DiscreteMeasure
@@ -179,11 +173,8 @@ class ExtensionOperator:
 
     @cached_property
     def _roots(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """spectral.unit_roots of the N-th roots, built once per operator: high holds at most
-        DIRECT_CHUNK_ENTRIES entries, as one of fourier's direct-sum chunks does, so a sparse measure
-        on a fine grid never pays O(N) memory; up to that size shift is 0 and high is the whole table."""
-        N = self.mu.N
-        return unit_roots(N, max(0, N.bit_length() - DIRECT_CHUNK_ENTRIES.bit_length()))
+        """The N-th roots of unity, _grid_roots(N): one table per grid, shared by its operators."""
+        return _grid_roots(self.mu.N)
 
     def _direct_restrict(self, f: np.ndarray) -> np.ndarray:
         """restrict of one vector f (L,) as the sum over the lattice, one chunk of atoms at a time.
@@ -226,47 +217,44 @@ class ExtensionOperator:
         places = tuple(inv for _, inv in lines[:-1]) + (coords[-1][lines[-1][1]],)
         return coords, np.ravel_multi_index(places, tuple(len(c) for c in coords[:-1]) + (self.mu.N,))
 
-    def _stages(self, G: int, lines: list) -> list[tuple[int, ...]]:
+    def _stages(self, G: int, lines: list | None = None) -> list[tuple[int, ...]]:
         """Per axis a (0-based), a row's grid at the transforms along a on Z_G^dim: the earlier axes
-        cut to lines[:a] (coordinates, or slice(None) for all G), a of length G, the later axes the window."""
-        counts = [G if isinstance(c, slice) else len(c) for c in lines]
+        cut to lines[:a] (coordinates; all G lines when None), a of length G, the later axes the window."""
+        counts = [G] * self.dim if lines is None else [len(c) for c in lines]
         return [(*counts[:a], G) + (2 * self.X + 1,) * (self.dim - 1 - a) for a in range(self.dim)]
 
-    def _transform_work(self, G: int, lines: list) -> float:
+    def _transform_work(self, G: int, lines: list | None = None) -> float:
         """lines x length x log2(length) of a forward and an inverse pass over _stages(G, lines)."""
         return 2 * sum(map(math.prod, self._stages(G, lines))) * math.log2(G)
 
-    def _grid_workspace(self, k: int, G: int | None = None) -> _GridWork:
-        """The buffers of the transforms for blocks of up to k rows: on the N-grid cut to the lines
-        through atoms when G is None (grid_fft, gram_grid), else on Z_G^dim with every line.
+    def _grid_workspace(self, k: int) -> _GridWork:
+        """The buffers of the N-grid transforms, cut to the lines through atoms, for blocks of up to k rows.
 
-        Per axis one grid, laid out here as zeros, which is the input of the
-        transforms along that axis in both directions; a call writes its input
-        into it, transforms it into the one scratch buffer and zeroes the
-        entries it wrote, so between calls every pad is in place.  A block of
-        k rows takes the first k rows of every buffer.  Made by the caller once
-        per probe and never kept on the operator, which sweep's threads share.
+        Per axis one zero grid, the input of the transforms along it both ways;
+        a call writes its input there, transforms it into the one scratch
+        buffer and zeroes what it wrote, so every pad stays in place.  k rows
+        take the first k rows of every buffer.  Made by the caller once per
+        probe, never kept on the operator, which sweep's threads share.
         """
-        G, lines = (self.mu.N, self._grid_lines[0]) if G is None else (G, [slice(None)] * self.dim)
-        stages = [(k, *shape) for shape in self._stages(G, lines)]
-        return _GridWork(G, lines, [np.zeros(shape, dtype=np.complex128) for shape in stages],
+        stages = [(k, *shape) for shape in self._stages(self.mu.N, self._grid_lines[0])]
+        return _GridWork([np.zeros(shape, dtype=np.complex128) for shape in stages],
                          np.empty(max(math.prod(shape) for shape in stages), dtype=np.complex128),
                          np.empty((k, self.num_atoms), dtype=np.complex128),
                          np.empty((k, self.lattice_size), dtype=np.complex128))
 
     def _forward(self, rows: np.ndarray, work: _GridWork) -> np.ndarray:
-        """The DFT on Z_G^dim (G = work.G) of each row of a (k, L) block placed at x mod G, on work's lines.
+        """The DFT on Z_N^dim of each row of a (k, L) block placed at x mod N, on the lines through atoms.
 
-        Per axis, first first, the lattice window is placed at x mod G in its
-        grid, with the axis before it cut to work.lines, and transformed into
+        Per axis, first first, the lattice window is placed at x mod N in its
+        grid, the axis before it cut to its lines, and transformed into
         work.scratch, which holds the result.  Every cut and placement copies
         whole rows of the last axis.
         """
-        G, X, k, dim = work.G, self.X, len(rows), self.dim
+        G, lines, X, k, dim = self.mu.N, self._grid_lines[0], self.X, len(rows), self.dim
         z = rows.reshape((k,) + (2 * X + 1,) * dim)
         for axis in range(1, dim + 1):
             grid, at = work.grids[axis - 1][:k], (slice(None),) * axis
-            cut = at if axis == 1 else at[:-1] + (work.lines[axis - 2],)
+            cut = at if axis == 1 else at[:-1] + (lines[axis - 2],)
             ends = at + (slice(X + 1),), at + (slice(G - X, None),)
             grid[ends[0]] = z[cut + (slice(X, None),)]
             grid[ends[1]] = z[cut + (slice(X),)]
@@ -278,15 +266,15 @@ class ExtensionOperator:
     def _windows(self, z: np.ndarray, work: _GridWork) -> np.ndarray:
         """The adjoint of _forward after its inverse transform along the last axis, z; as (k, L) in work.lattice.
 
-        Per axis, last first, the lattice window at x mod G of z is placed on
-        work's lines of the axis before it, whose inverse FFT without its 1/G
-        factor goes into work.scratch, or into the result.
+        Per axis, last first, the lattice window at x mod N of z is placed on
+        the lines through atoms of the axis before it, whose inverse FFT
+        without its 1/N factor goes into work.scratch, or into the result.
         """
-        G, X, k, dim = work.G, self.X, len(z), self.dim
+        G, lines, X, k, dim = self.mu.N, self._grid_lines[0], self.X, len(z), self.dim
         for axis in range(dim, 0, -1):
             at = (slice(None),) * axis
             if axis > 1:
-                held, written = work.grids[axis - 2][:k], at[:-1] + (work.lines[axis - 2],)
+                held, written = work.grids[axis - 2][:k], at[:-1] + (lines[axis - 2],)
             else:
                 held, written = work.lattice[:k].reshape((k,) + (2 * X + 1,) * dim), at
             held[written + (slice(X),)] = z[at + (slice(G - X, None),)]
@@ -366,81 +354,96 @@ class ExtensionOperator:
         return out[0] if g.ndim == 1 else out.T
 
     @cached_property
+    def M(self) -> int:
+        """The M-grid's length: the fast FFT size of 4X + 1 in 2-D and of 4X in 1-D (see gram)."""
+        return _fast_fft_size(4 * self.X + (self.dim == 2))
+
+    @cached_property
     def gram_grid(self) -> bool:
         """Whether gram runs on the N-grid as _grid_extend(w _grid_restrict(.)), not on the M-grid.
 
-        Both are exact.  mu_hat is N-periodic, so on the N-grid T = extend
-        restrict is restrict, a multiply by the weights and extend.  T is
-        Toeplitz on [-X, X]^dim, and so the compression of a circulant on
-        Z_M^dim once M >= 4X + 1: take M = _fast_fft_size(4X + 1).  Chosen once
-        per operator from (X, N, dim) and the number of distinct atom
-        coordinates per axis, never from a block's width: the N-grid needs
-        2X + 1 <= N and is taken when its _transform_work, on the lines
-        through atoms, is below the M-grid's on every line.
+        Both are exact (see gram).  Chosen once per operator from (X, N, dim)
+        and the number of distinct atom coordinates per axis, never from a
+        block's width: the N-grid needs 2X + 1 <= N and is taken when its
+        _transform_work, on the lines through atoms, is below the M-grid's.
         """
-        N, M = self.mu.N, _fast_fft_size(4 * self.X + 1)
-        return (2 * self.X + 1 <= N
-                and self._transform_work(N, self._grid_lines[0]) < self._transform_work(M, [slice(None)] * self.dim))
+        N = self.mu.N
+        return 2 * self.X + 1 <= N and self._transform_work(N, self._grid_lines[0]) < self._transform_work(self.M)
 
     @cached_property
-    def _gram_kernel(self) -> tuple[np.ndarray | None, np.ndarray, float]:
+    def _gram_kernel(self) -> tuple[np.ndarray | None, np.ndarray, float, complex | None]:
         """What gram and _gram_step read besides the block, built on first use and kept.
 
-        On the M-grid: the DFT over M^dim (norm="forward", so gram's inverse
-        transforms take no factor) of the Gram kernel conj(mu_hat) on
-        [-2X, 2X]^dim placed at d mod M; its [-X, X]^dim part, which is
-        extend(1); and the round-off bound of Re <T f, f> / ||f||_2^2,
-        eps log2(M^dim) M^dim max|spectrum|, as M^dim spectrum holds the
-        circulant's eigenvalues.  The coefficients come from spectral.fourier,
-        whose route rule sums over the atoms when the N^dim grid is larger
-        than that sum, so a sparse measure on a fine grid costs a constant
-        times the operator, as on the dense path.
-
-        On the N-grid (gram_grid) no kernel is built: None, extend(1) by
-        _grid_extend, and the bound eps log2(N^dim) N^dim max(w), since the
-        unnormalized DFT F of the grid has F* F = N^dim, so ||T|| <= N^dim max(w).
+        On the M-grid: the DFT over M^dim (norm="forward") of K = conj(mu_hat)
+        on [-2X, 2X]^dim at d mod M, the slot of +-2X holding K(2X) at M = 4X;
+        K on [-X, X]^dim, which is extend(1); eps log2(M^dim) (M^dim max|spectrum|
+        + |c|), the round-off bound of Re <T f, f> / ||f||_2^2; and the corner
+        c = K(-2X) - K(2X) at M = 4X, else None.  spectral.fourier sums K over
+        the atoms where the N^dim grid costs more, as for a sparse measure on a
+        fine grid.  On the N-grid: None, extend(1) by _grid_extend,
+        eps log2(N^dim) N^dim max(w) (the DFT F has F* F = N^dim), and None.
         """
         if self.gram_grid:
             grid = self.mu.N ** self.dim
             extend_one = self._grid_extend(self.weights[None], self._grid_workspace(1))[0].copy()
-            return None, extend_one, np.finfo(float).eps * math.log2(grid) * grid * float(self.weights.max())
-        X, M = self.X, _fast_fft_size(4 * self.X + 1)
+            return None, extend_one, np.finfo(float).eps * math.log2(grid) * grid * float(self.weights.max()), None
+        X, M = self.X, self.M
         kernel = fourier(self.mu, 2 * X)
         np.conjugate(kernel, out=kernel)
+        cut = int(M == 4 * X)  # drops -2X
         placed = np.zeros((M,) * self.dim, dtype=np.complex128)
-        placed[np.ix_(*[np.arange(-2 * X, 2 * X + 1) % M] * self.dim)] = kernel
+        placed[np.ix_(*[np.arange(cut - 2 * X, 2 * X + 1) % M] * self.dim)] = kernel[(slice(cut, None),) * self.dim]
         spectrum = np.fft.fftn(placed, norm="forward")
-        noise = np.finfo(float).eps * math.log2(spectrum.size) * spectrum.size * float(np.abs(spectrum).max())
-        return spectrum, kernel[(slice(X, 3 * X + 1),) * self.dim].ravel(), noise
+        corner, size = kernel[0] - kernel[-1] if cut else None, spectrum.size
+        noise = np.finfo(float).eps * math.log2(size) * (size * float(np.abs(spectrum).max()) + abs(corner or 0))
+        return spectrum, kernel[(slice(X, 3 * X + 1),) * self.dim].ravel(), noise, corner
 
-    def _gram_workspace(self, k: int) -> _GridWork:
-        """gram's _grid_workspace for blocks of up to k rows, on the N-grid or the M-grid (gram_grid).
+    def _gram_workspace(self, k: int) -> _GridWork | list[np.ndarray]:
+        """gram's buffers for k rows: a _grid_workspace (gram_grid), or per axis the output of the M-grid's
+        transforms along it (_stages).  The kernel is built first, so its transients go first."""
+        if self._gram_kernel[0] is None:
+            return self._grid_workspace(k)
+        return [np.empty((k, *shape), dtype=np.complex128) for shape in self._stages(self.M)]
 
-        The kernel is built first, so its transient arrays are freed before the buffers are made.
-        """
-        spectrum = self._gram_kernel[0]
-        return self._grid_workspace(k, None if spectrum is None else len(spectrum))
+    def gram(self, f: np.ndarray, *, work: _GridWork | list[np.ndarray]) -> np.ndarray:
+        """extend(restrict(f)) for the rows of a (k, L) block f, as (k, L), a view into work.
 
-    def gram(self, f: np.ndarray, *, work: _GridWork) -> np.ndarray:
-        """extend(restrict(f)) for the rows of a (k, L) block f, as (k, L).
-
-        work is a _gram_workspace for at least k rows, and the result is a
-        view into it, so it lasts until the next call with the same work.  A
-        row's result does not depend on the other rows of the block.
-
-        On the N-grid (gram_grid) this is _grid_extend(w _grid_restrict(f)).
-        On the M-grid it is the circular convolution with the kernel: the
-        DFT of f placed at x mod M on every line (_forward), times the
-        kernel's spectrum, inverted along the last axis in place and then
-        per axis (_windows), read at x mod M.
+        work is a _gram_workspace for at least k rows; the result lasts until
+        the next call with it.  A row's result does not depend on the other
+        rows.  On the N-grid (gram_grid) this is _grid_extend(w _grid_restrict(f));
+        on the M-grid, T being Toeplitz, the circular convolution of f at
+        [0, 2X]^dim with K: per axis the DFT of length M (np.fft pads each
+        line), times the spectrum, the inverse along the last axis in place and
+        along the first on the 2X + 1 window columns only, read at [0, 2X]^dim.
+        At M = 4X, x = -X took K(2X) for K(-2X) in the term of f(X): the
+        corner term c f(X) mends it.
         """
         if self.gram_grid:
             u = self._grid_restrict(f, work)
             u *= self.weights
             return self._grid_extend(u, work)
-        z = self._forward(f, work)
-        z *= self._gram_kernel[0]
-        return self._windows(np.fft.ifft(z, axis=self.dim, norm="forward", out=z), work)
+        spectrum, _, _, corner = self._gram_kernel
+        k, side = len(f), 2 * self.X + 1
+        z = f.reshape((k,) + (side,) * self.dim)
+        for axis, buffer in enumerate(work, start=1):
+            z = np.fft.fft(z, n=self.M, axis=axis, out=buffer[:k])
+        z = np.fft.ifft(np.multiply(z, spectrum, out=z), axis=self.dim, norm="forward", out=z)
+        if self.dim == 2:
+            z = np.fft.ifft(z[:, :, :side], axis=1, norm="forward", out=work[0][:k])
+        out = z[(slice(None),) + (slice(side),) * self.dim].reshape(k, -1)
+        if corner is not None:
+            out[:, 0] += corner * f[:, -1]
+        return out
+
+
+@lru_cache(maxsize=1)
+def _grid_roots(N: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """unit_roots of the N-th roots, read-only, kept for the last N: high holds at most DIRECT_CHUNK_ENTRIES
+    entries (shift is 0 up to that size), so a sparse measure on a fine grid never pays O(N) memory."""
+    roots = unit_roots(N, max(0, N.bit_length() - DIRECT_CHUNK_ENTRIES.bit_length()))
+    for table in roots[:2]:
+        table.setflags(write=False)
+    return roots
 
 
 def _fast_fft_size(n: int) -> int:
@@ -563,7 +566,7 @@ def _gram_step(op: ExtensionOperator, f: np.ndarray,
     the FFT round-off of zero is taken as u = 0, as the dense path sees it:
     value 0, and the dual element 1, which pulls back to extend(1).
     """
-    _, extend_one, noise = op._gram_kernel
+    extend_one, noise = op._gram_kernel[1:3]
     h = op.gram(f, work=work)
     fv = f.view(np.float64)
     square = np.einsum("ij,ij->i", fv, h.view(np.float64))
@@ -696,10 +699,7 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
     tol = options.tol
     gram = qf == 2.0
     # the products of every iteration write into one workspace, made here
-    if gram:
-        work = op._gram_workspace(len(f))
-    else:
-        work = op._grid_workspace(len(f)) if op.grid_fft else None
+    work = op._gram_workspace(len(f)) if gram else op._grid_workspace(len(f)) if op.grid_fft else None
     for it in range(options.max_iters):
         # g: the pulled-back functionals at q = 2, else the dual elements to pull back
         if gram:

@@ -107,27 +107,31 @@ def lattice_phase_matrix(indices, N, X):
     return np.exp(2j * np.pi * ((lattice @ indices.T) % N) / N)
 
 
-def gram_by_circulant_ffts(spectrum, f, X, dim):
+def gram_by_circulant_ffts(spectrum, corner, f, X, dim):
     """T f for the rows of a (k, L) block f as the circular convolution on Z_M^dim, in fresh arrays.
 
-    spectrum is ExtensionOperator._gram_kernel[0], the kernel's DFT over
-    M^dim.  Each axis, first first, places the block at x mod M in a new
-    zero array and transforms it; after the multiply each axis, last first,
-    is inverted without its 1/M factor and read back at x mod M.  The same
-    transforms, in the same order, as the workspace gram, which must match
-    it bit for bit.
+    spectrum and corner are ExtensionOperator._gram_kernel[0] and [3]: the
+    kernel's DFT over M^dim, and K(-2X) - K(2X) when M = 4X (1-D), where
+    the two differences share one slot, else None.  Each axis, first first,
+    places the block at [0, 2X] in a new zero array of length M and
+    transforms it; after the multiply each axis, last first, is inverted
+    without its 1/M factor and read back at [0, 2X].  At M = 4X the term
+    of x = X at x = -X is mended by corner f(X).  The same transforms, in
+    the same order, as the workspace gram, which must match it bit for bit.
     """
-    M, k = spectrum.shape[0], len(f)
-    x = np.arange(-X, X + 1) % M
-    z = f.reshape((k,) + (2 * X + 1,) * dim)
+    M, k, side = spectrum.shape[0], len(f), 2 * X + 1
+    z = f.reshape((k,) + (side,) * dim)
     for axis in range(1, dim + 1):
         placed = np.zeros(z.shape[:axis] + (M,) + z.shape[axis + 1:], dtype=np.complex128)
-        placed[(slice(None),) * axis + (x,)] = z
+        placed[(slice(None),) * axis + (slice(side),)] = z
         z = np.fft.fft(placed, axis=axis)
     z = z * spectrum
     for axis in range(dim, 0, -1):
-        z = np.fft.ifft(z, axis=axis, norm="forward").take(x, axis=axis)
-    return z.reshape(k, -1)
+        z = np.fft.ifft(z, axis=axis, norm="forward")[(slice(None),) * axis + (slice(side),)]
+    z = z.reshape(k, -1).copy()
+    if corner is not None:
+        z[:, 0] += corner * f[:, -1]
+    return z
 
 
 def _phase_rows(z, a):

@@ -730,10 +730,13 @@ def test_block_columns_do_not_depend_on_the_block_at_one_blas_thread():
 def _gram_cases():
     # (measure, X, gram_grid).  M-grid: fourier's grid route (2X <= N/2 and
     # 2X > N/2), its direct route (N > (4X + 1) m, 1-D only), and a lattice
-    # wider than the N-grid (2X + 1 > N), in 1-D and 2-D.  N-grid:
-    # N below the fast size of 4X + 1 in 1-D, and in 2-D a small grid, the
-    # benchmark's circle(128) at X = 32 and one atom
+    # wider than the N-grid (2X + 1 > N), in 1-D and 2-D; in 1-D M = 4X, with
+    # its corner term, at X = 8, 16 and 20, and M > 4X at X = 7 and 11.
+    # N-grid: N below the fast size of 4X in 1-D, and in 2-D a small grid,
+    # the benchmark's circle(128) at X = 32 and one atom
     return [(random_measure(31, max_atoms=24), 16, False), (random_measure(31, max_atoms=24), 8, False),
+            (random_measure(31, max_atoms=24), 7, False), (random_flat(4096, 185, seed=5), 16, False),
+            (random_flat(4096, 185, seed=5), 11, False),
             (random_flat(32, 9, seed=32), 20, False), (circle(64, 0.25), 8, False),
             (circle(16, 0.25), 10, False),
             (random_flat(64, 12, seed=31), 20, True), (circle(16, 0.25), 6, True),
@@ -755,12 +758,45 @@ def test_gram_product_is_extend_of_restrict():
             assert np.array_equal(gram, op._grid_extend(u, op._grid_workspace(5)).T), (mu.N, X)
             assert op._gram_kernel[0] is None  # no kernel is built
         else:
-            # the workspace's zero pads and in-place transforms give the bits of fresh arrays
-            assert np.array_equal(gram, gram_by_circulant_ffts(op._gram_kernel[0], F.T, X, mu.dim).T), (mu.N, X)
+            # np.fft's padding and the in-place transforms give the bits of fresh zero-padded arrays
+            assert (op._gram_kernel[3] is not None) == (op.M == 4 * X), (mu.N, X)
+            oracle = gram_by_circulant_ffts(op._gram_kernel[0], op._gram_kernel[3], F.T, X, mu.dim)
+            assert np.array_equal(gram, oracle.T), (mu.N, X)
         assert np.abs(gram - dense).max() <= 1e-12 * np.abs(dense).max(), (mu.N, X)
         # extend(1), the pull-back of a vanished start, is the kernel on [-X, X]^dim
         extend_one = op._gram_kernel[1]
         assert np.abs(extend_one - op.extend(np.ones(op.num_atoms))).max() <= 1e-12, (mu.N, X)
+
+
+@pytest.mark.parametrize("mu, X", [(random_measure(31, max_atoms=24), 16), (random_flat(32, 9, seed=32), 20)],
+                         ids=["1d", "wide-1d"])
+def test_gram_corner_term_mends_the_shared_slot(mu, X):
+    # at M = 4X the differences -2X and 2X share one slot, which holds
+    # K(2X); f at x = X alone reads K(-2X) at x = -X, and f at x = -X alone
+    # reads K(2X) at x = X, so a dropped, misplaced or sign-flipped corner
+    # term fails the first row or the second
+    op = assemble(mu, X)
+    assert not op.gram_grid and op.M == 4 * X
+    corner = op._gram_kernel[3]
+    assert abs(corner) > 0.01  # and every |K| <= 1, so the tolerance below is far under it
+    F = np.zeros((2, op.lattice_size), dtype=np.complex128)
+    F[0, -1], F[1, 0] = 0.6 - 0.8j, 1.0
+    dense = op.extend(op.restrict(F.T)).T
+    gram = op.gram(F, work=op._gram_workspace(2))
+    assert np.abs(gram - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_one_roots_table_per_grid():
+    # two operators of one measure read the same table, which no product
+    # may write; a different N gets its own
+    mu = random_flat(4096, 185, seed=5)
+    first, second = assemble(mu, 16)._roots, assemble(mu, 64)._roots
+    assert first is second
+    assert all(not table.flags.writeable for table in first[:2])
+    with pytest.raises(ValueError):
+        first[0][0] = 0
+    other = assemble(random_flat(64, 12, seed=31), 4)._roots
+    assert other is not first and len(other[0]) == 64
 
 
 def test_gram_rows_do_not_depend_on_the_block():
@@ -823,7 +859,8 @@ def test_q2_probe_runs_its_gram_ffts_in_one_per_call_workspace(monkeypatch, mu, 
 
     # starts leave the block, so the workspace serves every smaller height;
     # stale entries from a taller block must never be read: every entry the
-    # workspace does not lay out as a zero pad starts as NaN
+    # workspace does not lay out as a zero pad starts as NaN (on the M-grid,
+    # where np.fft pads each line, that is every entry)
     rng = np.random.default_rng(X)
     F = rng.standard_normal((9, op.lattice_size)) + 1j * rng.standard_normal((9, op.lattice_size))
     make = op._gram_workspace if q == 2 else op._grid_workspace
@@ -969,7 +1006,7 @@ def test_backend_rule_reads_only_the_operator_shape(mu, X, grid_fft):
     (random_flat(4096, 185, seed=20240613, flatness_c=4.0, max_retries=200), (64, 128, 256, 512), (False,) * 4),
     (cantor(4, {0, 3}, 8), (64, 128, 256, 512), (False,) * 4),
     (random_flat(32, 9, seed=32), (20,), (False,)),  # 2X + 1 > N
-    (random_flat(64, 12, seed=31), (20,), (True,))],  # N below the fast size of 4X + 1
+    (random_flat(64, 12, seed=31), (20,), (True,))],  # N below M, the fast size of 4X
     ids=["circle128", "circle256", "sweep", "cantor8", "wide-1d", "narrow-1d"])
 def test_gram_route_rule_counts_each_route_s_transforms(mu, X_list, gram_grid):
     # the benchmark's operators and the Stein-Tomas circle: the grid round
@@ -979,7 +1016,7 @@ def test_gram_route_rule_counts_each_route_s_transforms(mu, X_list, gram_grid):
     for X, want in zip(X_list, gram_grid):
         op = assemble(mu, X)
         assert op.gram_grid == want, X
-        side, N, M = 2 * X + 1, mu.N, probe._fast_fft_size(4 * X + 1)
+        side, N, M = 2 * X + 1, mu.N, op.M
         if mu.dim == 2:
             n_first = len(np.unique(mu.indices[:, 0]))
             grid, toeplitz = 2 * (side + n_first) * N * np.log2(N), 2 * (side + M) * M * np.log2(M)
