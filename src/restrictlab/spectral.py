@@ -8,9 +8,11 @@ of the dense weight grid or the sum over atoms.
 Weights are real, so every full-grid transform here is a real one: rfftn
 keeps the half spectrum (last-axis frequencies 0..N/2, the rest follow from
 mu_hat(-k) = conj(mu_hat(k))), writes all its passes into one array, and no
-complex copy of the grid is made.  The grid measures (convolution powers,
-self-correlation) keep that one spectrum alive and map and invert it in
-place.
+complex copy of the grid is made.  The convolution powers and the
+self-correlation take such a transform only when their m^n atom products
+outnumber the N^dim grid points; otherwise they add the products up over
+the atoms directly, with no transform and no round-off to clip.  The grid route keeps one
+spectrum alive and maps and inverts it in place.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .rationals import Exponent, exp_float, is_inf, validate_exponent
 
 CONV_CLIP_ERROR = 1e-8
 CONV_DROP_REL = 1e-14
-# phase entries (frequencies x atoms) per chunk of fourier's direct sum
+# entries per chunk of fourier's direct sum (frequencies x atoms) and of the
+# atom sums of convolve_power and self_correlation (rows x atoms)
 DIRECT_CHUNK_ENTRIES = 262_144
 
 
@@ -153,7 +156,7 @@ def lp_norm(values: np.ndarray, s: Exponent, weights: np.ndarray | None = None,
     row is reduced by a contiguous sum of its own, never by a product with
     the weights, so a row's norm does not depend on the other rows.
     """
-    a = np.abs(values)
+    a = np.abs(values, dtype=np.float64)  # a new float array, scaled in place below
     if is_inf(s):
         top = (a if weights is None else a[..., weights > 0]).max(axis=-1 if rows else None)
         return top if rows else float(top)
@@ -166,8 +169,9 @@ def lp_norm(values: np.ndarray, s: Exponent, weights: np.ndarray | None = None,
     peak = float(a.max())
     if peak == 0.0:
         return 0.0
-    scaled = (a / peak) ** sf
-    total = np.sum(scaled) if weights is None else weights.ravel() @ scaled.ravel()
+    a /= peak
+    a **= sf
+    total = np.sum(a) if weights is None else weights.ravel() @ a.ravel()
     return float(peak * (total / volume) ** (1.0 / sf))
 
 
@@ -198,10 +202,47 @@ def _grid_measure(mu: DiscreteMeasure, spectral_map, constructor: dict) -> Discr
     return _finalize(mu.dim, mu.N, sites, weights, constructor, seed=mu.seed)
 
 
-def convolve_power(mu: DiscreteMeasure, n: int) -> DiscreteMeasure:
-    """Circular n-fold self-convolution via FFT of the dense weight grid.
+def _atom_sums(mu: DiscreteMeasure, n: int, sign: int, constructor: dict) -> DiscreteMeasure:
+    """n-fold circular sum (sign 1) or difference (sign -1, n = 2) measure, summed over the atoms.
 
-    Round-off is handled in two declared steps: values below -CONV_CLIP_ERROR
+    Each of the n - 1 steps adds every product w_i w_j of a support cell i
+    and an atom j of mu at the cell (i + sign j) mod N, by np.add.at into one
+    N^dim accumulator, and takes the nonzero cells as the next support.  The
+    rows of the support go in chunks of DIRECT_CHUNK_ENTRIES // m, so the
+    cell and product arrays of a chunk hold at most that many entries.
+    Nothing is clipped or dropped: a cell is kept when a product reached it.
+    """
+    shape = (mu.N,) * mu.dim
+    atoms = tuple(sign * mu.indices.T)
+    acc = np.zeros(mu.N ** mu.dim)
+    rows, row_weights = tuple(mu.indices.T), mu.weights
+    step = max(1, DIRECT_CHUNK_ENTRIES // mu.num_atoms)
+    for _ in range(n - 1):
+        for lo in range(0, len(row_weights), step):
+            chunk = slice(lo, lo + step)
+            cells = np.zeros((len(row_weights[chunk]), mu.num_atoms), dtype=np.int64)
+            for row, atom in zip(rows, atoms):
+                cells *= mu.N
+                cells += np.add.outer(row[chunk], atom) & (mu.N - 1)
+            products = np.multiply.outer(row_weights[chunk], mu.weights)
+            # flat index arrays take np.add.at's fast path
+            np.add.at(acc, cells.ravel(), products.ravel())
+            del cells, products
+        support = np.flatnonzero(acc)
+        rows, row_weights = np.unravel_index(support, shape), acc[support]
+        acc[support] = 0.0
+    del acc
+    return _finalize(mu.dim, mu.N, np.stack(rows, axis=1), row_weights, constructor,
+                     seed=mu.seed)
+
+
+def convolve_power(mu: DiscreteMeasure, n: int) -> DiscreteMeasure:
+    """Circular n-fold self-convolution, summed over the atoms or via FFT of the dense grid.
+
+    With m^n <= N^dim atom products the power is summed over the atoms
+    (_atom_sums), which clips and drops nothing; otherwise it is the inverse
+    real FFT of the n-th power of mu's half spectrum.  That grid route
+    handles round-off in two declared steps: values below -CONV_CLIP_ERROR
     (-1e-8) raise ArithmeticError, signalling a precision failure, and
     smaller negative values are clipped to zero; then atoms below
     CONV_DROP_REL relative to the peak are dropped before the final
@@ -211,11 +252,14 @@ def convolve_power(mu: DiscreteMeasure, n: int) -> DiscreteMeasure:
         raise ValueError("n must be >= 1")
     if n == 1:
         return mu
+    constructor = {"kind": "convolve_power", "n": n, "of": mu.constructor}
+    if mu.num_atoms ** n <= mu.N ** mu.dim:
+        return _atom_sums(mu, n, 1, constructor)
 
     def power(spec):
         spec **= n
 
-    return _grid_measure(mu, power, {"kind": "convolve_power", "n": n, "of": mu.constructor})
+    return _grid_measure(mu, power, constructor)
 
 
 def density_norm(mu: DiscreteMeasure, r: Exponent) -> float:
@@ -230,13 +274,20 @@ def density_norm(mu: DiscreteMeasure, r: Exponent) -> float:
 
 
 def self_correlation(mu: DiscreteMeasure) -> DiscreteMeasure:
-    """mu convolved with its image under x -> -x: the autocorrelation measure, peaked at lag zero."""
+    """mu convolved with its image under x -> -x: the autocorrelation measure, peaked at lag zero.
+
+    Routed as convolve_power at n = 2: summed over the atoms when m^2 <=
+    N^dim, with nothing clipped or dropped, and otherwise the inverse real
+    FFT of |mu_hat|^2, whose round-off is clipped and dropped as there.
+    """
+    constructor = {"kind": "self_correlation", "of": mu.constructor}
+    if mu.num_atoms ** 2 <= mu.N ** mu.dim:
+        return _atom_sums(mu, 2, -1, constructor)
 
     def squared_modulus(spec):
         np.abs(spec, out=spec.real)
         np.square(spec.real, out=spec.real)
         spec.imag = 0.0
 
-    return _grid_measure(mu, squared_modulus,
-                         {"kind": "self_correlation", "of": mu.constructor})
+    return _grid_measure(mu, squared_modulus, constructor)
 

@@ -57,6 +57,30 @@ def digit_multiplicity_peak(stage):
     return peak
 
 
+def digit_sum_weights(digits, n):
+    """Law of d_1 + ... + d_n for independent uniform digits, as {sum: probability}, by enumeration."""
+    law = {}
+    for combo in itertools.product(digits, repeat=n):
+        law[sum(combo)] = law.get(sum(combo), 0) + 1
+    total = len(digits) ** n
+    return {value: count / total for value, count in law.items()}
+
+
+def self_similar_density_norm(base, digit_weights, stage, r):
+    """Closed-form L^r norm of the grid density of a self-similar measure.
+
+    Each of the stage base-b digits e of a point is drawn independently with
+    weight w_e.  When the digit values are distinct mod b, every digit string
+    lands on its own cell of the b^stage grid, so a cell has density
+    prod (b w_e) and the norm is (b^{r-1} sum_e w_e^r)^{stage/r}, or
+    (b max_e w_e)^stage at r = inf.
+    """
+    if r == math.inf:
+        return (base * max(digit_weights)) ** stage
+    r = float(r)
+    return (base ** (r - 1) * math.fsum(w**r for w in digit_weights)) ** (stage / r)
+
+
 def dense_ball_masses(indices, weights, N, radius):
     """Brute-force mu(B(x, r)) for every grid center x, torus sup metric.
 

@@ -21,10 +21,12 @@ from restrictlab.spectral import (
 from oracles import (
     cantor_product_spectrum,
     digit_multiplicity_peak,
+    digit_sum_weights,
     direct_fourier_1d,
     pairwise_difference_counts,
     pairwise_sum_weights,
     reflect,
+    self_similar_density_norm,
     validate_spectrum,
     weighted_lp_norm,
     whole_table_fourier,
@@ -152,21 +154,108 @@ def test_fourier_grid_route_holds_the_real_grid_and_one_half_spectrum(mu, K):
     assert peak <= bound, (peak, bound)
 
 
-SPARSE_2D = DiscreteMeasure(2, 256, np.array([[0, 0], [3, 200], [101, 7]]),
-                            np.array([0.5, 0.25, 0.25]))
+def _lattice(N, steps):
+    """Uniform measure on the subgroup of the (N,)*dim grid with the given step per axis."""
+    idx = np.indices([N // step for step in steps]).reshape(len(steps), -1).T * steps
+    return DiscreteMeasure(len(steps), N, idx, np.full(len(idx), 1.0 / len(idx)))
+
+
+# 512 atoms on 2^16-point grids: m^2 > N^dim, so both grid measures take the
+# FFT route, and their sums and differences stay on the same 512 cells
+LATTICE_1D = _lattice(2**16, (128,))
+LATTICE_2D = _lattice(256, (8, 16))
 
 
 @pytest.mark.parametrize("grid_measure", [lambda mu: convolve_power(mu, 3), self_correlation],
                          ids=["convolve_power", "self_correlation"])
-@pytest.mark.parametrize("mu", [cantor(16, {0, 5}, 4), SPARSE_2D], ids=["1d", "2d"])
+@pytest.mark.parametrize("mu", [LATTICE_1D, LATTICE_2D], ids=["1d", "2d"])
 def test_grid_measures_keep_one_spectrum(mu, grid_measure):
     # the spectrum is mapped and inverted in place; a second one (an
     # out-of-place map, or irfftn's intermediate in 2-D) adds 8 bytes per
     # point, 512 KB on these 2^16-point grids
+    assert mu.num_atoms ** 2 > mu.N ** mu.dim
     nu, peak = _traced_peak(grid_measure, mu)
     bound = _real_grid_bytes(mu) + TRACE_SLACK
     assert peak <= bound, (peak, bound)
-    assert nu.num_atoms < 300
+    assert nu.num_atoms == mu.num_atoms
+
+
+def _spy_atom_sums(monkeypatch):
+    """Record the n of every spectral._atom_sums call in the returned list."""
+    calls = []
+    real = spectral._atom_sums
+    monkeypatch.setattr(spectral, "_atom_sums", lambda *a: calls.append(a[1]) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("grid_measure", [lambda mu: convolve_power(mu, 2), self_correlation],
+                         ids=["convolve_power", "self_correlation"])
+def test_atom_sums_hold_less_than_the_grid_route(monkeypatch, grid_measure):
+    # m^2 = N = 2^20: the sums hold one 8 MB accumulator and chunks of at most
+    # DIRECT_CHUNK_ENTRIES cells and products, under the grid route's real
+    # grid and half spectrum (16.8 MB)
+    mu = cantor(4, {0, 3}, 10)
+    calls = _spy_atom_sums(monkeypatch)
+    nu, peak = _traced_peak(grid_measure, mu)
+    assert calls == [2]
+    assert peak < _real_grid_bytes(mu), (peak, _real_grid_bytes(mu))
+    assert nu.num_atoms == 3**10
+
+
+def _random_measure(dim, N, m, seed):
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(N**dim, size=m, replace=False)
+    w = rng.random(m) + 0.5
+    return DiscreteMeasure(dim, N, np.stack(np.unravel_index(flat, (N,) * dim), axis=1), w / w.sum())
+
+
+def _power_map(n):
+    def power(spec):
+        spec **= n
+    return power
+
+
+def _squared_modulus(spec):
+    spec *= spec.conj()
+
+
+# (dim, N, n) with 16^n = N^dim, so 16 atoms sit at the boundary of the rule
+@pytest.mark.parametrize("dim, N, n", [(1, 256, 2), (1, 4096, 3), (2, 16, 2), (2, 64, 3)])
+@pytest.mark.parametrize("m", [16, 17], ids=["m^n=N^dim", "m^n>N^dim"])
+def test_atom_sums_and_grid_route_agree(monkeypatch, dim, N, n, m):
+    mu = _random_measure(dim, N, m, seed=31 * N + m)
+    calls = _spy_atom_sums(monkeypatch)
+    cases = [(lambda: convolve_power(mu, n), 1, _power_map(n))]
+    if n == 2:
+        cases.append((lambda: self_correlation(mu), -1, _squared_modulus))
+    for public, sign, spectral_map in cases:
+        sums = spectral._atom_sums(mu, n, sign, {})
+        calls.clear()
+        grid = spectral._grid_measure(mu, spectral_map, {})
+        assert np.max(np.abs(sums.dense_weights() - grid.dense_weights())) <= 1e-12
+        # the public functions sum over the atoms exactly when m^n <= N^dim
+        nu = public()
+        assert calls == ([n] if m**n <= N**dim else [])
+        if calls:
+            assert np.array_equal(nu.indices, sums.indices)
+            assert np.array_equal(nu.weights, sums.weights)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("digits", [(0, 3), (0, 1)])
+def test_cantor_convolution_power_density_norm_closed_form(monkeypatch, digits, n):
+    # the n-fold digit sums are distinct mod 4, so mu^{*n} is self-similar
+    # with the law of the digit sums as its digit weights; at n = 2 every
+    # stage sums the atoms (2^{2s} = 4^s products), at n = 3 none does
+    law = digit_sum_weights(digits, n)
+    assert len({value % 4 for value in law}) == len(law)
+    calls = _spy_atom_sums(monkeypatch)
+    for stage in range(1, 11):
+        nu = convolve_power(cantor(4, digits, stage), n)
+        for r in (Fraction(3, 2), 2, 4, INF):
+            expected = self_similar_density_norm(4, list(law.values()), stage, r)
+            assert density_norm(nu, r) == pytest.approx(expected, rel=1e-10), (stage, r)
+    assert calls == ([2] * 10 if n == 2 else [])
 
 
 @pytest.mark.parametrize("mu", [random_flat(256, 24, seed=4), circle(64, 0.25)],
@@ -318,6 +407,12 @@ def test_lp_norm_matches_unscaled_oracle(instance):
     weights = None if weights is None else np.stack([weights, weights])
     expected = weighted_lp_norm(values, s, weights, volume)
     assert lp_norm(values, s, weights, volume) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_lp_norm_reads_integer_values_as_floats():
+    # the scalar path scales |values| in place, so it must not keep an integer dtype
+    for s in (Fraction(3, 2), 2, INF):
+        assert lp_norm(np.array([1, -2, 3]), s) == lp_norm(np.array([1.0, -2.0, 3.0]), s)
 
 
 def test_convolution_error_on_unnormalizable():
