@@ -261,24 +261,49 @@ def triangular_kernel(epsilon: int) -> np.ndarray:
     return t / t.sum()
 
 
+def _half_spectrum(grid: np.ndarray) -> np.ndarray:
+    """rfftn of a real grid over all its axes, every pass written into one array."""
+    half = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
+    return np.fft.rfftn(grid, axes=tuple(range(grid.ndim)),
+                        out=np.empty(half, dtype=np.complex128))
+
+
+def _from_half_spectrum(spec: np.ndarray, N: int) -> np.ndarray:
+    """irfftn of a half spectrum onto the (N,)*dim grid, overwriting spec.
+
+    The leading axes are inverted in place, in irfftn's order and with its
+    bits, so no second spectrum is made; only the real output is new.
+    """
+    for axis in range(spec.ndim - 1):
+        np.fft.ifft(spec, axis=axis, out=spec)
+    return np.fft.irfft(spec, n=N, axis=-1)
+
+
 def mollify(mu: DiscreteMeasure, epsilon: int) -> np.ndarray:
     """Circularly convolve atom weights with the triangular kernel.
 
     Returns the nonnegative density of shape (N,)*dim with respect to the
-    normalized grid volume 1/N^dim, so its mean is the mass 1.
+    normalized grid volume 1/N^dim, so its mean is the mass 1.  The dense
+    kernel is dropped once transformed, the grid once transformed; its half
+    spectrum is multiplied in place and inverted in place (_from_half_spectrum),
+    and the clip and the N^dim scale work in place on the result, so at most
+    three full grids are alive at once.
     """
     t = triangular_kernel(epsilon)
-    grid = mu.dense_weights()
     offs = np.arange(-(epsilon - 1), epsilon) % mu.N
     k1 = np.zeros(mu.N)
     np.add.at(k1, offs, t)
-    kernel = reduce(np.multiply.outer, [k1] * mu.dim)
-    axes = tuple(range(mu.dim))
-    conv = np.fft.irfftn(np.fft.rfftn(grid, axes=axes) * np.fft.rfftn(kernel, axes=axes),
-                         s=grid.shape, axes=axes)
+    kernel = _half_spectrum(reduce(np.multiply.outer, [k1] * mu.dim))
+    del k1
+    spec = _half_spectrum(mu.dense_weights())
+    np.multiply(spec, kernel, out=spec)
+    del kernel
+    conv = _from_half_spectrum(spec, mu.N)
+    del spec
     if conv.min() < -1e-12:
         raise ArithmeticError(f"mollified density went negative: {conv.min()}")
-    density = np.maximum(conv, 0.0) * mu.N**mu.dim
+    density = np.maximum(conv, 0.0, out=conv)
+    density *= mu.N**mu.dim
     mass = float(density.sum()) / mu.N**mu.dim
     if abs(mass - 1.0) > DENSITY_MASS_TOL:
         raise ValueError(f"density mass {mass!r} is not 1")

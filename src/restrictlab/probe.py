@@ -14,20 +14,24 @@ p = q = 2 the loop is exactly power iteration and converges to the top
 singular value; elsewhere the problem is nonconvex and the result is a
 certified lower bound with a stored witness.
 
-All starts of one estimate run together as one block, one start per
-column, so each operator application is one block product.  At one
-BLAS thread a start's iterates do not depend on which starts share its
-block.
+All starts of one estimate run as one (k, L) block, one start per row, so
+each operator application is one block product; at one BLAS thread a
+start's iterates do not depend on which starts share its block.  The
+row-wise steps take no modulus and no phase divide: with s2 = |z|^2 over
+its row's largest entry, the l^p extremal vector of a pulled-back row z is
+z s2^((p'-2)/2) times one scale per row, and the L^q(mu) dual element of
+u = restrict(f) is u s2^((q-2)/2), whose powers also make the norm's sum.
+Every row is reduced on its own, by einsum, which takes no BLAS call.
+Iterates are new arrays that are never written, so each start's best
+iterate is kept as a row of its block, copied only when the loop moves
+past that block without the start improving.
 
-The row-wise steps of an iteration take no modulus and no phase divide.
-With s2 = |z|^2 over its row's largest entry, the l^p extremal vector of a
-pulled-back row z is z s2^((p'-2)/2) times one scale per row, and the
-L^q(mu) dual element of u = restrict(f) is u s2^((q-2)/2), whose powers
-also make the norm's sum: one general power per entry for each.  Every
-row is reduced on its own, by einsum, which takes no BLAS call.  Iterates
-are new arrays that are never written, so each start's best iterate is
-kept as a row of its block, and copied only when the loop moves past that
-block without the start improving.
+Guards run only when a cheap test over the block says a row needs them: a
+zero row peak (a vanished restriction or pulled-back functional), by one
+test of the block's peaks; at q = 2 a vanished row, by one comparison of
+the least square with the round-off noise times 2 L^max(0, 1 - 2/p), twice
+the bound on ||f||_2^2 of a unit l^p row (Holder; L at p = inf); and a
+non-finite value, from the sum of the values the loop reads anyway.
 
 Atoms sit on the grid j/N and the lattice is integral, so restrict and
 extend are exact DFTs on Z_N^dim: by FFTs of the N^dim grid on a large
@@ -48,13 +52,10 @@ instead of a restrict and an extend, on the cheaper of two grids
 (ExtensionOperator.gram_grid): on the N^dim grid, where mu_hat is
 N-periodic, the grid restrict, a multiply by the weights and the grid
 extend; on Z_M^dim, where the Toeplitz T is a compressed circulant, a plain
-circular convolution.  FFTs take no BLAS call, so those iterates do not
-depend on the BLAS thread count.
-
-Each probe makes one workspace for its starting block, and every FFT of
-the loop writes into it through np.fft's out=, so the loop allocates no
-transform arrays; the workspace belongs to the call, never to the
-operator, which sweep's threads share.
+circular convolution.  FFTs take no BLAS call.  Each probe makes one
+workspace for its block, and every FFT of the loop writes into it through
+np.fft's out=; it belongs to the call, never to the operator, which
+sweep's threads share.
 """
 
 from __future__ import annotations
@@ -310,48 +311,46 @@ class ExtensionOperator:
         return self._windows(z, work)
 
     def restrict(self, f: np.ndarray, *, work: _GridWork | None = None) -> np.ndarray:
-        """f on the lattice -> f_hat at the atoms; f is one vector (L,) or a block (L, k).
-
-        A block is taken by rows, (k, L), and comes back as (m, k); a vector as
-        one row.  Dense, c rows at a time (_dense_tables): conj(f) on the lattice
-        array (_split), a GEMM (c T, S) @ (S, m) against inner, an einsum (no BLAS
-        call) against outer, conjugated.  With grid_fft the rows are transformed
-        in work (a _grid_workspace for k rows, fresh when None), which holds the result.
-        """
-        block = np.atleast_2d(f.T)
-        k, L = block.shape
-        if self.grid_fft:
-            out = self._grid_restrict(block, work or self._grid_workspace(k))
-        else:
-            (T, S), (outer, inner, c) = self._split, self._dense_tables(k)
-            rows, out = np.zeros((c, T * S), dtype=np.complex128), np.empty((k, self.num_atoms), dtype=np.complex128)
-            for lo in range(0, k, c):
-                n = min(c, k - lo)
-                np.conjugate(block[lo:lo + n], out=rows[:n, :L])
-                np.einsum("ktj,tj->kj", (rows[:n].reshape(n * T, S) @ inner).reshape(n, T, -1), outer,
-                          out=out[lo:lo + n])
-            np.conjugate(out, out=out)
+        """f on the lattice -> f_hat at the atoms: (L,) -> (m,), a block (L, k) -> (m, k), by _restrict_rows."""
+        out = self._restrict_rows(np.atleast_2d(f.T), work)
         return out[0] if f.ndim == 1 else out.T
 
-    def extend(self, g: np.ndarray, *, work: _GridWork | None = None) -> np.ndarray:
-        """g at the atoms -> weighted exponential sums on the lattice; g is (m,) or (m, k).
+    def _restrict_rows(self, block: np.ndarray, work: _GridWork | None) -> np.ndarray:
+        """restrict of the rows of a (k, L) block, as (k, m).
 
-        Taken by rows, as restrict.  Dense, c rows at a time: (w g)[:, None, :] * outer,
-        a GEMM (c T, m) @ (m, S) against inner.T, cut to L; grid_fft: by rows in work.
+        Dense, in one pass, or c rows at a time when c < k (_dense_tables):
+        conj(f) on the lattice array (_split), a GEMM (c T, S) @ (S, m) against
+        inner, an einsum (no BLAS call) against outer, conjugated.  grid_fft: in
+        work (a _grid_workspace for k rows, fresh when None), which holds the result.
         """
-        block = np.atleast_2d(g.T)
+        k, L = block.shape
+        if self.grid_fft:
+            return self._grid_restrict(block, work or self._grid_workspace(k))
+        (T, S), (outer, inner, c) = self._split, self._dense_tables(k)
+        if c < k:
+            return np.concatenate([self._restrict_rows(block[lo:lo + c], None) for lo in range(0, k, c)])
+        rows = np.zeros((k, T * S), dtype=np.complex128)
+        np.conjugate(block, out=rows[:, :L])
+        out = np.einsum("ktj,tj->kj", (rows.reshape(k * T, S) @ inner).reshape(k, T, -1), outer)
+        return np.conjugate(out, out=out)
+
+    def extend(self, g: np.ndarray, *, work: _GridWork | None = None) -> np.ndarray:
+        """g at the atoms -> weighted sums on the lattice: (m,) -> (L,), (m, k) -> (L, k), by _extend_rows."""
+        out = self._extend_rows(np.atleast_2d(g.T), work)
+        return out[0] if g.ndim == 1 else out.T
+
+    def _extend_rows(self, block: np.ndarray, work: _GridWork | None) -> np.ndarray:
+        """extend of the rows of a (k, m) block, as (k, L); as _restrict_rows, dense:
+        (w g)[:, None, :] * outer, a GEMM (c T, m) @ (m, S) against inner.T, cut to L."""
         k = len(block)
         if self.grid_fft:
             work = work or self._grid_workspace(k)
-            out = self._grid_extend(np.multiply(block, self.weights, out=work.atoms[:k]), work)
-        else:
-            (T, S), (outer, inner, c) = self._split, self._dense_tables(k)
-            weighted, out = block * self.weights, np.empty((k, T * S), dtype=np.complex128)
-            for lo in range(0, k, c):
-                np.matmul(np.multiply(outer, weighted[lo:lo + c, None], order="C").reshape(-1, self.num_atoms),
-                          inner.T, out=out[lo:lo + c].reshape(-1, S))
-            out = out[:, :self.lattice_size]
-        return out[0] if g.ndim == 1 else out.T
+            return self._grid_extend(np.multiply(block, self.weights, out=work.atoms[:k]), work)
+        (T, S), (outer, inner, c) = self._split, self._dense_tables(k)
+        if c < k:
+            return np.concatenate([self._extend_rows(block[lo:lo + c], None) for lo in range(0, k, c)])
+        weighted = np.multiply(outer, (block * self.weights)[:, None], order="C")
+        return (weighted.reshape(k * T, -1) @ inner.T).reshape(k, -1)[:, :self.lattice_size]
 
     @cached_property
     def M(self) -> int:
@@ -478,27 +477,26 @@ def _phase(z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.divide(z, a, out=np.ones_like(z), where=a > 0)
 
 
-def _scaled_squares(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """s2 = |z|^2 row by row over its row's largest entry, and those peaks, shape (k, 1).
-
-    The peak is its entry's own square, so max s2 = 1 to round-off; a row
-    that vanished keeps s2 = 0 and peak 0.  The rows are scaled by one
-    reciprocal each, not a divide per entry.
-    """
+def _scaled_squares(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """s2 = |z|^2 row by row over its row's largest entry (max 1 to round-off, one reciprocal a row), the
+    peaks, shape (k, 1), and whether none is 0; only a vanished row (s2 = 0, peak 0) takes the guard."""
     s2 = np.square(z.real)
     s2 += np.square(z.imag)
     peak = s2.max(axis=1, keepdims=True)
-    s2 *= 1.0 / np.where(peak > 0.0, peak, 1.0)
-    return s2, peak
+    whole = bool(peak.all())
+    s2 *= 1.0 / (peak if whole else np.where(peak > 0.0, peak, 1.0))
+    return s2, peak, whole
 
 
 def _row_power(s2: np.ndarray, e: float) -> np.ndarray:
-    """s2 ** e entry by entry, with 0 at an exact zero of s2 when e < 0.
+    """s2 ** e entry by entry, with 0 at an exact zero of s2 when e < 0; s2 itself at e = 1 (p = 4/3, q = 4).
 
     Every caller multiplies each entry of the result by its s2 or by an
     entry of modulus sqrt(s2), so the value at a zero is never seen; the
-    guard only keeps 0 ** e finite.
+    guard only keeps 0 ** e finite.  No caller writes s2 after the result.
     """
+    if e == 1.0:
+        return s2
     if e < 0.0 and not s2.all():
         return np.power(s2, e, out=np.zeros_like(s2), where=s2 > 0.0)
     return s2 ** e
@@ -513,17 +511,15 @@ def _measure_step(u: np.ndarray, weights: np.ndarray, qf: float) -> tuple[np.nda
     by both.  A row that vanished has norm 0 and dual element 1.  qf = float(q).
     """
     if qf == INF:
-        a = np.abs(u)
-        g = np.zeros_like(u)
-        rows = np.arange(len(u))
+        a, g, rows = np.abs(u), np.zeros_like(u), np.arange(len(u))
         j = np.argmax(np.where(weights > 0, a, -1.0), axis=1)
         g[rows, j] = _phase(u[rows, j], a[rows, j]) / weights[j]
         return lp_norm(a, qf, weights, rows=True), g
-    s2, peak = _scaled_squares(u)
+    s2, peak, whole = _scaled_squares(u)
     power = _row_power(s2, 0.5 * (qf - 2.0))
     val = np.sqrt(peak[:, 0]) * np.einsum("ij,ij,j->i", power, s2, weights) ** (1.0 / qf)
     u *= power
-    if not peak.all():
+    if not whole:
         u[peak[:, 0] == 0.0] = 1.0
     return val, u
 
@@ -542,34 +538,39 @@ def _lattice_extremal(pulled: np.ndarray, pf: float, pprimef: float) -> np.ndarr
     if pf == INF:
         return _phase(pulled, np.abs(pulled))
     if pf == 1.0:
-        a = np.abs(pulled)
+        a, f = np.abs(pulled), np.zeros_like(pulled)
         rows, j = np.arange(len(a)), np.argmax(a, axis=1)
-        f = np.zeros_like(pulled)
         f[rows, j] = _phase(pulled[rows, j], a[rows, j])
         return f
-    s2, peak = _scaled_squares(pulled)
-    if not peak.all():
+    s2, peak, whole = _scaled_squares(pulled)
+    if not whole:
         raise ArithmeticError("pulled-back functional vanished")
     t = _row_power(s2, 0.5 * (pprimef - 2.0))
     t *= (1.0 / (np.sqrt(peak[:, 0]) * np.einsum("ij,ij->i", t, s2) ** (1.0 / pf)))[:, None]
     return pulled * t
 
 
-def _gram_step(op: ExtensionOperator, f: np.ndarray,
-               work: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _gram_step(op: ExtensionOperator, f: np.ndarray, work: _GridWork | list[np.ndarray],
+               bound: float) -> tuple[np.ndarray, np.ndarray]:
     """At q = 2: the values ||restrict(f)||_{L^2(mu)} of the rows of f, and their pulled-back functionals.
 
     A value's square is Re <T f, f>, one row-wise dot of the float64 views
     of f and T f.  The L^2(mu) dual element u / max|u| of u = restrict(f)
     pulls back to T f / max|u|, and the extremal vector is scale-free, so
     T f stands for it; it is a view into work.  A row whose square is within
-    the FFT round-off of zero is taken as u = 0, as the dense path sees it:
-    value 0, and the dual element 1, which pulls back to extend(1).
+    the FFT round-off of zero, noise ||f||_2^2, is taken as u = 0, as the
+    dense path sees it: value 0, and the dual element 1, which pulls back to
+    extend(1).  No row is tested when the least square exceeds noise bound,
+    bound >= every ||f||_2^2; a non-finite square raises.
     """
     extend_one, noise = op._gram_kernel[1:3]
     h = op.gram(f, work=work)
     fv = f.view(np.float64)
     square = np.einsum("ij,ij->i", fv, h.view(np.float64))
+    if square.min() > noise * bound:
+        return np.sqrt(square), h
+    if not np.isfinite(square).all():
+        raise ArithmeticError("non-finite value in norm iteration")
     nonzero = square > noise * np.einsum("ij,ij->i", fv, fv)
     h[~nonzero] = extend_one
     return np.sqrt(np.where(nonzero, square, 0.0)), h
@@ -631,8 +632,7 @@ def _embed_witness(w: np.ndarray, dim: int, target_size: int) -> np.ndarray:
     """Zero-pad a witness from a smaller centered lattice cube into a larger one."""
     if len(w) > target_size:
         raise ValueError("warm start longer than lattice")
-    side_from = round(len(w) ** (1 / dim))
-    side_to = round(target_size ** (1 / dim))
+    side_from, side_to = round(len(w) ** (1 / dim)), round(target_size ** (1 / dim))
     if side_from**dim != len(w) or side_to**dim != target_size:
         raise ValueError("witness is not a flattened cube lattice")
     block = np.zeros((side_to,) * dim, dtype=np.complex128)
@@ -663,12 +663,11 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
     starts with seeds derived from (options.seed, p, q, X, restart); callers
     may add warm starts, e.g. zero-padded witnesses from a smaller lattice.
 
-    All starts run as one (L, k) block, one start per column, and a start
+    All starts run as one (k, L) block, one start per row, and a start
     leaves the block when its own stopping test fires.  The trace is the
     running best in start order, as if the starts had run one after another.
     """
-    p = validate_exponent(p, "p")
-    q = validate_exponent(q, "q")
+    p, q = validate_exponent(p, "p"), validate_exponent(q, "q")
     # floats only inside the iteration; p and q stay exact everywhere else
     pf, qf, pprimef = exp_float(p), exp_float(q), exp_float(conjugate(p))
     L = op.lattice_size
@@ -682,8 +681,7 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
 
     n = len(f)
     history: list[list[float]] = [[] for _ in range(n)]  # each start's values
-    converged = [False] * n
-    best_val = [-1.0] * n
+    converged, best_val = [False] * n, [-1.0] * n
     # each start's best iterate, kept by reference: every iterate is a new
     # array that is never written, so a row of its block stands for it
     best: list[np.ndarray | None] = [None] * n
@@ -698,19 +696,20 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
     last = [-1.0] * len(live)
     tol = options.tol
     gram = qf == 2.0
+    # ||f||_2^2 <= L^max(0, 1 - 2/p) on a unit l^p row, doubled for round-off
+    bound = 2.0 * L ** max(0.0, 1.0 - 2.0 / pf)
     # the products of every iteration write into one workspace, made here
     work = op._gram_workspace(len(f)) if gram else op._grid_workspace(len(f)) if op.grid_fft else None
     for it in range(options.max_iters):
         # g: the pulled-back functionals at q = 2, else the dual elements to pull back
         if gram:
-            val, g = _gram_step(op, f, work)
+            val, g = _gram_step(op, f, work, bound)
         else:
-            val, g = _measure_step(op.restrict(f.T, work=work).T, op.weights, qf)
-        if not np.isfinite(val).all():
-            raise ArithmeticError("non-finite value in norm iteration")
+            val, g = _measure_step(op._restrict_rows(f, work), op.weights, qf)
         values = val.tolist()
-        improved: set[int] = set()
-        keep: list[int] = []  # the rows whose start goes on
+        if not math.isfinite(sum(values)):  # the values are >= 0
+            raise ArithmeticError("non-finite value in norm iteration")
+        improved, keep = set(), []  # keep: the rows whose start goes on
         for row, (start, v, prev) in enumerate(zip(live, values, last)):
             history[start].append(v)
             if v > best_val[start]:
@@ -730,7 +729,7 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
         if len(keep) < len(live):
             live, g = [live[row] for row in keep], g[keep]
         last = [values[row] for row in keep]
-        f = _lattice_extremal(g if gram else op.extend(g.T, work=work).T, pf, pprimef)
+        f = _lattice_extremal(g if gram else op._extend_rows(g, work), pf, pprimef)
     del work, g  # freed before the witness is re-evaluated
 
     trace: list[float] = []
@@ -745,8 +744,7 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
     witness = best[best_start]
     certified = _rayleigh(op, witness, p, q)
     if abs(certified - top) > WITNESS_EVAL_TOL * max(1.0, abs(top)):
-        raise AssertionError(
-            f"witness re-evaluation {certified} disagrees with tracked value {top}")
+        raise AssertionError(f"witness re-evaluation {certified} disagrees with tracked value {top}")
     return ProbeResult(p, q, op.X, certified, witness / lp_norm(witness, p),
                        trace=trace, iterations=[len(v) for v in history],
                        converged=converged, final_change=final_change,

@@ -22,7 +22,7 @@ from functools import reduce
 
 import numpy as np
 
-from .measures import DiscreteMeasure, _finalize
+from .measures import DiscreteMeasure, _finalize, _from_half_spectrum, _half_spectrum
 from .rationals import Exponent, exp_float, is_inf, validate_exponent
 
 CONV_CLIP_ERROR = 1e-8
@@ -49,24 +49,6 @@ def fourier(mu: DiscreteMeasure, K: int) -> np.ndarray:
     if mu.N ** mu.dim > (2 * K + 1) ** mu.dim * mu.num_atoms:
         return _direct_sum(mu, K)
     return _grid_read(mu, K)
-
-
-def _half_spectrum(grid: np.ndarray) -> np.ndarray:
-    """rfftn of a real grid over all its axes, every pass written into one array."""
-    half = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
-    return np.fft.rfftn(grid, axes=tuple(range(grid.ndim)),
-                        out=np.empty(half, dtype=np.complex128))
-
-
-def _from_half_spectrum(spec: np.ndarray, N: int) -> np.ndarray:
-    """irfftn of a half spectrum onto the (N,)*dim grid, overwriting spec.
-
-    The leading axes are inverted in place, in irfftn's order and with its
-    bits, so no second spectrum is made; only the real output is new.
-    """
-    for axis in range(spec.ndim - 1):
-        np.fft.ifft(spec, axis=axis, out=spec)
-    return np.fft.irfft(spec, n=N, axis=-1)
 
 
 def _grid_read(mu: DiscreteMeasure, K: int) -> np.ndarray:

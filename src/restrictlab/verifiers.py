@@ -23,7 +23,7 @@ from functools import reduce
 import numpy as np
 
 from .fitting import loglog_fit
-from .measures import DiscreteMeasure, mollify
+from .measures import DiscreteMeasure, _from_half_spectrum, _half_spectrum, mollify
 from .rationals import (
     INF,
     Exponent,
@@ -46,8 +46,6 @@ from .regularity import (
 )
 from .spectral import (
     CONV_CLIP_ERROR,
-    _from_half_spectrum,
-    _half_spectrum,
     convolve_power,
     density_norm,
     fourier,

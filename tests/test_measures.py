@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,24 @@ def test_mollify_epsilon_one_is_identity():
     mu = cantor(4, {0, 3}, 3)
     dens = mollify(mu, 1)
     assert np.allclose(dens, mu.dense_weights() * mu.N, atol=1e-12)
+
+
+@pytest.mark.parametrize("mu", [circle(256, 0.25), random_flat(4096, 185, seed=5)], ids=["2d", "1d"])
+def test_mollify_holds_at_most_three_full_grids(mu):
+    # the kernel is dropped once transformed, and the grid once transformed;
+    # the product and both inverse passes overwrite the grid's half spectrum,
+    # and the clip and scale overwrite the result, so the peak is the grid,
+    # two half spectra and small arrays: within 3.25 result sizes (it was
+    # 5.03 on circle(256, 1/4), with both spectra, their product and a
+    # second result alive)
+    tracemalloc.start()
+    try:
+        dens = mollify(mu, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dens.shape == (mu.N,) * mu.dim
+    assert peak < 3.25 * dens.nbytes, peak / dens.nbytes
 
 
 def test_mollified_integral_converges_to_atomic():

@@ -10,6 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import restrictlab
 from restrictlab import probe
@@ -545,8 +547,8 @@ def test_per_start_final_value(monkeypatch):
     values = []
     real = probe._gram_step
 
-    def recording(op, f, work):
-        val, h = real(op, f, work)
+    def recording(op, f, *args):
+        val, h = real(op, f, *args)
         values.append(val.tolist())
         return val, h
 
@@ -642,9 +644,11 @@ def test_gram_step_value_is_the_quadratic_form():
         assert op.gram_grid == gram_grid
         f = _with_exact_zeros(np.random.default_rng(47), (3, op.lattice_size))
         h = op.gram(f, work=op._gram_workspace(3)).copy()
-        val, pulled = probe._gram_step(op, f, op._gram_workspace(3))
-        np.testing.assert_allclose(val, np.sqrt(np.sum((np.conj(f) * h).real, axis=1)), rtol=1e-13, atol=0)
-        assert np.array_equal(pulled, h)
+        # bound = 0 takes the path that tests no row, bound = inf the per-row noise test
+        for bound in (0.0, np.inf):
+            val, pulled = probe._gram_step(op, f, op._gram_workspace(3), bound)
+            np.testing.assert_allclose(val, np.sqrt(np.sum((np.conj(f) * h).real, axis=1)), rtol=1e-13, atol=0)
+            assert np.array_equal(pulled, h)
 
 
 def _without_roundoff_steps(trace):
@@ -952,6 +956,137 @@ def test_start_with_vanishing_restriction_runs_as_on_the_dense_path(mu, X):
             assert res.iterations == ref["iterations"], case
             assert res.converged == ref["converged"], case
             assert res.norm_lower_bound == pytest.approx(ref["norm"], rel=1e-12, abs=0), case
+
+
+def test_a_vanishing_start_leaves_the_rows_it_shares_a_block_with_as_they_are():
+    # a warm start whose restriction vanishes exactly takes the guards of a
+    # vanished row, at q = 2 the round-off test of _gram_step and at q = 4 the
+    # zero peak of _measure_step; the random starts in its block keep the bits
+    # they have without it.  At q = 2 the loop passes _gram_step twice the
+    # bound L^max(0, 1 - 2/p) on ||f||_2^2 of a unit l^p row, and every row
+    # stays within the bound
+    _at_one_blas_thread("""
+        from fractions import Fraction
+        import numpy as np
+        from restrictlab import probe
+        from restrictlab.measures import dirac
+        from restrictlab.probe import ProbeOptions, assemble, restriction_norm
+        squares = []
+        real = probe._gram_step
+        def recording(op, f, work, bound):
+            fv = f.view(np.float64)
+            squares.append((np.einsum("ij,ij->i", fv, fv).max(), bound, op.lattice_size, p))
+            return real(op, f, work, bound)
+        probe._gram_step = recording
+        for mu, X in ((dirac(1, 64, 0), 4), (dirac(1, 4096, 0), 16), (dirac(2, 16, (0, 0)), 2)):
+            op = assemble(mu, X)
+            w = np.zeros(op.lattice_size, dtype=complex)
+            w[1], w[X + 3] = 0.6 + 0.8j, -0.6 - 0.8j
+            assert not op.restrict(w).any()
+            for p in (1, Fraction(4, 3), 2, 4, float("inf")):
+                for q in (2, 4):
+                    options = ProbeOptions(restarts=3, seed=7)
+                    mixed = restriction_norm(op, p, q, options, warm_starts=[w])
+                    alone = restriction_norm(op, p, q, options)
+                    case = (op.lattice_size, p, q)
+                    assert mixed.iterations[:3] == alone.iterations and mixed.iterations[3] > 0, case
+                    assert mixed.converged[:3] == alone.converged, case
+                    assert mixed.final_value[:3] == alone.final_value, case
+                    assert mixed.final_change[:3] == alone.final_change, case
+                    assert mixed.trace[:len(alone.trace)] == alone.trace, case
+                    if mixed.best_start < 3:
+                        assert (mixed.best_start, mixed.norm_lower_bound) == (alone.best_start,
+                                                                              alone.norm_lower_bound), case
+        assert squares
+        for square, bound, L, p in squares:
+            assert bound == 2.0 * L ** max(0.0, 1.0 - 2.0 / float(p)), (bound, L, p)
+            assert square <= bound / 2 * (1 + 1e-12), (square, bound, L, p)
+        """)
+
+
+@given(st.sampled_from([1, Fraction(5, 4), Fraction(4, 3), 2, 4, INF]), st.sampled_from([1, 2]),
+       st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.5, 0.95]), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_unit_lp_rows_keep_their_l2_square_within_the_gram_step_bound(p, dim, X, seed, zeros, spike):
+    # Holder: ||f||_2^2 <= L^max(0, 1 - 2/p) ||f||_p^2, L at p = inf; the
+    # loop's rows are unit l^p up to round-off: starts divided by their l^p
+    # norm and l^p extremal vectors of pulled-back rows, here with exact zeros
+    # or one dominant entry.  _gram_step skips its per-row test when the least
+    # square clears noise times twice this bound
+    X = X if dim == 1 else 1 + X // 4
+    L = (2 * X + 1) ** dim
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((3, L)) + 1j * rng.standard_normal((3, L))
+    dropped = rng.random((3, L)) < zeros
+    dropped[:, 0] = False
+    z[dropped] = 0.0
+    if spike:
+        z[:, rng.integers(L)] *= 1e6
+    pf = float(p)
+    bound = L ** max(0.0, 1.0 - 2.0 / pf)
+    for f in (z / lp_norm(z, pf, rows=True)[:, None], probe._lattice_extremal(z, pf, float(conjugate(p)))):
+        fv = f.view(np.float64)
+        assert np.einsum("ij,ij->i", fv, fv).max() <= bound * (1 + 1e-12), (L, p)
+
+
+# the loop's values on every product route: q = 2 through gram on the M-grid
+# and the N-grid, q = 4 through restrict on the dense tables and the FFT grid
+_GUARD_ROUTES = {"gram-M-grid": (random_measure(31, max_atoms=24), 16, 2), "gram-N-grid": (circle(16, 0.25), 6, 2),
+                 "dense": (random_measure(21, max_atoms=24), 16, 4),
+                 "fft-grid": (random_measure(21, N=64, max_atoms=48), 31, 4)}
+
+
+def _spoiled_probe(monkeypatch, route, bad):
+    """The route's probe with bad in every product: at q = 2 gram returns bad f in
+    row 0, whose square is bad ||f||_2^2 (nan at bad = nan); at q = 4 a dense restrict
+    reads a phase table with bad in it, and an FFT-grid one returns bad at one atom."""
+    mu, X, q = _GUARD_ROUTES[route]
+    op = assemble(mu, X)
+    assert (op.gram_grid if q == 2 else op.grid_fft) == (route in ("gram-N-grid", "fft-grid"))
+    cls = probe.ExtensionOperator
+    if q == 2:
+        real_gram = cls.gram
+
+        def gram(self, f, *, work):
+            out = real_gram(self, f, work=work)
+            out[0] = f[0] * bad
+            return out
+        monkeypatch.setattr(cls, "gram", gram)
+    elif op.grid_fft:
+        real_restrict = cls._grid_restrict
+
+        def grid_restrict(self, rows, work):
+            out = real_restrict(self, rows, work)
+            out[0, 0] = bad
+            return out
+        monkeypatch.setattr(cls, "_grid_restrict", grid_restrict)
+    else:
+        real_tables = cls._dense_tables
+
+        def dense_tables(self, k):
+            outer, inner, c = real_tables(self, k)
+            inner = inner.copy()
+            inner[0, 0] = bad
+            return outer, inner, c
+        monkeypatch.setattr(cls, "_dense_tables", dense_tables)
+    with np.errstate(all="ignore"):
+        return restriction_norm(op, Fraction(4, 3), q, ProbeOptions(restarts=3, seed=1))
+
+
+@pytest.mark.parametrize("route, bad", [("gram-M-grid", np.inf), ("gram-N-grid", np.inf), ("dense", np.nan),
+                                        ("dense", np.inf), ("fft-grid", np.nan), ("fft-grid", np.inf)])
+def test_non_finite_value_stops_the_probe(monkeypatch, route, bad):
+    with pytest.raises(ArithmeticError, match="non-finite value in norm iteration"):
+        _spoiled_probe(monkeypatch, route, bad)
+
+
+@pytest.mark.parametrize("route", ["gram-M-grid", "gram-N-grid"])
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_non_finite_gram_square_is_not_taken_for_a_vanished_row(monkeypatch, route, bad):
+    # a nan or -inf square fails the test "square > noise ||f||_2^2" as a
+    # vanished row does; it must stop the probe, not go on as value 0 from extend(1)
+    with pytest.raises(ArithmeticError, match="non-finite value in norm iteration"):
+        _spoiled_probe(monkeypatch, route, bad)
 
 
 def test_q2_iterates_do_not_depend_on_the_blas_thread_count():
