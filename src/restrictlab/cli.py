@@ -4,6 +4,11 @@ Subcommands: measure, analyze, conv, exponents, probe, sweep, verify, report.
 Exit codes: 0 success, 1 check failure or exceeded budget, 2 usage error.
 Artifacts are JSON/CSV with embedded schema version, config hash, and seed;
 files are written atomically.  Long sweeps print progress to stderr only.
+
+At module level only what parsing and the exit codes need is imported
+(measures, rationals); each handler imports the modules it calls (probe,
+regularity, spectral, verifiers, config), so a command loads no module it
+does not run.  The parser is built once per process (build_parser).
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -20,8 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import measures, probe, regularity, spectral, verifiers
-from .config import artifact_envelope, default_output_dir
+from . import measures
 from .measures import AtomBudgetError, atomic_write_text, load_measure, save_measure
 from .rationals import INF, as_exponent, conjugate, exp_mul, exp_str, is_inf, validate_exponent
 
@@ -142,6 +147,8 @@ def _exp(text: str):
 # ---------------------------------------------------------------------------
 
 def cmd_measure(args) -> int:
+    from .config import default_output_dir
+
     kind = args.kind.replace("-", "_")
     # rebuild reads the fields of this kind and ignores the rest
     mu = measures.rebuild({
@@ -157,13 +164,18 @@ def cmd_measure(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import regularity, spectral
+    from .config import artifact_envelope
+
     mu = load_measure(args.measure)
-    run_all = not (args.alpha or args.beta or args.gamma)
+    # each analysis runs when its flag is given, all three when none is;
+    # --beta 0 asks for beta at the default K
+    run_all = not (args.alpha or args.beta is not None or args.gamma)
     payload: dict = {"measure": mu.constructor, "N": mu.N, "dim": mu.dim}
     scales = [float(s) for s in args.scales] if args.scales else None
     if args.alpha or run_all:
         payload["alpha"] = regularity.ahlfors_alpha(mu, scales).as_dict()
-    if args.beta or run_all:
+    if args.beta is not None or run_all:
         K = args.beta or min(mu.N // 2, 256)
         payload["beta"] = regularity.fourier_beta(spectral.fourier(mu, K)).as_dict()
     if args.gamma or run_all:
@@ -175,6 +187,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_conv(args) -> int:
+    from . import spectral
+
     mu = load_measure(args.measure)
     resolutions = args.resolutions or [mu.N]
     rows = []
@@ -188,6 +202,8 @@ def cmd_conv(args) -> int:
 
 
 def cmd_exponents(args) -> int:
+    from . import regularity
+
     printed = False
     if args.n is not None:
         if args.r is None:
@@ -214,6 +230,9 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    from . import probe
+    from .config import artifact_envelope
+
     mu = load_measure(args.measure)
     op = probe.assemble(mu, args.X)
     options = probe.ProbeOptions(args.restarts, args.iters, args.tol, args.seed)
@@ -224,6 +243,8 @@ def cmd_probe(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import probe
+
     mu = load_measure(args.measure)
     options = probe.ProbeOptions(args.restarts, args.iters, args.tol, args.seed)
     total = len(args.p_grid) * len(args.q_grid)
@@ -292,6 +313,8 @@ def _default_flat_measure(seed: int):
 
 
 def _suite_hy(args) -> tuple[list[dict], bool]:
+    from . import verifiers
+
     rng = np.random.default_rng(args.seed)
     records = []
     for trial in range(args.trials):
@@ -310,6 +333,8 @@ def _verify_nrp(args) -> tuple[int, object, object]:
 
 
 def _suite_chain(args) -> tuple[list[dict], bool]:
+    from . import verifiers
+
     mu = load_measure(args.measure) if args.measure else _default_flat_measure(args.seed)
     n, r, p = _verify_nrp(args)
     chain = verifiers.prepare_chain(mu, n, r, p, epsilon=args.eps)
@@ -322,6 +347,8 @@ def _suite_chain(args) -> tuple[list[dict], bool]:
 
 
 def _suite_prop1(args) -> tuple[list[dict], bool]:
+    from . import verifiers
+
     if args.measure:
         instances = [("file", load_measure(args.measure))]
     else:
@@ -339,6 +366,8 @@ def _suite_prop1(args) -> tuple[list[dict], bool]:
 
 
 def _suite_prop2(args) -> tuple[list[dict], bool]:
+    from . import verifiers
+
     mu = load_measure(args.measure) if args.measure else measures.cantor(4, (0, 3), 8)
     gamma = args.gamma or Fraction(1, 2)
     K_list = args.K or [2**j for j in range(4, 13)]
@@ -347,6 +376,8 @@ def _suite_prop2(args) -> tuple[list[dict], bool]:
 
 
 def _suite_prop3(args) -> tuple[list[dict], bool]:
+    from . import verifiers
+
     mu = load_measure(args.measure) if args.measure else measures.cantor(4, (0, 3), 8)
     gamma = args.gamma or Fraction(1, 2)
     rep = verifiers.check_prop3(mu, gamma)
@@ -354,6 +385,8 @@ def _suite_prop3(args) -> tuple[list[dict], bool]:
 
 
 def _suite_knapp(args) -> tuple[list[dict], bool]:
+    from . import verifiers
+
     mu = load_measure(args.measure) if args.measure else measures.cantor(4, (0, 3), 8)
     r_list = [4.0**-i for i in range(1, 6)]
     cases = [(Fraction(4, 3), Fraction(2), False), (Fraction(4, 3), Fraction(4), True)]
@@ -368,6 +401,8 @@ def _suite_knapp(args) -> tuple[list[dict], bool]:
 
 
 def _suite_bilinear(args) -> tuple[list[dict], bool]:
+    from . import verifiers
+
     mu = load_measure(args.measure) if args.measure else _default_flat_measure(args.seed)
     rng = np.random.default_rng(args.seed)
     records = []
@@ -382,6 +417,8 @@ def _suite_bilinear(args) -> tuple[list[dict], bool]:
 
 
 def _suite_expid(args) -> tuple[list[dict], bool]:
+    from . import verifiers
+
     records = []
     if args.n is not None and args.r is not None and args.p is not None:
         records.append(verifiers.exponent_identity(args.n, args.r, args.p))
@@ -404,6 +441,8 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    from .config import artifact_envelope
+
     records, passed = _SUITES[args.suite](args)
     payload = artifact_envelope(args.seed, {
         "suite": args.suite, "trials": args.trials, "passed": passed,
@@ -419,7 +458,9 @@ def cmd_verify(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves no state on it."""
     seed = _at_least(0)
     # the seeded subcommands repeat --seed with default=SUPPRESS, so it
     # overrides the global value only when given
@@ -459,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="regularity estimates")
     a.add_argument("--measure", required=True)
     a.add_argument("--alpha", action="store_true")
-    a.add_argument("--beta", type=_at_least(0), default=0, metavar="K")
+    a.add_argument("--beta", type=_at_least(0), default=None, metavar="K")
     a.add_argument("--gamma", action="store_true")
     a.add_argument("--scales", type=lambda text: _parse_list(text, _positive_fraction),
                    default=None)
@@ -496,7 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--measure", required=True)
     sw.add_argument("--p-grid", type=_parse_grid, required=True)
     sw.add_argument("--q-grid", type=_parse_grid, required=True)
-    sw.add_argument("--X", type=_int_list_at_least(1), default=[64, 128, 256, 512])
+    # a tuple: the cached parser hands every call the same default object
+    sw.add_argument("--X", type=_int_list_at_least(1), default=(64, 128, 256, 512))
     sw.add_argument("--n", type=_at_least(1), default=2)
     sw.add_argument("--r", type=_exp, default=INF)
     sw.add_argument("--out", default=None)
@@ -526,9 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

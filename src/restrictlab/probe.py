@@ -72,7 +72,6 @@ import numpy as np
 from .fitting import FitResult, loglog_fit
 from .measures import DiscreteMeasure
 from .rationals import INF, Exponent, conjugate, exp_float, exp_str, is_inf, validate_exponent
-from .regularity import billingsley_gamma, theorem_range
 from .spectral import DIRECT_CHUNK_ENTRIES, fourier, lp_norm, roots_at, unit_roots
 
 MAX_DENSE_ENTRIES = 8_388_608
@@ -593,6 +592,12 @@ class ProbeResult:
     final_change: list[float | None] = field(default_factory=list)
     final_value: list[float | None] = field(default_factory=list)
     best_start: int = -1
+    # the loop's products: route is "m-grid" or "n-grid" at q = 2 (gram_grid),
+    # else "n-grid" or "dense" (grid_fft); products maps each product the
+    # loop took ("gram" at q = 2, else "restrict" and "extend") to the rows
+    # it took per start, in start order
+    route: str = ""
+    products: dict[str, list[int]] = field(default_factory=dict)
 
     @property
     def restarts_used(self) -> int:
@@ -610,6 +615,8 @@ class ProbeResult:
             "final_change": list(self.final_change),
             "final_value": list(self.final_value),
             "best_start": self.best_start,
+            "route": self.route,
+            "products": {name: list(rows) for name, rows in self.products.items()},
             "trace": list(self.trace),
             "witness": [[float(z.real), float(z.imag)] for z in self.witness],
         }
@@ -741,6 +748,14 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
                 trace.append(v)
     final_change = [(v[-1] - v[-2]) / abs(v[-2]) if len(v) >= 2 and v[-2] != 0.0 else None
                     for v in history]
+    # an iteration takes one row of its start through gram, or through
+    # restrict and, unless it is the start's last, extend
+    ran = [len(v) for v in history]
+    if gram:
+        route, products = "n-grid" if op.gram_grid else "m-grid", {"gram": ran}
+    else:
+        route = "n-grid" if op.grid_fft else "dense"
+        products = {"restrict": ran, "extend": [max(n - 1, 0) for n in ran]}
     witness = best[best_start]
     certified = _rayleigh(op, witness, p, q)
     if abs(certified - top) > WITNESS_EVAL_TOL * max(1.0, abs(top)):
@@ -749,7 +764,7 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
                        trace=trace, iterations=[len(v) for v in history],
                        converged=converged, final_change=final_change,
                        final_value=[v[-1] if v else None for v in history],
-                       best_start=best_start)
+                       best_start=best_start, route=route, products=products)
 
 
 @dataclass(frozen=True)
@@ -849,12 +864,14 @@ def sweep(mu: DiscreteMeasure, p_grid, q_grid, X_list,
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    from . import regularity  # for the overlay columns only, so a probe never loads it
+
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
     if r is None:
         r = float("inf")
-    region = theorem_range(n, r)
-    gamma_hat = billingsley_gamma(mu).estimate
+    region = regularity.theorem_range(n, r)
+    gamma_hat = regularity.billingsley_gamma(mu).estimate
     X_list = [int(x) for x in X_list]
     operators = {X: assemble(mu, X) for X in X_list}
     p_grid = [validate_exponent(p, "p") for p in p_grid]

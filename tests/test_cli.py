@@ -118,6 +118,10 @@ def test_probe_json(tmp_path, flat_measure, capsys):
     assert abs(data["probe"]["norm_lower_bound"] - 1.0) <= 1e-12
     assert data["probe"]["p"] == "1"
     assert len(data["probe"]["witness"]) == 33
+    # the loop's route and the rows its products took per start: 2X + 1 > N/16
+    # keeps this q = 2 probe off the N-grid
+    assert data["probe"]["route"] == "m-grid"
+    assert data["probe"]["products"] == {"gram": data["probe"]["iterations"]}
 
 
 def test_probe_budget_exit_code(tmp_path, capsys):
@@ -360,6 +364,26 @@ def test_analyze_with_explicit_scales(tmp_path):
                  "--out", str(rpath)]) == 0
     report = json.loads(rpath.read_text())
     assert abs(report["alpha"]["estimate"] - 0.5) <= 0.05
+
+
+def test_beta_zero_runs_beta_at_the_default_K(tmp_path):
+    mpath = tmp_path / "c5.json"
+    save_measure(cantor(4, (0, 3), 5), str(mpath))  # N = 1024, default K = 256
+
+    def analyze(*flags):
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--measure", str(mpath), *flags, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    default_K = analyze("--beta", "256")["beta"]
+    # --beta 0 alone runs beta only, not all three analyses
+    report = analyze("--beta", "0")
+    assert "alpha" not in report and "gamma" not in report
+    assert report["beta"] == default_K
+    # and beside another flag it is not dropped
+    report = analyze("--beta", "0", "--alpha")
+    assert "gamma" not in report
+    assert report["beta"] == default_K and "alpha" in report
 
 
 def test_scale_above_a_quarter_is_a_library_error(flat_measure, tmp_path, capsys):

@@ -1270,3 +1270,32 @@ def test_q2_probe_memory_stays_below_the_matrix():
         tracemalloc.stop()
     assert peak < budget, (peak, budget)
     assert "_tables" not in op.__dict__
+
+
+@pytest.mark.parametrize("mu, X, p, q, max_iters, route, products", [
+    (cantor(4, {0, 3}, 5), 8, 2, 2, 25, "m-grid", {"gram": [25, 23, 25, 0]}),
+    (circle(16, 0.25), 6, 2, 2, 100, "n-grid", {"gram": [66, 53, 67, 0]}),
+    (cantor(4, {0, 3}, 5), 8, Fraction(4, 3), 4, 100, "dense",
+     {"restrict": [11, 12, 30, 0], "extend": [10, 11, 29, 0]}),
+    (circle(16, 0.25), 7, Fraction(4, 3), 4, 100, "n-grid",
+     {"restrict": [10, 13, 19, 0], "extend": [9, 12, 18, 0]}),
+], ids=["gram-M-grid", "gram-N-grid", "dense", "restrict-extend-N-grid"])
+def test_probe_counts_the_rows_its_products_took(monkeypatch, mu, X, p, q, max_iters, route, products):
+    # the counts are derived from each start's history after the loop; the
+    # spies count the rows the products were actually handed
+    taken = {name: 0 for name in products}
+    cls = probe.ExtensionOperator
+    for name, attr in (("gram", "gram"), ("restrict", "_restrict_rows"), ("extend", "_extend_rows")):
+        def counting(self, block, *args, _name=name, _real=getattr(cls, attr), **kwargs):
+            taken[_name] = taken.get(_name, 0) + len(block)
+            return _real(self, block, *args, **kwargs)
+        monkeypatch.setattr(cls, attr, counting)
+    op = assemble(mu, X)
+    # the zero warm start is skipped, so it takes no row
+    res = restriction_norm(op, p, q, ProbeOptions(restarts=3, max_iters=max_iters, seed=1),
+                           warm_starts=[np.zeros(op.lattice_size)])
+    assert (res.route, res.products) == (route, products)
+    assert taken == {name: sum(rows) for name, rows in products.items()}
+    assert res.products[next(iter(products))] == res.iterations
+    d = res.as_dict()
+    assert (d["route"], d["products"]) == (route, products)
