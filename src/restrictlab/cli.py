@@ -177,6 +177,9 @@ def cmd_analyze(args) -> int:
         payload["alpha"] = regularity.ahlfors_alpha(mu, scales).as_dict()
     if args.beta is not None or run_all:
         K = args.beta or min(mu.N // 2, 256)
+        # mu_hat is N-periodic: annuli past N/2 only repeat it
+        if K > mu.N // 2:
+            raise ValueError("K values must lie in [1, N/2]")
         payload["beta"] = regularity.fourier_beta(spectral.fourier(mu, K)).as_dict()
     if args.gamma or run_all:
         payload["gamma"] = regularity.billingsley_gamma(mu, scales).as_dict()
@@ -385,14 +388,16 @@ def _suite_prop3(args) -> tuple[list[dict], bool]:
 
 
 def _suite_knapp(args) -> tuple[list[dict], bool]:
-    from . import verifiers
+    from . import regularity, verifiers
 
     mu = load_measure(args.measure) if args.measure else measures.cantor(4, (0, 3), 8)
     r_list = [4.0**-i for i in range(1, 6)]
     cases = [(Fraction(4, 3), Fraction(2), False), (Fraction(4, 3), Fraction(4), True)]
+    # one ball-mass scan of the measure serves every case
+    gamma_report = regularity.billingsley_gamma(mu)
     records, ok = [], True
     for p, q, expect_violation in cases:
-        rep = verifiers.knapp_test(mu, p, q, r_list)
+        rep = verifiers.knapp_test(mu, p, q, r_list, gamma_report)
         agrees = rep.violated == expect_violation
         ok = ok and agrees
         records.append({**rep.as_dict(), "expected_violation": expect_violation,

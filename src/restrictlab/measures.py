@@ -261,10 +261,10 @@ def triangular_kernel(epsilon: int) -> np.ndarray:
     return t / t.sum()
 
 
-def _half_spectrum(grid: np.ndarray) -> np.ndarray:
-    """rfftn of a real grid over all its axes, every pass written into one array."""
+def _half_spectrum(grid: np.ndarray, batch: int = 0) -> np.ndarray:
+    """rfftn of a real grid over its axes after the first batch ones, every pass written into one array."""
     half = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
-    return np.fft.rfftn(grid, axes=tuple(range(grid.ndim)),
+    return np.fft.rfftn(grid, axes=tuple(range(batch, grid.ndim)),
                         out=np.empty(half, dtype=np.complex128))
 
 

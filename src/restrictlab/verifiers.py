@@ -37,6 +37,7 @@ from .rationals import (
     validate_exponent,
 )
 from .regularity import (
+    ScanReport,
     ahlfors_alpha,
     ball_masses_at,
     billingsley_gamma,
@@ -547,7 +548,8 @@ def _fejer(t: np.ndarray, M: int) -> np.ndarray:
     return out
 
 
-def knapp_test(mu: DiscreteMeasure, p: Exponent, q: Exponent, r_list) -> KnappReport:
+def knapp_test(mu: DiscreteMeasure, p: Exponent, q: Exponent, r_list,
+               gamma_report: ScanReport | None = None) -> KnappReport:
     """Concentrated-bump necessity probe at the heaviest point of the measure.
 
     For each width r the lattice function whose transform is a Fejer bump of
@@ -555,11 +557,14 @@ def knapp_test(mu: DiscreteMeasure, p: Exponent, q: Exponent, r_list) -> KnappRe
     ||f_hat||_{L^q(mu)} / ||f||_{l^p}.  The fitted exponent of ratio against
     r should match gamma_hat/q - dim/p'; a fit below KNAPP_VIOLATION_SLOPE
     means the ratio blows up as r -> 0 and the (p, q) pair fails the
-    necessary condition.
+    necessary condition.  gamma_report is billingsley_gamma(mu), computed
+    here when None; the (p, q) cases of one measure can share it, since the
+    scan depends on the measure alone.
     """
     p = validate_exponent(p, "p")
     q = validate_exponent(q, "q")
-    gamma_report = billingsley_gamma(mu)
+    if gamma_report is None:
+        gamma_report = billingsley_gamma(mu)
     center = gamma_report.center
     x0 = np.asarray(center, dtype=float) / mu.N
     r_list = sorted(float(r) for r in r_list)

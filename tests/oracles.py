@@ -354,3 +354,22 @@ def whole_table_fourier(indices, weights, N, K):
     tables = [np.conj(lattice_phase_matrix(indices[:, a], N, K)) for a in range(indices.shape[1])]
     axes = "klmn"[:len(tables)]
     return np.einsum(",".join(a + "j" for a in axes) + ",j->" + axes, *tables, weights)
+
+
+def dense_half_spectrum_read(grid, K):
+    """mu_hat on [-K, K]^dim read off np.fft.rfftn of the whole dense weight grid at k mod N.
+
+    The grid read without folding into residue classes: spectral._grid_read
+    must give these bits whenever every residue class holds an atom.  Off
+    the half spectrum, last-axis frequencies past N/2 are read as the
+    conjugate of their mirror.
+    """
+    N, dim = grid.shape[0], grid.ndim
+    spec = np.fft.rfftn(grid)
+    ks = np.arange(-K, K + 1) % N
+    flip = (-ks) % N
+    near = ks <= N // 2
+    coeffs = np.empty((2 * K + 1,) * dim, dtype=np.complex128)
+    coeffs[..., near] = spec[np.ix_(*[ks] * (dim - 1), ks[near])]
+    coeffs[..., ~near] = np.conj(spec[np.ix_(*[flip] * (dim - 1), flip[~near])])
+    return coeffs

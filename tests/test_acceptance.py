@@ -26,6 +26,7 @@ from restrictlab.probe import (
 from restrictlab.rationals import INF, conjugate
 from restrictlab.regularity import (
     ahlfors_alpha,
+    billingsley_gamma,
     knapp_bound,
     mockenhaupt_p0,
     stein_tomas_p,
@@ -297,9 +298,10 @@ def _prop_artifact() -> str:
     records["prop2"] = [rep.as_dict() for rep in check_prop2(stage8, Fraction(1, 2), (2, 8), K_list)]
     records["prop3"] = check_prop3(stage8, Fraction(1, 2)).as_dict()
     r_list = [4.0**-j for j in range(1, 6)]
+    gamma_report = billingsley_gamma(stage8)
     records["knapp"] = [
-        knapp_test(stage8, Fraction(4, 3), Fraction(2), r_list).as_dict(),
-        knapp_test(stage8, Fraction(4, 3), Fraction(4), r_list).as_dict(),
+        knapp_test(stage8, Fraction(4, 3), Fraction(2), r_list, gamma_report).as_dict(),
+        knapp_test(stage8, Fraction(4, 3), Fraction(4), r_list, gamma_report).as_dict(),
     ]
     return json.dumps(records, sort_keys=True)
 

@@ -395,6 +395,51 @@ def test_scale_above_a_quarter_is_a_library_error(flat_measure, tmp_path, capsys
     assert not out.exists()
 
 
+def test_beta_past_half_the_grid_is_a_library_error(monkeypatch, tmp_path, capsys):
+    # random_flat(256, 24) at --beta 1000 fitted annuli up to [256, 512),
+    # where mu_hat only repeats; it stops, as verify --K does, before any
+    # coefficient is read
+    from restrictlab import spectral
+
+    mpath = tmp_path / "flat.json"
+    save_measure(random_flat(256, 24, seed=3), str(mpath))
+    reads = []
+    real = spectral.fourier
+    monkeypatch.setattr(spectral, "fourier", lambda mu, K: reads.append(K) or real(mu, K))
+    out = tmp_path / "r.json"
+    for K in ("129", "1000"):
+        assert main(["analyze", "--measure", str(mpath), "--beta", K, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: K values must lie in [1, N/2]\n"
+    assert main(["verify", "--suite", "prop2", "--measure", str(mpath), "--K", "16,129",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: K values must lie in [1, N/2]\n"
+    assert reads == [] and not out.exists()
+    assert main(["analyze", "--measure", str(mpath), "--beta", "128", "--out", str(out)]) == 0
+    assert reads == [128]
+
+
+def test_verify_knapp_scans_each_measure_once(tmp_path, monkeypatch):
+    # every (p, q) case of the suite reads one billingsley_gamma scan, and
+    # the records are those of one knapp_test call per case, bit for bit
+    from fractions import Fraction
+
+    from restrictlab import regularity, verifiers
+
+    mu = cantor(4, (0, 3), 6)
+    r_list = [4.0**-i for i in range(1, 6)]
+    alone = [verifiers.knapp_test(mu, Fraction(4, 3), q, r_list).as_dict() for q in (2, 4)]
+    calls = []
+    real = regularity.billingsley_gamma
+    for module in (regularity, verifiers):
+        monkeypatch.setattr(module, "billingsley_gamma", lambda mu: calls.append(mu.N) or real(mu))
+    mpath, out = tmp_path / "c6.json", tmp_path / "knapp.json"
+    save_measure(mu, str(mpath))
+    assert main(["verify", "--suite", "knapp", "--measure", str(mpath), "--out", str(out)]) == 0
+    assert calls == [mu.N]
+    records = json.loads(out.read_text())["instances"]
+    assert [{k: rec[k] for k in alone[0]} for rec in records] == json.loads(json.dumps(alone))
+
+
 def test_verify_chain_prepares_the_instance_once(tmp_path, monkeypatch):
     from collections import Counter
 

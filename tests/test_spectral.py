@@ -20,6 +20,7 @@ from restrictlab.spectral import (
 
 from oracles import (
     cantor_product_spectrum,
+    dense_half_spectrum_read,
     digit_multiplicity_peak,
     digit_sum_weights,
     direct_fourier_1d,
@@ -141,17 +142,44 @@ def _real_grid_bytes(mu):
 TRACE_SLACK = 64 * 1024
 
 
-@pytest.mark.parametrize("mu, K", [(cantor(4, {0, 3}, 8), 256), (circle(256, 0.25), 8)],
+@pytest.mark.parametrize("mu, K", [(random_flat(2**14, 724, seed=5), 256), (circle(128, 0.25), 8)],
                          ids=["1d", "2d"])
 def test_fourier_grid_route_holds_the_real_grid_and_one_half_spectrum(mu, K):
-    # a complex fftn holds a complex copy of the grid and a full complex
-    # spectrum besides the real grid: 40 bytes per point, against about 16
+    # every residue class mod P holds an atom, so the read takes the dense
+    # grid (P = 1); a complex fftn holds a complex copy of the grid and a
+    # full complex spectrum besides the real grid: 40 bytes per point,
+    # against about 16
     points = mu.N ** mu.dim
     assert points <= (2 * K + 1) ** mu.dim * mu.num_atoms  # fourier's grid route
+    assert spectral._residue_classes(mu, K)[0] == 1
     coeffs, peak = _traced_peak(fourier, mu, K)
     bound = _real_grid_bytes(mu) + 2 * coeffs.nbytes + TRACE_SLACK
     assert bound < 40 * points
     assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("mu, K", [(cantor(4, {0, 3}, 10), 4096), (cantor(4, {0, 3}, 8), 256),
+                                   (circle(256, 0.25), 8)],
+                         ids=["1d-stage-10", "1d-stage-8", "2d"])
+def test_fourier_folding_read_holds_its_occupied_classes_not_the_grid(monkeypatch, mu, K):
+    # C occupied classes of Q^dim points: the real stack (8 bytes a point)
+    # and its half spectrum (about 8), with room for rfftn's line buffers,
+    # and three (2K + 1)^dim complex arrays (the sum, one class's read and
+    # its mirror);
+    # 8 of 64 classes of 16384 points on the 2^20-point stage-10 grid, where
+    # the dense read held 16.8 MB
+    P, Q, classes, _ = spectral._residue_classes(mu, K)
+    assert 1 < P and len(classes) < P ** mu.dim
+    assert mu.N ** mu.dim <= (2 * K + 1) ** mu.dim * mu.num_atoms  # fourier's grid route
+
+    def dense_weights(self):
+        raise AssertionError("dense N^dim grid built")
+
+    monkeypatch.setattr(DiscreteMeasure, "dense_weights", dense_weights)
+    coeffs, peak = _traced_peak(fourier, mu, K)
+    bound = len(classes) * Q ** mu.dim * 24 + 3 * coeffs.nbytes + TRACE_SLACK
+    assert peak <= bound, (peak, bound)
+    validate_spectrum(coeffs)
 
 
 def _lattice(N, steps):
@@ -274,6 +302,59 @@ def test_grid_read_matches_the_complex_fft_read(mu):
         mirrored = ks % (mu.N // 2) != 0
         reflected = coeffs[(slice(None, None, -1),) * mu.dim]
         assert np.array_equal(coeffs[..., mirrored], np.conj(reflected[..., mirrored]))
+
+
+@st.composite
+def _sparse_measures(draw):
+    """Sparse 1-D and 2-D measures that leave residue classes empty, with a K in [1, N]."""
+    kind = draw(st.sampled_from(["lattice", "cantor", "coarse"]))
+    dim = 1 if kind == "cantor" else draw(st.sampled_from([1, 2]))
+    if kind == "cantor":
+        digits = draw(st.sampled_from([(0, 3), (0, 1), (1, 2), (0, 2, 3)]))
+        mu = cantor(4, digits, draw(st.integers(2, 6)))
+    else:
+        n = draw(st.integers(3, 10 if dim == 1 else 6))
+        steps = [2 ** draw(st.integers(0, n - 1)) for _ in range(dim)]
+        if kind == "lattice":
+            mu = _lattice(2**n, steps)
+        else:
+            # a random subset of the coarse sub-grid steps Z^dim, shifted off
+            # the origin; in 2-D one axis is full (step 1) and the other not
+            if dim == 2:
+                full = draw(st.integers(0, 1))
+                steps[full], steps[1 - full] = 1, 2 ** draw(st.integers(1, n - 1))
+            coarse = np.indices([2**n // s for s in steps]).reshape(dim, -1).T * steps
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            keep = rng.random(len(coarse)) < draw(st.floats(0.1, 1.0))
+            keep[rng.integers(len(coarse))] = True
+            shift = [draw(st.integers(0, s - 1)) for s in steps]
+            w = rng.random(int(keep.sum())) + 0.5
+            mu = DiscreteMeasure(dim, 2**n, (coarse[keep] + shift) % 2**n, w / w.sum())
+    # K < N/4 folds where a class is empty; K >= N/2 reads the dense grid
+    return mu, draw(st.one_of(st.integers(1, max(1, mu.N // 4 - 1)), st.integers(1, mu.N)))
+
+
+@given(_sparse_measures())
+@settings(max_examples=200, deadline=None)
+def test_folding_read_matches_the_complex_fft_read(instance):
+    # the classes' DFTs at k mod Q, twiddled and added, are the DFT of the
+    # grid at k mod N, for K up to N/2 and past it (where P = 1)
+    mu, K = instance
+    tol = 4 * np.finfo(float).eps * np.log2(mu.N ** mu.dim)
+    ks = np.arange(-K, K + 1) % mu.N
+    full = np.fft.fftn(mu.dense_weights())[np.ix_(*[ks] * mu.dim)]
+    assert np.abs(spectral._grid_read(mu, K) - full).max() <= tol
+
+
+FLAT_4096 = random_flat(4096, 185, seed=20240613)
+
+
+@pytest.mark.parametrize("mu, K", [(FLAT_4096, 128), (FLAT_4096, 256), (FLAT_4096, 512),
+                                   (FLAT_4096, 1024), (circle(128, 0.25), 8), (circle(128, 0.25), 16)],
+                         ids=["1d-128", "1d-256", "1d-512", "1d-1024", "2d-8", "2d-16"])
+def test_grid_read_is_the_dense_read_bit_for_bit_where_every_class_is_occupied(mu, K):
+    assert spectral._residue_classes(mu, K)[0] == 1
+    assert np.array_equal(spectral._grid_read(mu, K), dense_half_spectrum_read(mu.dense_weights(), K))
 
 
 def test_cantor_self_similarity_product():
