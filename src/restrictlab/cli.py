@@ -177,9 +177,7 @@ def cmd_analyze(args) -> int:
         payload["alpha"] = regularity.ahlfors_alpha(mu, scales).as_dict()
     if args.beta is not None or run_all:
         K = args.beta or min(mu.N // 2, 256)
-        # mu_hat is N-periodic: annuli past N/2 only repeat it
-        if K > mu.N // 2:
-            raise ValueError("K values must lie in [1, N/2]")
+        spectral.check_truncations(mu.N, [K])
         payload["beta"] = regularity.fourier_beta(spectral.fourier(mu, K)).as_dict()
     if args.gamma or run_all:
         payload["gamma"] = regularity.billingsley_gamma(mu, scales).as_dict()

@@ -5,8 +5,8 @@ truncated dual lattice k in [-K, K]^dim.  fourier is the one reader of these
 coefficients: it takes whichever of two exact routes costs less, a real FFT
 of the weights or the sum over atoms.  The FFT route splits the grid into
 residue classes mod P, with P as coarse as [-K, K] allows, and transforms
-only the classes that hold atoms; when every class does, it transforms the
-dense grid.
+only the classes that hold atoms; when those fill more than half the grid,
+it transforms the dense grid.
 
 Weights are real, so every full-grid transform here is a real one: rfftn
 keeps the half spectrum (last-axis frequencies 0..N/2, the rest follow from
@@ -46,8 +46,8 @@ def fourier(mu: DiscreteMeasure, K: int) -> np.ndarray:
     atoms otherwise, so a sparse measure on a fine grid never builds its
     grid.  The grid route holds the real weights of the C occupied residue
     classes, Q^dim points each, and their half spectra, about 16 bytes per
-    point (Q^dim = N^dim and C = 1 when every class holds an atom), and
-    three coefficient arrays of the result's size.
+    point (Q^dim = N^dim and C = 1 when the occupied classes fill more than
+    half the grid), and up to three coefficient arrays of the result's size.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -56,26 +56,37 @@ def fourier(mu: DiscreteMeasure, K: int) -> np.ndarray:
     return _grid_read(mu, K)
 
 
-def _residue_classes(mu: DiscreteMeasure, K: int) -> tuple[int, int, np.ndarray, np.ndarray]:
+def check_truncations(N: int, K_list) -> None:
+    """Raise ValueError unless every truncation K lies in [1, N/2].
+
+    mu_hat is N-periodic, so frequencies past N/2 only repeat it.
+    """
+    if min(K_list) < 1 or max(K_list) > N // 2:
+        raise ValueError("K values must lie in [1, N/2]")
+
+
+def _residue_classes(mu: DiscreteMeasure, K: int) -> tuple[int, int, np.ndarray, np.ndarray | int]:
     """(P, Q, classes, slot): the residue classes mod P per axis that _grid_read transforms.
 
     Q is the least power of two >= 2K + 1, at most N, and P = N / Q.  classes
-    holds the flat codes (base P) of the occupied classes in increasing
-    order, and slot[j] the position of atom j's class among them.  When
-    every one of the P^dim classes holds an atom, P = 1 and Q = N: the one
-    class is the whole grid.  On fourier's grid route N^dim <= (2K + 1)^dim m,
-    so the P^dim-entry tables here are no longer than the atom list.
+    holds the flat codes (base P) of the C occupied classes in increasing
+    order, and slot[j] the position of atom j's class among them (0 for
+    every atom when there is one class).  The read
+    folds only when the classes' C Q^dim points are at most half the grid
+    (2 C <= P^dim); otherwise P = 1, Q = N and the one class is the whole
+    grid.  On fourier's grid route N^dim <= (2K + 1)^dim m, so the
+    P^dim-entry table here is no longer than the atom list.
     """
     Q = min(mu.N, 1 << (2 * K).bit_length())
     P = mu.N // Q
-    codes = reduce(lambda acc, r: acc * P + r, (mu.indices & (P - 1)).T)
-    position = np.zeros(P ** mu.dim, dtype=np.int64)
-    position[codes] = 1
-    classes = np.flatnonzero(position)
-    if len(classes) == P ** mu.dim:
-        return 1, mu.N, classes[:1], codes * 0
-    position[classes] = np.arange(len(classes))
-    return P, Q, classes, position[codes]
+    if P > 1:
+        codes = reduce(lambda acc, r: acc * P + r, (mu.indices & (P - 1)).T)
+        position = np.bincount(codes, minlength=P ** mu.dim)
+        if 2 * np.count_nonzero(position) <= P ** mu.dim:
+            classes = np.flatnonzero(position)
+            position[classes] = np.arange(len(classes))
+            return P, Q, classes, position[codes]
+    return 1, mu.N, np.zeros(1, dtype=np.int64), 0
 
 
 def _grid_read(mu: DiscreteMeasure, K: int) -> np.ndarray:
@@ -85,46 +96,43 @@ def _grid_read(mu: DiscreteMeasure, K: int) -> np.ndarray:
     so mu_hat(k) is the sum over the classes r that hold atoms of
     e(-<k, r>/N) times the Q^dim-point DFT of the class's weights at k mod Q
     (decimation in time).  The C classes go through one rfftn, stacked as
-    (C, Q, ...); at P = 1 that is the real FFT of the dense grid, read as it
-    is.  A class is read off its half spectrum, last-axis frequencies
-    0..Q/2: a frequency whose last coordinate has k mod Q <= Q/2 directly,
-    any other as conj(spec[(-k) mod Q]), since the weights are real.  Its
-    twiddle is taken per axis from a table of roots at the exact integer
-    phase -k r mod N, and the classes are added one at a time, so no
-    (C, 2K + 1) table is built.
+    (C, Q, ...); at P = 1 that is the real FFT of the dense grid, and its
+    read is the result.  A class is read off its half spectrum, last-axis
+    frequencies 0..Q/2: a frequency whose last coordinate has k mod Q <= Q/2
+    directly, any other as conj(spec[(-k) mod Q]), since the weights are
+    real.  Its twiddle is taken per axis from a table of roots at the exact
+    integer phase -k r mod N, and the classes are added one at a time, so
+    no (C, 2K + 1) table is built.
     """
     P, Q, classes, slot = _residue_classes(mu, K)
-    if P == 1:
-        spec = _half_spectrum(mu.dense_weights())[np.newaxis]
-    else:
-        stack = np.zeros((len(classes),) + (Q,) * mu.dim)
-        stack[(slot, *(mu.indices // P).T)] = mu.weights
-        spec = _half_spectrum(stack, batch=1)
-        del stack
+    stack = np.zeros((len(classes),) + (Q,) * mu.dim)
+    stack[(slot, *(mu.indices // P).T)] = mu.weights
+    spec = _half_spectrum(stack, batch=1)
+    del stack
     ks = np.arange(-K, K + 1)
     at = ks % Q
     flip = (-ks) % Q
     near = at <= Q // 2
     direct = np.ix_(*[at] * (mu.dim - 1), at[near])
     mirrored = np.ix_(*[flip] * (mu.dim - 1), flip[~near])
+    residues = list(zip(*np.unravel_index(classes, (P,) * mu.dim)))
+    roots = unit_roots(mu.N, mu.N.bit_length() // 2) if P > 1 else None
 
-    def read(half: np.ndarray, out: np.ndarray) -> np.ndarray:
-        out[..., near] = half[direct]
-        mirror = half[mirrored]
+    def read(c: int, out: np.ndarray) -> np.ndarray:
+        out[..., near] = spec[c][direct]
+        mirror = spec[c][mirrored]
         out[..., ~near] = np.conjugate(mirror, out=mirror)
+        del mirror  # before the twiddle's tables are built
+        for axis, r in enumerate(residues[c]):
+            if r:
+                out *= roots_at(roots, ks * -r, mu.N).reshape((-1,) + (1,) * (mu.dim - 1 - axis))
         return out
 
-    if P == 1:
-        return read(spec[0], np.empty((2 * K + 1,) * mu.dim, dtype=np.complex128))
-    roots = unit_roots(mu.N, mu.N.bit_length() // 2)
-    coeffs = np.zeros((2 * K + 1,) * mu.dim, dtype=np.complex128)
-    part = np.empty_like(coeffs)
-    for half, residue in zip(spec, zip(*np.unravel_index(classes, (P,) * mu.dim))):
-        read(half, part)
-        for axis, r in enumerate(residue):
-            if r:
-                part *= roots_at(roots, ks * -r, mu.N).reshape((-1,) + (1,) * (mu.dim - 1 - axis))
-        coeffs += part
+    coeffs = read(0, np.empty((2 * K + 1,) * mu.dim, dtype=np.complex128))
+    if len(classes) > 1:
+        part = np.empty_like(coeffs)
+        for c in range(1, len(classes)):
+            coeffs += read(c, part)
     return coeffs
 
 

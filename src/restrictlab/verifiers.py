@@ -40,13 +40,13 @@ from .regularity import (
     ScanReport,
     ahlfors_alpha,
     ball_masses_at,
-    billingsley_gamma,
     default_scales,
     endpoint_q,
     theorem_range,
 )
 from .spectral import (
     CONV_CLIP_ERROR,
+    check_truncations,
     convolve_power,
     density_norm,
     fourier,
@@ -446,9 +446,8 @@ def check_prop2(mu: DiscreteMeasure, gamma, s_values, K_list) -> list[Prop2Repor
         raise ValueError(f"gamma {gamma} outside (0, dim]")
     s_values = [validate_exponent(s, "s") for s in s_values]
     K_list = sorted(int(k) for k in K_list)
+    check_truncations(mu.N, K_list)
     top = K_list[-1]
-    if K_list[0] < 1 or top > mu.N // 2:
-        raise ValueError("K values must lie in [1, N/2]")
     window = slice(None, -1 if 2 * top == mu.N else None)
     magnitude = np.abs(fourier(mu, top)[(window,) * mu.dim])
     radii = frequency_radii(np.arange(-top, top + 1)[window], mu.dim)
@@ -549,7 +548,7 @@ def _fejer(t: np.ndarray, M: int) -> np.ndarray:
 
 
 def knapp_test(mu: DiscreteMeasure, p: Exponent, q: Exponent, r_list,
-               gamma_report: ScanReport | None = None) -> KnappReport:
+               gamma_report: ScanReport) -> KnappReport:
     """Concentrated-bump necessity probe at the heaviest point of the measure.
 
     For each width r the lattice function whose transform is a Fejer bump of
@@ -557,14 +556,12 @@ def knapp_test(mu: DiscreteMeasure, p: Exponent, q: Exponent, r_list,
     ||f_hat||_{L^q(mu)} / ||f||_{l^p}.  The fitted exponent of ratio against
     r should match gamma_hat/q - dim/p'; a fit below KNAPP_VIOLATION_SLOPE
     means the ratio blows up as r -> 0 and the (p, q) pair fails the
-    necessary condition.  gamma_report is billingsley_gamma(mu), computed
-    here when None; the (p, q) cases of one measure can share it, since the
-    scan depends on the measure alone.
+    necessary condition.  gamma_report is billingsley_gamma(mu); the (p, q)
+    cases of one measure share it, since the scan depends on the measure
+    alone.
     """
     p = validate_exponent(p, "p")
     q = validate_exponent(q, "q")
-    if gamma_report is None:
-        gamma_report = billingsley_gamma(mu)
     center = gamma_report.center
     x0 = np.asarray(center, dtype=float) / mu.N
     r_list = sorted(float(r) for r in r_list)

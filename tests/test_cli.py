@@ -406,13 +406,15 @@ def test_beta_past_half_the_grid_is_a_library_error(monkeypatch, tmp_path, capsy
     reads = []
     real = spectral.fourier
     monkeypatch.setattr(spectral, "fourier", lambda mu, K: reads.append(K) or real(mu, K))
+    with pytest.raises(ValueError) as limit:
+        spectral.check_truncations(256, [129])
     out = tmp_path / "r.json"
     for K in ("129", "1000"):
         assert main(["analyze", "--measure", str(mpath), "--beta", K, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: K values must lie in [1, N/2]\n"
+        assert capsys.readouterr().err == f"error: {limit.value}\n"
     assert main(["verify", "--suite", "prop2", "--measure", str(mpath), "--K", "16,129",
                  "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: K values must lie in [1, N/2]\n"
+    assert capsys.readouterr().err == f"error: {limit.value}\n"
     assert reads == [] and not out.exists()
     assert main(["analyze", "--measure", str(mpath), "--beta", "128", "--out", str(out)]) == 0
     assert reads == [128]
@@ -420,18 +422,18 @@ def test_beta_past_half_the_grid_is_a_library_error(monkeypatch, tmp_path, capsy
 
 def test_verify_knapp_scans_each_measure_once(tmp_path, monkeypatch):
     # every (p, q) case of the suite reads one billingsley_gamma scan, and
-    # the records are those of one knapp_test call per case, bit for bit
+    # the records are those of knapp_test on a scan of its own, bit for bit
     from fractions import Fraction
 
     from restrictlab import regularity, verifiers
 
     mu = cantor(4, (0, 3), 6)
     r_list = [4.0**-i for i in range(1, 6)]
-    alone = [verifiers.knapp_test(mu, Fraction(4, 3), q, r_list).as_dict() for q in (2, 4)]
+    alone = [verifiers.knapp_test(mu, Fraction(4, 3), q, r_list, regularity.billingsley_gamma(mu)).as_dict()
+             for q in (2, 4)]
     calls = []
     real = regularity.billingsley_gamma
-    for module in (regularity, verifiers):
-        monkeypatch.setattr(module, "billingsley_gamma", lambda mu: calls.append(mu.N) or real(mu))
+    monkeypatch.setattr(regularity, "billingsley_gamma", lambda mu: calls.append(mu.N) or real(mu))
     mpath, out = tmp_path / "c6.json", tmp_path / "knapp.json"
     save_measure(mu, str(mpath))
     assert main(["verify", "--suite", "knapp", "--measure", str(mpath), "--out", str(out)]) == 0

@@ -75,18 +75,11 @@ TWO_ATOMS = DiscreteMeasure(1, 64, np.array([[0], [32]]), np.array([0.5, 0.5]))
                          ids=["fine-grid", "grid", "direct", "K-above-N/2", "2d-K-above-N/2"])
 def test_fourier_reads_the_grid_only_when_it_is_no_larger_than_the_direct_sum(
         monkeypatch, mu, K, reads_grid):
-    # the N^dim grid is read when N^dim <= (2K + 1)^dim x num_atoms; for
+    # the grid is read when N^dim <= (2K + 1)^dim x num_atoms; for
     # cantor(4, {0, 3}, 14) that grid is 2^28 points against 129 x 16384
     reads = []
-    real = DiscreteMeasure.dense_weights
-
-    def dense_weights(self):
-        if not reads_grid:
-            raise AssertionError("dense N^dim grid built")
-        reads.append(self.N)
-        return real(self)
-
-    monkeypatch.setattr(DiscreteMeasure, "dense_weights", dense_weights)
+    real = spectral._grid_read
+    monkeypatch.setattr(spectral, "_grid_read", lambda mu, K: reads.append(mu.N) or real(mu, K))
     spec = fourier(mu, K)
     assert reads == ([mu.N] if reads_grid else [])
     assert spec.shape == (2 * K + 1,) * mu.dim
@@ -142,13 +135,20 @@ def _real_grid_bytes(mu):
 TRACE_SLACK = 64 * 1024
 
 
-@pytest.mark.parametrize("mu, K", [(random_flat(2**14, 724, seed=5), 256), (circle(128, 0.25), 8)],
+def _lattice(N, steps):
+    """Uniform measure on the subgroup of the (N,)*dim grid with the given step per axis."""
+    idx = np.indices([N // step for step in steps]).reshape(len(steps), -1).T * steps
+    return DiscreteMeasure(len(steps), N, idx, np.full(len(idx), 1.0 / len(idx)))
+
+
+@pytest.mark.parametrize("mu, K", [(random_flat(2**14, 724, seed=5), 256), (circle(256, 0.25), 8)],
                          ids=["1d", "2d"])
 def test_fourier_grid_route_holds_the_real_grid_and_one_half_spectrum(mu, K):
-    # every residue class mod P holds an atom, so the read takes the dense
-    # grid (P = 1); a complex fftn holds a complex copy of the grid and a
-    # full complex spectrum besides the real grid: 40 bytes per point,
-    # against about 16
+    # the occupied residue classes mod P fill more than half the grid (all
+    # of them in 1-D, 63 of 64 in 2-D), so the read takes the dense grid
+    # (P = 1); a complex fftn holds a complex copy of the grid and a full
+    # complex spectrum besides the real grid: 40 bytes per point, against
+    # about 16
     points = mu.N ** mu.dim
     assert points <= (2 * K + 1) ** mu.dim * mu.num_atoms  # fourier's grid route
     assert spectral._residue_classes(mu, K)[0] == 1
@@ -159,33 +159,46 @@ def test_fourier_grid_route_holds_the_real_grid_and_one_half_spectrum(mu, K):
 
 
 @pytest.mark.parametrize("mu, K", [(cantor(4, {0, 3}, 10), 4096), (cantor(4, {0, 3}, 8), 256),
-                                   (circle(256, 0.25), 8)],
+                                   (_lattice(256, (4, 4)), 8)],
                          ids=["1d-stage-10", "1d-stage-8", "2d"])
-def test_fourier_folding_read_holds_its_occupied_classes_not_the_grid(monkeypatch, mu, K):
+def test_fourier_folding_read_holds_its_occupied_classes_not_the_grid(mu, K):
     # C occupied classes of Q^dim points: the real stack (8 bytes a point)
     # and its half spectrum (about 8), with room for rfftn's line buffers,
     # and three (2K + 1)^dim complex arrays (the sum, one class's read and
-    # its mirror);
+    # its mirror); each bound is below the 8 N^dim bytes of the real grid
+    # alone, so no N^dim grid fits in it;
     # 8 of 64 classes of 16384 points on the 2^20-point stage-10 grid, where
     # the dense read held 16.8 MB
     P, Q, classes, _ = spectral._residue_classes(mu, K)
-    assert 1 < P and len(classes) < P ** mu.dim
+    assert 1 < P and 2 * len(classes) <= P ** mu.dim
     assert mu.N ** mu.dim <= (2 * K + 1) ** mu.dim * mu.num_atoms  # fourier's grid route
-
-    def dense_weights(self):
-        raise AssertionError("dense N^dim grid built")
-
-    monkeypatch.setattr(DiscreteMeasure, "dense_weights", dense_weights)
     coeffs, peak = _traced_peak(fourier, mu, K)
     bound = len(classes) * Q ** mu.dim * 24 + 3 * coeffs.nbytes + TRACE_SLACK
+    assert bound < 8 * mu.N ** mu.dim
     assert peak <= bound, (peak, bound)
     validate_spectrum(coeffs)
 
 
-def _lattice(N, steps):
-    """Uniform measure on the subgroup of the (N,)*dim grid with the given step per axis."""
-    idx = np.indices([N // step for step in steps]).reshape(len(steps), -1).T * steps
-    return DiscreteMeasure(len(steps), N, idx, np.full(len(idx), 1.0 / len(idx)))
+@pytest.mark.parametrize("dim, N, K", [(1, 2**12, 1), (2, 64, 2)], ids=["1d", "2d"])
+def test_grid_read_folds_only_where_the_occupied_classes_fill_at_most_half_the_grid(dim, N, K):
+    # a near-dense measure at small K leaves a few of its P^dim classes
+    # empty; folding it would take a pass per class where one FFT serves
+    Q = 1 << (2 * K).bit_length()
+    P = N // Q
+    sites = np.indices((N,) * dim).reshape(dim, -1).T
+    code = np.ravel_multi_index(tuple((sites % P).T), (P,) * dim)
+    for occupied in (P**dim // 2, P**dim // 2 + 1, P**dim - 1):
+        idx = sites[code < occupied]
+        mu = DiscreteMeasure(dim, N, idx, np.full(len(idx), 1.0 / len(idx)))
+        assert mu.N ** mu.dim <= (2 * K + 1) ** dim * mu.num_atoms  # fourier's grid route
+        folds = 2 * occupied <= P**dim
+        assert spectral._residue_classes(mu, K)[0] == (P if folds else 1)
+        coeffs = spectral._grid_read(mu, K)
+        dense = dense_half_spectrum_read(mu.dense_weights(), K)
+        if folds:
+            assert np.abs(coeffs - dense).max() <= 4 * np.finfo(float).eps * np.log2(N**dim)
+        else:
+            assert np.array_equal(coeffs, dense)
 
 
 # 512 atoms on 2^16-point grids: m^2 > N^dim, so both grid measures take the
@@ -330,7 +343,8 @@ def _sparse_measures(draw):
             shift = [draw(st.integers(0, s - 1)) for s in steps]
             w = rng.random(int(keep.sum())) + 0.5
             mu = DiscreteMeasure(dim, 2**n, (coarse[keep] + shift) % 2**n, w / w.sum())
-    # K < N/4 folds where a class is empty; K >= N/2 reads the dense grid
+    # K < N/4 folds where at most half the classes hold atoms; K >= N/2
+    # reads the dense grid
     return mu, draw(st.one_of(st.integers(1, max(1, mu.N // 4 - 1)), st.integers(1, mu.N)))
 
 

@@ -228,7 +228,7 @@ def test_prepared_chain_is_read_only_and_trials_independent(r):
 
 def test_knapp_dim2_uniform():
     mu = uniform(2, 64)
-    rep = knapp_test(mu, 2, 2, [2.0**-j for j in range(2, 6)])
+    rep = knapp_test(mu, 2, 2, [2.0**-j for j in range(2, 6)], regularity.billingsley_gamma(mu))
     # gamma_hat ~ 2, so predicted exponent = 2/2 - 2/2 = 0
     assert abs(rep.predicted_exponent) <= 0.1
     assert not rep.violated
@@ -346,7 +346,8 @@ def test_prop3_packing_reported():
 # ---------------------------------------------------------------------------
 
 def test_knapp_uniform_22():
-    rep = knapp_test(uniform(1, 4096), 2, 2, [2.0**-j for j in range(2, 8)])
+    mu = uniform(1, 4096)
+    rep = knapp_test(mu, 2, 2, [2.0**-j for j in range(2, 8)], regularity.billingsley_gamma(mu))
     assert abs(rep.predicted_exponent) <= 0.05
     assert abs(rep.fitted_exponent) <= 0.05
     assert not rep.violated
@@ -354,14 +355,16 @@ def test_knapp_uniform_22():
 
 def test_knapp_cantor_sharp_corner_clears():
     mu = cantor(4, {0, 3}, 8)
-    rep = knapp_test(mu, Fraction(4, 3), 2, [4.0**-j for j in range(1, 6)])
+    rep = knapp_test(mu, Fraction(4, 3), 2, [4.0**-j for j in range(1, 6)],
+                     regularity.billingsley_gamma(mu))
     assert abs(rep.predicted_exponent) <= 0.05
     assert not rep.violated
 
 
 def test_knapp_cantor_beyond_region_flags():
     mu = cantor(4, {0, 3}, 8)
-    rep = knapp_test(mu, Fraction(4, 3), 4, [4.0**-j for j in range(1, 6)])
+    rep = knapp_test(mu, Fraction(4, 3), 4, [4.0**-j for j in range(1, 6)],
+                     regularity.billingsley_gamma(mu))
     assert rep.predicted_exponent < -0.05
     assert rep.violated
 
