@@ -14,28 +14,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DiscreteMeasure",
-    "INF",
-    "ahlfors_alpha",
-    "billingsley_gamma",
-    "cantor",
-    "circle",
-    "convolve_power",
-    "density_norm",
-    "dirac",
-    "fourier",
-    "fourier_beta",
-    "knapp_bound",
-    "load_measure",
-    "mockenhaupt_p0",
-    "mollify",
-    "random_flat",
-    "save_measure",
-    "theorem_range",
-    "uniform",
-]
-
 # each public name and the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(["DiscreteMeasure", "cantor", "circle", "dirac", "load_measure", "mollify",
@@ -45,6 +23,7 @@ _EXPORTS = {
                      "mockenhaupt_p0", "theorem_range"], "regularity"),
     **dict.fromkeys(["convolve_power", "density_norm", "fourier"], "spectral"),
 }
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str):

@@ -235,7 +235,7 @@ def cmd_probe(args) -> int:
     from .config import artifact_envelope
 
     mu = load_measure(args.measure)
-    op = probe.assemble(mu, args.X)
+    op = probe.ExtensionOperator(mu, args.X)
     options = probe.ProbeOptions(args.restarts, args.iters, args.tol, args.seed)
     result = probe.restriction_norm(op, args.p, args.q, options)
     _write_json(args.out, artifact_envelope(args.seed, {"probe": result.as_dict(),

@@ -320,31 +320,35 @@ def rebuild(descriptor: dict, resolution: int | None = None) -> DiscreteMeasure:
     ``resolution`` overrides the total grid size N, ``confine`` included; a
     cantor measure is rebuilt at the stage that gives that N.  A resolution
     the constructor cannot build (a cantor N that is not base**stage *
-    confine) raises ValueError instead of returning another N.
+    confine) raises ValueError instead of returning another N, and so does a
+    descriptor that lacks a field its kind reads.
     """
     d = dict(descriptor)
     kind = d.get("kind")
     confine = d.get("confine", 1)
-    if kind == "dirac":
-        index = d["index"]
-        if resolution and resolution != d["N"]:
-            # the grid is a torus: an index rounded up to N wraps to 0
-            scale = resolution / d["N"]
-            index = [int(round(v * scale)) % resolution for v in index]
-        mu = dirac(d["dim"], resolution or d["N"], index)
-    elif kind == "uniform":
-        mu = uniform(d["dim"], resolution or d["N"])
-    elif kind == "cantor":
-        stage = (round(math.log(resolution // confine) / math.log(d["base"]))
-                 if resolution else d["stage"])
-        mu = cantor(d["base"], d["digits"], stage, confine=confine)
-    elif kind == "random_flat":
-        mu = random_flat(resolution // confine if resolution else d["N"], d["m"], d["seed"],
-                         d["flatness_c"], d["max_retries"], confine=confine)
-    elif kind == "circle":
-        mu = circle(resolution or d["N"], d["radius"])
-    else:
-        raise ValueError(f"cannot rebuild measure of kind {kind!r}")
+    try:
+        if kind == "dirac":
+            index = d["index"]
+            if resolution and resolution != d["N"]:
+                # the grid is a torus: an index rounded up to N wraps to 0
+                scale = resolution / d["N"]
+                index = [int(round(v * scale)) % resolution for v in index]
+            mu = dirac(d["dim"], resolution or d["N"], index)
+        elif kind == "uniform":
+            mu = uniform(d["dim"], resolution or d["N"])
+        elif kind == "cantor":
+            stage = (round(math.log(resolution // confine) / math.log(d["base"]))
+                     if resolution else d["stage"])
+            mu = cantor(d["base"], d["digits"], stage, confine=confine)
+        elif kind == "random_flat":
+            mu = random_flat(resolution // confine if resolution else d["N"], d["m"], d["seed"],
+                             d["flatness_c"], d["max_retries"], confine=confine)
+        elif kind == "circle":
+            mu = circle(resolution or d["N"], d["radius"])
+        else:
+            raise ValueError(f"cannot rebuild measure of kind {kind!r}")
+    except KeyError as exc:
+        raise ValueError(f"{kind} descriptor lacks the field {exc.args[0]!r}") from None
     if resolution is not None and mu.N != resolution:
         raise ValueError(f"cannot rebuild {kind} at resolution {resolution}; "
                          f"the nearest it builds is N={mu.N}")
@@ -382,16 +386,21 @@ def measure_from_dict(data: dict) -> DiscreteMeasure:
     """Inverse of measure_to_dict; a malformed payload raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"measure payload is a {type(data).__name__}, not an object")
-    if data.get("schema_version") != MEASURE_SCHEMA_VERSION:
-        raise ValueError(f"unsupported measure schema {data.get('schema_version')!r}")
+    # type(x) is int: a JSON true is a Python int, and not a valid one here
+    version = data.get("schema_version")
+    if type(version) is not int or version != MEASURE_SCHEMA_VERSION:
+        raise ValueError(f"unsupported measure schema {version!r}")
     missing = [key for key in ("dim", "N", "atoms") if key not in data]
     if missing:
         raise ValueError(f"measure payload lacks {', '.join(missing)}")
     dim, N, atoms = data["dim"], data["N"], data["atoms"]
-    if not isinstance(dim, int) or dim not in (1, 2):
+    if type(dim) is not int or dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim!r}")
-    if not isinstance(N, int):
+    if type(N) is not int:
         raise ValueError(f"N must be an integer, got {N!r}")
+    constructor = data.get("constructor", {})
+    if not isinstance(constructor, dict):
+        raise ValueError(f"constructor must be an object, got {constructor!r}")
     if not isinstance(atoms, list) or not all(
             isinstance(a, list) and len(a) == dim + 1
             and all(type(v) is int for v in a[:dim])  # not float, not bool
@@ -399,8 +408,7 @@ def measure_from_dict(data: dict) -> DiscreteMeasure:
         raise ValueError(f"every atom must be a list of {dim} integer indices and a weight")
     idx = np.asarray([a[:dim] for a in atoms], dtype=np.int64).reshape(-1, dim)
     w = np.asarray([a[dim] for a in atoms], dtype=np.float64)
-    return DiscreteMeasure(dim, N, idx, w,
-                           constructor=data.get("constructor", {}),
+    return DiscreteMeasure(dim, N, idx, w, constructor=constructor,
                            seed=data.get("seed"), info=data.get("info", {}))
 
 

@@ -15,8 +15,10 @@ singular value; elsewhere the problem is nonconvex and the result is a
 certified lower bound with a stored witness.
 
 All starts of one estimate run as one (k, L) block, one start per row, so
-each operator application is one block product; at one BLAS thread a
-start's iterates do not depend on which starts share its block.  The
+each operator application is one block product: ExtensionOperator's
+restrict, extend and gram take and return row blocks, and the loop calls
+them with the probe's workspace as work.  At one BLAS thread a start's
+iterates do not depend on which starts share its block.  The
 row-wise steps take no modulus and no phase divide: with s2 = |z|^2 over
 its row's largest entry, the l^p extremal vector of a pulled-back row z is
 z s2^((p'-2)/2) times one scale per row, and the L^q(mu) dual element of
@@ -112,17 +114,23 @@ class _GridWork(NamedTuple):
 
 @dataclass(frozen=True)
 class ExtensionOperator:
-    """Pairing between dual-lattice points and measure atoms, built lazily.
+    """Pairing between dual-lattice points and measure atoms on [-X, X]^dim, built lazily.
 
     The operator E[x, j] = exp(2*pi*i <x, xi_j>) has unit modulus; restriction
     is its conjugate transpose.  It is never stored: restrict and extend take
     it as the product of two phase tables (_tables) or by FFTs of the N^dim grid
     (grid_fft); gram applies extend(restrict(.)) by FFTs of the N^dim grid or
-    of Z_M^dim (gram_grid); _direct_restrict sums in chunks of atoms.
+    of Z_M^dim (gram_grid); _direct_restrict sums in chunks of atoms.  Each
+    product maps a block of rows, one input per row: restrict (k, L) -> (k, m),
+    extend (k, m) -> (k, L) and gram (k, L) -> (k, L).
     """
 
     mu: DiscreteMeasure
     X: int
+
+    def __post_init__(self):
+        if self.X < 1:
+            raise ValueError("X must be >= 1")
 
     @property
     def dim(self) -> int:
@@ -309,13 +317,8 @@ class ExtensionOperator:
         held[:, places] = 0
         return self._windows(z, work)
 
-    def restrict(self, f: np.ndarray, *, work: _GridWork | None = None) -> np.ndarray:
-        """f on the lattice -> f_hat at the atoms: (L,) -> (m,), a block (L, k) -> (m, k), by _restrict_rows."""
-        out = self._restrict_rows(np.atleast_2d(f.T), work)
-        return out[0] if f.ndim == 1 else out.T
-
-    def _restrict_rows(self, block: np.ndarray, work: _GridWork | None) -> np.ndarray:
-        """restrict of the rows of a (k, L) block, as (k, m).
+    def restrict(self, block: np.ndarray, work: _GridWork | None = None) -> np.ndarray:
+        """f on the lattice -> f_hat at the atoms, for the rows of a (k, L) block, as (k, m).
 
         Dense, in one pass, or c rows at a time when c < k (_dense_tables):
         conj(f) on the lattice array (_split), a GEMM (c T, S) @ (S, m) against
@@ -327,27 +330,22 @@ class ExtensionOperator:
             return self._grid_restrict(block, work or self._grid_workspace(k))
         (T, S), (outer, inner, c) = self._split, self._dense_tables(k)
         if c < k:
-            return np.concatenate([self._restrict_rows(block[lo:lo + c], None) for lo in range(0, k, c)])
+            return np.concatenate([self.restrict(block[lo:lo + c]) for lo in range(0, k, c)])
         rows = np.zeros((k, T * S), dtype=np.complex128)
         np.conjugate(block, out=rows[:, :L])
         out = np.einsum("ktj,tj->kj", (rows.reshape(k * T, S) @ inner).reshape(k, T, -1), outer)
         return np.conjugate(out, out=out)
 
-    def extend(self, g: np.ndarray, *, work: _GridWork | None = None) -> np.ndarray:
-        """g at the atoms -> weighted sums on the lattice: (m,) -> (L,), (m, k) -> (L, k), by _extend_rows."""
-        out = self._extend_rows(np.atleast_2d(g.T), work)
-        return out[0] if g.ndim == 1 else out.T
-
-    def _extend_rows(self, block: np.ndarray, work: _GridWork | None) -> np.ndarray:
-        """extend of the rows of a (k, m) block, as (k, L); as _restrict_rows, dense:
-        (w g)[:, None, :] * outer, a GEMM (c T, m) @ (m, S) against inner.T, cut to L."""
+    def extend(self, block: np.ndarray, work: _GridWork | None = None) -> np.ndarray:
+        """g at the atoms -> weighted sums on the lattice, for the rows of a (k, m) block, as (k, L);
+        as restrict, dense: (w g)[:, None, :] * outer, a GEMM (c T, m) @ (m, S) against inner.T, cut to L."""
         k = len(block)
         if self.grid_fft:
             work = work or self._grid_workspace(k)
             return self._grid_extend(np.multiply(block, self.weights, out=work.atoms[:k]), work)
         (T, S), (outer, inner, c) = self._split, self._dense_tables(k)
         if c < k:
-            return np.concatenate([self._extend_rows(block[lo:lo + c], None) for lo in range(0, k, c)])
+            return np.concatenate([self.extend(block[lo:lo + c]) for lo in range(0, k, c)])
         weighted = np.multiply(outer, (block * self.weights)[:, None], order="C")
         return (weighted.reshape(k * T, -1) @ inner.T).reshape(k, -1)[:, :self.lattice_size]
 
@@ -458,13 +456,6 @@ def _fast_fft_size(n: int) -> int:
             odd *= 3
         fives *= 5
     return best
-
-
-def assemble(mu: DiscreteMeasure, X: int) -> ExtensionOperator:
-    """The operator on [-X, X]^dim; nothing is built until a product needs it."""
-    if X < 1:
-        raise ValueError("X must be >= 1")
-    return ExtensionOperator(mu, X)
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +703,7 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
         if gram:
             val, g = _gram_step(op, f, work, bound)
         else:
-            val, g = _measure_step(op._restrict_rows(f, work), op.weights, qf)
+            val, g = _measure_step(op.restrict(f, work), op.weights, qf)
         values = val.tolist()
         if not math.isfinite(sum(values)):  # the values are >= 0
             raise ArithmeticError("non-finite value in norm iteration")
@@ -736,7 +727,7 @@ def restriction_norm(op: ExtensionOperator, p: Exponent, q: Exponent,
         if len(keep) < len(live):
             live, g = [live[row] for row in keep], g[keep]
         last = [values[row] for row in keep]
-        f = _lattice_extremal(g if gram else op._extend_rows(g, work), pf, pprimef)
+        f = _lattice_extremal(g if gram else op.extend(g, work), pf, pprimef)
     del work, g  # freed before the witness is re-evaluated
 
     trace: list[float] = []
@@ -799,7 +790,7 @@ def growth_exponent(mu: DiscreteMeasure, p: Exponent, q: Exponent, X_list,
         raise ValueError("X list must be geometrically spaced")
     norms, warm = [], []
     for X in X_list:
-        op = operators[X] if operators and X in operators else assemble(mu, X)
+        op = operators[X] if operators and X in operators else ExtensionOperator(mu, X)
         res = restriction_norm(op, p, q, options, warm_starts=warm)
         norms.append(res.norm_lower_bound)
         warm = [res.witness]
@@ -852,7 +843,7 @@ def classify_slope(slope: float) -> str:
 
 
 def sweep(mu: DiscreteMeasure, p_grid, q_grid, X_list,
-          n: int = 2, r: Exponent = None, options: ProbeOptions = ProbeOptions(),
+          n: int = 2, r: Exponent = INF, options: ProbeOptions = ProbeOptions(),
           threads: int = 1, progress=None) -> SweepGrid:
     """Classify every (p, q) cell as bounded / growing / inconclusive.
 
@@ -868,12 +859,10 @@ def sweep(mu: DiscreteMeasure, p_grid, q_grid, X_list,
 
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
-    if r is None:
-        r = float("inf")
     region = regularity.theorem_range(n, r)
     gamma_hat = regularity.billingsley_gamma(mu).estimate
     X_list = [int(x) for x in X_list]
-    operators = {X: assemble(mu, X) for X in X_list}
+    operators = {X: ExtensionOperator(mu, X) for X in X_list}
     p_grid = [validate_exponent(p, "p") for p in p_grid]
     q_grid = [validate_exponent(q, "q") for q in q_grid]
     cells_in = [(p, q) for p in p_grid for q in q_grid]

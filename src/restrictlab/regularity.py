@@ -74,13 +74,12 @@ def _prefix_sums(values: np.ndarray, halfwidth: int, axis: int,
     return lines
 
 
-def _windowed_sums(values: np.ndarray, halfwidth: int, axis: int,
-                   buffer: np.ndarray | None = None) -> None:
+def _windowed_sums(values: np.ndarray, halfwidth: int, axis: int, buffer: np.ndarray | None) -> None:
     """Overwrite values with its circular sums over [x - h, x + h] along one axis, at every x.
 
-    Where 2h + 1 >= n the window is the whole axis, and every x gets the axis
-    total.  Otherwise the prefix sums go into buffer (see _prefix_sums), or
-    into a new one when it is None.
+    Where 2h + 1 >= n the window is the whole axis, every x gets the axis
+    total, and buffer may be None.  Otherwise the prefix sums go into buffer
+    (see _prefix_sums), of at least size / n * (n + 2h + 1) entries.
     """
     v = np.moveaxis(values, axis, 0)
     n = v.shape[0]
@@ -88,8 +87,6 @@ def _windowed_sums(values: np.ndarray, halfwidth: int, axis: int,
     if 2 * h + 1 >= n:
         v[...] = v.sum(axis=0, keepdims=True)
         return
-    if buffer is None:
-        buffer = np.empty(values.size // n * (n + 2 * h + 1))
     lines = _prefix_sums(values, h, axis, buffer)
     # the window starting at x - h is written at its center x
     np.subtract(lines[n + h + 1:n + 2 * h + 1], lines[n - h:n], out=v[:h])

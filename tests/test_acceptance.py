@@ -16,8 +16,8 @@ import pytest
 
 from restrictlab.measures import DiscreteMeasure, cantor, circle, dirac, random_flat, uniform
 from restrictlab.probe import (
+    ExtensionOperator,
     ProbeOptions,
-    assemble,
     classify_slope,
     growth_exponent,
     restriction_norm,
@@ -158,7 +158,7 @@ def test_criterion_4_operator_norm_oracles():
             w = rng.random(m)
             mu = DiscreteMeasure(1, N, idx, w / w.sum())
             X = int(rng.choice([32, 64, 128]))
-            op = assemble(mu, X)
+            op = ExtensionOperator(mu, X)
             dense = lattice_phase_matrix(mu.indices, N, X)
             svd = float(np.linalg.svd(np.sqrt(op.weights)[:, None] * dense.conj().T,
                                       compute_uv=False)[0])
@@ -225,7 +225,7 @@ def test_stein_tomas_slopes_on_the_circle():
     # delta x delta^2, delta = X^(-1/2), grows like X^((3/p' - 1/q)/2)
     mu = circle(256, 0.25)
     X_list = [8, 16, 32, 64]
-    operators = {X: assemble(mu, X) for X in X_list}
+    operators = {X: ExtensionOperator(mu, X) for X in X_list}
     options = ProbeOptions(restarts=2, max_iters=200, seed=0)
     q = Fraction(2)
     for p, want in ((Fraction(1), "bounded"), (stein_tomas_p(2), "bounded"),

@@ -104,10 +104,27 @@ def test_malformed_measure_file_exits_1(tmp_path, capsys):
                     {"schema_version": 1, "dim": 1, "N": 4, "atoms": 5},
                     {"schema_version": 1, "dim": 1, "N": 64, "atoms": [[1.5, 0.5], [3.9, 0.5]]},
                     {"schema_version": 1, "dim": 1, "N": 64, "atoms": [[True, 1.0]]},
-                    {"schema_version": 1, "dim": 1, "N": 64, "atoms": [[0, True]]}):
+                    {"schema_version": 1, "dim": 1, "N": 64, "atoms": [[0, True]]},
+                    # a JSON true is a Python int
+                    {"schema_version": 1, "dim": 1, "N": True, "atoms": [[0, 1.0]]},
+                    {"schema_version": 1, "dim": True, "N": 64, "atoms": [[0, 1.0]]},
+                    {"schema_version": True, "dim": 1, "N": 64, "atoms": [[0, 1.0]]}):
         path.write_text(json.dumps(payload))
         assert main(["analyze", "--measure", str(path)]) == 1, payload
         assert capsys.readouterr().err.startswith("error: "), payload
+
+
+@pytest.mark.parametrize("constructor, message", [
+    ([1, 2], "constructor must be an object"),
+    ({"kind": "cantor"}, "cantor descriptor lacks the field 'base'")], ids=["list", "without-base"])
+def test_conv_on_a_malformed_constructor_exits_1(tmp_path, capsys, constructor, message):
+    # conv rebuilds the measure from its constructor at a resolution other than N
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema_version": 1, "dim": 1, "N": 64, "atoms": [[0, 1.0]],
+                                "constructor": constructor}))
+    assert main(["conv", "--measure", str(path), "-n", "2", "-r", "inf", "--resolutions", "8"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
 
 
 def test_probe_json(tmp_path, flat_measure, capsys):

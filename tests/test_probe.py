@@ -17,8 +17,8 @@ import restrictlab
 from restrictlab import probe
 from restrictlab.measures import DiscreteMeasure, cantor, circle, dirac, random_flat, uniform
 from restrictlab.probe import (
+    ExtensionOperator,
     ProbeOptions,
-    assemble,
     classify_slope,
     growth_exponent,
     restriction_norm,
@@ -54,11 +54,11 @@ def svd_norm(op):
     return float(np.linalg.svd(scaled, compute_uv=False)[0])
 
 
-def test_assemble_shape_and_modulus():
+def test_operator_shape_and_modulus():
     # side 17 is read as a (3, 8) array: S = 8 is the least power of two
     # with S^2 >= 17
     mu = random_measure(0, max_atoms=16)
-    op = assemble(mu, 8)
+    op = ExtensionOperator(mu, 8)
     assert op._split == (3, 8)
     outer, inner = op._tables
     assert outer.shape == (3, mu.num_atoms) and inner.shape == (8, mu.num_atoms)
@@ -66,12 +66,12 @@ def test_assemble_shape_and_modulus():
         assert np.allclose(np.abs(table), 1.0, atol=1e-14)
 
 
-def test_assemble_budget(monkeypatch):
+def test_operator_budget(monkeypatch):
     # the budget bounds what a dense product holds at once: the two phase
     # tables, (17 + 64) x 32 entries at side 1025, and a (17, 32) partial
     # product for each row it takes at once; it takes as many rows as fit
     mu = cantor(4, {0, 3}, 5)
-    op = assemble(mu, 512)
+    op = ExtensionOperator(mu, 512)
     assert op._split == (17, 64)
     for budget, rows in ((3_136, 1), (3_679, 1), (3_680, 2), (8_388_608, 9)):
         monkeypatch.setattr(probe, "MAX_DENSE_ENTRIES", budget)
@@ -79,11 +79,11 @@ def test_assemble_budget(monkeypatch):
     # one row needs (17 + 64 + 17) x 32 = 3136 entries; the budget is
     # checked before the tables are built
     monkeypatch.setattr(probe, "MAX_DENSE_ENTRIES", 3_135)
-    op = assemble(mu, 512)
+    op = ExtensionOperator(mu, 512)
     with pytest.raises(MemoryError, match="MAX_DENSE_ENTRIES"):
-        op.restrict(np.ones(op.lattice_size))
+        op.restrict(np.ones((1, op.lattice_size)))
     with pytest.raises(MemoryError, match="MAX_DENSE_ENTRIES"):
-        op.extend(np.ones(op.num_atoms))
+        op.extend(np.ones((1, op.num_atoms)))
     with pytest.raises(MemoryError, match="MAX_DENSE_ENTRIES"):
         restriction_norm(op, Fraction(4, 3), 4, ProbeOptions(restarts=2))
     # a q = 2 probe on the same operator runs without the tables; a lattice
@@ -104,7 +104,7 @@ def test_dense_probe_at_small_X_with_many_atoms_runs_in_row_chunks(monkeypatch, 
     # in 1-D, (3, 4), and X = 1 in 2-D, (3, 3); at 8, the 2^23 budget over
     # 2^20 atoms, two at a time at side 3, (2, 2); the probe's values are
     # those of the whole block
-    op = assemble(uniform(dim, N), X)
+    op = ExtensionOperator(uniform(dim, N), X)
     assert not op.grid_fft
     options = ProbeOptions(max_iters=30)
     ref = restriction_norm(op, Fraction(4, 3), 4, options)
@@ -114,25 +114,25 @@ def test_dense_probe_at_small_X_with_many_atoms_runs_in_row_chunks(monkeypatch, 
     assert res.norm_lower_bound == pytest.approx(ref.norm_lower_bound, rel=1e-12)
 
 
-def test_assemble_dim2():
+def test_operator_dim2():
     mu = dirac(2, 64, (3, 4))
-    op = assemble(mu, 4)
+    op = ExtensionOperator(mu, 4)
     assert op._split == (9, 9)
     assert [table.shape for table in op._tables] == [(9, 1), (9, 1)]
     f = np.zeros(81, dtype=complex)
     f[0] = 1.0  # lattice point (-4, -4)
-    u = op.restrict(f)
+    u = op.restrict(f[None])[0]
     expected = np.exp(-2j * np.pi * (-4 * 3 / 64 + -4 * 4 / 64))
     assert abs(u[0] - expected) < 1e-12
     rng = np.random.default_rng(3)
     idx = np.stack(np.unravel_index(rng.choice(64 * 64, 7, replace=False), (64, 64)), axis=1)
     mu = DiscreteMeasure(2, 64, idx, np.full(7, 1 / 7))
-    op = assemble(mu, 3)
+    op = ExtensionOperator(mu, 3)
     F = rng.standard_normal((49, 2)) + 1j * rng.standard_normal((49, 2))
     G = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
     dense = lattice_phase_matrix(mu.indices, 64, 3)
-    assert np.max(np.abs(op.restrict(F) - dense.conj().T @ F)) < 1e-12
-    assert np.max(np.abs(op.extend(G) - dense @ (op.weights[:, None] * G))) < 1e-12
+    assert np.max(np.abs(op.restrict(F.T).T - dense.conj().T @ F)) < 1e-12
+    assert np.max(np.abs(op.extend(G.T).T - dense @ (op.weights[:, None] * G))) < 1e-12
 
 
 def _fine_2d_measure():
@@ -151,7 +151,7 @@ def test_entries_are_read_at_the_exact_phase(mu, X):
     # of exp(2 pi i (<x, j> mod N) / N) at any X (np.exp of the float phase
     # <x, j> / N was off by up to 3.5e-13 at X = 512), and the roots table
     # never takes O(N) memory on a fine grid
-    op = assemble(mu, X)
+    op = ExtensionOperator(mu, X)
     (T, S), L, m, eps = op._split, op.lattice_size, mu.num_atoms, np.finfo(float).eps
     outer, inner = op._tables
     # the rows of each table: the two axes in 2-D, S b and a - X in 1-D
@@ -173,10 +173,10 @@ def test_entries_are_read_at_the_exact_phase(mu, X):
 
 def test_restriction_is_fourier_at_atoms():
     mu = random_measure(5, max_atoms=12)
-    op = assemble(mu, 6)
+    op = ExtensionOperator(mu, 6)
     rng = np.random.default_rng(0)
     f = rng.standard_normal(13) + 1j * rng.standard_normal(13)
-    u = op.restrict(f)
+    u = op.restrict(f[None])[0]
     xs = np.arange(-6, 7)
     for j, (pos,) in enumerate(mu.positions()):
         direct = np.sum(f * np.exp(-2j * np.pi * xs * pos))
@@ -186,7 +186,7 @@ def test_restriction_is_fourier_at_atoms():
 def test_norm_p1_is_exactly_one():
     for seed in (1, 2):
         mu = random_measure(seed)
-        op = assemble(mu, 32)
+        op = ExtensionOperator(mu, 32)
         for q in (1, 2, INF):
             res = restriction_norm(op, 1, q, ProbeOptions(restarts=2, seed=seed))
             assert abs(res.norm_lower_bound - 1.0) <= 1e-12
@@ -195,7 +195,7 @@ def test_norm_p1_is_exactly_one():
 def test_22_matches_svd():
     for seed in range(5):
         mu = random_measure(seed, max_atoms=48)
-        op = assemble(mu, 24)
+        op = ExtensionOperator(mu, 24)
         res = restriction_norm(op, 2, 2, ProbeOptions(restarts=6, max_iters=3000,
                                                       tol=1e-12, seed=seed))
         assert res.norm_lower_bound == pytest.approx(svd_norm(op), abs=1e-8, rel=1e-8)
@@ -204,7 +204,7 @@ def test_22_matches_svd():
 def test_duality_at_22_shared_singular_values():
     # ||R||_{l2 -> L2(mu)} equals ||E||_{L2(mu) -> l2}
     mu = random_measure(7, max_atoms=32)
-    op = assemble(mu, 16)
+    op = ExtensionOperator(mu, 16)
     r_side = np.sqrt(op.weights)[:, None] * _dense(op).conj().T
     e_side = _dense(op) * (op.weights / np.sqrt(op.weights))[None, :]
     s1 = np.linalg.svd(r_side, compute_uv=False)[0]
@@ -215,7 +215,7 @@ def test_duality_at_22_shared_singular_values():
 def test_dirac_closed_form_norms():
     mu = dirac(1, 256, 3)
     for X in (8, 32):
-        op = assemble(mu, X)
+        op = ExtensionOperator(mu, X)
         for p in (Fraction(4, 3), 2, Fraction(8, 5)):
             res = restriction_norm(op, p, 2, ProbeOptions(restarts=2, seed=0))
             pprime = float(p / (p - 1))
@@ -225,9 +225,9 @@ def test_dirac_closed_form_norms():
 
 def test_witness_certificate():
     mu = random_measure(3)
-    op = assemble(mu, 16)
+    op = ExtensionOperator(mu, 16)
     res = restriction_norm(op, Fraction(4, 3), 2, ProbeOptions(seed=3))
-    ratio = lp_norm(op.restrict(res.witness), 2, op.weights) / lp_norm(
+    ratio = lp_norm(op.restrict(res.witness[None])[0], 2, op.weights) / lp_norm(
         res.witness, Fraction(4, 3))
     assert ratio == pytest.approx(res.norm_lower_bound, abs=1e-10)
 
@@ -243,6 +243,10 @@ def test_out_of_range_settings_raise_value_error():
             ProbeOptions(**kwargs)
     with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
         sweep(dirac(1, 64, 0), [2], [2], [2, 4, 8, 16], threads=0)
+    # the operator checks X when it is built, before any product
+    for X in (0, -1):
+        with pytest.raises(ValueError, match="X must be >= 1"):
+            ExtensionOperator(dirac(1, 64, 0), X)
 
 
 def test_growth_requires_geometric_series():
@@ -266,11 +270,11 @@ def test_dirac_growth_slopes():
 
 def test_q_infinity_norms():
     mu = dirac(1, 256, 9)
-    op = assemble(mu, 16)
+    op = ExtensionOperator(mu, 16)
     res = restriction_norm(op, Fraction(4, 3), INF, ProbeOptions(restarts=2, seed=2))
     assert res.norm_lower_bound == pytest.approx(33.0**0.25, rel=1e-9)
     flat = random_flat(256, 16, seed=5)
-    op2 = assemble(flat, 8)
+    op2 = ExtensionOperator(flat, 8)
     res2 = restriction_norm(op2, 1, INF, ProbeOptions(restarts=2, seed=2))
     assert res2.norm_lower_bound == pytest.approx(1.0, abs=1e-12)
 
@@ -278,7 +282,7 @@ def test_q_infinity_norms():
 def test_p_infinity_dirac():
     # phase-aligned unit-modulus witness saturates: norm = 2X+1
     mu = dirac(1, 256, 31)
-    op = assemble(mu, 10)
+    op = ExtensionOperator(mu, 10)
     res = restriction_norm(op, INF, 2, ProbeOptions(restarts=2, seed=4))
     assert res.norm_lower_bound == pytest.approx(21.0, rel=1e-9)
 
@@ -341,7 +345,7 @@ def test_threaded_sweep_reports_progress_per_cell(monkeypatch):
 
 def test_probe_seed_reproducibility():
     mu = random_measure(9)
-    op = assemble(mu, 16)
+    op = ExtensionOperator(mu, 16)
     a = restriction_norm(op, Fraction(4, 3), 2, ProbeOptions(seed=42))
     b = restriction_norm(op, Fraction(4, 3), 2, ProbeOptions(seed=42))
     assert a.norm_lower_bound == b.norm_lower_bound
@@ -352,21 +356,19 @@ def test_restrict_is_the_adjoint_without_copying_the_operator():
     # 1-D 129 x 32 and 2-D 289 x 98; the products hold the phase tables and
     # a (k, T, m) partial product, never an L x m array
     for mu, X in ((random_flat(512, 32, seed=4), 64), (circle(64, 0.25), 8)):
-        op = assemble(mu, X)
+        op = ExtensionOperator(mu, X)
         (T, S), L, m = op._split, op.lattice_size, op.num_atoms
         dense = _dense(op)
         rng = np.random.default_rng(X)
         f = rng.standard_normal(L) + 1j * rng.standard_normal(L)
         block = rng.standard_normal((L, 5)) + 1j * rng.standard_normal((L, 5))
-        # a vector is one column of a block, so it takes the block's GEMM bits
-        assert np.array_equal(op.restrict(f), op.restrict(f[:, None])[:, 0])
         for F in (f[:, None], block[:, :1], block):
             # a block is a GEMM by rows, so its bits differ from this
             # product's; bound the difference by the dot-product round-off
             # of L terms against unit-modulus entries
             tol = L * np.finfo(float).eps * np.abs(F).sum(axis=0)
-            assert (np.abs(op.restrict(F) - dense.conj().T @ F) <= tol).all()
-        for arg in (f, block[:, :1], block):
+            assert (np.abs(op.restrict(F.T).T - dense.conj().T @ F) <= tol).all()
+        for arg in (f[None], block[:, :1].T, block.T):
             tracemalloc.start()
             try:
                 op.restrict(arg)
@@ -376,7 +378,7 @@ def test_restrict_is_the_adjoint_without_copying_the_operator():
             # k rows, all at once, hold their padded (T, S) input, a (T, m)
             # partial product and m outputs each: 0.11 of L m at k = 1 and
             # 0.56 at k = 5 in 1-D (m = 32), so an L x m copy would not fit
-            k = 1 if arg.ndim == 1 else arg.shape[1]
+            k = len(arg)
             held = 16 * k * (T * S + T * m + m)
             assert held * 3 / 2 < dense.nbytes and peak < held * 3 / 2, (arg.shape, peak, held)
 
@@ -392,7 +394,7 @@ def test_restrict_is_the_adjoint_without_copying_the_operator():
 def test_dense_products_match_the_oracle_matrix(mu, X, split):
     # every entry is read within 17 eps of exact and each output sums L or m
     # terms: bound each column's difference by L eps times its input's l^1 norm
-    op = assemble(mu, X)
+    op = ExtensionOperator(mu, X)
     assert not op.grid_fft and op._split == split
     L, m, eps = op.lattice_size, op.num_atoms, np.finfo(float).eps
     dense = _dense(op)
@@ -400,8 +402,8 @@ def test_dense_products_match_the_oracle_matrix(mu, X, split):
     for k in (1, 2, 9):
         F = rng.standard_normal((L, k)) + 1j * rng.standard_normal((L, k))
         G = op.weights[:, None] * (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k)))
-        for got, want, inputs in ((op.restrict(F), dense.conj().T @ F, F),
-                                  (op.extend(G / op.weights[:, None]), dense @ G, G)):
+        for got, want, inputs in ((op.restrict(F.T).T, dense.conj().T @ F, F),
+                                  (op.extend((G / op.weights[:, None]).T).T, dense @ G, G)):
             assert got.shape == want.shape
             assert (np.abs(got - want) <= L * eps * np.abs(inputs).sum(axis=0)).all(), (k, np.abs(got - want).max())
 
@@ -412,7 +414,7 @@ def test_dense_products_hold_a_fraction_of_the_matrix(monkeypatch):
     # product and a padded (17, 64) input or output, and holds k rows of
     # input, output and weights besides; numpy's broadcast multiply in
     # extend adds one ufunc buffer of 8192 entries
-    op = assemble(cantor(4, {0, 3}, 8), 512)
+    op = ExtensionOperator(cantor(4, {0, 3}, 8), 512)
     (T, S), L, m = op._split, op.lattice_size, op.num_atoms
     op._tables  # built once per operator, as the matrix was
     rng = np.random.default_rng(8)
@@ -424,8 +426,8 @@ def test_dense_products_hold_a_fraction_of_the_matrix(monkeypatch):
         for k, eighths in cases:
             c = op._dense_tables(k)[2]
             held = 16 * (c * T * (S + m) + k * (m + T * S)) + 16 * 8192
-            F = (rng.standard_normal((k, L)) + 1j * rng.standard_normal((k, L))).T
-            G = (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))).T
+            F = rng.standard_normal((k, L)) + 1j * rng.standard_normal((k, L))
+            G = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
             for apply, arg in ((op.restrict, F), (op.extend, G)):
                 tracemalloc.start()
                 try:
@@ -438,12 +440,12 @@ def test_dense_products_hold_a_fraction_of_the_matrix(monkeypatch):
 
 
 def test_extend_takes_a_vector_as_one_column():
-    op = assemble(random_measure(13), 16)
+    # the vector is the one row of a (1, m) block
+    op = ExtensionOperator(random_measure(13), 16)
     rng = np.random.default_rng(13)
     g = rng.standard_normal(op.num_atoms) + 1j * rng.standard_normal(op.num_atoms)
-    out = op.extend(g)
+    out = op.extend(g[None])[0]
     assert out.shape == (op.lattice_size,)
-    assert np.array_equal(out, op.extend(g[:, None])[:, 0])
     assert np.allclose(out, _dense(op) @ (op.weights * g), rtol=1e-13, atol=1e-13)
 
 
@@ -463,7 +465,7 @@ def test_sweep_rejects_threads_below_one(threads):
 
 def test_per_start_diagnostics():
     mu = random_measure(11)
-    op = assemble(mu, 16)
+    op = ExtensionOperator(mu, 16)
     res = restriction_norm(op, 2, 2)
     assert len(res.iterations) == len(res.converged) == res.restarts_used == 8
     assert all(res.converged)
@@ -494,7 +496,7 @@ def _at_blas_threads(code, threads):
 def _at_one_blas_thread(code):
     """Run code in a child process pinned to one OpenBLAS thread.
 
-    At two OpenBLAS threads a GEMM column of a 129 x 185 operator can depend
+    At two OpenBLAS threads a GEMM row of a 129 x 185 operator can depend
     on the block width, so checks that need a start's bits to be the same in
     any block run here, whatever thread count the suite itself runs with.
     """
@@ -508,12 +510,12 @@ def test_best_start_is_the_start_that_reached_the_bound():
         from fractions import Fraction
         import numpy as np
         from restrictlab.measures import DiscreteMeasure
-        from restrictlab.probe import ProbeOptions, assemble, restriction_norm
+        from restrictlab.probe import ExtensionOperator, ProbeOptions, restriction_norm
         rng = np.random.default_rng(12)  # random_measure(12)
         m = int(rng.integers(8, 65))
         idx = rng.choice(1024, size=m, replace=False).reshape(-1, 1)
         w = rng.random(m)
-        op = assemble(DiscreteMeasure(1, 1024, np.sort(idx, axis=0), w / w.sum()), 16)
+        op = ExtensionOperator(DiscreteMeasure(1, 1024, np.sort(idx, axis=0), w / w.sum()), 16)
         p, q = Fraction(4, 3), 4
         full = restriction_norm(op, p, q, ProbeOptions(restarts=8, seed=12))
         for k in range(1, 9):
@@ -530,7 +532,7 @@ def test_best_start_is_the_start_that_reached_the_bound():
 
 def test_per_start_final_change():
     mu = random_measure(11)
-    op = assemble(mu, 16)
+    op = ExtensionOperator(mu, 16)
     res = restriction_norm(op, Fraction(4, 3), 2, ProbeOptions(seed=11))
     assert len(res.final_change) == res.restarts_used
     tol = ProbeOptions().tol
@@ -553,7 +555,7 @@ def test_per_start_final_value(monkeypatch):
         return val, h
 
     monkeypatch.setattr(probe, "_gram_step", recording)
-    op = assemble(random_measure(11), 16)
+    op = ExtensionOperator(random_measure(11), 16)
     # at tol = 0 a start stops only when round-off lowers its value, so its
     # final value lies below its best
     res = restriction_norm(op, Fraction(4, 3), 2, ProbeOptions(restarts=3, seed=11, tol=0.0),
@@ -583,7 +585,7 @@ def test_restarts_k_reproduces_the_first_k_starts(mu, X, q):
     # neither the Gram products (on either route) nor the FFT-grid products
     # take a BLAS call, and every row-wise step reduces each row on its own,
     # so a start's bits do not depend on the starts that share its block
-    op = assemble(mu, X)
+    op = ExtensionOperator(mu, X)
     assert op.gram_grid == (X == 6) and (q == 2 or op.grid_fft)
     for p in (Fraction(4, 3), Fraction(8, 5), 4):
         full = restriction_norm(op, p, q, ProbeOptions(restarts=8, seed=12))
@@ -640,7 +642,7 @@ def test_measure_step_matches_phase_power_oracle(q):
 def test_gram_step_value_is_the_quadratic_form():
     # on the M-grid and on the N-grid
     for mu, X, gram_grid in ((random_measure(31, max_atoms=24), 16, False), (circle(16, 0.25), 6, True)):
-        op = assemble(mu, X)
+        op = ExtensionOperator(mu, X)
         assert op.gram_grid == gram_grid
         f = _with_exact_zeros(np.random.default_rng(47), (3, op.lattice_size))
         h = op.gram(f, work=op._gram_workspace(3)).copy()
@@ -671,7 +673,7 @@ def _oracle_starts(op, p, q, options, warm):
     (random_measure(21, N=16, max_atoms=64, dim=2), 7, True)],
     ids=["1d", "2d", "1d-fft", "2d-fft"])
 def test_block_engine_matches_serial_oracle(mu, X, grid_fft):
-    op = assemble(mu, X)
+    op = ExtensionOperator(mu, X)
     assert op.grid_fft == grid_fft
     rng = np.random.default_rng(21)
     warm = [rng.standard_normal(op.lattice_size), np.zeros(op.lattice_size)]
@@ -704,29 +706,28 @@ def test_block_columns_do_not_depend_on_the_block_at_one_blas_thread():
         import numpy as np
         from restrictlab.measures import DiscreteMeasure, cantor
         from restrictlab import probe
-        from restrictlab.probe import assemble
+        from restrictlab.probe import ExtensionOperator
         rng = np.random.default_rng(5)
         idx = np.sort(rng.choice(4096, size=185, replace=False)).reshape(-1, 1)
         # the sweep's X = 64 operator and cantor(4, {0, 3}, 8) at X = 512,
         # whose one-row products are GEMMs of 17 rows
-        for op in (assemble(DiscreteMeasure(1, 4096, idx, np.full(185, 1 / 185)), 64),
-                   assemble(cantor(4, {0, 3}, 8), 512)):
+        for op in (ExtensionOperator(DiscreteMeasure(1, 4096, idx, np.full(185, 1 / 185)), 64),
+                   ExtensionOperator(cantor(4, {0, 3}, 8), 512)):
             L, m = op.lattice_size, op.num_atoms
             F = rng.standard_normal((L, 9)) + 1j * rng.standard_normal((L, 9))
             G = rng.standard_normal((m, 9)) + 1j * rng.standard_normal((m, 9))
-            for apply, block in ((op.restrict, F), (op.extend, G)):
-                alone = [apply(block[:, j:j + 1]) for j in range(9)]
-                assert np.array_equal(apply(block[:, 0]), alone[0][:, 0])
+            for apply, block in ((op.restrict, F.T), (op.extend, G.T)):
+                alone = [apply(block[j:j + 1]) for j in range(9)]
                 for lo in range(9):
                     for hi in range(lo + 1, 10):
-                        out = apply(block[:, lo:hi])
+                        out = apply(block[lo:hi])
                         for j in range(lo, hi):
-                            assert np.array_equal(out[:, j - lo:j - lo + 1], alone[j]), (L, lo, hi, j)
+                            assert np.array_equal(out[j - lo:j - lo + 1], alone[j]), (L, lo, hi, j)
                 # a budget that takes 2 rows at a time leaves every row's bits as they are
                 (T, S), budget = op._split, probe.MAX_DENSE_ENTRIES
                 probe.MAX_DENSE_ENTRIES = (3 * T + S) * m
                 assert op._dense_tables(9)[2] == 2
-                assert np.array_equal(apply(block), np.hstack(alone)), L
+                assert np.array_equal(apply(block), np.vstack(alone)), L
                 probe.MAX_DENSE_ENTRIES = budget
         """)
 
@@ -749,11 +750,11 @@ def _gram_cases():
 
 def test_gram_product_is_extend_of_restrict():
     for mu, X, gram_grid in _gram_cases():
-        op = assemble(mu, X)
+        op = ExtensionOperator(mu, X)
         assert op.gram_grid == gram_grid, (mu.N, X)
         rng = np.random.default_rng(X)
         F = rng.standard_normal((op.lattice_size, 5)) + 1j * rng.standard_normal((op.lattice_size, 5))
-        dense = op.extend(op.restrict(F))
+        dense = op.extend(op.restrict(F.T)).T
         gram = op.gram(F.T, work=op._gram_workspace(5)).T
         assert gram.shape == dense.shape
         if gram_grid:
@@ -769,7 +770,7 @@ def test_gram_product_is_extend_of_restrict():
         assert np.abs(gram - dense).max() <= 1e-12 * np.abs(dense).max(), (mu.N, X)
         # extend(1), the pull-back of a vanished start, is the kernel on [-X, X]^dim
         extend_one = op._gram_kernel[1]
-        assert np.abs(extend_one - op.extend(np.ones(op.num_atoms))).max() <= 1e-12, (mu.N, X)
+        assert np.abs(extend_one - op.extend(np.ones((1, op.num_atoms)))[0]).max() <= 1e-12, (mu.N, X)
 
 
 @pytest.mark.parametrize("mu, X", [(random_measure(31, max_atoms=24), 16), (random_flat(32, 9, seed=32), 20)],
@@ -779,13 +780,13 @@ def test_gram_corner_term_mends_the_shared_slot(mu, X):
     # K(2X); f at x = X alone reads K(-2X) at x = -X, and f at x = -X alone
     # reads K(2X) at x = X, so a dropped, misplaced or sign-flipped corner
     # term fails the first row or the second
-    op = assemble(mu, X)
+    op = ExtensionOperator(mu, X)
     assert not op.gram_grid and op.M == 4 * X
     corner = op._gram_kernel[3]
     assert abs(corner) > 0.01  # and every |K| <= 1, so the tolerance below is far under it
     F = np.zeros((2, op.lattice_size), dtype=np.complex128)
     F[0, -1], F[1, 0] = 0.6 - 0.8j, 1.0
-    dense = op.extend(op.restrict(F.T)).T
+    dense = op.extend(op.restrict(F))
     gram = op.gram(F, work=op._gram_workspace(2))
     assert np.abs(gram - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -794,12 +795,12 @@ def test_one_roots_table_per_grid():
     # two operators of one measure read the same table, which no product
     # may write; a different N gets its own
     mu = random_flat(4096, 185, seed=5)
-    first, second = assemble(mu, 16)._roots, assemble(mu, 64)._roots
+    first, second = ExtensionOperator(mu, 16)._roots, ExtensionOperator(mu, 64)._roots
     assert first is second
     assert all(not table.flags.writeable for table in first[:2])
     with pytest.raises(ValueError):
         first[0][0] = 0
-    other = assemble(random_flat(64, 12, seed=31), 4)._roots
+    other = ExtensionOperator(random_flat(64, 12, seed=31), 4)._roots
     assert other is not first and len(other[0]) == 64
 
 
@@ -808,7 +809,7 @@ def test_gram_rows_do_not_depend_on_the_block():
     # at any BLAS thread count, on either route
     for mu, X, gram_grid in ((random_flat(4096, 185, seed=5), 64, False), (circle(64, 0.25), 8, False),
                              (circle(128, 0.25), 32, True)):
-        op = assemble(mu, X)
+        op = ExtensionOperator(mu, X)
         assert op.gram_grid == gram_grid, X
         rng = np.random.default_rng(5)
         F = rng.standard_normal((9, op.lattice_size)) + 1j * rng.standard_normal((9, op.lattice_size))
@@ -832,7 +833,7 @@ def test_q2_probe_runs_its_gram_ffts_in_one_per_call_workspace(monkeypatch, mu, 
     # named for q = 2, whose gram runs on the M-grid ("2d", "1d") or the
     # N-grid ("2d-grid"); a q != 2 probe on the FFT grid ("fft-1d")
     # runs restrict and extend in the same kind of workspace
-    op = assemble(mu, X)
+    op = ExtensionOperator(mu, X)
     assert op.gram_grid == (X == 32) and (q == 2 or op.grid_fft)
     if q == 2:
         op._gram_kernel  # built before the loop, by its own transforms
@@ -876,7 +877,7 @@ def test_q2_probe_runs_its_gram_ffts_in_one_per_call_workspace(monkeypatch, mu, 
             return op.gram(F, work=work)
     else:
         def apply(F, work):
-            return op.extend(op.restrict(F.T, work=work), work=work).T
+            return op.extend(op.restrict(F, work), work)
     for k in range(9, 0, -1):
         assert np.array_equal(apply(F[:k], work), apply(F[:k], make(k))), k
 
@@ -892,14 +893,14 @@ def test_gram_kernel_is_built_once_and_only_at_q_2(monkeypatch):
         return real(mu, K)
 
     monkeypatch.setattr(probe, "fourier", counting)
-    op = assemble(random_measure(17), 8)
+    op = ExtensionOperator(random_measure(17), 8)
     assert not op.gram_grid
     restriction_norm(op, Fraction(4, 3), 4, ProbeOptions(restarts=2))
     assert calls == []
     for p in (Fraction(4, 3), 2):
         restriction_norm(op, p, 2, ProbeOptions(restarts=2))
     assert calls == [16]
-    op = assemble(circle(16, 0.25), 6)
+    op = ExtensionOperator(circle(16, 0.25), 6)
     assert op.gram_grid
     for p in (Fraction(4, 3), 2):
         restriction_norm(op, p, 2, ProbeOptions(restarts=2))
@@ -916,7 +917,7 @@ def test_q2_probe_on_a_fine_grid_builds_no_dense_grid(monkeypatch, mu, X):
         raise AssertionError("dense N^dim grid built")
 
     monkeypatch.setattr(DiscreteMeasure, "dense_weights", no_grid)
-    op = assemble(mu, X)
+    op = ExtensionOperator(mu, X)
     assert not op.gram_grid
     options = ProbeOptions(restarts=2, seed=11)
     for p in (Fraction(4, 3), 2):
@@ -928,7 +929,7 @@ def test_q2_probe_on_a_fine_grid_builds_no_dense_grid(monkeypatch, mu, X):
         assert res.norm_lower_bound == pytest.approx(ref["norm"], rel=1e-12, abs=0), p
     F = _dense(op)[:, :3]
     gram = op.gram(F.T, work=op._gram_workspace(3)).T
-    assert np.abs(gram - op.extend(op.restrict(F))).max() <= 1e-12
+    assert np.abs(gram - op.extend(op.restrict(F.T)).T).max() <= 1e-12
 
 
 @pytest.mark.parametrize("mu, X", [(dirac(1, 64, 0), 4), (dirac(1, 4096, 0), 16),
@@ -939,13 +940,13 @@ def test_start_with_vanishing_restriction_runs_as_on_the_dense_path(mu, X):
     # restrict(f) = 0, takes the dual element 1 and pulls back extend(1); the
     # Gram path must do the same, not follow the round-off of its FFTs, on
     # the M-grid (1-D) and the N-grid (2-D)
-    op = assemble(mu, X)
+    op = ExtensionOperator(mu, X)
     assert op.gram_grid == (mu.dim == 2)
     options = ProbeOptions(restarts=1, seed=7)
     for i, j in ((0, 1), (1, op.lattice_size - 1), (X, X + 3)):
         w = np.zeros(op.lattice_size, dtype=complex)
         w[i], w[j] = 0.6 + 0.8j, -0.6 - 0.8j
-        assert not op.restrict(w).any()
+        assert not op.restrict(w[None]).any()
         # p = 4 takes the negative power (p' - 2)/2 = -1/3 of the extremal vector
         for p in (1, Fraction(4, 3), 2, 4, INF):
             res = restriction_norm(op, p, 2, options, warm_starts=[w])
@@ -970,7 +971,7 @@ def test_a_vanishing_start_leaves_the_rows_it_shares_a_block_with_as_they_are():
         import numpy as np
         from restrictlab import probe
         from restrictlab.measures import dirac
-        from restrictlab.probe import ProbeOptions, assemble, restriction_norm
+        from restrictlab.probe import ExtensionOperator, ProbeOptions, restriction_norm
         squares = []
         real = probe._gram_step
         def recording(op, f, work, bound):
@@ -979,10 +980,10 @@ def test_a_vanishing_start_leaves_the_rows_it_shares_a_block_with_as_they_are():
             return real(op, f, work, bound)
         probe._gram_step = recording
         for mu, X in ((dirac(1, 64, 0), 4), (dirac(1, 4096, 0), 16), (dirac(2, 16, (0, 0)), 2)):
-            op = assemble(mu, X)
+            op = ExtensionOperator(mu, X)
             w = np.zeros(op.lattice_size, dtype=complex)
             w[1], w[X + 3] = 0.6 + 0.8j, -0.6 - 0.8j
-            assert not op.restrict(w).any()
+            assert not op.restrict(w[None]).any()
             for p in (1, Fraction(4, 3), 2, 4, float("inf")):
                 for q in (2, 4):
                     options = ProbeOptions(restarts=3, seed=7)
@@ -1041,7 +1042,7 @@ def _spoiled_probe(monkeypatch, route, bad):
     row 0, whose square is bad ||f||_2^2 (nan at bad = nan); at q = 4 a dense restrict
     reads a phase table with bad in it, and an FFT-grid one returns bad at one atom."""
     mu, X, q = _GUARD_ROUTES[route]
-    op = assemble(mu, X)
+    op = ExtensionOperator(mu, X)
     assert (op.gram_grid if q == 2 else op.grid_fft) == (route in ("gram-N-grid", "fft-grid"))
     cls = probe.ExtensionOperator
     if q == 2:
@@ -1098,8 +1099,8 @@ def test_q2_iterates_do_not_depend_on_the_blas_thread_count():
         from fractions import Fraction
         import numpy as np
         from restrictlab.measures import random_flat
-        from restrictlab.probe import ProbeOptions, assemble, restriction_norm
-        op = assemble(random_flat(4096, 185, seed=20240613, flatness_c=4.0, max_retries=200), 64)
+        from restrictlab.probe import ExtensionOperator, ProbeOptions, restriction_norm
+        op = ExtensionOperator(random_flat(4096, 185, seed=20240613, flatness_c=4.0, max_retries=200), 64)
         out = []
         for p in (Fraction(5, 4), Fraction(4, 3), Fraction(8, 5), Fraction(2)):
             res = restriction_norm(op, p, 2, ProbeOptions(restarts=5, seed=20240613))
@@ -1127,7 +1128,7 @@ def _fft_cases():
     (circle(128, 0.25), 32, True)],
     ids=["flat-X64", "cantor8-X512", "wide-1d", "wide-2d", "one-atom", "flat-X512", "circle128-X32"])
 def test_backend_rule_reads_only_the_operator_shape(mu, X, grid_fft):
-    op = assemble(mu, X)
+    op = ExtensionOperator(mu, X)
     grid = mu.N ** mu.dim
     ratio = op.lattice_size * op.num_atoms / (grid * np.log2(grid))
     assert op.grid_fft == grid_fft, ratio
@@ -1149,7 +1150,7 @@ def test_gram_route_rule_counts_each_route_s_transforms(mu, X_list, gram_grid):
     # the Cantor measure's 1-D grids; the work of each route is its lines
     # times length times log2(length), as each route transforms them
     for X, want in zip(X_list, gram_grid):
-        op = assemble(mu, X)
+        op = ExtensionOperator(mu, X)
         assert op.gram_grid == want, X
         side, N, M = 2 * X + 1, mu.N, op.M
         if mu.dim == 2:
@@ -1162,7 +1163,7 @@ def test_gram_route_rule_counts_each_route_s_transforms(mu, X_list, gram_grid):
 
 def test_fft_products_match_the_dense_matrix():
     for mu, X in _fft_cases():
-        op = assemble(mu, X)
+        op = ExtensionOperator(mu, X)
         assert op.grid_fft
         L, m = op.lattice_size, op.num_atoms
         rng = np.random.default_rng(X)
@@ -1175,24 +1176,21 @@ def test_fft_products_match_the_dense_matrix():
         grid = mu.N ** mu.dim
         terms = 2 * np.pi * X * mu.dim + L + m + 4 * np.log2(grid)
         dense = _dense(op)
-        for got, want, inputs in ((op.restrict(F), dense.conj().T @ F, F),
-                                  (op.extend(G), dense @ (op.weights[:, None] * G),
+        for got, want, inputs in ((op.restrict(F.T).T, dense.conj().T @ F, F),
+                                  (op.extend(G.T).T, dense @ (op.weights[:, None] * G),
                                    op.weights[:, None] * G)):
             tol = terms * np.finfo(float).eps * np.abs(inputs).sum(axis=0)
             assert got.shape == want.shape
             assert (np.abs(got - want) <= tol).all(), (mu.N, X, np.abs(got - want).max())
-        # a vector is one row of the same transforms
-        assert np.array_equal(op.restrict(F[:, 0]), op.restrict(F[:, :1])[:, 0])
-        assert np.array_equal(op.extend(G[:, 0]), op.extend(G[:, :1])[:, 0])
-        # each column's result does not depend on the others in its block;
+        # each row's result does not depend on the others in its block;
         # FFTs take no BLAS call, so at any BLAS thread count
-        for apply, block in ((op.restrict, F), (op.extend, G)):
-            alone = [apply(block[:, j:j + 1]) for j in range(9)]
+        for apply, block in ((op.restrict, F.T), (op.extend, G.T)):
+            alone = [apply(block[j:j + 1]) for j in range(9)]
             for lo in range(9):
                 for hi in range(lo + 1, 10):
-                    out = apply(block[:, lo:hi])
+                    out = apply(block[lo:hi])
                     for j in range(lo, hi):
-                        assert np.array_equal(out[:, j - lo:j - lo + 1], alone[j]), (X, lo, hi, j)
+                        assert np.array_equal(out[j - lo:j - lo + 1], alone[j]), (X, lo, hi, j)
 
 
 def test_fft_backed_probes_do_not_depend_on_the_blas_thread_count():
@@ -1203,11 +1201,11 @@ def test_fft_backed_probes_do_not_depend_on_the_blas_thread_count():
         import json
         from fractions import Fraction
         from restrictlab.measures import circle, random_flat
-        from restrictlab.probe import ProbeOptions, assemble, restriction_norm
+        from restrictlab.probe import ExtensionOperator, ProbeOptions, restriction_norm
         out = []
         for mu, X in ((random_flat(4096, 185, seed=20240613, flatness_c=4.0, max_retries=200), 512),
                       (circle(128, 0.25), 32)):
-            op = assemble(mu, X)
+            op = ExtensionOperator(mu, X)
             assert op.grid_fft
             for p, q in ((Fraction(5, 4), Fraction(4)), (Fraction(8, 5), Fraction(3, 2))):
                 res = restriction_norm(op, p, q, ProbeOptions(restarts=4, max_iters=60, seed=5))
@@ -1223,7 +1221,7 @@ def test_fft_backed_probes_do_not_depend_on_the_blas_thread_count():
 def test_witness_re_evaluation_is_independent_of_the_fft_products(monkeypatch):
     # the certified norm is summed from the phase table, so a fault in the
     # loop's FFT products is caught instead of certifying itself
-    op = assemble(random_measure(21, N=64, max_atoms=48), 31)
+    op = ExtensionOperator(random_measure(21, N=64, max_atoms=48), 31)
     assert op.grid_fft
     real = probe.ExtensionOperator._grid_restrict
     monkeypatch.setattr(probe.ExtensionOperator, "_grid_restrict",
@@ -1236,7 +1234,7 @@ def test_witness_re_evaluation_is_independent_of_the_dense_matrix():
     # the certified norm is summed from tables of its own, never from the
     # dense products' cached tables, so corrupted tables are caught instead
     # of certifying themselves
-    op = assemble(random_measure(21, N=64, max_atoms=48), 8)
+    op = ExtensionOperator(random_measure(21, N=64, max_atoms=48), 8)
     assert not op.grid_fft
     outer, inner = op._tables
     outer *= 1 + 1e-6
@@ -1249,7 +1247,7 @@ def test_witness_re_evaluation_is_independent_of_the_dense_matrix():
                                       (Fraction(3, 2), circle(128, 0.25), 32)],
                          ids=["q2-1d", "q2-2d", "fft-1d", "fft-2d"])
 def test_probes_that_need_no_dense_product_build_no_matrix(q, mu, X):
-    op = assemble(mu, X)
+    op = ExtensionOperator(mu, X)
     assert "_tables" not in op.__dict__
     assert q == 2 or op.grid_fft
     restriction_norm(op, Fraction(4, 3), q, ProbeOptions(restarts=2, max_iters=20, seed=3))
@@ -1260,7 +1258,7 @@ def test_q2_probe_memory_stays_below_the_matrix():
     # circle(256, 1/4) at X = 64 is 16641 x 384: the matrix alone would take
     # L m 16 bytes, and a q = 2 probe with its witness re-evaluation stays
     # below an eighth of that
-    op = assemble(circle(256, 0.25), 64)
+    op = ExtensionOperator(circle(256, 0.25), 64)
     budget = op.lattice_size * op.num_atoms * 16 // 8
     tracemalloc.start()
     try:
@@ -1282,15 +1280,17 @@ def test_q2_probe_memory_stays_below_the_matrix():
 ], ids=["gram-M-grid", "gram-N-grid", "dense", "restrict-extend-N-grid"])
 def test_probe_counts_the_rows_its_products_took(monkeypatch, mu, X, p, q, max_iters, route, products):
     # the counts are derived from each start's history after the loop; the
-    # spies count the rows the products were actually handed
+    # spies count the rows the products were actually handed, at the public
+    # names, which bench/tracing.py wraps too (restrict and extend), so a loop
+    # that takes its products through another name fails here
     taken = {name: 0 for name in products}
     cls = probe.ExtensionOperator
-    for name, attr in (("gram", "gram"), ("restrict", "_restrict_rows"), ("extend", "_extend_rows")):
-        def counting(self, block, *args, _name=name, _real=getattr(cls, attr), **kwargs):
+    for name in ("gram", "restrict", "extend"):
+        def counting(self, block, *args, _name=name, _real=getattr(cls, name), **kwargs):
             taken[_name] = taken.get(_name, 0) + len(block)
             return _real(self, block, *args, **kwargs)
-        monkeypatch.setattr(cls, attr, counting)
-    op = assemble(mu, X)
+        monkeypatch.setattr(cls, name, counting)
+    op = ExtensionOperator(mu, X)
     # the zero warm start is skipped, so it takes no row
     res = restriction_norm(op, p, q, ProbeOptions(restarts=3, max_iters=max_iters, seed=1),
                            warm_starts=[np.zeros(op.lattice_size)])
