@@ -261,10 +261,10 @@ def triangular_kernel(epsilon: int) -> np.ndarray:
     return t / t.sum()
 
 
-def _half_spectrum(grid: np.ndarray, batch: int = 0) -> np.ndarray:
-    """rfftn of a real grid over its axes after the first batch ones, every pass written into one array."""
+def _half_spectrum(grid: np.ndarray) -> np.ndarray:
+    """rfftn of a real grid over all its axes, every pass written into one array."""
     half = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
-    return np.fft.rfftn(grid, axes=tuple(range(batch, grid.ndim)),
+    return np.fft.rfftn(grid, axes=tuple(range(grid.ndim)),
                         out=np.empty(half, dtype=np.complex128))
 
 
@@ -314,6 +314,23 @@ def mollify(mu: DiscreteMeasure, epsilon: int) -> np.ndarray:
 # Rebuild and serialization
 # ---------------------------------------------------------------------------
 
+def _descriptor_field(d: dict, key: str, want: str = "integer"):
+    """d[key] when it is what want names: "integer", "number" or "integer list".
+
+    Anything else raises ValueError, a bool too: a JSON true is a Python int.
+    """
+    value = d[key]
+    listed = isinstance(value, (list, tuple))
+    kinds = (int, float, np.integer, np.floating) if want == "number" else (int, np.integer)
+    if (listed != (want == "integer list")
+            or not all(isinstance(v, kinds) and not isinstance(v, bool)
+                       for v in (value if listed else [value]))):
+        article = "a" if want == "number" else "an"
+        raise ValueError(f"{d.get('kind')} descriptor field {key!r} must be {article} {want}, "
+                         f"got {value!r}")
+    return value
+
+
 def rebuild(descriptor: dict, resolution: int | None = None) -> DiscreteMeasure:
     """Reconstruct a measure from its constructor descriptor.
 
@@ -321,30 +338,42 @@ def rebuild(descriptor: dict, resolution: int | None = None) -> DiscreteMeasure:
     cantor measure is rebuilt at the stage that gives that N.  A resolution
     the constructor cannot build (a cantor N that is not base**stage *
     confine) raises ValueError instead of returning another N, and so does a
-    descriptor that lacks a field its kind reads.
+    descriptor that lacks a field its kind reads or holds one of the wrong
+    type (_descriptor_field).
     """
     d = dict(descriptor)
     kind = d.get("kind")
-    confine = d.get("confine", 1)
+
+    def field(key: str, want: str = "integer"):
+        return _descriptor_field(d, key, want)
+
     try:
         if kind == "dirac":
-            index = d["index"]
-            if resolution and resolution != d["N"]:
+            index, N = field("index", "integer list"), field("N")
+            if resolution and resolution != N:
                 # the grid is a torus: an index rounded up to N wraps to 0
-                scale = resolution / d["N"]
+                scale = resolution / N
                 index = [int(round(v * scale)) % resolution for v in index]
-            mu = dirac(d["dim"], resolution or d["N"], index)
+            mu = dirac(field("dim"), resolution or N, index)
         elif kind == "uniform":
-            mu = uniform(d["dim"], resolution or d["N"])
+            mu = uniform(field("dim"), resolution or field("N"))
         elif kind == "cantor":
-            stage = (round(math.log(resolution // confine) / math.log(d["base"]))
-                     if resolution else d["stage"])
-            mu = cantor(d["base"], d["digits"], stage, confine=confine)
+            base, digits = field("base"), field("digits", "integer list")
+            confine = field("confine") if "confine" in d else 1
+            if resolution and (base < 2 or confine < 1):
+                raise ValueError(f"cannot rebuild cantor with base {base} and confine {confine}")
+            stage = (round(math.log(max(1, resolution // confine)) / math.log(base))
+                     if resolution else field("stage"))
+            mu = cantor(base, digits, stage, confine=confine)
         elif kind == "random_flat":
-            mu = random_flat(resolution // confine if resolution else d["N"], d["m"], d["seed"],
-                             d["flatness_c"], d["max_retries"], confine=confine)
+            confine = field("confine") if "confine" in d else 1
+            if resolution and confine < 1:
+                raise ValueError(f"cannot rebuild random_flat with confine {confine}")
+            mu = random_flat(resolution // confine if resolution else field("N"), field("m"),
+                             field("seed"), field("flatness_c", "number"), field("max_retries"),
+                             confine=confine)
         elif kind == "circle":
-            mu = circle(resolution or d["N"], d["radius"])
+            mu = circle(resolution or field("N"), field("radius", "number"))
         else:
             raise ValueError(f"cannot rebuild measure of kind {kind!r}")
     except KeyError as exc:

@@ -7,18 +7,19 @@ mockenhaupt_p0, knapp_bound) are exact rational arithmetic with infinity as a
 legal value.
 
 Ball masses are windowed prefix sums, one pass per axis, last axis first.
-Both passes share one prefix buffer per call, and the pass along axis 0
-adds whole rows, the same sequential adds per line as a cumsum, so the bits
-are those of a cumsum per line.  ahlfors_alpha sizes that buffer for its
-largest half-width and reads every scale from it; in dim 1 it builds no
-grid at all.
+A pass takes the lines along its axis in blocks, one cumsum per block into
+a buffer of about DIRECT_CHUNK_ENTRIES / 8 entries, so a scan holds its
+N^dim grid and that block, and the bits are those of a cumsum per line.
+In dim 1 ahlfors_alpha and billingsley_gamma build no grid at all: the
+grid's prefix only steps at an atom, so both read the prefix of the sorted
+atoms, with the same bits.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .rationals import (
     exp_mul,
     validate_exponent,
 )
-from .spectral import DIRECT_CHUNK_ENTRIES, frequency_radii
+from .spectral import DIRECT_CHUNK_ENTRIES
 
 DEFAULT_SCALE_COUNT = 6
 # fourier_beta: ratio of consecutive annulus radii, and the first radius
@@ -44,102 +45,152 @@ ANNULUS_K_MIN = 4.0
 # Ball-mass scans (sliding-window prefix sums, wrap-around metric)
 # ---------------------------------------------------------------------------
 
-def _prefix_sums(values: np.ndarray, halfwidth: int, axis: int,
-                 buffer: np.ndarray) -> np.ndarray:
-    """Cumulative sums of [0, v, v[:2h]] along axis, v = values, in the front of a flat buffer.
-
-    They form a C-ordered array with n + 2h + 1 entries on axis in place of
-    n, returned with that axis first.  So one buffer of
-    N^(dim-1) * (N + 2H + 1) entries serves the pass along either axis of an
-    (N,)*dim grid at every h <= H, and the front n + 2h + 1 entries of a
-    line are its prefix for h.  values may sit in the buffer already, at
-    entries 1..n of a 1-D prefix.  Along the last axis cumsum runs on each
-    line; along axis 0 of a 2-D grid whole rows are added,
-    np.add(c[i - 1], c[i], out=c[i]) row after row: the same sequential
-    adds per line, so the same bits, in C order.
-    """
-    shape = list(values.shape)
-    n, h = shape[axis], halfwidth
-    shape[axis] += 2 * h + 1
-    lines = np.moveaxis(buffer[:math.prod(shape)].reshape(shape), axis, 0)
-    v = np.moveaxis(values, axis, 0)
-    lines[0] = 0.0
-    lines[1:n + 1] = v
-    lines[n + 1:] = v[:2 * h]
-    if axis == values.ndim - 1:
-        np.cumsum(lines[1:], axis=0, out=lines[1:])
-    else:
-        for prev, row in zip(lines[1:], lines[2:]):
-            np.add(prev, row, out=row)
-    return lines
-
-
-def _windowed_sums(values: np.ndarray, halfwidth: int, axis: int, buffer: np.ndarray | None) -> None:
+def _windowed_sums(values: np.ndarray, halfwidth: int, axis: int,
+                   occupied: np.ndarray | None = None) -> None:
     """Overwrite values with its circular sums over [x - h, x + h] along one axis, at every x.
 
-    Where 2h + 1 >= n the window is the whole axis, every x gets the axis
-    total, and buffer may be None.  Otherwise the prefix sums go into buffer
-    (see _prefix_sums), of at least size / n * (n + 2h + 1) entries.
+    Where 2h + 1 >= n the window is the whole axis and every x gets the axis
+    total.  Otherwise the lines along axis go in blocks: their prefix sums
+    of [0, v, v[:2h]] fill one buffer of about DIRECT_CHUNK_ENTRIES / 8
+    entries, laid out as values is, one cumsum along axis runs per block,
+    and every window is the difference of two prefixes, so the bits are
+    those of a cumsum per line.  occupied, when given, flags the lines that
+    may be nonzero; a block of lines it does not flag stays all zero and is
+    skipped.
     """
-    v = np.moveaxis(values, axis, 0)
-    n = v.shape[0]
-    h = halfwidth
+    n, h = values.shape[axis], halfwidth
     if 2 * h + 1 >= n:
+        v = np.moveaxis(values, axis, 0)
         v[...] = v.sum(axis=0, keepdims=True)
         return
-    lines = _prefix_sums(values, h, axis, buffer)
-    # the window starting at x - h is written at its center x
-    np.subtract(lines[n + h + 1:n + 2 * h + 1], lines[n - h:n], out=v[:h])
-    np.subtract(lines[2 * h + 1:n + h + 1], lines[:n - h], out=v[h:])
+    lines = np.moveaxis(values, axis, 0).reshape(n, -1)  # a view: dim is 1 or 2
+    step = max(1, DIRECT_CHUNK_ENTRIES // 8 // (n + 2 * h + 1))
+    width = min(step, lines.shape[1])
+    if axis == values.ndim - 1:
+        prefix = np.empty((width, n + 2 * h + 1)).T
+    else:
+        prefix = np.empty((n + 2 * h + 1, width))
+    for lo in range(0, lines.shape[1], step):
+        if occupied is not None and not occupied[lo:lo + step].any():
+            continue
+        block = lines[:, lo:lo + step]
+        p = prefix[:, :block.shape[1]]
+        p[0] = 0.0
+        p[1:n + 1] = block
+        p[n + 1:] = block[:2 * h]
+        np.cumsum(p[1:], axis=0, out=p[1:])
+        # the window starting at x - h is written at its center x
+        np.subtract(p[n + h + 1:n + 2 * h + 1], p[n - h:n], out=block[:h])
+        np.subtract(p[2 * h + 1:n + h + 1], p[:n - h], out=block[h:])
 
 
-def _window_max(lines: np.ndarray, n: int, halfwidth: int) -> float:
-    """Largest circular window sum over 2h + 1 cells of a 1-D prefix from _prefix_sums.
+def _ball_mass_grid(mu: DiscreteMeasure, halfwidth: int, grid: np.ndarray) -> np.ndarray:
+    """Write mu(B(x, h cells)) at every center x into grid, one pass per axis, last axis first.
 
-    The window starting at x is lines[x + 2h + 1] - lines[x]; the
-    differences are taken chunk by chunk into one array of a quarter of
-    fourier's chunk budget (512 KiB of float64), which stays in cache while
-    the max reads it.
+    Before the first pass only the lines holding an atom are nonzero, so
+    that pass skips the blocks of lines without one.
     """
-    step = DIRECT_CHUNK_ENTRIES // 4
-    chunk = np.empty(min(step, n))
-    best = 0.0
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        diff = np.subtract(lines[lo + 2 * halfwidth + 1:hi + 2 * halfwidth + 1], lines[lo:hi],
-                           out=chunk[:hi - lo])
-        best = max(best, float(diff.max()))
-    return best
-
-
-def _ball_mass_grid(mu: DiscreteMeasure, halfwidth: int, grid: np.ndarray,
-                    buffer: np.ndarray | None) -> np.ndarray:
-    """Write mu(B(x, h cells)) at every center x into grid, one pass per axis, last axis first."""
     grid[...] = 0.0
     grid[tuple(mu.indices.T)] = mu.weights
+    occupied = np.zeros(grid.size // mu.N, dtype=bool)
+    occupied[_flat_indices(mu.indices, mu.N) // mu.N] = True
     for axis in reversed(range(mu.dim)):
-        _windowed_sums(grid, halfwidth, axis, buffer)
+        _windowed_sums(grid, halfwidth, axis, occupied if axis == mu.dim - 1 else None)
     return grid
-
-
-def _prefix_buffer(mu: DiscreteMeasure, halfwidth: int) -> np.ndarray | None:
-    """One flat buffer for every pass at half-widths up to h (None when the window is the whole axis)."""
-    if 2 * halfwidth + 1 >= mu.N:
-        return None
-    return np.empty(mu.N ** (mu.dim - 1) * (mu.N + 2 * halfwidth + 1))
 
 
 def ball_masses(mu: DiscreteMeasure, radius: float) -> np.ndarray:
     """mu(B(x, radius)) for every grid center x, torus metric.
 
     Balls are intervals in dim 1 and squares (sup metric) in dim 2; the
-    half-width in cells is floor(radius * N).  One prefix buffer serves the
-    pass along each axis; the axis-0 pass of a 2-D grid adds whole rows.
+    half-width in cells is floor(radius * N).  Besides the grid, each pass
+    holds one block of prefix sums (_windowed_sums).
     """
     if not (0 < radius <= 0.5):
         raise ValueError(f"radius {radius} outside (0, 1/2]")
-    h = int(np.floor(radius * mu.N))
-    return _ball_mass_grid(mu, h, np.empty((mu.N,) * mu.dim), _prefix_buffer(mu, h))
+    return _ball_mass_grid(mu, int(np.floor(radius * mu.N)), np.empty((mu.N,) * mu.dim))
+
+
+def _atom_prefix(mu: DiscreteMeasure, halfwidth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cells, weights, prefix) of a 1-D measure, for window sums at half-widths up to h.
+
+    cells are the atoms' cells in increasing order, followed by those below
+    2h once more, N cells on (their wrapped copies), and weights are the
+    weights in that order; prefix holds 0 and then their cumulative sums.
+    Adding 0.0 is exact, so prefix[i] is the grid's prefix of [0, v, v[:2h]]
+    (_windowed_sums) just past cells[i - 1], with the same bits, and no
+    N-cell grid is built.
+    """
+    cells, weights = mu.indices[:, 0], mu.weights
+    if np.any(cells[1:] < cells[:-1]):  # a measure built directly may list its atoms unsorted
+        order = np.argsort(cells)
+        cells, weights = cells[order], weights[order]
+    wrapped = np.searchsorted(cells, 2 * halfwidth)
+    cells = np.concatenate((cells, cells[:wrapped] + mu.N))
+    weights = np.concatenate((weights, weights[:wrapped]))
+    prefix = np.empty(len(cells) + 1)
+    prefix[0] = 0.0
+    np.cumsum(weights, out=prefix[1:])
+    return cells, weights, prefix
+
+
+def _atom_window_sums(cells: np.ndarray, prefix: np.ndarray, halfwidth: int,
+                      starts: np.ndarray) -> np.ndarray:
+    """Circular sums over the cells [x, x + 2h] for each start x in [0, N), from _atom_prefix.
+
+    The sum is the difference of the grid's prefixes at x + 2h + 1 and at
+    x; a window past N - 1 ends among the wrapped copies.
+    """
+    return (prefix[np.searchsorted(cells, starts + 2 * halfwidth, "right")]
+            - prefix[np.searchsorted(cells, starts)])
+
+
+def _atom_window_max(mu: DiscreteMeasure, cells: np.ndarray, prefix: np.ndarray,
+                     halfwidth: int) -> float:
+    """Largest circular sum over 2h + 1 cells of a 1-D measure, from the windows starting at an atom or at N - 1.
+
+    Any other window slides right, to the next atom or to N - 1, without
+    losing an atom, and window sums are differences of a nondecreasing
+    prefix, so the largest sum is among these, with the grid's bits.  The
+    window starting at the i-th atom begins at prefix[i]; the atoms go in
+    chunks of DIRECT_CHUNK_ENTRIES / 8, and their ends are sorted, so each
+    chunk takes one search.
+    """
+    step = DIRECT_CHUNK_ENTRIES // 8
+    best = float(_atom_window_sums(cells, prefix, halfwidth, np.array([mu.N - 1]))[0])
+    for lo in range(0, mu.num_atoms, step):
+        hi = min(lo + step, mu.num_atoms)
+        sums = prefix[np.searchsorted(cells, cells[lo:hi] + 2 * halfwidth, "right")]
+        sums -= prefix[lo:hi]
+        best = max(best, float(sums.max()))
+    return best
+
+
+def _atom_center(mu: DiscreteMeasure, halfwidth: int) -> tuple[int]:
+    """billingsley_gamma's center of a 1-D measure, read off the atoms.
+
+    The ball mass at center c is the window sum from start (c - h) mod N,
+    and it is constant, bit for bit, between the cuts 0, h (where the start
+    wraps), p - h (atom p enters) and p + h + 1 (it leaves), mod N: at most
+    2m + 2 segments, each read once at its first cell.  Of the plateau
+    cells (mass >= max (1 - 1e-12)) the one carrying the most atomic mass
+    wins, the lowest cell among ties, as on the dense grid; an atom-free
+    cell carries 0, so the first plateau cell stands for all of those.
+    """
+    N, h, m = mu.N, halfwidth, mu.num_atoms
+    cells, weights, prefix = _atom_prefix(mu, h)
+    atoms, atom_weights = cells[:m], weights[:m]  # without the wrapped copies
+    cuts = np.concatenate(([0, h], (atoms - h) & (N - 1), (atoms + h + 1) & (N - 1)))
+    cuts.sort()
+    masses = np.empty(len(cuts))
+    step = DIRECT_CHUNK_ENTRIES // 8
+    for lo in range(0, len(cuts), step):
+        masses[lo:lo + step] = _atom_window_sums(cells, prefix, h, (cuts[lo:lo + step] - h) & (N - 1))
+    plateau = masses >= masses.max() * (1 - 1e-12)
+    on = plateau[np.searchsorted(cuts, atoms, "right") - 1]
+    candidates = np.append(cuts[np.argmax(plateau)], atoms[on])
+    cell_mass = np.append(0.0, atom_weights[on])
+    return (int(candidates[cell_mass == cell_mass.max()].min()),)
 
 
 def ball_masses_at(mu: DiscreteMeasure, center, radii) -> list[float]:
@@ -208,26 +259,20 @@ def _check_scales(mu: DiscreteMeasure, scales) -> list[float]:
 def ahlfors_alpha(mu: DiscreteMeasure, scales=None) -> ScanReport:
     """Upper-regularity exponent: slope of log max-ball-mass against log r.
 
-    Only the largest mass at each scale is kept, and one prefix buffer,
-    sized for the largest half-width H, is made per call.  In dim 1 the
-    atoms are scattered straight into one prefix of [0, v, v[:2H]], and
-    every scale is read off it (the prefix for h is the front of the one
-    for H); no grid is built.  In dim 2 each scale fills one reused grid
-    with ball_masses' passes.  Either way the maxima have ball_masses' bits.
+    Only the largest mass at each scale is kept, with ball_masses' bits.  In
+    dim 1 every scale is read off one prefix of the sorted atoms, sized for
+    the largest half-width (_atom_prefix, _atom_window_max), and no grid is
+    built; in dim 2 each scale fills one reused grid with ball_masses'
+    passes.
     """
     scales = _check_scales(mu, scales)
     halfwidths = [int(np.floor(r * mu.N)) for r in scales]
-    H = max(halfwidths)
-    buffer = _prefix_buffer(mu, H)  # not None: 2H + 1 < N, as every scale is <= 1/4
     if mu.dim == 1:
-        weights = buffer[1:mu.N + 1]
-        weights[...] = 0.0
-        weights[mu.indices[:, 0]] = mu.weights
-        lines = _prefix_sums(weights, H, 0, buffer)
-        maxima = [_window_max(lines, mu.N, h) for h in halfwidths]
+        cells, _, prefix = _atom_prefix(mu, max(halfwidths))
+        maxima = [_atom_window_max(mu, cells, prefix, h) for h in halfwidths]
     else:
         grid = np.empty((mu.N,) * mu.dim)
-        maxima = [float(_ball_mass_grid(mu, h, grid, buffer).max()) for h in halfwidths]
+        maxima = [float(_ball_mass_grid(mu, h, grid).max()) for h in halfwidths]
     fit = loglog_fit(scales, maxima)
     return ScanReport(fit.slope, scales, maxima, fit, (min(scales), max(scales)))
 
@@ -235,25 +280,28 @@ def ahlfors_alpha(mu: DiscreteMeasure, scales=None) -> ScanReport:
 def billingsley_gamma(mu: DiscreteMeasure, scales=None) -> ScanReport:
     """Local dimension at the most concentrated point.
 
-    The center is the arg-max of ball mass at the finest scale, the one
-    ball-mass grid built here; the exponent is fitted to the masses at that
-    fixed center, read from the atoms, which seeds Knapp-type tests with a
-    genuinely heavy point.
+    The center is the arg-max of ball mass at the finest scale, ties over
+    its plateau broken toward the cell carrying the most atomic mass, so the
+    center is a genuine support point; the exponent is fitted to the masses
+    at that fixed center, read from the atoms, which seeds Knapp-type tests
+    with a genuinely heavy point.  In dim 1 the center is read off the
+    atoms (_atom_center); in dim 2 off the one ball-mass grid built here.
     """
     scales = _check_scales(mu, scales)
-    finest_masses = ball_masses(mu, scales[0])
-    # argmax is flat over window-width plateaus; break ties toward the cell
-    # carrying the most atomic mass so the center is a genuine support point.
-    # The plateau cells' masses are read off the sorted atoms (0 where no
-    # atom sits), not off a second dense grid
-    flat_masses = finest_masses.ravel()
-    plateau = np.flatnonzero(flat_masses >= flat_masses.max() * (1 - 1e-12))
-    flat = _flat_indices(mu.indices, mu.N)
-    order = np.argsort(flat)
-    at = np.minimum(np.searchsorted(flat[order], plateau), len(order) - 1)
-    cell_mass = np.where(flat[order[at]] == plateau, mu.weights[order[at]], 0.0)
-    center = tuple(int(c) for c in np.unravel_index(plateau[np.argmax(cell_mass)],
-                                                    finest_masses.shape))
+    if mu.dim == 1:
+        center = _atom_center(mu, int(np.floor(scales[0] * mu.N)))
+    else:
+        finest_masses = ball_masses(mu, scales[0])
+        # the plateau cells' masses are read off the sorted atoms (0 where
+        # no atom sits), not off a second dense grid
+        flat_masses = finest_masses.ravel()
+        plateau = np.flatnonzero(flat_masses >= flat_masses.max() * (1 - 1e-12))
+        flat = _flat_indices(mu.indices, mu.N)
+        order = np.argsort(flat)
+        at = np.minimum(np.searchsorted(flat[order], plateau), len(order) - 1)
+        cell_mass = np.where(flat[order[at]] == plateau, mu.weights[order[at]], 0.0)
+        center = tuple(int(c) for c in np.unravel_index(plateau[np.argmax(cell_mass)],
+                                                        finest_masses.shape))
     values = ball_masses_at(mu, center, scales)
     fit = loglog_fit(scales, values)
     return ScanReport(fit.slope, scales, values, fit, (min(scales), max(scales)), center=center)
@@ -304,13 +352,17 @@ def fourier_beta(coefficients: np.ndarray) -> DecayReport:
         raise ValueError(f"coefficient shape {coefficients.shape} is not (2K+1,)*dim")
     if K < 16:
         raise ValueError("need K >= 16 for a meaningful decay fit")
-    radii = frequency_radii(np.arange(-K, K + 1, dtype=float), dim)
-    power = np.abs(coefficients) ** 2
+    # the exact integer |k|^2, in the narrowest signed type that holds dim K^2
+    k = np.arange(-K, K + 1, dtype=np.min_scalar_type(-dim * K * K))
+    r2 = reduce(np.add.outer, [k * k] * dim)
+    power = np.abs(coefficients)
+    np.square(power, out=power)
     annuli, sups, avgs, mids = [], [], [], []
     lo = ANNULUS_K_MIN
     while lo * ANNULUS_BASE <= K + 0.5:
         hi = lo * ANNULUS_BASE
-        mask = (radii >= lo) & (radii < hi)
+        mask = r2 >= lo * lo
+        mask &= r2 < hi * hi
         if mask.any():
             vals = power[mask]
             if float(vals.max()) == 0.0:

@@ -8,13 +8,15 @@ residue classes mod P, with P as coarse as [-K, K] allows, and transforms
 only the classes that hold atoms; when those fill more than half the grid,
 it transforms the dense grid.
 
-Weights are real, so every full-grid transform here is a real one: rfftn
+Weights are real, so every full-grid transform here is a real one, which
 keeps the half spectrum (last-axis frequencies 0..N/2, the rest follow from
-mu_hat(-k) = conj(mu_hat(k))), writes all its passes into one array, and no
-complex copy of the grid is made.  The convolution powers and the
-self-correlation take such a transform only when their m^n atom products
-outnumber the N^dim grid points; otherwise they add the products up over
-the atoms directly, with no transform and no round-off to clip.  The grid route keeps one
+mu_hat(-k) = conj(mu_hat(k))), and no complex copy of the grid is made.
+fourier's grid route never holds the grid either: it builds the rows from
+the atoms a block at a time and keeps only the half-spectrum columns it
+reads.  The convolution powers and the self-correlation take a transform
+only when their m^n atom products outnumber the N^dim grid points;
+otherwise they add the products up over the atoms directly, in chunks,
+with no transform and no round-off to clip.  Their grid route keeps one
 spectrum alive and maps and inverts it in place.
 """
 
@@ -30,8 +32,10 @@ from .rationals import Exponent, exp_float, is_inf, validate_exponent
 
 CONV_CLIP_ERROR = 1e-8
 CONV_DROP_REL = 1e-14
-# entries per chunk of fourier's direct sum (frequencies x atoms) and of the
-# atom sums of convolve_power and self_correlation (rows x atoms)
+# an eighth of it (about 256 KiB of float64) sizes the chunks of fourier's
+# direct sum (frequencies x atoms), of the atom sums of convolve_power and
+# self_correlation (rows x atoms), of the grid read's row blocks and of the
+# ball-mass scans; the probe's root tables split at its bit length
 DIRECT_CHUNK_ENTRIES = 262_144
 
 
@@ -44,10 +48,12 @@ def fourier(mu: DiscreteMeasure, K: int) -> np.ndarray:
     for every K: the grid route (_grid_read) when the N^dim grid is no
     larger than the (2K+1)^dim x num_atoms direct sum, and the sum over
     atoms otherwise, so a sparse measure on a fine grid never builds its
-    grid.  The grid route holds the real weights of the C occupied residue
-    classes, Q^dim points each, and their half spectra, about 16 bytes per
-    point (Q^dim = N^dim and C = 1 when the occupied classes fill more than
-    half the grid), and up to three coefficient arrays of the result's size.
+    grid.  The grid route holds the half spectra of the C occupied residue
+    classes, Q^dim points each, on the min(K, Q/2) + 1 last-axis
+    frequencies it reads (Q^dim = N^dim and C = 1 when the occupied classes
+    fill more than half the grid), one block of rows of about
+    DIRECT_CHUNK_ENTRIES / 8 entries and its rfft, and up to two coefficient
+    arrays of the result's size.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -89,40 +95,94 @@ def _residue_classes(mu: DiscreteMeasure, K: int) -> tuple[int, int, np.ndarray,
     return 1, mu.N, np.zeros(1, dtype=np.int64), 0
 
 
+def _class_spectra(mu: DiscreteMeasure, P: int, Q: int, count: int, slot, columns: int) -> np.ndarray:
+    """rfftn of the count stacked residue classes (C, Q, ...), last-axis frequencies 0..columns - 1 only.
+
+    The stack's lines along the last axis are built from the atoms a block
+    of about DIRECT_CHUNK_ENTRIES / 8 entries at a time, each block goes
+    through one rfft, and only the columns the read uses are kept; in 2-D
+    the fft along the class's first axis then runs in place.  That is
+    rfftn's order, line by line, so the kept entries have rfftn's bits, and
+    no stack or full half spectrum is held.  Each atom's flat position in
+    the stack is one int64, built in place.
+    """
+    spec = np.empty((count,) + (Q,) * (mu.dim - 1) + (columns,), dtype=np.complex128)
+    lines = spec.reshape(-1, columns)
+    flat = np.zeros(mu.num_atoms, dtype=np.int64)
+    flat += slot
+    digit = np.empty_like(flat)
+    for axis in range(mu.dim):
+        flat *= Q
+        flat += np.floor_divide(mu.indices[:, axis], P, out=digit)
+    del digit
+    step = max(1, DIRECT_CHUNK_ENTRIES // 8 // Q)
+    block = np.empty((min(step, len(lines)), Q))
+    half = np.empty((len(block), Q // 2 + 1), dtype=np.complex128)
+    for lo in range(0, len(lines), step):
+        n = min(step, len(lines) - lo)
+        block[:n] = 0.0
+        if n == len(lines):
+            block.reshape(-1)[flat] = mu.weights
+        else:
+            inside = flat >= lo * Q
+            inside &= flat < (lo + n) * Q
+            block.reshape(-1)[flat[inside] - lo * Q] = mu.weights[inside]
+        np.fft.rfft(block[:n], axis=-1, out=half[:n])
+        lines[lo:lo + n] = half[:n, :columns]
+    if mu.dim > 1:
+        np.fft.fft(spec, axis=1, out=spec)
+    return spec
+
+
+def _runs(positions: np.ndarray, sources: np.ndarray, step: int) -> list[tuple[slice, slice]]:
+    """(out, src) slice pairs for out[positions] = src[sources]: maximal runs where positions step by 1 and sources by step."""
+    if not len(positions):
+        return []
+    breaks = np.flatnonzero((np.diff(positions) != 1) | (np.diff(sources) != step)) + 1
+    pairs = []
+    for a, b in zip([0, *breaks], [*breaks, len(positions)]):
+        stop = int(sources[b - 1]) + step
+        pairs.append((slice(int(positions[a]), int(positions[b - 1]) + 1),
+                      slice(int(sources[a]), stop if stop >= 0 else None, step)))
+    return pairs
+
+
 def _grid_read(mu: DiscreteMeasure, K: int) -> np.ndarray:
     """mu_hat on [-K, K]^dim from real FFTs of the occupied residue classes mod P.
 
     An atom j = r + P s (_residue_classes) adds w_j e(-<k, r>/N) e(-<k, s>/Q),
     so mu_hat(k) is the sum over the classes r that hold atoms of
     e(-<k, r>/N) times the Q^dim-point DFT of the class's weights at k mod Q
-    (decimation in time).  The C classes go through one rfftn, stacked as
-    (C, Q, ...); at P = 1 that is the real FFT of the dense grid, and its
-    read is the result.  A class is read off its half spectrum, last-axis
-    frequencies 0..Q/2: a frequency whose last coordinate has k mod Q <= Q/2
-    directly, any other as conj(spec[(-k) mod Q]), since the weights are
-    real.  Its twiddle is taken per axis from a table of roots at the exact
-    integer phase -k r mod N, and the classes are added one at a time, so
-    no (C, 2K + 1) table is built.
+    (decimation in time).  The C classes' half spectra come from
+    _class_spectra, with rfftn's bits; at P = 1 the one class is the dense
+    grid, and its read is the result.  A class is read off its half
+    spectrum, last-axis frequencies 0..Q/2: a frequency whose last
+    coordinate has k mod Q <= Q/2 directly, any other as
+    conj(spec[(-k) mod Q]), since the weights are real; the frequencies
+    whose indices run in steps of one are copied as slices, so no read
+    makes a temporary.  Its twiddle is taken per axis from a table of roots
+    at the exact integer phase -k r mod N, and the classes are added one at
+    a time, so no (C, 2K + 1) table is built.
     """
     P, Q, classes, slot = _residue_classes(mu, K)
-    stack = np.zeros((len(classes),) + (Q,) * mu.dim)
-    stack[(slot, *(mu.indices // P).T)] = mu.weights
-    spec = _half_spectrum(stack, batch=1)
-    del stack
+    spec = _class_spectra(mu, P, Q, len(classes), slot, min(K, Q // 2) + 1)
     ks = np.arange(-K, K + 1)
     at = ks % Q
     flip = (-ks) % Q
     near = at <= Q // 2
-    direct = np.ix_(*[at] * (mu.dim - 1), at[near])
-    mirrored = np.ix_(*[flip] * (mu.dim - 1), flip[~near])
+    everywhere = np.arange(len(ks))
+    direct = list(itertools.product(*[_runs(everywhere, at, 1)] * (mu.dim - 1),
+                                    _runs(everywhere[near], at[near], 1)))
+    mirrored = list(itertools.product(*[_runs(everywhere, flip, -1)] * (mu.dim - 1),
+                                      _runs(everywhere[~near], flip[~near], -1)))
     residues = list(zip(*np.unravel_index(classes, (P,) * mu.dim)))
     roots = unit_roots(mu.N, mu.N.bit_length() // 2) if P > 1 else None
 
     def read(c: int, out: np.ndarray) -> np.ndarray:
-        out[..., near] = spec[c][direct]
-        mirror = spec[c][mirrored]
-        out[..., ~near] = np.conjugate(mirror, out=mirror)
-        del mirror  # before the twiddle's tables are built
+        for pieces in direct:
+            out[tuple(o for o, _ in pieces)] = spec[c][tuple(i for _, i in pieces)]
+        for pieces in mirrored:
+            np.conjugate(spec[c][tuple(i for _, i in pieces)], out=out[tuple(o for o, _ in pieces)])
         for axis, r in enumerate(residues[c]):
             if r:
                 out *= roots_at(roots, ks * -r, mu.N).reshape((-1,) + (1,) * (mu.dim - 1 - axis))
@@ -161,7 +221,7 @@ def roots_at(roots: tuple[np.ndarray, np.ndarray, int], k: np.ndarray, N: int) -
 def _direct_sum(mu: DiscreteMeasure, K: int) -> np.ndarray:
     """mu_hat on [-K, K]^dim as the sum over atoms, in chunks of frequencies.
 
-    Each axis is cut into chunks of DIRECT_CHUNK_ENTRIES // m frequencies,
+    Each axis is cut into chunks of DIRECT_CHUNK_ENTRIES // 8 // m frequencies,
     and each chunk of the output is one einsum over per-axis (chunk, m)
     phase tables, so the peak memory is a small multiple of m times the
     chunk and never the (2K+1) x m table of the whole sum.  A phase is read
@@ -170,7 +230,7 @@ def _direct_sum(mu: DiscreteMeasure, K: int) -> np.ndarray:
     """
     ks = np.arange(-K, K + 1)
     roots = unit_roots(mu.N, mu.N.bit_length() // 2)
-    step = max(1, DIRECT_CHUNK_ENTRIES // mu.num_atoms)
+    step = max(1, DIRECT_CHUNK_ENTRIES // 8 // mu.num_atoms)
     chunks = [slice(lo, lo + step) for lo in range(0, len(ks), step)]
     axes = "klmn"[:mu.dim]
     subscripts = ",".join(a + "j" for a in axes) + ",j->" + axes
@@ -184,12 +244,6 @@ def _direct_sum(mu: DiscreteMeasure, K: int) -> np.ndarray:
                 tables[a] = roots_at(roots, np.multiply.outer(-ks[c], mu.indices[:, a]), mu.N)
         coeffs[block] = np.einsum(subscripts, *tables, mu.weights)
     return coeffs
-
-
-def frequency_radii(freqs: np.ndarray, dim: int) -> np.ndarray:
-    """Euclidean norm |k| on the frequency grid freqs^dim, shape (len(freqs),)*dim."""
-    grids = np.meshgrid(*[freqs] * dim, indexing="ij")
-    return reduce(np.hypot, grids, np.zeros(grids[0].shape))
 
 
 def lp_norm(values: np.ndarray, s: Exponent, weights: np.ndarray | None = None,
@@ -256,33 +310,38 @@ def _atom_sums(mu: DiscreteMeasure, n: int, sign: int, constructor: dict) -> Dis
 
     Each of the n - 1 steps adds every product w_i w_j of a support cell i
     and an atom j of mu at the cell (i + sign j) mod N, by np.add.at into one
-    N^dim accumulator, and takes the nonzero cells as the next support.  The
-    rows of the support go in chunks of DIRECT_CHUNK_ENTRIES // m, so the
-    cell and product arrays of a chunk hold at most that many entries.
-    Nothing is clipped or dropped: a cell is kept when a product reached it.
+    N^dim accumulator, and takes the nonzero cells as the next support, kept
+    as flat indices until the accumulator is dropped.  The rows of the
+    support go in chunks of DIRECT_CHUNK_ENTRIES // 8 // m, so the cell,
+    index and product arrays of a chunk hold at most DIRECT_CHUNK_ENTRIES / 8
+    entries each, and the index arithmetic runs in place.  Nothing is
+    clipped or dropped: a cell is kept when a product reached it.
     """
     shape = (mu.N,) * mu.dim
     atoms = tuple(sign * mu.indices.T)
     acc = np.zeros(mu.N ** mu.dim)
-    rows, row_weights = tuple(mu.indices.T), mu.weights
-    step = max(1, DIRECT_CHUNK_ENTRIES // mu.num_atoms)
+    support, row_weights = np.ravel_multi_index(tuple(mu.indices.T), shape), mu.weights
+    step = max(1, DIRECT_CHUNK_ENTRIES // 8 // mu.num_atoms)
     for _ in range(n - 1):
         for lo in range(0, len(row_weights), step):
             chunk = slice(lo, lo + step)
             cells = np.zeros((len(row_weights[chunk]), mu.num_atoms), dtype=np.int64)
-            for row, atom in zip(rows, atoms):
+            part = np.empty_like(cells)
+            for row, atom in zip(np.unravel_index(support[chunk], shape), atoms):
                 cells *= mu.N
-                cells += np.add.outer(row[chunk], atom) & (mu.N - 1)
+                np.add.outer(row, atom, out=part)
+                part &= mu.N - 1
+                cells += part
             products = np.multiply.outer(row_weights[chunk], mu.weights)
             # flat index arrays take np.add.at's fast path
             np.add.at(acc, cells.ravel(), products.ravel())
-            del cells, products
+            del cells, part, products
         support = np.flatnonzero(acc)
-        rows, row_weights = np.unravel_index(support, shape), acc[support]
+        row_weights = acc[support]
         acc[support] = 0.0
     del acc
-    return _finalize(mu.dim, mu.N, np.stack(rows, axis=1), row_weights, constructor,
-                     seed=mu.seed)
+    return _finalize(mu.dim, mu.N, np.stack(np.unravel_index(support, shape), axis=1), row_weights,
+                     constructor, seed=mu.seed)
 
 
 def convolve_power(mu: DiscreteMeasure, n: int) -> DiscreteMeasure:

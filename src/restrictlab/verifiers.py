@@ -50,7 +50,6 @@ from .spectral import (
     convolve_power,
     density_norm,
     fourier,
-    frequency_radii,
     lp_norm,
     self_correlation,
 )
@@ -437,7 +436,7 @@ def check_prop2(mu: DiscreteMeasure, gamma, s_values, K_list) -> list[Prop2Repor
     s < 2 dim / gamma; the checker fits the log-log growth of the partial
     sums and calls slopes above PROP2_DIVERGE_SLOPE divergent.  The
     coefficients (from spectral.fourier, by its route rule) and their
-    frequency radii are computed once for all s.  The sums run over the
+    squared radii are computed once for all s.  The sums run over the
     frequencies of Z_N^dim, so at K = N/2, where -N/2 = N/2 (mod N), only the
     end -N/2 of each axis is kept.
     """
@@ -450,8 +449,9 @@ def check_prop2(mu: DiscreteMeasure, gamma, s_values, K_list) -> list[Prop2Repor
     top = K_list[-1]
     window = slice(None, -1 if 2 * top == mu.N else None)
     magnitude = np.abs(fourier(mu, top)[(window,) * mu.dim])
-    radii = frequency_radii(np.arange(-top, top + 1)[window], mu.dim)
-    inside = [radii <= K for K in K_list]
+    k = np.arange(-top, top + 1)[window]
+    r2 = reduce(np.add.outer, [k * k] * mu.dim)  # the exact integer |k|^2
+    inside = [r2 <= K * K for K in K_list]
     critical = 2 * Fraction(mu.dim) / gamma
     reports = []
     for s in s_values:

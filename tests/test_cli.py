@@ -116,7 +116,15 @@ def test_malformed_measure_file_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("constructor, message", [
     ([1, 2], "constructor must be an object"),
-    ({"kind": "cantor"}, "cantor descriptor lacks the field 'base'")], ids=["list", "without-base"])
+    ({"kind": "cantor"}, "cantor descriptor lacks the field 'base'"),
+    ({"kind": "cantor", "base": "4", "digits": [0, 3], "stage": 3},
+     "cantor descriptor field 'base' must be an integer, got '4'"),
+    ({"kind": "uniform", "dim": "x", "N": 64}, "uniform descriptor field 'dim' must be an integer"),
+    # a JSON true is a Python int, and no valid number here
+    ({"kind": "circle", "N": 64, "radius": True}, "circle descriptor field 'radius' must be a number"),
+    ({"kind": "cantor", "base": 4, "digits": [0, True], "stage": 3},
+     "cantor descriptor field 'digits' must be an integer list")],
+    ids=["list", "without-base", "string-base", "string-dim", "bool-radius", "bool-digit"])
 def test_conv_on_a_malformed_constructor_exits_1(tmp_path, capsys, constructor, message):
     # conv rebuilds the measure from its constructor at a resolution other than N
     path = tmp_path / "bad.json"
@@ -174,6 +182,30 @@ def test_dense_probe_holds_a_fraction_of_the_matrix(tmp_path, capsys):
     assert rc == 0, capsys.readouterr().err
     assert peak < 4097 * 4096 * 16 / 8, peak
     assert json.loads(out.read_text())["probe"]["norm_lower_bound"] > 0.0
+
+
+def test_full_grid_commands_hold_one_grid_and_a_chunk(tmp_path, capsys):
+    # the ball-mass scans, the Fourier reads and the atom sums of each
+    # command hold at most one N^dim float64 grid at a time, plus chunks of
+    # about 1 MiB; N^dim = 2^20 for both measures
+    cantor10, circle1024 = tmp_path / "cantor10.json", tmp_path / "circle1024.json"
+    save_measure(cantor(4, {0, 3}, 10), str(cantor10))
+    save_measure(circle(1024, 0.25), str(circle1024))
+    bound = 8 * 2**20 + 1.5 * 2**20
+    for args in (["analyze", "--measure", str(cantor10)],
+                 ["analyze", "--measure", str(circle1024)],
+                 ["conv", "--measure", str(cantor10), "-n", "2", "-r", "inf",
+                  "--resolutions", str(2**20)],
+                 ["verify", "--suite", "prop3", "--measure", str(cantor10)],
+                 ["verify", "--suite", "knapp", "--measure", str(cantor10)]):
+        tracemalloc.start()
+        try:
+            rc = main([*args, "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0, capsys.readouterr().err
+        assert peak <= bound, (args, peak)
 
 
 def test_q2_probe_runs_over_the_matrix_budget(tmp_path, flat_measure, monkeypatch, capsys):

@@ -299,14 +299,16 @@ def test_cantor_convolution_power_density_norm_closed_form(monkeypatch, digits, 
     assert calls == ([2] * 10 if n == 2 else [])
 
 
-@pytest.mark.parametrize("mu", [random_flat(256, 24, seed=4), circle(64, 0.25)],
-                         ids=["1d", "2d"])
+@pytest.mark.parametrize("mu", [random_flat(256, 24, seed=4), circle(64, 0.25), circle(256, 0.25)],
+                         ids=["1d", "2d", "2d-row-blocks"])
 def test_grid_read_matches_the_complex_fft_read(mu):
     # K = N/2 reads k = +-N/2, where the half spectrum ends; K = N + 3 reads
-    # every frequency, some twice over
+    # every frequency, some twice over; K = N/4 - 3 < N/2 keeps only the
+    # half-spectrum columns 0..K of the dense grid, whose 256 rows go
+    # through rfft in two blocks on circle(256)
     tol = 4 * np.finfo(float).eps * np.log2(mu.N ** mu.dim)
     full = np.fft.fftn(mu.dense_weights())
-    for K in (mu.N // 2, mu.N + 3):
+    for K in (mu.N // 4 - 3, mu.N // 2, mu.N + 3):
         ks = np.arange(-K, K + 1) % mu.N
         coeffs = spectral._grid_read(mu, K)
         assert np.abs(coeffs - full[np.ix_(*[ks] * mu.dim)]).max() <= tol
@@ -357,6 +359,17 @@ def test_folding_read_matches_the_complex_fft_read(instance):
     tol = 4 * np.finfo(float).eps * np.log2(mu.N ** mu.dim)
     ks = np.arange(-K, K + 1) % mu.N
     full = np.fft.fftn(mu.dense_weights())[np.ix_(*[ks] * mu.dim)]
+    assert np.abs(spectral._grid_read(mu, K) - full).max() <= tol
+
+
+def test_folding_read_in_blocks_matches_the_complex_fft_read():
+    # 4 occupied classes of 16384 points mod P = 16: the stack's lines go
+    # through rfft two at a time, each block from the atoms of its lines
+    mu, K = cantor(4, {0, 3}, 9), 4096
+    P, Q, classes, _ = spectral._residue_classes(mu, K)
+    assert P == 16 and len(classes) * Q > spectral.DIRECT_CHUNK_ENTRIES // 8
+    tol = 4 * np.finfo(float).eps * np.log2(mu.N)
+    full = np.fft.fft(mu.dense_weights())[np.arange(-K, K + 1) % mu.N]
     assert np.abs(spectral._grid_read(mu, K) - full).max() <= tol
 
 
