@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -21,7 +23,7 @@ from restrictlab.regularity import (
     stein_tomas_p,
     theorem_range,
 )
-from restrictlab.spectral import fourier
+from restrictlab.spectral import DIRECT_CHUNK_ENTRIES, fourier
 from restrictlab.verifiers import exponent_identity
 
 from oracles import (
@@ -123,6 +125,38 @@ def test_ball_mass_scans_bit_identical_to_concat_roll(dim, N, m):
         assert np.array_equal(ball_masses(mu, r), _oracle_ball_masses(mu, int(np.floor(r * N))))
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# one block of prefix sums in a 2-D pass, and one chunk of window sums in a 1-D scan
+_BLOCK = DIRECT_CHUNK_ENTRIES // 8 * 8
+# the strided subtraction of the axis-1 pass runs through numpy's buffered
+# iterator, one np.getbufsize() of float64 per operand
+_ITERATOR_BUFFERS = 4 * np.getbufsize() * 8
+
+
+def test_alpha_in_1d_allocates_one_prefix_buffer():
+    mu = cantor(4, {0, 3}, 10)  # N = 2^20, no grid is built
+    # the one prefix runs over the sorted atoms and their wrapped copies, at
+    # most 2m + 1 entries, beside their cells and weights
+    prefix = (2 * mu.num_atoms + 1) * 8
+    assert _traced_peak(ahlfors_alpha, mu) <= 3 * prefix + 2 * _BLOCK
+
+
+def test_alpha_in_2d_allocates_one_grid_and_one_prefix_buffer():
+    mu = circle(1024, 0.25)
+    grid = mu.N * mu.N * 8
+    # the prefix buffer holds one block of lines, not the whole grid; 2^16
+    # bytes cover the occupied-line flags and the atoms' flat indices
+    assert _traced_peak(ahlfors_alpha, mu) <= grid + _BLOCK + _ITERATOR_BUFFERS + 2**16
+
+
 def test_ball_of_radius_one_half_is_the_whole_torus():
     # the antipodal atom at distance N/2 lies in the closed ball of radius 1/2
     mu = DiscreteMeasure(1, 8, [[0], [4]], [0.5, 0.5])
@@ -195,6 +229,30 @@ def test_billingsley_center_matches_the_dense_grid_rule(dim, N):
         for window in windows:
             center = billingsley_gamma(mu, window).center
             assert center == dense_grid_billingsley_center(mu, ball_masses(mu, min(window))), i
+
+
+def test_billingsley_tie_break_builds_no_second_grid(monkeypatch):
+    # in dim 1 the center is read off the atoms, and no N-cell grid is built
+    assert _traced_peak(billingsley_gamma, cantor(4, {0, 3}, 10)) <= 2 * _BLOCK
+    # in dim 2 the scan builds the one ball-mass grid
+    mu = circle(1024, 0.25)
+    grid = mu.N * mu.N * 8
+    scan = []
+    real = regularity.ball_masses
+
+    def scanned(mu, radius):
+        out = real(mu, radius)
+        scan.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(regularity, "ball_masses", scanned)
+    after = _traced_peak(billingsley_gamma, mu)
+    assert len(scan) == 1
+    assert scan[0] <= grid + _BLOCK + _ITERATOR_BUFFERS + 2**16
+    # once the scan is done the tie-break holds the grid and under 2 MiB more
+    # (the plateau and the sorted atoms), no dense weight grid
+    assert after <= grid + 2 * 2**20
 
 
 def test_alpha_uniform_is_one():
